@@ -113,16 +113,16 @@ def build_cartan(c):
     return CartanData(c, tuple(map(tuple, inc)), tuple(map(tuple, car)), tau)
 
 
-def mn_solve(cd, L, m):
-    """Auxiliary vector n_j = L*delta(j,1) - sum_k C_jk m_k."""
-    car = cd.cartan
-    d = cd.d
-    if len(m) != d:
-        raise ValueError("m must have length d")
-    return [
-        (L if j == 0 else 0) - sum(car[j][k] * m[k] for k in range(d))
-        for j in range(d)
-    ]
+def n_row(cd, j, prev, cur, nxt):
+    """n_j = L*delta(j,1) - sum_k C_jk m_k at the 1-based row j of the
+    tridiagonal Cartan matrix, from prev = m_{j-1} (m_0 := L), cur = m_j and
+    nxt = m_{j+1} (m_{d+1} := 0)."""
+    row = cd.cartan[j - 1]
+    n = prev if j == 1 else -row[j - 2] * prev
+    n -= row[j - 1] * cur
+    if j < cd.d:
+        n -= row[j] * nxt
+    return n
 
 
 def quad_form(cd, m, barred=False):

@@ -32,7 +32,9 @@ class RunConfig:
     pos_l_max: int = 20
     format: str = "plain"      # plain | json | csv
     out: str = None
-    jobs: int = 1
+
+
+FORMATS = ("plain", "json", "csv")
 
 
 def _fmt_poly(p):
@@ -76,7 +78,8 @@ def _cmd_eval(args):
             res = eval_limit_both(fam, a, b, args.order)
         else:
             raise ValueError(f"unknown object {obj!r}")
-    except (IndexError, ValueError, TypeError) as exc:
+    except (IndexError, ValueError, TypeError, ZeroDivisionError,
+            NotImplementedError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     print(_fmt_poly(res))
@@ -123,14 +126,31 @@ def _render(reports, fmt):
 def _load_config(path, cfg):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
     for key, val in data.items():
-        if key == "suites":
-            cfg.suites = list(val)
-        elif hasattr(cfg, key):
-            setattr(cfg, key, val)
-        else:
+        if not hasattr(cfg, key):
             raise ValueError(f"unknown config key {key!r}")
+        setattr(cfg, key, val)
     return cfg
+
+
+def _check_config(cfg):
+    """Reject a merged configuration that the campaign cannot run."""
+    for name in ("a_max", "lm_max", "n_max", "T", "pos_l_max"):
+        v = getattr(cfg, name)
+        if type(v) is not int or v < 0:
+            raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
+    if cfg.format not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {cfg.format!r}")
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ValueError(f"out must be a path, got {cfg.out!r}")
+    if not isinstance(cfg.suites, list) or \
+            not all(isinstance(s, str) for s in cfg.suites):
+        raise ValueError(f"suites must be a list of names, got {cfg.suites!r}")
+    unknown = [s for s in cfg.suites if s not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite(s) {unknown}")
 
 
 def _cmd_verify(args):
@@ -149,13 +169,14 @@ def _cmd_verify(args):
     for name, attr in (("a_max", "a_max"), ("lm_max", "lm_max"),
                        ("n_max", "n_max"), ("order", "T"),
                        ("pos_l_max", "pos_l_max"), ("format", "format"),
-                       ("out", "out"), ("jobs", "jobs")):
+                       ("out", "out")):
         v = getattr(args, name, None)
         if v is not None:
             setattr(cfg, attr, v)
-    unknown = [s for s in cfg.suites if s not in SUITES]
-    if unknown:
-        print(f"usage error: unknown suite(s) {unknown}", file=sys.stderr)
+    try:
+        _check_config(cfg)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     bud = CampaignBudget(a_max=cfg.a_max, lm_max=cfg.lm_max, n_max=cfg.n_max,
                          T=cfg.T, pos_l_max=cfg.pos_l_max)
@@ -212,9 +233,8 @@ def build_parser():
     pv.add_argument("--n-max", dest="n_max", type=int)
     pv.add_argument("--order", type=int, help="series order T")
     pv.add_argument("--pos-l-max", dest="pos_l_max", type=int)
-    pv.add_argument("--format", choices=["plain", "json", "csv"])
+    pv.add_argument("--format", choices=FORMATS)
     pv.add_argument("--out", help="write report to this path")
-    pv.add_argument("--jobs", type=int, help="parallelism degree")
     pv.add_argument("--config", help="JSON config file (flags win)")
     pv.set_defaults(fn=_cmd_verify)
 
@@ -224,14 +244,8 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already
-        raise
-    code = args.fn(args)
-    sys.exit(code)
+    args = build_parser().parse_args(argv)  # exits 2 on a malformed argv
+    sys.exit(args.fn(args))
 
 
 if __name__ == "__main__":

@@ -1,25 +1,36 @@
 """Fermionic lattice sums attached to a coprime pair: the four families
 F, f, H, I, their one-sided large-bound limits and the double-limit series.
 
-Every value is computed by exhaustive enumeration of the finite support.
-The depth-first search fixes m_1, m_2, ... in order; the binomial factor at
-position j-1 is fully determined once m_j is chosen and a branch is cut as
-soon as a factor vanishes. Search ranges come from the support inequalities
-(m_1 <= L resp. M, and m_j <= m_{j-1} within the nonincreasing lattice),
-widened by a slack margin; the exact kernel filter makes the slack harmless
-and the test suite checks that enlarging it never changes any result.
+Every value is one call of `_lattice_sum`, a transfer-matrix sum along the
+continued fraction. The Cartan matrix is tridiagonal, so the binomial factor
+at position j depends only on (m_{j-1}, m_j, m_{j+1}) and the quadratic form
+splits into terms on neighbouring pairs (m_j, m_{j+1}); the sum is built
+right to left over the pair states.
+
+Support. Write m_0 := L and m_{d+1} := 0. The kernel factor
+[tau_j m_j + n_j, tau_j m_j] vanishes unless n_j >= 0, where
+n_j = L delta(j,1) - sum_k C_jk m_k. An interior row of a tadpole block reads
+n_j = m_{j-1} - 2 m_j + m_{j+1} >= 0, so the steps m_j - m_{j-1} are
+nondecreasing along the block. The block's end row e reads
+n_e = m_{e-1} - m_e - m_{e+1} >= 0, so its last step is <= -m_{e+1} <= 0.
+Hence every step is <= 0 and every nonzero term has
+m_0 >= m_1 >= ... >= m_d >= 0. Family H moves nothing: it uses the
+representation with last quotient >= 2, so row d-1 is interior, and its
+n_{d-1} >= -1 is paid for by n_d >= 1 (the last step is then <= -1).
+The limits drop the row of position a_0 + 1 (a_0 = 0 for a <= 2b), which
+only frees the step into that position; their first block is written in
+m_j = n_j + m_{j+1} with n_j >= 0, nonincreasing by construction, and
+[2M, M-m_1] bounds m_1 by M. The double limit has exponent >= m_1^2, so
+m_1 <= isqrt(T). No search window is needed.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from math import isqrt
 
-from .cf import CartanData, CFData, build_cartan, cf_expand, mn_solve, quad_form
+from .cf import build_cartan, cf_expand, n_row
 from .qpoly import LaurentPoly, TruncatedSeries
 from .qcombinat import poch_range, q_poch, qbin
-
-DEFAULT_SLACK = 3
 
 _CARTAN_CACHE = {}
 
@@ -33,114 +44,120 @@ def cartan_for(a, b, last_ge2=True):
     return hit
 
 
-@dataclass(frozen=True)
-class FermionicSpec:
-    """One fermionic evaluation request: which family, pair, and bound mode."""
-
-    a: int
-    b: int
-    family: str           # "F", "f", "H" or "I"
-    bound_mode: str       # "double", "limit_M", "limit_L", "limit_both"
-    last_ge2: bool = True
+def _cut(p, cut):
+    """p without the terms above q^cut (all of p when cut is None)."""
+    return p if cut is None else LaurentPoly(
+        {e: c for e, c in p.coeffs.items() if e <= cut})
 
 
-def _factor(cd, j, mj, nj, family):
-    """Binomial factor at 1-based position j of the kernel product."""
-    d = cd.d
-    tau = cd.tau[j - 1]
-    up = tau * mj + nj
-    lo = tau * mj
-    base = 1
-    if family == "H":
-        up -= j == d
-        lo -= j == d - 1
-    elif family == "I":
-        base = 3 - tau
-    return qbin(up, lo, base)
+def _lattice_sum(d, top, head, phi, psi, cut=None):
+    """Sum of head(m_1) * prod_j phi(j, m_{j-1}, m_j, m_{j+1})
+    * q^(sum_j psi(j, m_j, m_{j+1})) over top >= m_1 >= ... >= m_d >= 0,
+    with m_0 := top and m_{d+1} := 0 (the support proved above).
 
-
-def _row_n(cd, j, m, L):
-    """n_j for 1-based j, from the fixed entries of m (length d)."""
-    car = cd.cartan[j - 1]
-    d = cd.d
-    val = L if j == 1 else 0
-    for k in (j - 2, j - 1, j):
-        if 0 <= k < d:
-            val -= car[k] * m[k]
-    return val
-
-
-def _exponent(cd, m, L, family, ge, bounded_L):
-    e = quad_form(cd, m, barred=(family == "f"))
-    if ge and bounded_L:
-        e += L * (L - 2 * m[0])
-    if family == "H":
-        d = cd.d
-        e += 2 * m[d - 1] - 2 * m[d - 2] + 1
-    return e
-
-
-def _sum_m_lattice(cd, L, M, family, ge, bounded_M=True, slack=DEFAULT_SLACK):
-    """Sum over the m-lattice; bounded_M=False drops the boundary binomial
-    (the large-M limit normalized by (q)_2L)."""
-    d = cd.d
-    total = LaurentPoly.zero()
-    m = [0] * d
-    sub = LaurentPoly.zero()
-
-    def boundary(m1):
-        if not bounded_M:
-            return LaurentPoly.one()
-        if ge:
-            return qbin(L + M + m1, 2 * L)
-        return qbin(2 * L + M - m1, 2 * L)
-
-    def rec(j, partial):
-        # depth j chooses m_j (1-based); factors up to j-1 are in `partial`
-        nonlocal sub
-        if j > d:
-            nd = _row_n(cd, d, m, L)
-            last = _factor(cd, d, m[d - 1], nd, family)
-            if last.is_zero():
-                return
-            exp = _exponent(cd, m, L, family, ge, bounded_L=True)
-            sub = sub + (partial * last).scale(exp)
-            return
-        for v in range(0, m[j - 2] + slack + 1):
-            m[j - 1] = v
-            nj = _row_n(cd, j - 1, m, L)
-            p = partial * _factor(cd, j - 1, m[j - 2], nj, family)
-            if p.is_zero():
+    Level j maps each pair state (m_{j-1}, m_j) to the sum over
+    m_{j+1}, ..., m_d of the factors at positions j..d, so the head is
+    multiplied in once per m_1. A zero phi or head drops the term; the
+    largest m_1 with a nonzero head bounds every m_j. With `cut`, every
+    product is truncated above q^cut, which is exact when all factors and
+    exponents are nonnegative. phi values that do not depend on m_{j-1}
+    should be returned as one shared object: their products are reused.
+    """
+    heads = [head(c) for c in range(top + 1)]
+    live = [c for c, h in enumerate(heads) if not h.is_zero()]
+    if not live:
+        return LaurentPoly.zero()
+    hi = live[-1]
+    one = LaurentPoly.one()
+    below = {(c, 0): one for c in range(hi + 1)}
+    for j in range(d, 0, -1):
+        level = {}
+        for (c, n), w in below.items():
+            if j == 1 and heads[c].is_zero():
                 continue
-            rec(j + 1, p)
-        m[j - 1] = 0
-
-    # the boundary binomial is by far the largest factor; sum the small
-    # inner products per m_1 and multiply it in once per branch
-    lo = max(0, L - M) if (bounded_M and ge) else 0
-    hi = L + slack
-    if bounded_M and not ge:
-        hi = min(hi, M)
-    for v in range(lo, hi + 1):
-        m[0] = v
-        head = boundary(v)
-        if head.is_zero():
-            continue
-        sub = LaurentPoly.zero()
-        rec(2, LaurentPoly.one())
-        if not sub.is_zero():
-            total = total + head * sub
-    m[0] = 0
+            s = _cut(w.scale(psi(j, c, n)), cut)
+            if s.is_zero():
+                continue
+            last = None
+            for p in ((top,) if j == 1 else range(c, hi + 1)):
+                f = phi(j, p, c, n)
+                if f.is_zero():
+                    continue
+                if f is not last:
+                    last, t = f, _cut(f * s, cut)
+                key = (p, c)
+                level[key] = level[key] + t if key in level else t
+        below = level
+    total = LaurentPoly.zero()
+    for (_, c), w in below.items():
+        total = total + _cut(heads[c] * w, cut)
     return total
 
 
-def eval_F(a, b, L, M, last_ge2=True, slack=DEFAULT_SLACK):
-    """Doubly-bounded fermionic polynomial for the pair (a,b)."""
+def _kernel(cd, family):
+    """phi of the kernel factor [tau_j m_j + n_j, tau_j m_j] at every row;
+    H shifts the last two factors, I takes factor j in q^(3-tau_j)."""
+    d, tau = cd.d, cd.tau
+
+    def phi(j, p, c, n):
+        t = tau[j - 1]
+        lo = t * c
+        up = lo + n_row(cd, j, p, c, n)
+        base = 1
+        if family == "H":
+            up -= j == d
+            lo -= j == d - 1
+        elif family == "I":
+            base = 3 - t
+        return qbin(up, lo, base)
+    return phi
+
+
+def _psi(cd, family, head_block=0):
+    """psi splitting the exponent m C m over neighbouring pairs, plus the
+    barred correction m_d (m_{d-1} - m_d) for f and H's 2 m_d - 2 m_{d-1} + 1.
+    Positions j <= head_block carry m_j^2 instead (the a > 2b limits)."""
+    d, car = cd.d, cd.cartan
+
+    def psi(j, x, y):
+        if j <= head_block:
+            return x * x
+        e = car[j - 1][j - 1] * x * x
+        if j < d:
+            e += (car[j - 1][j] + car[j][j - 1]) * x * y
+        if family == "f":
+            e += x * y if j == d - 1 else -x * x if j == d else 0
+        elif family == "H":
+            e += -2 * x if j == d - 1 else 2 * x + 1 if j == d else 0
+        return e
+    return psi
+
+
+def _bounded(family, a, b, L, M, last_ge2=True):
+    """The sum at (L, M) with m_0 := L. For a > 2b the boundary binomial is
+    [L+M+m_1, 2L] and q^(L(L-2m_1)) joins the exponent, else it is
+    [2L+M-m_1, 2L]; M = None drops it (the large-M limit times (q)_2L)."""
     cd = cartan_for(a, b, last_ge2)
-    return _sum_m_lattice(cd, L, M, "F", ge=(a > 2 * b), slack=slack)
+    ge = a > 2 * b
+
+    def head(m1):
+        if M is None:
+            h = LaurentPoly.one()
+        elif ge:
+            h = qbin(L + M + m1, 2 * L)
+        else:
+            h = qbin(2 * L + M - m1, 2 * L)
+        return h.scale(L * (L - 2 * m1)) if ge else h
+
+    return _lattice_sum(cd.d, L, head, _kernel(cd, family), _psi(cd, family))
 
 
-def eval_f(a, b, L, M, last_ge2=True, slack=DEFAULT_SLACK):
+def eval_F(a, b, L, M, last_ge2=True):
+    """Doubly-bounded fermionic polynomial for the pair (a,b)."""
+    return _bounded("F", a, b, L, M, last_ge2)
+
+
+def eval_f(a, b, L, M, last_ge2=True):
     """Barred-quadratic-form variant; (2,1) uses the explicit q^(L m) kernel."""
     if (a, b) == (2, 1):
         total = LaurentPoly.zero()
@@ -148,11 +165,10 @@ def eval_f(a, b, L, M, last_ge2=True, slack=DEFAULT_SLACK):
             t = qbin(2 * L + M - mm, 2 * L) * qbin(L, mm)
             total = total + t.scale(L * mm)
         return total
-    cd = cartan_for(a, b, last_ge2)
-    return _sum_m_lattice(cd, L, M, "f", ge=(a > 2 * b), slack=slack)
+    return _bounded("f", a, b, L, M, last_ge2)
 
 
-def eval_H(a, b, L, M, slack=DEFAULT_SLACK):
+def eval_H(a, b, L, M):
     """Shifted-kernel family; (2,1) is the explicit seed sum."""
     if (a, b) == (2, 1):
         total = LaurentPoly.zero()
@@ -160,17 +176,15 @@ def eval_H(a, b, L, M, slack=DEFAULT_SLACK):
             t = qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n)
             total = total + t.scale(n * n)
         return total
-    cd = cartan_for(a, b, last_ge2=True)  # the shifted kernel is rep-sensitive
-    return _sum_m_lattice(cd, L, M, "H", ge=(a > 2 * b), slack=slack)
+    return _bounded("H", a, b, L, M)  # the shifted kernel is rep-sensitive
 
 
-def eval_I(a, b, L, M, last_ge2=True, slack=DEFAULT_SLACK):
+def eval_I(a, b, L, M, last_ge2=True):
     """Even-modulus family: factor j is a Gaussian binomial in q^(3-tau_j)."""
-    cd = cartan_for(a, b, last_ge2)
-    return _sum_m_lattice(cd, L, M, "I", ge=(a > 2 * b), slack=slack)
+    return _bounded("I", a, b, L, M, last_ge2)
 
 
-def eval_limit_M(family, a, b, L, last_ge2=True, slack=DEFAULT_SLACK):
+def eval_limit_M(family, a, b, L, last_ge2=True):
     """Large-M limit times (q)_2L: the singly-bounded polynomial at L."""
     if family == "H":
         raise NotImplementedError("large-M limit not provided for family H")
@@ -179,181 +193,68 @@ def eval_limit_M(family, a, b, L, last_ge2=True, slack=DEFAULT_SLACK):
         for n in range(0, L + 1):
             total = total + qbin(L, n).scale(n * L)
         return total
-    cd = cartan_for(a, b, last_ge2)
-    return _sum_m_lattice(cd, L, None, family, ge=(a > 2 * b), bounded_M=False, slack=slack)
+    return _bounded(family, a, b, L, None, last_ge2)
 
 
-def _poch_quotient(top, xs):
-    """(q)_top / prod (q)_x for x in xs, as binomial chain times a Pochhammer.
+def _limit(cd, family, top, head, chain, mid, cut=None):
+    """A limit sum: the kernel factors after position a_0 + 1, where
+    a_0 = 0 for a <= 2b. Before them stand head(m_1), chain(j, m_j, m_{j+1})
+    at j <= a_0 and mid(a_0 + 1, m_{a_0+1}); mid values must be shared."""
+    a0 = cd.cf.quotients[0] if cd.cf.a > 2 * cd.cf.b else 0
+    kernel = _kernel(cd, family)
+    one = LaurentPoly.one()
 
-    Exact polynomial whenever all partial remainders stay nonnegative,
-    which holds on the support of the limit sums. Returns None (term is 0)
-    when some x is negative.
-    """
-    poly = LaurentPoly.one()
-    rem = top
-    for x in xs:
-        if x < 0:
-            return None
-        poly = poly * qbin(rem, x)
-        if poly.is_zero():
-            return None
-        rem -= x
-    return poly * q_poch(rem)
+    def phi(j, p, c, n):
+        if j > a0 + 1:
+            return kernel(j, p, c, n)
+        if j <= a0:
+            return chain(j, c, n)
+        return mid(j, c) if a0 else one
+
+    lead = head if a0 else (lambda m1: head(m1) * mid(1, m1))
+    return _lattice_sum(cd.d, top, lead, phi, _psi(cd, family, a0), cut)
 
 
-def eval_limit_L(family, a, b, M, slack=DEFAULT_SLACK):
+def eval_limit_L(family, a, b, M):
     """Large-L limit times (q)_2M: the tilde polynomial at M.
 
     Families F and f only; f has the overrides ftilde_(a,1) = Ftilde_(a-1,1)
-    and ftilde_(2,1) = (q)_2M/(q)_M.
+    and ftilde_(2,1) = (q)_2M/(q)_M. The terms carry the Pochhammer quotient
+    (q)_2M / ((q)_{M-m_1} prod_x (q)_x) over x = n_1..n_{a_0}, tau m and
+    M + m - tau m, with m = m_{a_0+1} (a_0 = 0 for a <= 2b). In
+    m_j = n_j + m_{j+1} it is the local chain [2M, M-m_1]
+    prod_{j<=a_0} [M+m_j, m_j-m_{j+1}] [M+m, tau m] (q)_{M+m-tau m}, and
+    position j <= a_0 has exponent m_j^2.
     """
     if family not in ("F", "f"):
         raise NotImplementedError("large-L limit provided for families F and f only")
     if family == "f" and b == 1:
         if a == 2:
             return poch_range(M + 1, 2 * M)
-        return eval_limit_L("F", a - 1, 1, M, slack=slack)
+        return eval_limit_L("F", a - 1, 1, M)
     cd = cartan_for(a, b, last_ge2=True)
-    d = cd.d
-    barred = family == "f"
-    total = LaurentPoly.zero()
-    if a <= 2 * b:
-        m = [0] * d
-        sub = LaurentPoly.zero()
+    mids = {}
 
-        def rec(j, partial):
-            nonlocal sub
-            if j > d:
-                nd = _row_n(cd, d, m, 0)
-                last = _factor(cd, d, m[d - 1], nd, family) if d >= 2 else LaurentPoly.one()
-                if last.is_zero():
-                    return
-                exp = quad_form(cd, m, barred=barred)
-                sub = sub + (partial * last).scale(exp)
-                return
-            for v in range(0, m[j - 2] + slack + 1):
-                m[j - 1] = v
-                p = partial
-                if 3 <= j:  # factor j-1 (j-1 >= 2) now fully determined
-                    nj = _row_n(cd, j - 1, m, 0)
-                    p = partial * _factor(cd, j - 1, m[j - 2], nj, family)
-                    if p.is_zero():
-                        continue
-                rec(j + 1, p)
-            m[j - 1] = 0
+    def mid(j, m):
+        if m not in mids:
+            x = cd.tau[j - 1] * m
+            mids[m] = qbin(M + m, x) * q_poch(M + m - x)
+        return mids[m]
 
-        # the Pochhammer-quotient head depends only on m_1; multiply it in
-        # once per branch
-        for v in range(0, M + 1):
-            m[0] = v
-            head = _poch_quotient(2 * M, [M - v, cd.tau[0] * v])
-            if head is None:
-                continue
-            sub = LaurentPoly.zero()
-            rec(2, LaurentPoly.one())
-            if not sub.is_zero():
-                total = total + head * sub
-        m[0] = 0
-        return total
-    # a > 2b: coordinates n_1..n_{a0}, m_{a0+1}..m_d
-    a0 = cd.cf.quotients[0]
-    has_mm = d > a0
-
-    if not has_mm:
-        # pure chain (b = 1 pairs): the Pochhammer quotient factors as
-        #   qbin(2M, M-N_1) * (q)_M * prod_j qbin(M+N_j, N_j - N_{j+1})
-        # in the partial sums N_j = n_j + ... + n_{a0}, so the multisum
-        # collapses to a quadratic-time inner recursion over N.
-        V = [qbin(M + N, N) for N in range(M + 1)]
-        for _ in range(a0 - 1):
-            prev = V
-            V = []
-            for N in range(0, M + 1):
-                acc = LaurentPoly.zero()
-                for Np in range(0, N + 1):
-                    t = qbin(M + N, N - Np) * prev[Np]
-                    acc = acc + t.scale(Np * Np)
-                V.append(acc)
-        for N in range(0, M + 1):
-            total = total + (qbin(2 * M, M - N) * V[N]).scale(N * N)
-        return total * q_poch(M)
-
-    def rec_ms(j, ns, n1, rem, partial):
-        # j is the 1-based lattice position being chosen (a0+2 .. d);
-        # factor j-1 becomes fully determined once m_j is fixed
-        nonlocal total
-        mm = m_tail[0]
-        if j > d:
-            nd = _row_n(cd, d, mfull, 0)
-            last = _factor(cd, d, mfull[d - 1], nd, family)
-            if last.is_zero():
-                return
-            x = M - n1 - mm
-            if x < 0:
-                return
-            p = partial * last * qbin(rem, x)
-            if p.is_zero():
-                return
-            big_n = 0
-            exp = 0
-            for v in reversed(ns):
-                big_n += v
-                exp += (big_n + mm) ** 2
-            exp += sum(
-                mfull[r] * cd.cartan[r][k] * mfull[k]
-                for r in range(a0, d)
-                for k in range(a0, d)
-            )
-            if barred:
-                exp += mfull[d - 1] * (mfull[d - 2] - mfull[d - 1])
-            total = total + (p * q_poch(rem - x)).scale(exp)
-            return
-        for v in range(0, m_tail[j - a0 - 2] + slack + 1):
-            m_tail[j - a0 - 1] = v
-            mfull[j - 1] = v
-            p = partial
-            if j - 1 >= a0 + 2:
-                # position a0+1 has no binomial factor (the Pochhammer head
-                # plays its role); factors start at a0+2
-                nj = _row_n(cd, j - 1, mfull, 0)
-                p = partial * _factor(cd, j - 1, mfull[j - 2], nj, family)
-            if not p.is_zero():
-                rec_ms(j + 1, ns, n1, rem, p)
-        m_tail[j - a0 - 1] = 0
-        mfull[j - 1] = 0
-
-    m_tail = [0] * (d - a0)
-    mfull = [0] * d
-
-    def rec_n(i, ns, budget, rem, partial):
-        # choose n_i, folding qbin(rem, n_i) into the running product so the
-        # Pochhammer-quotient chain is shared along the search tree
-        if i == a0:
-            for mm in range(0, budget + 1):
-                m_tail[0] = mm
-                mfull[a0] = mm
-                head = qbin(rem, cd.tau[a0] * mm)
-                if head.is_zero():
-                    continue
-                rec_ms(a0 + 2, ns, M - budget, rem - cd.tau[a0] * mm,
-                       partial * head)
-            m_tail[0] = 0
-            mfull[a0] = 0
-            return
-        for v in range(0, budget + 1):
-            p = partial * qbin(rem, v)
-            if p.is_zero():
-                continue
-            rec_n(i + 1, ns + [v], budget - v, rem - v, p)
-
-    rec_n(0, [], M, 2 * M, LaurentPoly.one())
-    return total
+    total = _limit(cd, family, M, lambda m1: qbin(2 * M, M - m1),
+                       lambda j, c, n: qbin(M + c, c - n), mid)
+    # b = 1 has no position a_0 + 1: its link is m = 0, the constant (q)_M
+    return total * q_poch(M) if b == 1 and a > 2 else total
 
 
-def eval_limit_both(family, a, b, T, last_ge2=True, slack=DEFAULT_SLACK):
+def eval_limit_both(family, a, b, T, last_ge2=True):
     """Both bounds to infinity: the Rogers-Ramanujan-type sum side, truncated
-    to order T. Families F, f (b >= 2) and I."""
+    to order T. Families F, f (b >= 2) and I.
+
+    The Pochhammer quotient of `eval_limit_L` becomes prod_x 1/(q^base)_x,
+    base = 3 - tau_j for I at the position j of x; the sum runs on
+    polynomials cut at q^T.
+    """
     if T < 0:
         raise ValueError("truncation order must be >= 0")
     if family == "H":
@@ -361,120 +262,19 @@ def eval_limit_both(family, a, b, T, last_ge2=True, slack=DEFAULT_SLACK):
     if family == "f" and b == 1:
         raise NotImplementedError("the reciprocal family has no product form for b = 1")
     cd = cartan_for(a, b, last_ge2)
-    d = cd.d
-    barred = family == "f"
-    total = TruncatedSeries(T)
-    root = math.isqrt(T)
-    if a <= 2 * b:
-        m = [0] * d
+    inverses = {}
 
-        def leaf():
-            nonlocal total
-            exp = quad_form(cd, m, barred=barred)
-            if exp > T:
-                return
-            prod = LaurentPoly.one()
-            for j in range(2, d + 1):
-                nj = _row_n(cd, j, m, 0)
-                prod = prod * _factor(cd, j, m[j - 1], nj, family)
-                if prod.is_zero():
-                    return
-            base1 = (3 - cd.tau[0]) if family == "I" else 1
-            s = TruncatedSeries.from_poly(prod.scale(exp), T)
-            for k in range(1, cd.tau[0] * m[0] + 1):
-                s = s.div_one_minus(base1 * k)
-            total = total + s
+    def inv(j, k):
+        # 1/(q^base; q^base)_k mod q^(T+1)
+        key = (3 - cd.tau[j - 1] if family == "I" else 1, k)
+        if key not in inverses:
+            s = TruncatedSeries.one(T)
+            for i in range(1, k + 1):
+                s = s.div_one_minus(key[0] * i)
+            inverses[key] = LaurentPoly(dict(enumerate(s.coeffs)))
+        return inverses[key]
 
-        def rec(j):
-            if j > d:
-                leaf()
-                return
-            hi = root + slack if j == 1 else m[j - 2] + slack
-            for v in range(0, hi + 1):
-                m[j - 1] = v
-                rec(j + 1)
-            m[j - 1] = 0
-
-        rec(1)
-        return total
-    # a > 2b
-    a0 = cd.cf.quotients[0]
-    has_mm = d > a0
-
-    def leaf2(ns, ms):
-        nonlocal total
-        mm = ms[0] if has_mm else 0
-        big_n = [0] * (a0 + 1)
-        for j in range(a0 - 1, -1, -1):
-            big_n[j] = big_n[j + 1] + ns[j]
-        exp = sum((big_n[j] + mm) ** 2 for j in range(a0))
-        mfull = [0] * d
-        for i, v in enumerate(ms):
-            mfull[a0 + i] = v
-        exp += sum(
-            mfull[j] * cd.cartan[j][k] * mfull[k]
-            for j in range(a0, d)
-            for k in range(a0, d)
-        )
-        if barred and has_mm:
-            exp += mfull[d - 1] * (mfull[d - 2] - mfull[d - 1])
-        if exp > T:
-            return
-        prod = LaurentPoly.one()
-        for j in range(a0 + 2, d + 1):
-            nj = _row_n(cd, j, mfull, 0)
-            prod = prod * _factor(cd, j, mfull[j - 1], nj, family)
-            if prod.is_zero():
-                return
-        s = TruncatedSeries.from_poly(prod.scale(exp), T)
-        for i in range(a0):
-            base = 1
-            if family == "I" and i == a0 - 1:
-                base = 3 - cd.tau[a0 - 1]
-            for k in range(1, ns[i] + 1):
-                s = s.div_one_minus(base * k)
-        if has_mm:
-            base = (3 - cd.tau[a0]) if family == "I" else 1
-            for k in range(1, cd.tau[a0] * mm + 1):
-                s = s.div_one_minus(base * k)
-        total = total + s
-
-    def rec_n(i, ns, budget):
-        if i == a0:
-            if has_mm:
-                for mm in range(0, budget + 1):
-                    rec_m(a0 + 2, ns, [mm] + [0] * (d - a0 - 1))
-            else:
-                leaf2(ns, [])
-            return
-        for v in range(0, budget + 1):
-            rec_n(i + 1, ns + [v], budget - v)
-
-    def rec_m(j, ns, ms):
-        if j > d:
-            leaf2(ns, ms)
-            return
-        for v in range(0, ms[j - a0 - 2] + slack + 1):
-            ms[j - a0 - 1] = v
-            rec_m(j + 1, ns, ms)
-        ms[j - a0 - 1] = 0
-
-    rec_n(0, [], root + slack)
-    return total
-
-
-def eval_spec(spec, L=None, M=None, T=None, slack=DEFAULT_SLACK):
-    """Dispatch a FermionicSpec to the matching evaluator."""
-    fam = spec.family
-    if spec.bound_mode == "double":
-        if fam == "H":
-            return eval_H(spec.a, spec.b, L, M, slack=slack)
-        fn = {"F": eval_F, "f": eval_f, "I": eval_I}[fam]
-        return fn(spec.a, spec.b, L, M, last_ge2=spec.last_ge2, slack=slack)
-    if spec.bound_mode == "limit_M":
-        return eval_limit_M(fam, spec.a, spec.b, L, last_ge2=spec.last_ge2, slack=slack)
-    if spec.bound_mode == "limit_L":
-        return eval_limit_L(fam, spec.a, spec.b, M, slack=slack)
-    if spec.bound_mode == "limit_both":
-        return eval_limit_both(fam, spec.a, spec.b, T, last_ge2=spec.last_ge2, slack=slack)
-    raise ValueError(f"unknown bound mode {spec.bound_mode!r}")
+    total = _limit(cd, family, isqrt(T), lambda m1: LaurentPoly.one(),
+                       lambda j, c, n: inv(j, c - n),
+                       lambda j, m: inv(j, cd.tau[j - 1] * m), cut=T)
+    return TruncatedSeries.from_poly(total, T)

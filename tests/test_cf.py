@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from qburge.cf import (check_pair, cf_expand, cf_toggle, build_cartan,
-                       mn_solve, quad_form, quad_form_squares, bar_pair)
+                       n_row, quad_form, quad_form_squares, bar_pair)
 
 
 def coprime_pairs(a_max, a_min=2):
@@ -100,14 +100,20 @@ def test_rep_toggle_changes_one_block_corner():
 
 
 def test_mn_solve():
+    # the n-vector of the (m,n)-system, row by row through n_row
+    def n_vec(cd, L, m):
+        d = cd.d
+        return [n_row(cd, j, L if j == 1 else m[j - 2], m[j - 1],
+                      m[j] if j < d else 0) for j in range(1, d + 1)]
+
     cd = build_cartan(cf_expand(2, 1))
     for L in range(0, 5):
         for m1 in range(0, 4):
-            assert mn_solve(cd, L, [m1]) == [L - m1]
+            assert n_vec(cd, L, [m1]) == [L - m1]
     cd75 = build_cartan(cf_expand(7, 5, last_ge2=False))
-    assert mn_solve(cd75, 3, [0, 0, 0, 0]) == [3, 0, 0, 0]
+    assert n_vec(cd75, 3, [0, 0, 0, 0]) == [3, 0, 0, 0]
     # against the printed C(7,5): row sums with m=(1,1,1,0)
-    assert mn_solve(cd75, 3, [1, 1, 1, 0]) == [2, -1, 0, 1]
+    assert n_vec(cd75, 3, [1, 1, 1, 0]) == [2, -1, 0, 1]
 
 
 def test_quad_form_examples():

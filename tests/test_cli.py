@@ -111,6 +111,30 @@ def test_verify_config_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["eval", "series", "H", "3", "1"], None),
+    (["eval", "series", "f", "3", "1"], None),
+    (["eval", "G", "1", "1", "1", "1/0", "2"], None),
+    (["verify", "--order", "-1"], None),
+    (["verify", "--a-max", "-1"], None),
+    (["verify"], {"a_max": "3"}),
+    (["verify"], {"jobs": 2}),
+    (["verify"], {"suites": "thmmain"}),
+    (["verify"], {"format": "xml"}),
+    (["verify"], {"out": 5}),
+    (["verify"], ["thmmain"]),
+])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and len(err.splitlines()) == 1
+
+
 def test_verify_out_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run(capsys, ["verify", "--suite", "thmmain",

@@ -1,15 +1,15 @@
-"""Fermionic lattice sums: four families, limits, overrides, slack."""
+"""Fermionic lattice sums: four families, limits, overrides, support."""
 
+import itertools
 from math import gcd
 
 import pytest
 
 from qburge.qpoly import LaurentPoly, TruncatedSeries, poly_agrees_with_series
 from qburge.qcombinat import qbin, q_poch, poch_range
-from qburge.fermionic import (DEFAULT_SLACK, FermionicSpec, cartan_for,
-                              _sum_m_lattice, eval_F, eval_f, eval_H, eval_I,
-                              eval_limit_M, eval_limit_L, eval_limit_both,
-                              eval_spec)
+from qburge.cf import quad_form
+from qburge.fermionic import (cartan_for, eval_F, eval_f, eval_H, eval_I,
+                              eval_limit_M, eval_limit_L, eval_limit_both)
 
 
 def lp(d):
@@ -74,25 +74,58 @@ def test_representation_independence():
                     eval_I(a, b, L, M, last_ge2=False)
 
 
-def test_boundary_consistency_a_eq_2b():
-    # on the pair (2,1) both boundary-binomial conventions coincide
-    cd = cartan_for(2, 1)
-    for L in range(0, 6):
-        for M in range(0, 6):
-            assert _sum_m_lattice(cd, L, M, "F", ge=True) == \
-                eval_F(2, 1, L, M)
+def box_terms(a, b, L, family):
+    """Nonzero terms of the raw lattice sum over the full box
+    0 <= m_j <= L+2, without the boundary binomial: (m_1, poly, exponent).
+    No monotonicity, no pruning; n_j is transcribed from the Cartan matrix."""
+    cd = cartan_for(a, b)
+    d, car, tau = cd.d, cd.cartan, cd.tau
+    out = []
+    for m in itertools.product(range(L + 3), repeat=d):
+        n = [(L if j == 0 else 0) - sum(car[j][k] * m[k] for k in range(d))
+             for j in range(d)]
+        poly = LaurentPoly.one()
+        for j in range(d):
+            up, lo, base = tau[j] * m[j] + n[j], tau[j] * m[j], 1
+            if family == "H":
+                up -= j == d - 1
+                lo -= j == d - 2
+            elif family == "I":
+                base = 3 - tau[j]
+            poly = poly * qbin(up, lo, base)
+        if poly.is_zero():
+            continue
+        e = quad_form(cd, list(m), barred=(family == "f"))
+        if a > 2 * b:
+            e += L * (L - 2 * m[0])
+        if family == "H":
+            e += 2 * m[d - 1] - 2 * m[d - 2] + 1
+        out.append((m[0], poly, e))
+    return out
 
 
-def test_slack_soundness():
-    # enlarging the search margin never changes a value
+def test_support_against_full_box():
+    # the evaluators sum only over L >= m_1 >= ... >= m_d >= 0; a term
+    # outside that support would show up here
     for (a, b) in [(3, 1), (5, 3), (7, 2), (7, 5), (8, 3)]:
+        ge = a > 2 * b
         for L in range(0, 4):
-            for M in range(0, 4):
-                for fn in (eval_F, eval_f, eval_I):
-                    assert fn(a, b, L, M, slack=DEFAULT_SLACK) == \
-                        fn(a, b, L, M, slack=DEFAULT_SLACK + 3)
-                assert eval_H(a, b, L, M, slack=DEFAULT_SLACK) == \
-                    eval_H(a, b, L, M, slack=DEFAULT_SLACK + 3)
+            for family, fn in (("F", eval_F), ("f", eval_f), ("H", eval_H),
+                               ("I", eval_I)):
+                terms = box_terms(a, b, L, family)
+                for M in range(0, 4):
+                    expect = LaurentPoly.zero()
+                    for m1, poly, e in terms:
+                        head = qbin(L + M + m1, 2 * L) if ge \
+                            else qbin(2 * L + M - m1, 2 * L)
+                        expect = expect + (head * poly).scale(e)
+                    assert fn(a, b, L, M) == expect, (a, b, L, M, family)
+                if family != "H":
+                    expect = LaurentPoly.zero()
+                    for m1, poly, e in terms:
+                        expect = expect + poly.scale(e)
+                    assert eval_limit_M(family, a, b, L) == expect, \
+                        (a, b, L, family)
 
 
 def test_limit_M_21():
@@ -201,12 +234,3 @@ def test_nonnegative_coefficients():
                 for fn in (eval_F, eval_f, eval_I, eval_H):
                     val = fn(a, b, L, M)
                     assert val.min_negative() is None, (a, b, L, M, fn)
-
-
-def test_eval_spec_dispatch():
-    s = FermionicSpec(3, 2, "F", "double")
-    assert eval_spec(s, L=2, M=2) == eval_F(3, 2, 2, 2)
-    s = FermionicSpec(3, 2, "F", "limit_both")
-    assert eval_spec(s, T=6).coeffs == eval_limit_both("F", 3, 2, 6).coeffs
-    with pytest.raises(ValueError):
-        eval_spec(FermionicSpec(3, 2, "F", "nope"), L=1, M=1)
