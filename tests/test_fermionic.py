@@ -8,8 +8,9 @@ import pytest
 from qburge.qpoly import LaurentPoly, TruncatedSeries, poly_agrees_with_series
 from qburge.qcombinat import qbin, q_poch, poch_range
 from qburge.cf import quad_form
-from qburge.fermionic import (cartan_for, eval_F, eval_f, eval_H, eval_I,
-                              eval_limit_M, eval_limit_L, eval_limit_both)
+from qburge.fermionic import (_kernel, _lattice_sum, _psi, cartan_for,
+                              eval_F, eval_f, eval_H, eval_I, eval_limit_M,
+                              eval_limit_L, eval_limit_both)
 
 
 def lp(d):
@@ -74,14 +75,25 @@ def test_representation_independence():
                     eval_I(a, b, L, M, last_ge2=False)
 
 
-def box_terms(a, b, L, family):
+def test_boundary_consistency_a_eq_2b():
+    # on the pair (2,1) both boundary-binomial conventions coincide
+    cd = cartan_for(2, 1)
+    for L in range(0, 6):
+        for M in range(0, 6):
+            def head(m1):
+                return qbin(L + M + m1, 2 * L).scale(L * (L - 2 * m1))
+            assert _lattice_sum(cd.d, L, head, _kernel(cd, "F"),
+                                _psi(cd, "F")) == eval_F(2, 1, L, M)
+
+
+def box_terms(a, b, L, family, margin=2):
     """Nonzero terms of the raw lattice sum over the full box
-    0 <= m_j <= L+2, without the boundary binomial: (m_1, poly, exponent).
+    0 <= m_j <= L+margin, without the boundary binomial: (m_1, poly, exponent).
     No monotonicity, no pruning; n_j is transcribed from the Cartan matrix."""
     cd = cartan_for(a, b)
     d, car, tau = cd.d, cd.cartan, cd.tau
     out = []
-    for m in itertools.product(range(L + 3), repeat=d):
+    for m in itertools.product(range(L + margin + 1), repeat=d):
         n = [(L if j == 0 else 0) - sum(car[j][k] * m[k] for k in range(d))
              for j in range(d)]
         poly = LaurentPoly.one()
@@ -102,6 +114,18 @@ def box_terms(a, b, L, family):
             e += 2 * m[d - 1] - 2 * m[d - 2] + 1
         out.append((m[0], poly, e))
     return out
+
+
+def test_slack_soundness():
+    # enlarging the brute-force box never adds a term: every nonzero term
+    # already lies in L >= m_1 >= ... >= m_d >= 0
+    for (a, b) in [(3, 1), (5, 3), (7, 2), (7, 5), (8, 3)]:
+        for L in range(0, 4):
+            for family in ("F", "f", "H", "I"):
+                terms = box_terms(a, b, L, family)
+                assert all(m1 <= L for m1, _, _ in terms)
+                assert box_terms(a, b, L, family, margin=5) == terms, \
+                    (a, b, L, family)
 
 
 def test_support_against_full_box():
