@@ -1,6 +1,7 @@
 """Bosonic alternating sums, the two summation transforms, and the tree
-walker that rebuilds the fermionic polynomials by iterating the transforms
-along the continued-fraction reduction of a coprime pair.
+walker that rebuilds the fermionic polynomials bottom-up: from one root value
+per family it applies the transforms up the continued-fraction reduction of a
+coprime pair, without recursion.
 """
 
 from __future__ import annotations
@@ -8,9 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import bar_pair, cf_expand
+from .cf import bar_pair, cf_expand, check_pair
+from .fermionic import eval_H
 from .qpoly import LaurentPoly
-from .qcombinat import NonIntegerExponentError, b_kernel, qbin, _as_fraction, _int_exponent
+from .qcombinat import b_kernel, qbin, _as_fraction, _int_exponent
 
 
 @dataclass(frozen=True)
@@ -63,30 +65,27 @@ def spec_even(a, b):
     return BosonicSpec(a, b, c2=Fraction(a * b))
 
 
-def spec_shifted(a, b):
-    """Kernel B(L,M,aj+abar,bj+bbar) with the parity-dependent linear term.
-
-    The linear coefficient is (4*abar*b+1)/2 when cf(a,b) (last quotient >= 2)
-    has even order and a < 2b, or odd order and a > 2b; otherwise (4*a*bbar+1)/2.
-    """
+def shifted_bar(a, b):
+    """(abar, bbar, one): the bar pair of (a, b), and whether the shifted
+    family takes its abar branch, i.e. cf(a,b) (last quotient >= 2) has even
+    order and a < 2b, or odd order and a > 2b."""
     abar, bbar = bar_pair(a, b)
     n = cf_expand(a, b, last_ge2=True).order
-    branch_one = (a < 2 * b and n % 2 == 0) or (a > 2 * b and n % 2 == 1)
-    lin = 4 * abar * b if branch_one else 4 * a * bbar
+    return abar, bbar, (a < 2 * b and n % 2 == 0) or (a > 2 * b and n % 2 == 1)
+
+
+def spec_shifted(a, b):
+    """Kernel B(L,M,aj+abar,bj+bbar) with the parity-dependent linear term:
+    (4*abar*b+1)/2 on the abar branch of `shifted_bar`, else (4*a*bbar+1)/2.
+    """
+    abar, bbar, one = shifted_bar(a, b)
+    lin = 4 * abar * b if one else 4 * a * bbar
     return BosonicSpec(
         a, b, abar=abar, bbar=bbar,
         c2=Fraction(2 * a * b + 1, 2),
         c1=Fraction(lin + 1, 2),
         c0=Fraction(abar * bbar),
     )
-
-
-def condition_check(L, M, a, b):
-    """Parameter guard for the transforms: the sum side must not vanish
-    while the kernel side does not."""
-    chain1 = (-L + a <= -b) and (-b <= L + a) and (L + a < b) and (b <= M)
-    chain2 = (-L - a <= b) and (b <= L - a) and (L - a < -b) and (-b <= M)
-    return not (chain1 or chain2)
 
 
 def transform_step(direction, inner, L, M):
@@ -96,94 +95,68 @@ def transform_step(direction, inner, L, M):
     direction "B2": sum_i q^(i^2) [2L+M-i, 2L] inner(i, L-i)
     """
     total = LaurentPoly.zero()
-    for i in range(0, min(L, M) + 1):
-        outer = qbin(2 * L + M - i, 2 * L)
-        if outer.is_zero():
-            continue
-        if direction == "B1":
-            val = inner(L - i, i)
-        elif direction == "B2":
-            val = inner(i, L - i)
-        else:
-            raise ValueError("direction must be 'B1' or 'B2'")
-        if val.is_zero():
-            continue
-        total = total + (outer * val).scale(i * i)
+    for i, (l, m) in enumerate(_inner_args(direction, L, M)):
+        val = inner(l, m)
+        if not val.is_zero():
+            total = total + (qbin(2 * L + M - i, 2 * L) * val).scale(i * i)
     return total
 
 
-def _seed_F(L, M):
-    # doubly-bounded first Rogers-Ramanujan sum
-    total = LaurentPoly.zero()
-    for n in range(0, min(L, M) + 1):
-        t = qbin(2 * L + M - n, 2 * L) * qbin(L, n)
-        total = total + t.scale(n * n)
-    return total
+def _inner_args(direction, L, M):
+    """The (l, m) at which `transform_step` reads inner, term i at index i."""
+    if direction not in ("B1", "B2"):
+        raise ValueError("direction must be 'B1' or 'B2'")
+    return [(L - i, i) if direction == "B1" else (i, L - i)
+            for i in range(min(L, M) + 1)]
 
 
-def _seed_I(L, M):
-    total = LaurentPoly.zero()
-    for n in range(0, min(L, M) + 1):
-        t = qbin(2 * L + M - n, 2 * L) * qbin(L, n, base=2)
-        total = total + t.scale(n * n)
-    return total
+def _below(a, b):
+    """The transform that builds the pair (a, b) and the pair it reads."""
+    return ("B2", (b, a - b)) if a < 2 * b else ("B1", (a - b, b))
 
 
-def _seed_H31(L, M):
-    total = LaurentPoly.zero()
-    for i in range(0, L + 1):
-        for n in range(0, L - i + 1):
-            t = qbin(2 * L + M - i, 2 * L) * qbin(2 * L - i - n - 1, 2 * L - 2 * i - 1) * qbin(L - i - 1, n)
-            if not t.is_zero():
-                total = total + t.scale(i * i + n * n)
-    return total
-
-
-def _seed_H32(L, M):
-    total = LaurentPoly.zero()
-    for i in range(0, min(L, M) + 1):
-        for n in range(0, i + 1):
-            t = qbin(2 * L + M - i, 2 * L) * qbin(L + i - n - 1, 2 * i - 1) * qbin(i - 1, n)
-            if not t.is_zero():
-                total = total + t.scale(i * i + n * n)
-    return total
-
+# family -> (root pair, value there); every coprime pair reaches (2, 1)
+_ROOTS = {
+    "F": ((1, 1), lambda L, M: qbin(L + M, M)),
+    "I": ((1, 1), lambda L, M: qbin(L + M, M, base=2)),
+    "H": ((2, 1), lambda L, M: eval_H(2, 1, L, M)),
+}
 
 _WALK_CACHE = {}
 
 
 def tree_walk(a, b, family, L, M):
-    """Fermionic value at (L,M) via the transform recursion along the
-    continued-fraction reduction (a,b) -> (b,a-b) or (a-b,b).
+    """Fermionic value at (L,M) built bottom-up along the continued-fraction
+    reduction (a,b) -> (b,a-b) by B2 when a < 2b, else -> (a-b,b) by B1.
 
-    Seeds: (2,1) for families F and I, (3,1)/(3,2) for family H.
+    The chain ends at the family's root: qbin(L+M, M) (F) or
+    qbin(L+M, M, base=2) (I) at (1,1), eval_H(2,1) (H) at (2,1). The walk
+    goes down once to collect the (l, m) each pair needs, stopping at values
+    already in the cache, then climbs back with `transform_step`.
     """
+    if family not in _ROOTS:
+        raise ValueError(f"the tree walk has no family {family!r}")
+    check_pair(a, b)
     if L < 0 or M < 0:
         return LaurentPoly.zero()
-    key = (a, b, family, L, M)
-    hit = _WALK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if family == "H":
-        if (a, b) == (3, 1):
-            res = _seed_H31(L, M)
-        elif (a, b) == (3, 2):
-            res = _seed_H32(L, M)
-        elif (a, b) == (2, 1):
-            raise ValueError("family H is not defined for the pair (2,1)")
-        else:
-            res = _walk_step(a, b, family, L, M)
-    elif (a, b) == (2, 1):
-        res = _seed_F(L, M) if family == "F" else _seed_I(L, M)
-    else:
-        res = _walk_step(a, b, family, L, M)
-    _WALK_CACHE[key] = res
-    return res
-
-
-def _walk_step(a, b, family, L, M):
-    if a < 2 * b:
-        inner = lambda l, m: tree_walk(b, a - b, family, l, m)
-        return transform_step("B2", inner, L, M)
-    inner = lambda l, m: tree_walk(a - b, b, family, l, m)
-    return transform_step("B1", inner, L, M)
+    root, value = _ROOTS[family]
+    chain, pair, need = [], (a, b), {(L, M)}
+    while True:
+        need = {lm for lm in need if (*pair, family, *lm) not in _WALK_CACHE}
+        if not need:
+            break
+        chain.append((pair, need))
+        if pair == root:
+            break
+        direction, pair = _below(*pair)
+        need = {lm for l, m in need for lm in _inner_args(direction, l, m)}
+    for pair, need in reversed(chain):
+        if pair == root:
+            for l, m in need:
+                _WALK_CACHE[(*pair, family, l, m)] = value(l, m)
+            continue
+        direction, (x, y) = _below(*pair)
+        inner = lambda l, m: _WALK_CACHE[(x, y, family, l, m)]
+        for l, m in need:
+            _WALK_CACHE[(*pair, family, l, m)] = transform_step(direction, inner, l, m)
+    return _WALK_CACHE[(a, b, family, L, M)]

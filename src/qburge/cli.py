@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .qpoly import LaurentPoly, TruncatedSeries
@@ -23,13 +23,8 @@ from .verify import CATALOGUE, CampaignBudget, SUITES, run_campaign
 
 
 @dataclass
-class RunConfig:
+class RunConfig(CampaignBudget):
     suites: list = field(default_factory=lambda: list(SUITES))
-    a_max: int = 5
-    lm_max: int = 6
-    n_max: int = 12
-    T: int = 40
-    pos_l_max: int = 20
     format: str = "plain"      # plain | json | csv
     out: str = None
 
@@ -45,10 +40,6 @@ def _fmt_poly(p):
     return " ".join(f"{e}:{c}" for e, c in p.items_sorted())
 
 
-def _frac(s):
-    return Fraction(s)
-
-
 def _cmd_eval(args):
     obj = args.object
     v = args.params
@@ -62,10 +53,10 @@ def _cmd_eval(args):
             res = b_kernel(L, M, a, b)
         elif obj == "G":
             N, M = int(v[0]), int(v[1])
-            res = g_poly(N, M, _frac(v[2]), _frac(v[3]), int(v[4]))
+            res = g_poly(N, M, Fraction(v[2]), Fraction(v[3]), int(v[4]))
         elif obj == "D":
             K, i, N, M = map(int, v[:4])
-            res = d_poly(K, i, N, M, _frac(v[4]), _frac(v[5]))
+            res = d_poly(K, i, N, M, Fraction(v[4]), Fraction(v[5]))
         elif obj in ("F", "f", "H", "I"):
             a, b = int(v[0]), int(v[1])
             fn = {"F": eval_F, "f": eval_f, "H": eval_H, "I": eval_I}[obj]
@@ -137,10 +128,10 @@ def _load_config(path, cfg):
 
 def _check_config(cfg):
     """Reject a merged configuration that the campaign cannot run."""
-    for name in ("a_max", "lm_max", "n_max", "T", "pos_l_max"):
-        v = getattr(cfg, name)
+    for f in fields(CampaignBudget):
+        v = getattr(cfg, f.name)
         if type(v) is not int or v < 0:
-            raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
+            raise ValueError(f"{f.name} must be an integer >= 0, got {v!r}")
     if cfg.format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {cfg.format!r}")
     if cfg.out is not None and not isinstance(cfg.out, str):
@@ -164,25 +155,18 @@ def _cmd_verify(args):
         except (ValueError, json.JSONDecodeError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
-    if args.suite:
-        cfg.suites = args.suite
-    for name, attr in (("a_max", "a_max"), ("lm_max", "lm_max"),
-                       ("n_max", "n_max"), ("order", "T"),
-                       ("pos_l_max", "pos_l_max"), ("format", "format"),
-                       ("out", "out")):
-        v = getattr(args, name, None)
+    for f in fields(cfg):  # flags win over the config file
+        v = getattr(args, f.name)
         if v is not None:
-            setattr(cfg, attr, v)
+            setattr(cfg, f.name, v)
     try:
         _check_config(cfg)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    bud = CampaignBudget(a_max=cfg.a_max, lm_max=cfg.lm_max, n_max=cfg.n_max,
-                         T=cfg.T, pos_l_max=cfg.pos_l_max)
     reports = []
     for suite in cfg.suites:
-        reports.extend(run_campaign(suite, bud))
+        reports.extend(run_campaign(suite, cfg))
     text = _render(reports, cfg.format)
     if cfg.out:
         try:
@@ -226,12 +210,13 @@ def build_parser():
     pe.set_defaults(fn=_cmd_eval)
 
     pv = sub.add_parser("verify", help="run verification campaigns")
-    pv.add_argument("--suite", action="append", choices=list(SUITES),
+    pv.add_argument("--suite", dest="suites", action="append",
+                    choices=list(SUITES),
                     help="suite to run (repeatable; default all)")
     pv.add_argument("--a-max", dest="a_max", type=int)
     pv.add_argument("--lm-max", dest="lm_max", type=int)
     pv.add_argument("--n-max", dest="n_max", type=int)
-    pv.add_argument("--order", type=int, help="series order T")
+    pv.add_argument("--order", dest="T", type=int, help="series order T")
     pv.add_argument("--pos-l-max", dest="pos_l_max", type=int)
     pv.add_argument("--format", choices=FORMATS)
     pv.add_argument("--out", help="write report to this path")

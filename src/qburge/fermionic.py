@@ -5,7 +5,9 @@ Every value is one call of `_lattice_sum`, a transfer-matrix sum along the
 continued fraction. The Cartan matrix is tridiagonal, so the binomial factor
 at position j depends only on (m_{j-1}, m_j, m_{j+1}) and the quadratic form
 splits into terms on neighbouring pairs (m_j, m_{j+1}); the sum is built
-right to left over the pair states.
+right to left over the pair states. The head at m_1 carries the boundary
+binomial and, for f at d = 1, the term L m_1 = m_0 m_1 of the barred
+correction m_1 (m_0 - m_1), which no pair (m_j, m_{j+1}) with j >= 1 holds.
 
 Support. Write m_0 := L and m_{d+1} := 0. The kernel factor
 [tau_j m_j + n_j, tau_j m_j] vanishes unless n_j >= 0, where
@@ -97,6 +99,8 @@ def _lattice_sum(d, top, head, phi, psi, cut=None):
 def _kernel(cd, family):
     """phi of the kernel factor [tau_j m_j + n_j, tau_j m_j] at every row;
     H shifts the last two factors, I takes factor j in q^(3-tau_j)."""
+    if family not in ("F", "f", "H", "I"):
+        raise ValueError(f"unknown family {family!r}")
     d, tau = cd.d, cd.tau
 
     def phi(j, p, c, n):
@@ -115,7 +119,8 @@ def _kernel(cd, family):
 
 def _psi(cd, family, head_block=0):
     """psi splitting the exponent m C m over neighbouring pairs, plus the
-    barred correction m_d (m_{d-1} - m_d) for f and H's 2 m_d - 2 m_{d-1} + 1.
+    barred correction m_d (m_{d-1} - m_d) for f (its L m_1 is in the head
+    when d = 1) and H's 2 m_d - 2 m_{d-1} + 1.
     Positions j <= head_block carry m_j^2 instead (the a > 2b limits)."""
     d, car = cd.d, cd.cartan
 
@@ -136,9 +141,11 @@ def _psi(cd, family, head_block=0):
 def _bounded(family, a, b, L, M, last_ge2=True):
     """The sum at (L, M) with m_0 := L. For a > 2b the boundary binomial is
     [L+M+m_1, 2L] and q^(L(L-2m_1)) joins the exponent, else it is
-    [2L+M-m_1, 2L]; M = None drops it (the large-M limit times (q)_2L)."""
+    [2L+M-m_1, 2L]; M = None drops it (the large-M limit times (q)_2L).
+    For f at d = 1 the head carries the barred term's m_0 m_1 = L m_1."""
     cd = cartan_for(a, b, last_ge2)
     ge = a > 2 * b
+    bar_head = family == "f" and cd.d == 1
 
     def head(m1):
         if M is None:
@@ -147,6 +154,8 @@ def _bounded(family, a, b, L, M, last_ge2=True):
             h = qbin(L + M + m1, 2 * L)
         else:
             h = qbin(2 * L + M - m1, 2 * L)
+        if bar_head:
+            h = h.scale(L * m1)
         return h.scale(L * (L - 2 * m1)) if ge else h
 
     return _lattice_sum(cd.d, L, head, _kernel(cd, family), _psi(cd, family))
@@ -158,13 +167,7 @@ def eval_F(a, b, L, M, last_ge2=True):
 
 
 def eval_f(a, b, L, M, last_ge2=True):
-    """Barred-quadratic-form variant; (2,1) uses the explicit q^(L m) kernel."""
-    if (a, b) == (2, 1):
-        total = LaurentPoly.zero()
-        for mm in range(0, min(L, M) + 1):
-            t = qbin(2 * L + M - mm, 2 * L) * qbin(L, mm)
-            total = total + t.scale(L * mm)
-        return total
+    """Barred-quadratic-form variant: the exponent gains m_d (m_{d-1} - m_d)."""
     return _bounded("f", a, b, L, M, last_ge2)
 
 
@@ -188,11 +191,6 @@ def eval_limit_M(family, a, b, L, last_ge2=True):
     """Large-M limit times (q)_2L: the singly-bounded polynomial at L."""
     if family == "H":
         raise NotImplementedError("large-M limit not provided for family H")
-    if family == "f" and (a, b) == (2, 1):
-        total = LaurentPoly.zero()
-        for n in range(0, L + 1):
-            total = total + qbin(L, n).scale(n * L)
-        return total
     return _bounded(family, a, b, L, None, last_ge2)
 
 

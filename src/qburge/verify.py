@@ -17,11 +17,10 @@ from math import gcd, isqrt
 from .qpoly import (LaurentPoly, TruncatedSeries, first_poly_difference,
                     first_series_difference)
 from .qcombinat import qbin, q_poch, b_kernel, g_poly, d_poly, borwein_split
-from .cf import bar_pair, cf_expand
 from .fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_M,
                         eval_limit_L, eval_limit_both)
 from .burge import (bosonic_eval, spec_main, spec_recip, spec_even,
-                    spec_shifted, tree_walk, BosonicSpec)
+                    spec_shifted, shifted_bar, tree_walk, BosonicSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +853,7 @@ def run_campaign(suite, budget=None):
                 g = g_poly(L, L, Fraction(b), Fraction(a * b + 1, a), a)
                 out.append(_pos_report("pos_gen", {"a": a, "b": b, "L": L}, g))
         for (a, b) in _pairs(bud.a_max, a_min=3):
-            abar, bbar = bar_pair(a, b)
-            n = cf_expand(a, b).order
-            one = (a < 2 * b and n % 2 == 0) or (a > 2 * b and n % 2 == 1)
+            abar, bbar, one = shifted_bar(a, b)
             if one:
                 alpha = Fraction(b) - Fraction(2 * abar * b, a)
                 beta = Fraction(b) + Fraction(1, a) + Fraction(2 * abar * b, a)

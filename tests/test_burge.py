@@ -9,8 +9,7 @@ from qburge.qpoly import LaurentPoly
 from qburge.qcombinat import NonIntegerExponentError, b_kernel, qbin
 from qburge.fermionic import eval_F, eval_f, eval_H, eval_I
 from qburge.burge import (BosonicSpec, bosonic_eval, spec_main, spec_recip,
-                          spec_even, spec_shifted, condition_check,
-                          transform_step, tree_walk)
+                          spec_even, spec_shifted, transform_step, tree_walk)
 
 
 def lp(d):
@@ -20,6 +19,14 @@ def lp(d):
 def coprime_pairs(a_max, a_min=2):
     return [(a, b) for a in range(a_min, a_max + 1)
             for b in range(1, a) if gcd(a, b) == 1]
+
+
+def condition_check(L, M, a, b):
+    """Precondition of the kernel transform identity: the sum side must not
+    vanish while the kernel side does not."""
+    chain1 = (-L + a <= -b) and (-b <= L + a) and (L + a < b) and (b <= M)
+    chain2 = (-L - a <= b) and (b <= L - a) and (L - a < -b) and (-b <= M)
+    return not (chain1 or chain2)
 
 
 def test_bosonic_eval_examples():
@@ -95,5 +102,23 @@ def test_tree_walk_matches_direct_evaluation():
 def test_tree_walk_edges():
     assert tree_walk(3, 2, "F", -1, 2).is_zero()
     assert tree_walk(3, 2, "F", 2, -1).is_zero()
-    with pytest.raises(ValueError):
-        tree_walk(2, 1, "H", 1, 1)
+    for L in range(0, 4):
+        for M in range(0, 4):
+            assert tree_walk(2, 1, "H", L, M) == eval_H(2, 1, L, M)
+    for family in ("f", "X"):
+        with pytest.raises(ValueError):
+            tree_walk(3, 1, family, 3, 2)
+    for (a, b) in ((4, 2), (2, 3), (1, 1)):
+        with pytest.raises(ValueError):
+            tree_walk(a, b, "F", 2, 2)
+
+
+def test_tree_walk_deep_chain():
+    # the Euclid chain of (1200, 1) has 1199 steps
+    assert tree_walk(1200, 1, "F", 2, 2) == eval_F(1200, 1, 2, 2)
+
+
+def test_even_root_is_base_two_binomial():
+    for L in range(0, 9):
+        for M in range(0, 9):
+            assert bosonic_eval(spec_even(1, 1), L, M) == qbin(L + M, M, 2)

@@ -123,6 +123,7 @@ def test_verify_config_errors(tmp_path, capsys):
     (["verify"], {"format": "xml"}),
     (["verify"], {"out": 5}),
     (["verify"], ["thmmain"]),
+    (["eval", "series", "X", "3", "1"], None),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
