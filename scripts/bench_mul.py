@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Time LaurentPoly products on fixed operand families (the L0 layer).
+
+    PYTHONPATH=src python3 scripts/bench_mul.py
+
+Run it as its own interpreter, so the memo caches start cold: the operands
+are built first, and only `a * b` is timed. Each family's time is the best
+of REPEAT runs of enough products to take at least 0.2 s, printed per
+product with the interpreter version and CPU count. The families are
+chosen to reach each path of LaurentPoly.__mul__:
+
+- small:  10 x 10 positive terms, under the packing threshold (schoolbook);
+- qbin:   [16, 8] x [18, 9], dense and nonnegative (packed);
+- poch:   [20, 10] x (q)_20, dense and signed (packed);
+- sparse: (1 - q^88) x the product borwein_split(30) builds before its last
+          two factors, two terms by a long signed polynomial (schoolbook).
+"""
+
+import os
+import platform
+import timeit
+
+from qburge.qcombinat import q_poch, qbin
+from qburge.qpoly import LaurentPoly
+
+REPEAT = 7
+
+
+def families():
+    one = LaurentPoly.one()
+    split = one
+    for k in range(1, 30):
+        split = split * (one - LaurentPoly.monomial(3 * k - 2))
+        split = split * (one - LaurentPoly.monomial(3 * k - 1))
+    return {
+        "small": (LaurentPoly({e: e * 7919 % 97 + 1 for e in range(10)}),
+                  LaurentPoly({e: e * 104729 % 89 + 1 for e in range(-3, 7)})),
+        "qbin": (qbin(16, 8), qbin(18, 9)),
+        "poch": (qbin(20, 10), q_poch(20)),
+        "sparse": (one - LaurentPoly.monomial(88), split),
+    }
+
+
+def main():
+    print(f"python {platform.python_version()} on {platform.machine()}, "
+          f"{os.cpu_count()} CPUs; best of {REPEAT}")
+    for name, (a, b) in families().items():
+        timer = timeit.Timer(lambda: a * b)
+        number, _ = timer.autorange()
+        best = min(timer.repeat(REPEAT, number)) / number
+        print(f"{name:7s} {len(a.coeffs):4d} x {len(b.coeffs):4d} terms "
+              f"{best * 1e6:10.1f} us")
+
+
+if __name__ == "__main__":
+    main()

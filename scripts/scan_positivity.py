@@ -7,9 +7,9 @@ Example:
 
 import argparse
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from qburge.qcombinat import g_poly
+from qburge.qcombinat import QBIN_MAX_DEGREE, g_poly
 from qburge.verify import positivity_scan
 
 
@@ -18,6 +18,10 @@ def main():
     ap.add_argument("--a-max", type=int, default=8)
     ap.add_argument("--l-max", type=int, default=25)
     args = ap.parse_args()
+    # G(L, L) takes [2L, L - a j], of degree up to L^2
+    if args.l_max > isqrt(QBIN_MAX_DEGREE):
+        ap.error(f"--l-max must be <= {isqrt(QBIN_MAX_DEGREE)} "
+                 f"(q-binomials of degree <= {QBIN_MAX_DEGREE})")
 
     worst = None
     n = 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .qpoly import LaurentPoly, TruncatedSeries
-from .qcombinat import qbin, b_kernel, g_poly, d_poly
+from .qcombinat import DegreeLimitError, qbin, b_kernel, g_poly, d_poly
 from .fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_L,
                         eval_limit_both)
 from .verify import CATALOGUE, CampaignBudget, SUITES, run_campaign
@@ -165,8 +165,12 @@ def _cmd_verify(args):
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     reports = []
-    for suite in cfg.suites:
-        reports.extend(run_campaign(suite, cfg))
+    try:
+        for suite in cfg.suites:
+            reports.extend(run_campaign(suite, cfg))
+    except DegreeLimitError as exc:
+        print(f"usage error: budget too large: {exc}", file=sys.stderr)
+        return 2
     text = _render(reports, cfg.format)
     if cfg.out:
         try:

@@ -4,9 +4,45 @@ A Laurent polynomial is stored as a dict {exponent: coefficient} with no
 zero coefficients, so structural equality is mathematical equality.
 A truncated series keeps coefficients 0..order in a list; arithmetic on
 two series truncates to the smaller order.
+
+Large products use signed Kronecker substitution (D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J.
+Symbolic Comput. 2009): both operands become one integer each, written in
+base 2^w with w = 16, 32 or 64 bits wide enough for every product
+coefficient, and one bigint product replaces the term-pair loop. Signed
+coefficients, such as those of the Pochhammer products (q)_n, are made
+nonnegative digits by a bias of 2^(w-1) per word, so no digit borrows. A
+product is packed only when it is dense: more than 256 term pairs, and
+more than four term pairs per exponent in the operands' summed spans, since
+packing costs a word per exponent of the span. A sparse product, such as
+a two-term factor (1 - q^k) times a long polynomial, stays on schoolbook,
+and so does a product whose coefficient bound exceeds 63 bits, which no
+machine word holds with its sign.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+
+# the density rule above: a product is packed when its term pairs number
+# more than _PACK_MIN_PAIRS and more than _PACK_DENSITY per exponent of the
+# operands' summed spans
+_PACK_MIN_PAIRS = 256
+_PACK_DENSITY = 4
+# array typecodes by word width in bits, chosen by itemsize, not by name
+_UNSIGNED = {array(c).itemsize * 8: c for c in "QLIH"}
+_SIGNED = {array(c).itemsize * 8: c for c in "qlih"}
+
+
+def _word_int(words):
+    """The nonnegative integer whose base-2^w digits are the w-bit words of
+    `words`, in native byte order: word 0 is the lowest digit on a
+    little-endian host and the highest on a big-endian one. Kronecker
+    substitution works in either order, because reversing both operands'
+    digit strings reverses their product's, and to_bytes with the same
+    byte order and a fixed length undoes it."""
+    return int.from_bytes(words, sys.byteorder)
 
 
 class LaurentPoly:
@@ -85,10 +121,16 @@ class LaurentPoly:
             return LaurentPoly()
         if len(a) > len(b):
             a, b = b, a
-        if len(a) * len(b) > 256:
-            out = self._mul_packed(a, b)
-            if out is not None:
-                return out
+        pairs = len(a) * len(b)
+        # a span is at least its length: rules out most sparse products
+        # before their spans are scanned
+        if pairs > _PACK_MIN_PAIRS and pairs > _PACK_DENSITY * (len(a) + len(b)):
+            va, vb = min(a), min(b)
+            na, nb = max(a) - va + 1, max(b) - vb + 1
+            if pairs > _PACK_DENSITY * (na + nb):
+                out = self._mul_packed(a, b, va, vb, na, nb)
+                if out is not None:
+                    return out
         res = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -103,35 +145,45 @@ class LaurentPoly:
         return out
 
     @staticmethod
-    def _mul_packed(a, b):
-        """Multiply two coefficient dicts with nonnegative coefficients by
-        packing each into a single big integer (one digit of k bits per
-        exponent) and doing one bigint multiplication. Returns None when a
-        negative coefficient makes the packing invalid."""
-        ma = max(a.values())
-        mb = max(b.values())
-        if min(a.values()) < 0 or min(b.values()) < 0:
-            return None
-        va, vb = min(a), min(b)
+    def _mul_packed(a, b, va, vb, na, nb):
+        """Multiply two coefficient dicts by signed Kronecker substitution.
+
+        `a` spans exponents va .. va+na-1 and `b` spans vb .. vb+nb-1.
+        Every product coefficient is a sum of at most min(len(a), len(b))
+        terms, so its magnitude is below 2^(k-1) with k the bound computed
+        below; w is the smallest machine word (16, 32 or 64 bits) with
+        w >= k. Each operand is written densely as w-bit words c + 2^(w-1),
+        read as one integer, and its bias sum 2^(w-1) X^i (X = 2^w) is
+        subtracted, which leaves sum c_i X^i exactly. After one bigint
+        product the bias 2^(w-1) is added to every result digit, so no
+        digit borrows from the next and each word holds r + 2^(w-1) in
+        [0, 2^w); flipping the top bit of every word turns that into r in
+        two's complement, read back through a signed memoryview. Returns
+        None when k > 64 (a coefficient bound above 63 bits), which the
+        caller multiplies exactly by schoolbook.
+        """
+        ma = max(max(a.values()), -min(a.values()))
+        mb = max(max(b.values()), -min(b.values()))
         k = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
-        k = (k + 7) & ~7          # whole bytes so digits can be sliced out
-        kb = k // 8
-        pa = 0
+        w = next((w for w in (16, 32, 64) if w >= k), None)
+        if w is None:
+            return None
+        half = 1 << (w - 1)
+        unit = array(_UNSIGNED[w], [half])
+        wa = unit * na
         for e, c in a.items():
-            pa |= c << (k * (e - va))
-        pb = 0
+            wa[e - va] = c + half
+        wb = unit * nb
         for e, c in b.items():
-            pb |= c << (k * (e - vb))
-        pr = pa * pb
-        raw = pr.to_bytes((pr.bit_length() + k) // 8 + 1, "little")
-        res = {}
-        off = va + vb
-        for i in range(len(raw) // kb):
-            c = int.from_bytes(raw[i * kb:(i + 1) * kb], "little")
-            if c:
-                res[i + off] = c
+            wb[e - vb] = c + half
+        pa = _word_int(wa) - _word_int(unit * na)
+        pb = _word_int(wb) - _word_int(unit * nb)
+        nr = na + nb - 1
+        bias = _word_int(unit * nr)
+        raw = ((pa * pb + bias) ^ bias).to_bytes(nr * w // 8, sys.byteorder)
         out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = res
+        out.coeffs = {e: c for e, c in
+                      enumerate(memoryview(raw).cast(_SIGNED[w]), va + vb) if c}
         return out
 
     __rmul__ = __mul__

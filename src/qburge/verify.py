@@ -751,9 +751,13 @@ def check_identity(case, params):
     return VerifyReport(case.id, dict(params), status, d, lc, rc, ms)
 
 
-def _pos_report(case, params, poly):
+def _pos_report(case, params, poly, t0):
+    """Scan `poly` into a report timed from t0, the perf_counter() reading
+    the caller took before evaluating `poly`."""
     rep = positivity_scan(poly, case, params)
-    vr = VerifyReport(case, dict(params), "pass" if rep.nonneg else "fail")
+    ms = (time.perf_counter() - t0) * 1000.0
+    vr = VerifyReport(case, dict(params), "pass" if rep.nonneg else "fail",
+                      elapsed_ms=ms)
     if not rep.nonneg:
         vr.first_diff_exponent, vr.lhs_coeff = rep.first_negative
         vr.rhs_coeff = 0
@@ -850,8 +854,10 @@ def run_campaign(suite, budget=None):
     elif suite == "positivity":
         for (a, b) in _pairs(bud.a_max):
             for L in range(0, bud.pos_l_max + 1):
+                t0 = time.perf_counter()
                 g = g_poly(L, L, Fraction(b), Fraction(a * b + 1, a), a)
-                out.append(_pos_report("pos_gen", {"a": a, "b": b, "L": L}, g))
+                out.append(_pos_report("pos_gen", {"a": a, "b": b, "L": L},
+                                       g, t0))
         for (a, b) in _pairs(bud.a_max, a_min=3):
             abar, bbar, one = shifted_bar(a, b)
             if one:
@@ -861,21 +867,29 @@ def run_campaign(suite, budget=None):
                 alpha = Fraction(b - 2 * bbar)
                 beta = Fraction(b) + Fraction(1, a) + Fraction(2 * bbar)
             for L in range(abar, bud.pos_l_max + 1):
+                t0 = time.perf_counter()
                 g = g_poly(L + abar, L - abar, alpha, beta, a)
-                out.append(_pos_report("pos_shifted", {"a": a, "b": b, "L": L}, g))
+                out.append(_pos_report("pos_shifted", {"a": a, "b": b, "L": L},
+                                       g, t0))
         for n in range(0, 31):
-            an, bn, cn = borwein_split(n)
-            for name, poly in (("A", an), ("B", bn), ("C", cn)):
-                out.append(_pos_report("pos_split", {"part": name, "n": n}, poly))
+            # the split's own time goes to its A record
+            t0 = time.perf_counter()
+            for name, poly in zip("ABC", borwein_split(n)):
+                out.append(_pos_report("pos_split", {"part": name, "n": n},
+                                       poly, t0))
+                t0 = time.perf_counter()
         for entry, alpha, beta, K, _rhs in _SECTION8:
             for n in range(0, bud.n_max + 1):
+                t0 = time.perf_counter()
                 g = g_poly(n, n, alpha, beta, K)
                 out.append(_pos_report("pos_section8",
-                                       {"entry": entry, "n": n}, g))
+                                       {"entry": entry, "n": n}, g, t0))
         # the one open slot of the closing display, positivity only
         for n in range(0, bud.n_max + 1):
+            t0 = time.perf_counter()
             g = g_poly(n, n, Fraction(4, 3), Fraction(5, 3), 3)
-            out.append(_pos_report("pos_section8", {"entry": "b2", "n": n}, g))
+            out.append(_pos_report("pos_section8", {"entry": "b2", "n": n},
+                                   g, t0))
     else:
         raise ValueError(f"unknown suite {suite!r}")
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qburge import cli
+from qburge import cli, qcombinat
 from qburge.verify import VerifyReport
 
 
@@ -124,6 +124,7 @@ def test_verify_config_errors(tmp_path, capsys):
     (["verify"], {"out": 5}),
     (["verify"], ["thmmain"]),
     (["eval", "series", "X", "3", "1"], None),
+    (["eval", "qbin", "100000000", "3"], None),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
@@ -134,6 +135,17 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error") and len(err.splitlines()) == 1
+
+
+def test_verify_budget_past_qbin_limit_exits_2(monkeypatch, capsys):
+    # the positivity suite's G(L, L) needs [2L, L], of degree L^2 > 30 at L = 6
+    monkeypatch.setattr(qcombinat, "QBIN_MAX_DEGREE", 30)
+    code, out, err = run(capsys, ["verify", "--suite", "positivity",
+                                  "--a-max", "2", "--n-max", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: budget too large")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_out_file(tmp_path, capsys):

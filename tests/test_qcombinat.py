@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qburge.qpoly import LaurentPoly
+from qburge import qcombinat
 from qburge.qcombinat import (NonIntegerExponentError, qbin, q_poch,
                               poch_range, b_kernel, g_poly, d_poly,
                               borwein_split)
@@ -22,6 +23,16 @@ def test_qbin_examples():
     assert qbin(2, 3).is_zero()
     assert qbin(2, 1, base=2) == lp({0: 1, 2: 1})
     assert qbin(0, 0) == LaurentPoly.one()
+
+
+def test_qbin_degree_limit(monkeypatch):
+    with pytest.raises(qcombinat.DegreeLimitError):
+        qbin(10 ** 8, 3)
+    monkeypatch.setattr(qcombinat, "QBIN_MAX_DEGREE", 12)
+    assert qbin(8, 2).degree() == 12 and qbin(7, 1, base=2).degree() == 12
+    for n, m, base in ((9, 2, 1), (9, 7, 1), (8, 1, 2)):
+        with pytest.raises(qcombinat.DegreeLimitError):
+            qbin(n, m, base)
 
 
 def test_qbin_pascal_recurrences():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from qburge.qcombinat import poch_range, q_poch, qbin
 from qburge.qpoly import (LaurentPoly, TruncatedSeries,
                           poly_agrees_with_series, first_poly_difference,
                           first_series_difference)
@@ -16,6 +17,35 @@ small_polys = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=-9, max_value=9),
     max_size=6).map(lp)
+
+
+def schoolbook(a, b):
+    """Reference product over the dict items, independent of LaurentPoly.__mul__."""
+    res = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            res[e1 + e2] = res.get(e1 + e2, 0) + c1 * c2
+    return lp(res)
+
+
+def packed(a, b):
+    """The Kronecker path called directly, bypassing __mul__'s routing."""
+    va, vb = a.valuation(), b.valuation()
+    return LaurentPoly._mul_packed(a.coeffs, b.coeffs, va, vb,
+                                   a.degree() - va + 1, b.degree() - vb + 1)
+
+
+@st.composite
+def dense_polys(draw, bits):
+    """17-80 consecutive exponents from a start in [-30, 10], every
+    coefficient nonzero with magnitude below 2**bits, so len = span and
+    any two of them make a dense product of more than 256 term pairs."""
+    lo = draw(st.integers(-30, 10))
+    n = draw(st.integers(17, 80))
+    mags = draw(st.lists(st.integers(1, 2 ** bits - 1), min_size=n, max_size=n))
+    signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return lp({lo + i: -m if neg else m
+               for i, (m, neg) in enumerate(zip(mags, signs))})
 
 
 def test_basic_arith():
@@ -99,3 +129,64 @@ def test_first_difference_helpers():
 def test_min_negative():
     assert lp({0: 1, 3: -1}).min_negative() == (3, -1)
     assert lp({0: 1, 3: 1}).min_negative() is None
+
+
+# coefficient bits of the two operands: word widths 16, 32, 64 and 64 again
+# at about +-2^40 (bound 40 + 15 + 7 + 1 = 63 bits with 80 terms)
+@pytest.mark.parametrize("bits_a, bits_b", [(3, 3), (12, 4), (20, 10), (40, 15)])
+@given(data=st.data())
+def test_packed_product_signed_dense(bits_a, bits_b, data):
+    a = data.draw(dense_polys(bits_a))
+    b = data.draw(dense_polys(bits_b))
+    ref = schoolbook(a, b)
+    assert packed(a, b) == ref
+    assert a * b == ref and b * a == ref
+
+
+@pytest.mark.parametrize("bits", [5, 13, 29])
+@pytest.mark.parametrize("sign_a, sign_b", [(1, 1), (1, -1), (-1, -1)])
+def test_packed_product_fills_its_word(bits, sign_a, sign_b):
+    # 31 equal terms each: the bound 2*bits + 5 + 1 is exactly 16, 32 or 64,
+    # and the middle coefficient 31 * (2^bits - 1)^2 comes within 10 % of
+    # the word's signed range
+    c = 2 ** bits - 1
+    a = lp({e: sign_a * c for e in range(-3, 28)})
+    b = lp({e: sign_b * c for e in range(5, 36)})
+    ref = schoolbook(a, b)
+    assert abs(ref.coeff(32)) == 31 * c * c > 2 ** (2 * bits + 5) * 9 // 10
+    assert packed(a, b) == ref
+    assert a * b == ref
+
+
+def test_sparse_product_stays_on_schoolbook(monkeypatch):
+    # (1 - q^k) times a long signed polynomial: 2 x 300 term pairs, fewer
+    # than four per term of the operands; and 40 x 40 terms spread over
+    # spans of 391 and 274 exponents: 1,600 term pairs, fewer than four per
+    # exponent of the summed spans
+    long = lp({e: (-1) ** e * (e * 7919 % 1009 + 1) for e in range(-40, 260)})
+    two = lp({0: 1, 37: -1})
+    spread_a = lp({10 * i - 50: (-1) ** i * (i + 1) for i in range(40)})
+    spread_b = lp({7 * i: i + 1 for i in range(40)})
+    refs = [schoolbook(two, long), schoolbook(spread_a, spread_b)]
+
+    def refuse(*args):
+        raise AssertionError("sparse product was packed")
+
+    monkeypatch.setattr(LaurentPoly, "_mul_packed", staticmethod(refuse))
+    assert two * long == refs[0] and long * two == refs[0]
+    assert spread_a * spread_b == refs[1] and spread_b * spread_a == refs[1]
+
+
+def test_wide_coefficients_fall_back_to_schoolbook():
+    # bound 41 + 41 + 5 + 1 = 88 bits: no machine word holds the product
+    a = lp({e: 2 ** 40 + e for e in range(-10, 10)})
+    b = lp({e: -(2 ** 40) + 3 * e for e in range(20)})
+    assert packed(a, b) is None
+    assert a * b == schoolbook(a, b)
+
+
+@pytest.mark.parametrize("n", range(0, 21))
+def test_poch_times_qbin(n):
+    # (q)_2n = (q)_n (q)_n [2n, n], so (q)_n [2n, n] = prod_{k=n+1..2n} (1 - q^k);
+    # from n = 5 on the left side is a dense signed packed product
+    assert q_poch(n) * qbin(2 * n, n) == poch_range(n + 1, 2 * n)

@@ -90,6 +90,13 @@ def test_campaign_small_all_pass_and_deterministic():
             [(r.case, r.params, r.status) for r in r2]
 
 
+def test_positivity_records_are_timed():
+    reps = run_campaign("positivity", CampaignBudget(a_max=3, n_max=4,
+                                                     pos_l_max=5))
+    timed = {r.case for r in reps if r.elapsed_ms > 0}
+    assert timed == {"pos_gen", "pos_shifted", "pos_split", "pos_section8"}
+
+
 def test_campaign_unknown_suite():
     with pytest.raises(ValueError):
         run_campaign("nope")
