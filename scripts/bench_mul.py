@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time LaurentPoly products on fixed operand families (the L0 layer).
+"""Time LaurentPoly products on fixed operand families and cold Gaussian
+binomials (the L0 layer).
 
     PYTHONPATH=src python3 scripts/bench_mul.py
 
@@ -14,16 +15,22 @@ chosen to reach each path of LaurentPoly.__mul__:
 - poch:   [20, 10] x (q)_20, dense and signed (packed);
 - sparse: (1 - q^88) x the product borwein_split(30) builds before its last
           two factors, two terms by a long signed polynomial (schoolbook).
+
+Then it times qbin on a cleared memo, one call per run, best of REPEAT:
+[50, 25] (the largest the catalogue uses), [100, 50] and [2501, 1] (at
+QBIN_MAX_DEGREE, one wide and one narrow), and [30, 15] in q^2.
 """
 
 import os
 import platform
 import timeit
 
+from qburge import qcombinat
 from qburge.qcombinat import q_poch, qbin
 from qburge.qpoly import LaurentPoly
 
 REPEAT = 7
+COLD_QBIN = ((50, 25, 1), (100, 50, 1), (2501, 1, 1), (30, 15, 2))
 
 
 def families():
@@ -50,6 +57,11 @@ def main():
         best = min(timer.repeat(REPEAT, number)) / number
         print(f"{name:7s} {len(a.coeffs):4d} x {len(b.coeffs):4d} terms "
               f"{best * 1e6:10.1f} us")
+    for n, m, base in COLD_QBIN:
+        timer = timeit.Timer(lambda: qbin(n, m, base),
+                             setup=qcombinat._QBIN_CACHE.clear)
+        best = min(timer.repeat(REPEAT, 1))
+        print(f"qbin {f'[{n}, {m}]':10s} base {base} cold {best * 1e6:10.1f} us")
 
 
 if __name__ == "__main__":

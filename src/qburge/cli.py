@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .qpoly import LaurentPoly, TruncatedSeries
-from .qcombinat import DegreeLimitError, qbin, b_kernel, g_poly, d_poly
+from .qcombinat import (QBIN_MAX_DEGREE, DegreeLimitError, qbin, b_kernel,
+                        g_poly, d_poly)
 from .fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_L,
                         eval_limit_both)
 from .verify import CATALOGUE, CampaignBudget, SUITES, run_campaign
@@ -132,6 +133,8 @@ def _check_config(cfg):
         v = getattr(cfg, f.name)
         if type(v) is not int or v < 0:
             raise ValueError(f"{f.name} must be an integer >= 0, got {v!r}")
+    if cfg.T > QBIN_MAX_DEGREE:
+        raise ValueError(f"T must be <= {QBIN_MAX_DEGREE}, got {cfg.T}")
     if cfg.format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {cfg.format!r}")
     if cfg.out is not None and not isinstance(cfg.out, str):

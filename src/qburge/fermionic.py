@@ -32,7 +32,8 @@ from math import isqrt
 
 from .cf import build_cartan, cf_expand, n_row
 from .qpoly import LaurentPoly, TruncatedSeries
-from .qcombinat import poch_range, q_poch, qbin
+from .qcombinat import (QBIN_MAX_DEGREE, DegreeLimitError, poch_range,
+                        q_poch, qbin)
 
 _CARTAN_CACHE = {}
 
@@ -251,10 +252,13 @@ def eval_limit_both(family, a, b, T, last_ge2=True):
 
     The Pochhammer quotient of `eval_limit_L` becomes prod_x 1/(q^base)_x,
     base = 3 - tau_j for I at the position j of x; the sum runs on
-    polynomials cut at q^T.
+    polynomials cut at q^T. Raises DegreeLimitError (a ValueError) for T
+    above qcombinat.QBIN_MAX_DEGREE.
     """
     if T < 0:
         raise ValueError("truncation order must be >= 0")
+    if T > QBIN_MAX_DEGREE:
+        raise DegreeLimitError(f"truncation order {T} > {QBIN_MAX_DEGREE}")
     if family == "H":
         raise NotImplementedError("double limit not provided for family H")
     if family == "f" and b == 1:

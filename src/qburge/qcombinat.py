@@ -9,24 +9,29 @@ so invalid parameter combinations fail loudly instead of silently rounding.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 
 from .qpoly import LaurentPoly
 
-# memo keyed (n, m, base); values immutable, concurrent re-insert harmless
+# memos: qbin keyed (n, m, base) with base >= 1 and m <= n - m, q_poch keyed
+# (n, base); values immutable, concurrent re-insert harmless
 _QBIN_CACHE = {}
 _POCH_CACHE = {}
+_ONE = LaurentPoly.one()  # [n, 0], shared like the memoized values
 
-# Largest degree base*m*(n-m) that qbin builds; larger requests raise
-# DegreeLimitError before any work. The catalogue and tests stay at or below
-# degree 625 ([50, 25]). The memo keeps [k, min(m, k)] for every k <= n,
-# about n * degree / 2 coefficients, so at this limit the narrowest
-# binomial costs most memory: on a 2-CPU x86-64 VM [2501, 1] takes 0.16 s
-# and 200 MB, [100, 50] 0.7 s and 40 MB.
+# Largest degree base*m*(n-m) that qbin builds, and largest series order T
+# of eval_limit_both; larger requests raise DegreeLimitError before any
+# work. The catalogue and tests stay at or below degree 625 ([50, 25]).
+# qbin keeps only rows of the requested n, so at this limit the cost is the
+# work, not the memo: on a 2-CPU x86-64 VM a cold [100, 50] takes 0.01 s
+# and 8 MB (the 50 memoized [100, j]), a cold [2501, 1] 0.2 ms and under
+# 1 MB.
 QBIN_MAX_DEGREE = 2_500
 
 
 class DegreeLimitError(ValueError):
-    """qbin was asked for a q-binomial of degree above QBIN_MAX_DEGREE."""
+    """A q-binomial degree or a series order above QBIN_MAX_DEGREE was asked for."""
 
 
 class NonIntegerExponentError(ValueError):
@@ -36,10 +41,18 @@ class NonIntegerExponentError(ValueError):
 def qbin(n, m, base=1):
     """Gaussian binomial [n choose m] in q**base; 0 when m < 0 or n-m < 0.
 
-    Computed bottom-up via the Pascal recurrence
-    [n,m] = [n-1,m-1] + q^(base*m) [n-1,m], exact by construction.
-    Raises DegreeLimitError (a ValueError) when the degree base*m*(n-m)
-    exceeds QBIN_MAX_DEGREE.
+    For base >= 1 it is the product form (G. E. Andrews, The Theory of
+    Partitions, 1976, ch. 3) in x = q**base,
+        [n, m] = prod_{i=1..m} (1 - x^(n-m+i)) / (1 - x^i),
+    built on one dense coefficient list by the steps
+    [n, j] = [n, j-1] (1 - x^(n-j+1)) / (1 - x^j): a shifted subtraction,
+    then a strided running sum. The chain starts at the largest memoized
+    [n, k] with k < m, or at [n, 0] = 1, and memoizes each [n, j] it
+    builds; no row below n is kept. Every division is checked to be exact
+    (the top j coefficients of the quotient must vanish), else
+    ArithmeticError. Base 0 is the constant comb(n, m); a negative base is
+    qbin(n, m, -base).inverse_q(). Raises DegreeLimitError (a ValueError)
+    when the degree base*m*(n-m) exceeds QBIN_MAX_DEGREE, before any work.
     """
     if m < 0 or n - m < 0:
         return LaurentPoly.zero()
@@ -47,26 +60,32 @@ def qbin(n, m, base=1):
     if base * m * (n - m) > QBIN_MAX_DEGREE:
         raise DegreeLimitError(f"qbin({n}, {m}, base={base}) has degree "
                                f"{base * m * (n - m)} > {QBIN_MAX_DEGREE}")
-    key = (n, m, base)
-    hit = _QBIN_CACHE.get(key)
+    if base <= 0:
+        if base == 0:
+            return LaurentPoly.monomial(0, comb(n, m))
+        return qbin(n, m, -base).inverse_q()
+    if m == 0:
+        return _ONE
+    hit = _QBIN_CACHE.get((n, m, base))
     if hit is not None:
         return hit
-    # row k of the table holds [k choose j] for j <= m
-    row = [LaurentPoly.one()]
-    for k in range(1, n + 1):
-        top = min(m, k)
-        new = [LaurentPoly.one()]
-        for j in range(1, top + 1):
-            left = row[j - 1]
-            right = row[j] if j < len(row) else None
-            if right is None:
-                new.append(left)  # j == k: [k choose k] = [k-1 choose k-1]
-            else:
-                new.append(left + right.scale(base * j))
-        row = new
-        _QBIN_CACHE.setdefault((k, top, base), row[top])
-    res = row[m]
-    _QBIN_CACHE[key] = res
+    k = m - 1
+    while k and (n, k, base) not in _QBIN_CACHE:
+        k -= 1
+    c = [0] * (k * (n - k) + 1)  # c[i] is the coefficient of x^i
+    for e, v in (_QBIN_CACHE[n, k, base].coeffs.items() if k else ((0, 1),)):
+        c[e // base] = v
+    for j in range(k + 1, m + 1):
+        pad = [0] * (n - j + 1)
+        c = [u - v for u, v in zip(c + pad, pad + c)]
+        for r in range(j):
+            c[r::j] = accumulate(c[r::j])
+        if any(c[-j:]):
+            raise ArithmeticError(f"qbin({n}, {j}, base={base}): "
+                                  f"inexact division by 1 - q^{base * j}")
+        del c[-j:]
+        res = LaurentPoly(dict(zip(range(0, base * len(c), base), c)))
+        _QBIN_CACHE[n, j, base] = res
     return res
 
 

@@ -1,8 +1,11 @@
 """Command-line interface: eval, verify, list-identities, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qburge import cli, qcombinat
 from qburge.verify import VerifyReport
@@ -20,6 +23,15 @@ def test_eval_qbin(capsys):
     code, out, _ = run(capsys, ["eval", "qbin", "4", "2"])
     assert code == 0
     assert out.strip() == "0:1 1:1 2:2 3:1 4:1"
+
+
+def test_eval_qbin_base_zero_and_negative(capsys):
+    code, out, _ = run(capsys, ["eval", "qbin", "5", "2", "-1"])
+    assert code == 0
+    assert out.strip() == "-6:1 -5:1 -4:2 -3:2 -2:2 -1:1 0:1"
+    code, out, _ = run(capsys, ["eval", "qbin", "5", "2", "0"])
+    assert code == 0
+    assert out.strip() == "0:10"
 
 
 def test_eval_g(capsys):
@@ -125,6 +137,8 @@ def test_verify_config_errors(tmp_path, capsys):
     (["verify"], ["thmmain"]),
     (["eval", "series", "X", "3", "1"], None),
     (["eval", "qbin", "100000000", "3"], None),
+    (["eval", "series", "F", "2", "1", "--order", "100000000"], None),
+    (["verify", "--suite", "series", "--order", "100000000"], None),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
@@ -135,6 +149,41 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error") and len(err.splitlines()) == 1
+
+
+_SMALL = st.integers(-8, 8).map(str)
+_JUNK = st.sampled_from(["1/2", "-5/3", "1/0", "x", "", "2.5", "--", "F",
+                         "--bogus", "--L", "--order"])
+
+
+def _eval_argv(obj, params, junk, flags):
+    return ["eval", obj] + params + junk + \
+        [t for flag, v in zip(("--L", "--M", "--order"), flags) if v is not None
+         for t in (flag, v)]
+
+
+# mostly well-formed: small-int parameters and flags, at most one junk token
+_EVAL = st.builds(
+    _eval_argv,
+    st.sampled_from(["qbin", "B", "G", "D", "F", "f", "H", "I", "Ftilde",
+                     "series"]),
+    st.lists(_SMALL, max_size=6),
+    st.lists(_JUNK, max_size=1),
+    st.tuples(*[st.one_of(st.none(), _SMALL)] * 3))
+_ARGV = st.one_of(_EVAL,
+                  st.builds(lambda junk: ["list-identities"] + junk,
+                            st.lists(_JUNK, max_size=1)),
+                  st.lists(st.one_of(_SMALL, _JUNK), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGV)
+def test_cli_exit_code_contract(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert (exc.value.code or 0) in (0, 1, 2, 3)
 
 
 def test_verify_budget_past_qbin_limit_exits_2(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """q-binomials, Pochhammer products, kernel, G/D sums, residue split."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,11 +37,60 @@ def test_qbin_degree_limit(monkeypatch):
 
 
 def test_qbin_pascal_recurrences():
-    for n in range(1, 21):
-        for m in range(0, n + 1):
-            lhs = qbin(n, m)
-            assert lhs == qbin(n - 1, m) + qbin(n - 1, m - 1).scale(n - m)
-            assert lhs == qbin(n - 1, m - 1) + qbin(n - 1, m).scale(m)
+    for base in (1, 2, 3):
+        for n in range(1, 21):
+            for m in range(0, n + 1):
+                lhs = qbin(n, m, base)
+                assert lhs == qbin(n - 1, m, base) + \
+                    qbin(n - 1, m - 1, base).scale(base * (n - m))
+                assert lhs == qbin(n - 1, m - 1, base) + \
+                    qbin(n - 1, m, base).scale(base * m)
+
+
+def pascal_rows(n_max, base):
+    """rows[n][m] = [n choose m] in q**base as {exponent: coefficient}, by
+    [n, m] = [n-1, m-1] + q^(base*m) [n-1, m] over whole rows."""
+    rows = [[{0: 1}]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        row = [{0: 1}]
+        for m in range(1, n + 1):
+            cur = dict(prev[m - 1])
+            if m < n:
+                for e, c in prev[m].items():
+                    cur[e + base * m] = cur.get(e + base * m, 0) + c
+            row.append({e: c for e, c in cur.items() if c})
+        rows.append(row)
+    return rows
+
+
+def test_qbin_against_pascal_reference(monkeypatch):
+    # a fresh memo and a shuffled order, so the product chains start from
+    # every memoized [n, k] with k below the requested m
+    monkeypatch.setattr(qcombinat, "_QBIN_CACHE", {})
+    bases = (-2, -1, 0, 1, 2, 3)
+    rows = {base: pascal_rows(24, base) for base in bases}
+    requests = [(n, m, base) for base in bases for n in range(25)
+                for m in range(-1, n + 2)]
+    random.Random(20).shuffle(requests)
+    for n, m, base in requests:
+        want = rows[base][n][m] if 0 <= m <= n else {}
+        assert qbin(n, m, base).coeffs == want, (n, m, base)
+
+
+def test_qbin_memo_keeps_only_row_n(monkeypatch):
+    for n, m in ((2501, 1), (60, 30)):
+        monkeypatch.setattr(qcombinat, "_QBIN_CACHE", {})
+        qbin(n, m)
+        assert {key[0] for key in qcombinat._QBIN_CACHE} == {n}
+
+
+def test_qbin_inexact_division_raises(monkeypatch):
+    # a wrong memoized [10, 2] makes the next step's division inexact
+    monkeypatch.setattr(qcombinat, "_QBIN_CACHE",
+                        {(10, 2, 1): qbin(10, 2) + LaurentPoly.monomial(3)})
+    with pytest.raises(ArithmeticError):
+        qbin(10, 3)
 
 
 def test_qbin_reciprocity():
