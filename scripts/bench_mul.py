@@ -13,8 +13,8 @@ chosen to reach each path of LaurentPoly.__mul__:
 - small:  10 x 10 positive terms, under the packing threshold (schoolbook);
 - qbin:   [16, 8] x [18, 9], dense and nonnegative (packed);
 - poch:   [20, 10] x (q)_20, dense and signed (packed);
-- sparse: (1 - q^88) x the product borwein_split(30) builds before its last
-          two factors, two terms by a long signed polynomial (schoolbook).
+- sparse: (1 - q^88) x (q, q^2; q^3)_29, two terms by a long signed
+          polynomial (schoolbook).
 
 Then it times qbin on a cleared memo, one call per run, best of REPEAT:
 [50, 25] (the largest the catalogue uses), [100, 50] and [2501, 1] (at

@@ -1,5 +1,5 @@
 """Continued fractions of coprime pairs, tadpole-block incidence matrices,
-the (m,n)-system, quadratic forms and the convergent (bar) pair.
+the (m,n)-system and the convergent (bar) pair.
 
 A pair (a, b) with gcd(a,b)=1 and 1 <= b < a is expanded as the continued
 fraction of (a/b - 1)^sign(a-2b), sign(0)=0. Every rational except the
@@ -123,29 +123,6 @@ def n_row(cd, j, prev, cur, nxt):
     if j < cd.d:
         n -= row[j] * nxt
     return n
-
-
-def quad_form(cd, m, barred=False):
-    """m C m, or the barred variant m C m + m_d (m_{d-1} - m_d) (m_0 := 0)."""
-    car = cd.cartan
-    d = cd.d
-    if len(m) != d:
-        raise ValueError("m must have length d")
-    full = sum(m[j] * car[j][k] * m[k] for j in range(d) for k in range(d))
-    if not barred:
-        return full
-    prev = m[d - 2] if d >= 2 else 0
-    return full + m[d - 1] * (prev - m[d - 1])
-
-
-def quad_form_squares(c, m):
-    """m C m as the block sum of squares; used as an independent cross-check."""
-    total = 0
-    for i, (lo, hi) in enumerate(zip(c.t[:-1], c.t[1:])):
-        total += m[lo] ** 2
-        for k in range(lo + 1, hi):
-            total += (m[k - 1] - m[k]) ** 2
-    return total
 
 
 def _cf_value(quots):

@@ -38,6 +38,12 @@ class NonIntegerExponentError(ValueError):
     """An alternating sum produced a fractional q-exponent at a contributing term."""
 
 
+def _times_one_minus(c, e):
+    """Dense coefficients of (1 - x^e) times those of c, by one shifted subtraction."""
+    pad = [0] * e
+    return [u - v for u, v in zip(c + pad, pad + c)]
+
+
 def qbin(n, m, base=1):
     """Gaussian binomial [n choose m] in q**base; 0 when m < 0 or n-m < 0.
 
@@ -52,14 +58,14 @@ def qbin(n, m, base=1):
     (the top j coefficients of the quotient must vanish), else
     ArithmeticError. Base 0 is the constant comb(n, m); a negative base is
     qbin(n, m, -base).inverse_q(). Raises DegreeLimitError (a ValueError)
-    when the degree base*m*(n-m) exceeds QBIN_MAX_DEGREE, before any work.
+    when the degree |base|*m*(n-m) exceeds QBIN_MAX_DEGREE, before any work.
     """
     if m < 0 or n - m < 0:
         return LaurentPoly.zero()
     m = min(m, n - m)
-    if base * m * (n - m) > QBIN_MAX_DEGREE:
+    if abs(base) * m * (n - m) > QBIN_MAX_DEGREE:
         raise DegreeLimitError(f"qbin({n}, {m}, base={base}) has degree "
-                               f"{base * m * (n - m)} > {QBIN_MAX_DEGREE}")
+                               f"{abs(base) * m * (n - m)} > {QBIN_MAX_DEGREE}")
     if base <= 0:
         if base == 0:
             return LaurentPoly.monomial(0, comb(n, m))
@@ -76,8 +82,7 @@ def qbin(n, m, base=1):
     for e, v in (_QBIN_CACHE[n, k, base].coeffs.items() if k else ((0, 1),)):
         c[e // base] = v
     for j in range(k + 1, m + 1):
-        pad = [0] * (n - j + 1)
-        c = [u - v for u, v in zip(c + pad, pad + c)]
+        c = _times_one_minus(c, n - j + 1)
         for r in range(j):
             c[r::j] = accumulate(c[r::j])
         if any(c[-j:]):
@@ -90,18 +95,21 @@ def qbin(n, m, base=1):
 
 
 def q_poch(n, base=1):
-    """(q^base; q^base)_n = prod_{k=1..n} (1 - q^(base*k)); empty product for n=0."""
+    """(q^base; q^base)_n = prod_{k=1..n} (1 - q^(base*k)); empty product for
+    n=0. Built on from the largest memoized k <= n, memoizing each step;
+    DegreeLimitError when |base|*n(n+1)/2 > QBIN_MAX_DEGREE, before any work."""
     if n < 0:
         raise ValueError("q_poch requires n >= 0")
-    key = (n, base)
-    hit = _POCH_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if n == 0:
-        res = LaurentPoly.one()
-    else:
-        res = q_poch(n - 1, base) * (LaurentPoly.one() - LaurentPoly.monomial(base * n))
-    _POCH_CACHE[key] = res
+    if abs(base) * n * (n + 1) // 2 > QBIN_MAX_DEGREE:
+        raise DegreeLimitError(f"q_poch({n}, base={base}) has degree "
+                               f"{abs(base) * n * (n + 1) // 2} > {QBIN_MAX_DEGREE}")
+    k = n
+    while k and (k, base) not in _POCH_CACHE:
+        k -= 1
+    res = _POCH_CACHE.get((k, base), _ONE)
+    for j in range(k + 1, n + 1):
+        res = res * (_ONE - LaurentPoly.monomial(base * j))
+        _POCH_CACHE[j, base] = res
     return res
 
 
@@ -192,17 +200,10 @@ def borwein_split(n):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    prod = LaurentPoly.one()
-    for k in range(1, n + 1):
-        prod = prod * (LaurentPoly.one() - LaurentPoly.monomial(3 * k - 2))
-        prod = prod * (LaurentPoly.one() - LaurentPoly.monomial(3 * k - 1))
-    a, b, c = {}, {}, {}
-    for e, coef in prod.coeffs.items():
-        r, d = e % 3, e // 3
-        if r == 0:
-            a[d] = coef
-        elif r == 1:
-            b[d] = -coef
-        else:
-            c[d] = -coef
-    return LaurentPoly(a), LaurentPoly(b), LaurentPoly(c)
+    c = [1]  # c[i] is the coefficient of q^i
+    for e in range(1, 3 * n + 1):
+        if e % 3:
+            c = _times_one_minus(c, e)
+    return (LaurentPoly(dict(enumerate(c[0::3]))),
+            LaurentPoly(dict(enumerate(-v for v in c[1::3]))),
+            LaurentPoly(dict(enumerate(-v for v in c[2::3]))))

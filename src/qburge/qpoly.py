@@ -87,9 +87,6 @@ class LaurentPoly:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -200,12 +197,6 @@ class LaurentPoly:
         """Substitute q -> 1/q, i.e. negate every exponent. Involutive."""
         out = LaurentPoly.__new__(LaurentPoly)
         out.coeffs = {-e: c for e, c in self.coeffs.items()}
-        return out
-
-    def subs_power(self, k):
-        """Substitute q -> q**k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e * k: c for e, c in self.coeffs.items()}
         return out
 
     def has_negative_exponent(self):
@@ -322,13 +313,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries(order={self.order}, {self.coeffs})"
-
-
-def poly_agrees_with_series(p, s):
-    """True iff p (no negative exponents) and s agree on exponents 0..s.order."""
-    if p.has_negative_exponent():
-        raise ValueError("polynomial has negative exponents")
-    return all(p.coeff(e) == s.coeffs[e] for e in range(s.order + 1))
 
 
 def first_series_difference(a, b):

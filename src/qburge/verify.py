@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 from .qpoly import (LaurentPoly, TruncatedSeries, first_poly_difference,
                     first_series_difference)
-from .qcombinat import qbin, q_poch, b_kernel, g_poly, d_poly, borwein_split
+from .qcombinat import qbin, b_kernel, g_poly, d_poly, borwein_split
 from .fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_M,
                         eval_limit_L, eval_limit_both)
 from .burge import (bosonic_eval, spec_main, spec_recip, spec_even,
@@ -32,7 +32,8 @@ class IdentityCase:
     kind: str               # polynomial | truncated-series | positivity
     description: str
     param_domain: str
-    sides: object = field(compare=False)   # params dict -> (lhs, rhs)
+    # params dict -> (lhs, rhs), or for kind positivity the polynomial to scan
+    sides: object = field(compare=False)
 
 
 @dataclass
@@ -660,20 +661,6 @@ def _case_hookp(p):
         partition_oracle(K, i, N, M, alpha, beta)
 
 
-_SECTION8 = [
-    # (id-suffix, alpha, beta, K, rhs)
-    ("a1", Fraction(1, 2), Fraction(1), 2,
-     lambda n: sum((qbin(n, m).scale(m * n) for m in range(n + 1)),
-                   LaurentPoly.zero())),
-    ("a2", Fraction(3, 3), Fraction(4, 3), 3, None),   # rhs below (double sum)
-    ("a3", Fraction(5, 4), Fraction(6, 4), 4, None),
-    ("b1", Fraction(2, 2), Fraction(3, 2), 2,
-     lambda n: sum((qbin(n, m).scale(m * m) for m in range(n + 1)),
-                   LaurentPoly.zero())),
-    ("b3", Fraction(6, 4), Fraction(7, 4), 4, None),
-]
-
-
 def _s8_a2(n):
     tot = LaurentPoly.zero()
     for m1 in range(0, 2 * n + 2):
@@ -698,21 +685,69 @@ def _s8_triple(n, middle_sq):
     return tot
 
 
+def _s8_single(n, quad):
+    return sum((qbin(n, m).scale(quad(m)) for m in range(n + 1)),
+               LaurentPoly.zero())
+
+
+# entry -> (alpha, beta, K, sum side of G(n, n; alpha, beta, K)); b2 is the
+# one open slot of the closing display, so it is scanned for positivity only
+_SECTION8 = {
+    "a1": (Fraction(1, 2), Fraction(1), 2, lambda n: _s8_single(n, lambda m: m * n)),
+    "a2": (Fraction(3, 3), Fraction(4, 3), 3, _s8_a2),
+    "a3": (Fraction(5, 4), Fraction(6, 4), 4, lambda n: _s8_triple(n, False)),
+    "b1": (Fraction(2, 2), Fraction(3, 2), 2, lambda n: _s8_single(n, lambda m: m * m)),
+    "b2": (Fraction(4, 3), Fraction(5, 3), 3, None),
+    "b3": (Fraction(6, 4), Fraction(7, 4), 4, lambda n: _s8_triple(n, True)),
+}
+
+
 @_register("section8", "polynomial",
            "closing-display identities for G(n,n;alpha,beta,K) with "
            "noninteger parameters", "entry in {a1,a2,a3,b1,b3}, n >= 0")
 def _case_section8(p):
-    entry, n = p["entry"], p["n"]
-    table = {e[0]: e for e in _SECTION8}
-    _, alpha, beta, K, rhs = table[entry]
-    lhs = g_poly(n, n, alpha, beta, K)
-    if entry == "a2":
-        return lhs, _s8_a2(n)
-    if entry == "a3":
-        return lhs, _s8_triple(n, middle_sq=False)
-    if entry == "b3":
-        return lhs, _s8_triple(n, middle_sq=True)
-    return lhs, rhs(n)
+    alpha, beta, K, rhs = _SECTION8[p["entry"]]
+    return g_poly(p["n"], p["n"], alpha, beta, K), rhs(p["n"])
+
+
+# positivity cases: every coefficient of the scanned polynomial is >= 0
+
+@_register("pos_gen", "positivity",
+           "G(L,L;b,b+1/a,a) has nonnegative coefficients",
+           "(a,b) coprime, L >= 0")
+def _case_pos_gen(p):
+    a, b, L = p["a"], p["b"], p["L"]
+    return g_poly(L, L, Fraction(b), Fraction(a * b + 1, a), a)
+
+
+@_register("pos_shifted", "positivity",
+           "the shifted family's G(L+abar,L-abar;alpha,beta,a) has "
+           "nonnegative coefficients", "(a,b) coprime, a >= 3, L >= abar")
+def _case_pos_shifted(p):
+    a, b, L = p["a"], p["b"], p["L"]
+    abar, bbar, one = shifted_bar(a, b)
+    if one:
+        alpha = Fraction(b) - Fraction(2 * abar * b, a)
+        beta = Fraction(b) + Fraction(1, a) + Fraction(2 * abar * b, a)
+    else:
+        alpha = Fraction(b - 2 * bbar)
+        beta = Fraction(b) + Fraction(1, a) + Fraction(2 * bbar)
+    return g_poly(L + abar, L - abar, alpha, beta, a)
+
+
+@_register("pos_split", "positivity",
+           "each part of the residue split of (q,q^2;q^3)_n has nonnegative "
+           "coefficients", "part in {A,B,C}, n >= 0")
+def _case_pos_split(p):
+    return borwein_split(p["n"])["ABC".index(p["part"])]
+
+
+@_register("pos_section8", "positivity",
+           "G(n,n;alpha,beta,K) of the closing display has nonnegative "
+           "coefficients", "entry in {a1,a2,a3,b1,b2,b3}, n >= 0")
+def _case_pos_section8(p):
+    alpha, beta, K, _ = _SECTION8[p["entry"]]
+    return g_poly(p["n"], p["n"], alpha, beta, K)
 
 
 # ---------------------------------------------------------------------------
@@ -741,157 +776,113 @@ def _compare(lhs, rhs):
 
 
 def check_identity(case, params):
-    """Evaluate both sides of a catalogue case and compare exactly."""
+    """Evaluate a catalogue case and check it exactly: its two sides are
+    equal, or, for a positivity case, its polynomial has no negative
+    coefficient (the first one is reported against 0)."""
     if isinstance(case, str):
         case = CATALOGUE[case]
     t0 = time.perf_counter()
-    lhs, rhs = case.sides(params)
-    status, d, lc, rc = _compare(lhs, rhs)
+    if case.kind == "positivity":
+        neg = case.sides(params).min_negative()
+        status, d, lc, rc = ("pass", None, None, None) if neg is None \
+            else ("fail", *neg, 0)
+    else:
+        status, d, lc, rc = _compare(*case.sides(params))
     ms = (time.perf_counter() - t0) * 1000.0
     return VerifyReport(case.id, dict(params), status, d, lc, rc, ms)
 
 
-def _pos_report(case, params, poly, t0):
-    """Scan `poly` into a report timed from t0, the perf_counter() reading
-    the caller took before evaluating `poly`."""
-    rep = positivity_scan(poly, case, params)
-    ms = (time.perf_counter() - t0) * 1000.0
-    vr = VerifyReport(case, dict(params), "pass" if rep.nonneg else "fail",
-                      elapsed_ms=ms)
-    if not rep.nonneg:
-        vr.first_diff_exponent, vr.lhs_coeff = rep.first_negative
-        vr.rhs_coeff = 0
-    return vr
+def _grid(case_ids, lm, pairs=None):
+    """Checks of each case over L, M <= lm, and over (a, b) in pairs if given."""
+    heads = [{}] if pairs is None else [{"a": a, "b": b} for a, b in pairs]
+    return [(cid, {**h, "L": L, "M": M}) for cid in case_ids for h in heads
+            for L in range(lm + 1) for M in range(lm + 1)]
 
 
-SUITES = ("thmmain", "thmmain2", "even", "corollaries", "series",
-          "positivity", "section8", "comp", "hookp")
+def _thmmain2(bud):
+    return _grid(("shifted", "shifted_tree"), bud.lm_max,
+                 _pairs(bud.a_max, a_min=3)) + \
+        _grid(("ab32", "rr2inv"), bud.lm_max)
+
+
+def _corollaries(bud):
+    pairs, vs = _pairs(bud.a_max), range(bud.lm_max + 1)
+    return _grid(("recip",), bud.lm_max, pairs) + \
+        [(cid, {"a": a, "b": b, idx: v})
+         for cid, idx in (("g_eq_limF", "L"), ("g_eq_limf", "L"),
+                          ("g_eq_limFt", "M"), ("g_eq_limft", "M"))
+         for a, b in pairs for v in vs] + \
+        [("isolated", {"L": L}) for L in vs]
+
+
+def _comp(bud):
+    return _grid(("bnew", "bnewp", "bnewp2", "brep", "comp", "comp2",
+                  "comp_sum", "f31_display"), bud.lm_max) + \
+        [(cid, {"L": L}) for cid in ("rr1", "rr2") for L in range(bud.lm_max + 1)]
+
+
+def _series(bud):
+    # the Fibonacci pairs (F_k, F_{k-1}) and (F_k, F_{k-2}) at k = 5, 6 follow
+    # the first five odd-modulus pairs, so (5, 3) and (5, 2) run twice
+    odd = [(3, 2), (5, 2), (5, 3), (7, 2), (7, 5), (5, 3), (8, 5), (5, 2), (8, 3)]
+    pairs = {"series_F": [(2, 1), (3, 1), (4, 1)] + odd, "series_f": odd,
+             "series_I": [(2, 1), (3, 1), (3, 2), (5, 3)]}
+    return [(cid, {"a": a, "b": b, "T": bud.T}) for cid, ps in pairs.items()
+            for a, b in ps] + \
+        [("series_agid", {"k": k, "T": bud.T}) for k in (2, 3, 4)] + \
+        [(cid, {"T": bud.T}) for cid in ("series_display75F", "series_display72F",
+                                         "series_display75f", "series_display72f")]
+
+
+def _positivity(bud):
+    return [("pos_gen", {"a": a, "b": b, "L": L}) for a, b in _pairs(bud.a_max)
+            for L in range(bud.pos_l_max + 1)] + \
+        [("pos_shifted", {"a": a, "b": b, "L": L})
+         for a, b in _pairs(bud.a_max, a_min=3)
+         for L in range(shifted_bar(a, b)[0], bud.pos_l_max + 1)] + \
+        [("pos_split", {"part": part, "n": n}) for n in range(31) for part in "ABC"] + \
+        [("pos_section8", {"entry": e, "n": n}) for e in _SECTION8
+         for n in range(bud.n_max + 1)]
+
+
+def _hookp(bud):
+    # valid region determined by exhaustive scan: the stated window on
+    # N-M plus 1 <= i <= K-1 and alpha+beta < K; outside it the
+    # alternating sum picks up uncancelled wrap-around terms and stops
+    # being a generating function
+    lms = range(bud.lm_max + 1)
+    return [("hookp", {"K": K, "i": i, "N": N, "M": M, "alpha": alpha,
+                       "beta": beta})
+            for K in (3, 4, 5) for alpha in (1, 2) for beta in (1, 2)
+            if alpha + beta < K for N in lms for M in lms
+            for i in range(max(1, beta - N + M),
+                           min(K - 1, K - alpha - N + M) + 1)]
+
+
+# suite name -> the (case id, params) checks it runs under a CampaignBudget,
+# in the default order of `qburge verify`
+SUITES = {
+    "thmmain": lambda bud: _grid(("main", "main_tree"), bud.lm_max,
+                                 _pairs(bud.a_max)),
+    "thmmain2": _thmmain2,
+    "even": lambda bud: _grid(("even", "even_tree"), bud.lm_max,
+                              _pairs(bud.a_max)),
+    "corollaries": _corollaries,
+    "series": _series,
+    "positivity": _positivity,
+    "section8": lambda bud: [("section8", {"entry": e, "n": n})
+                             for e, s8 in _SECTION8.items() if s8[3]
+                             for n in range(bud.n_max + 1)],
+    "comp": _comp,
+    "hookp": _hookp,
+}
 
 
 def run_campaign(suite, budget=None):
     """Run one verification suite over the budgeted grid; reports sorted by
     (case, params) so output is deterministic."""
-    bud = budget or CampaignBudget()
-    out = []
-
-    def grid(case_ids, pairs, lm):
-        for cid in case_ids:
-            for (a, b) in pairs:
-                for L in range(0, lm + 1):
-                    for M in range(0, lm + 1):
-                        out.append(check_identity(
-                            cid, {"a": a, "b": b, "L": L, "M": M}))
-
-    if suite == "thmmain":
-        grid(["main", "main_tree"], _pairs(bud.a_max), bud.lm_max)
-    elif suite == "thmmain2":
-        grid(["shifted", "shifted_tree"], _pairs(bud.a_max, a_min=3), bud.lm_max)
-        for L in range(0, bud.lm_max + 1):
-            for M in range(0, bud.lm_max + 1):
-                out.append(check_identity("ab32", {"L": L, "M": M}))
-                out.append(check_identity("rr2inv", {"L": L, "M": M}))
-    elif suite == "even":
-        grid(["even", "even_tree"], _pairs(bud.a_max), bud.lm_max)
-    elif suite == "corollaries":
-        grid(["recip"], _pairs(bud.a_max), bud.lm_max)
-        for cid, idx in (("g_eq_limF", "L"), ("g_eq_limf", "L"),
-                         ("g_eq_limFt", "M"), ("g_eq_limft", "M")):
-            for (a, b) in _pairs(bud.a_max):
-                for v in range(0, bud.lm_max + 1):
-                    out.append(check_identity(cid, {"a": a, "b": b, idx: v}))
-        for L in range(0, bud.lm_max + 1):
-            out.append(check_identity("isolated", {"L": L}))
-    elif suite == "comp":
-        for cid in ("bnew", "bnewp", "bnewp2", "brep", "comp", "comp2",
-                    "comp_sum", "f31_display"):
-            for L in range(0, bud.lm_max + 1):
-                for M in range(0, bud.lm_max + 1):
-                    out.append(check_identity(cid, {"L": L, "M": M}))
-        for L in range(0, bud.lm_max + 1):
-            out.append(check_identity("rr1", {"L": L}))
-            out.append(check_identity("rr2", {"L": L}))
-    elif suite == "series":
-        for k in (2, 3, 4):
-            out.append(check_identity("series_F", {"a": k, "b": 1, "T": bud.T}))
-            out.append(check_identity("series_agid", {"k": k, "T": bud.T}))
-        for k in (2, 3):
-            out.append(check_identity("series_I", {"a": k, "b": 1, "T": bud.T}))
-        for (a, b) in ((3, 2), (5, 2), (5, 3), (7, 2), (7, 5)):
-            out.append(check_identity("series_F", {"a": a, "b": b, "T": bud.T}))
-            out.append(check_identity("series_f", {"a": a, "b": b, "T": bud.T}))
-        for cid in ("series_display75F", "series_display72F",
-                    "series_display75f", "series_display72f"):
-            out.append(check_identity(cid, {"T": bud.T}))
-        # Fibonacci pairs (F_k, F_{k-1}) and (F_k, F_{k-2}) at k = 5, 6
-        for (a, b) in ((5, 3), (8, 5), (5, 2), (8, 3)):
-            out.append(check_identity("series_F", {"a": a, "b": b, "T": bud.T}))
-            out.append(check_identity("series_f", {"a": a, "b": b, "T": bud.T}))
-        # even-modulus Fibonacci cases
-        for (a, b) in ((3, 2), (5, 3)):
-            out.append(check_identity("series_I", {"a": a, "b": b, "T": bud.T}))
-    elif suite == "hookp":
-        # valid region determined by exhaustive scan: the stated window on
-        # N-M plus 1 <= i <= K-1 and alpha+beta < K; outside it the
-        # alternating sum picks up uncancelled wrap-around terms and stops
-        # being a generating function
-        for K in (3, 4, 5):
-            for alpha in (1, 2):
-                for beta in (1, 2):
-                    if alpha + beta >= K:
-                        continue
-                    for N in range(0, bud.lm_max + 1):
-                        for M in range(0, bud.lm_max + 1):
-                            ilo = max(1, beta - N + M)
-                            ihi = min(K - 1, K - alpha - N + M)
-                            for i in range(ilo, ihi + 1):
-                                out.append(check_identity(
-                                    "hookp", {"K": K, "i": i, "N": N, "M": M,
-                                              "alpha": alpha, "beta": beta}))
-    elif suite == "section8":
-        for entry in ("a1", "a2", "a3", "b1", "b3"):
-            for n in range(0, bud.n_max + 1):
-                out.append(check_identity("section8", {"entry": entry, "n": n}))
-    elif suite == "positivity":
-        for (a, b) in _pairs(bud.a_max):
-            for L in range(0, bud.pos_l_max + 1):
-                t0 = time.perf_counter()
-                g = g_poly(L, L, Fraction(b), Fraction(a * b + 1, a), a)
-                out.append(_pos_report("pos_gen", {"a": a, "b": b, "L": L},
-                                       g, t0))
-        for (a, b) in _pairs(bud.a_max, a_min=3):
-            abar, bbar, one = shifted_bar(a, b)
-            if one:
-                alpha = Fraction(b) - Fraction(2 * abar * b, a)
-                beta = Fraction(b) + Fraction(1, a) + Fraction(2 * abar * b, a)
-            else:
-                alpha = Fraction(b - 2 * bbar)
-                beta = Fraction(b) + Fraction(1, a) + Fraction(2 * bbar)
-            for L in range(abar, bud.pos_l_max + 1):
-                t0 = time.perf_counter()
-                g = g_poly(L + abar, L - abar, alpha, beta, a)
-                out.append(_pos_report("pos_shifted", {"a": a, "b": b, "L": L},
-                                       g, t0))
-        for n in range(0, 31):
-            # the split's own time goes to its A record
-            t0 = time.perf_counter()
-            for name, poly in zip("ABC", borwein_split(n)):
-                out.append(_pos_report("pos_split", {"part": name, "n": n},
-                                       poly, t0))
-                t0 = time.perf_counter()
-        for entry, alpha, beta, K, _rhs in _SECTION8:
-            for n in range(0, bud.n_max + 1):
-                t0 = time.perf_counter()
-                g = g_poly(n, n, alpha, beta, K)
-                out.append(_pos_report("pos_section8",
-                                       {"entry": entry, "n": n}, g, t0))
-        # the one open slot of the closing display, positivity only
-        for n in range(0, bud.n_max + 1):
-            t0 = time.perf_counter()
-            g = g_poly(n, n, Fraction(4, 3), Fraction(5, 3), 3)
-            out.append(_pos_report("pos_section8", {"entry": "b2", "n": n},
-                                   g, t0))
-    else:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-
-    out.sort(key=VerifyReport.key)
-    return out
+    checks = SUITES[suite](budget or CampaignBudget())
+    return sorted((check_identity(cid, p) for cid, p in checks),
+                  key=VerifyReport.key)

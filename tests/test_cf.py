@@ -5,12 +5,35 @@ from math import gcd
 import pytest
 
 from qburge.cf import (check_pair, cf_expand, cf_toggle, build_cartan,
-                       n_row, quad_form, quad_form_squares, bar_pair)
+                       n_row, bar_pair)
 
 
 def coprime_pairs(a_max, a_min=2):
     return [(a, b) for a in range(a_min, a_max + 1)
             for b in range(1, a) if gcd(a, b) == 1]
+
+
+def quad_form(cd, m, barred=False):
+    """m C m, or the barred variant m C m + m_d (m_{d-1} - m_d) (m_0 := 0)."""
+    car = cd.cartan
+    d = cd.d
+    if len(m) != d:
+        raise ValueError("m must have length d")
+    full = sum(m[j] * car[j][k] * m[k] for j in range(d) for k in range(d))
+    if not barred:
+        return full
+    prev = m[d - 2] if d >= 2 else 0
+    return full + m[d - 1] * (prev - m[d - 1])
+
+
+def quad_form_squares(c, m):
+    """m C m as the block sum of squares, an independent cross-check of quad_form."""
+    total = 0
+    for lo, hi in zip(c.t[:-1], c.t[1:]):
+        total += m[lo] ** 2
+        for k in range(lo + 1, hi):
+            total += (m[k - 1] - m[k]) ** 2
+    return total
 
 
 def test_check_pair():

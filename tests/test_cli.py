@@ -1,6 +1,7 @@
 """Command-line interface: eval, verify, list-identities, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -139,6 +140,7 @@ def test_verify_config_errors(tmp_path, capsys):
     (["eval", "qbin", "100000000", "3"], None),
     (["eval", "series", "F", "2", "1", "--order", "100000000"], None),
     (["verify", "--suite", "series", "--order", "100000000"], None),
+    (["eval", "qbin", "100000000", "3", "-1"], None),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
@@ -225,3 +227,23 @@ def test_list_identities(capsys):
     code, out, _ = run(capsys, ["list-identities"])
     assert code == 0
     assert "main" in out and "hookp" in out and "series_F" in out
+    lines = out.splitlines()
+    assert len(lines) == 38
+    assert sorted(line.split()[0] for line in lines
+                  if line.split()[1] == "[positivity]") == \
+        ["pos_gen", "pos_section8", "pos_shifted", "pos_split"]
+
+
+def test_verify_default_json_digest(tmp_path, capsys):
+    # the default campaign's records, elapsed_ms aside, pinned by the digest
+    # the benchmark's campaign workload checks
+    dest = tmp_path / "report.json"
+    code, _, _ = run(capsys, ["verify", "--format", "json", "--out", str(dest)])
+    assert code == 0
+    records = json.loads(dest.read_text())
+    assert len(records) == 4802
+    for r in records:
+        del r["elapsed_ms"]
+    canon = sorted(json.dumps(r, sort_keys=True) for r in records)
+    assert hashlib.sha256("\n".join(canon).encode()).hexdigest() == \
+        "f74723f27b5d404bb982c7ae9a1aa9e0349ba8bf678a625eab6f7cc284ddbb25"

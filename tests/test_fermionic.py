@@ -5,12 +5,14 @@ from math import gcd
 
 import pytest
 
-from qburge.qpoly import LaurentPoly, TruncatedSeries, poly_agrees_with_series
+from qburge.qpoly import LaurentPoly, TruncatedSeries
 from qburge.qcombinat import qbin, q_poch, poch_range
-from qburge.cf import quad_form
 from qburge.fermionic import (_kernel, _lattice_sum, _psi, cartan_for,
                               eval_F, eval_f, eval_H, eval_I, eval_limit_M,
                               eval_limit_L, eval_limit_both)
+
+from test_cf import quad_form
+from test_qpoly import poly_agrees_with_series
 
 
 def lp(d):

@@ -1,6 +1,8 @@
 """q-binomials, Pochhammer products, kernel, G/D sums, residue split."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,11 @@ def lp(d):
     return LaurentPoly(dict(d))
 
 
+def subs_power(p, k):
+    """p with q -> q**k."""
+    return lp({e * k: c for e, c in p.coeffs.items()})
+
+
 def test_qbin_examples():
     assert qbin(2, 1) == lp({0: 1, 1: 1})
     assert qbin(4, 2) == lp({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
@@ -29,6 +36,10 @@ def test_qbin_examples():
 def test_qbin_degree_limit(monkeypatch):
     with pytest.raises(qcombinat.DegreeLimitError):
         qbin(10 ** 8, 3)
+    # a negative base is checked, and named, as the caller gave it
+    with pytest.raises(qcombinat.DegreeLimitError,
+                       match=r"^qbin\(100000000, 3, base=-1\) has degree "):
+        qbin(10 ** 8, 3, base=-1)
     monkeypatch.setattr(qcombinat, "QBIN_MAX_DEGREE", 12)
     assert qbin(8, 2).degree() == 12 and qbin(7, 1, base=2).degree() == 12
     for n, m, base in ((9, 2, 1), (9, 7, 1), (8, 1, 2)):
@@ -108,6 +119,29 @@ def test_q_poch():
         q_poch(-1)
     assert poch_range(3, 2) == LaurentPoly.one()
     assert q_poch(4) == q_poch(2) * poch_range(3, 4)
+
+
+def test_q_poch_degree_limit(monkeypatch):
+    monkeypatch.setattr(qcombinat, "QBIN_MAX_DEGREE", 10)
+    assert q_poch(4).degree() == 10 and q_poch(2, base=-3).valuation() == -9
+    for n, base in ((5, 1), (3, 2), (3, -2), (10 ** 9, 1)):
+        with pytest.raises(qcombinat.DegreeLimitError,
+                           match=rf"^q_poch\({n}, base={base}\) has degree "):
+            q_poch(n, base)
+
+
+def test_q_poch_builds_in_a_loop(monkeypatch):
+    # a cold (q)_60 must not recurse: allow only a few frames above this one
+    monkeypatch.setattr(qcombinat, "_POCH_CACHE", {})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        p60 = q_poch(60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p60 == poch_range(1, 60)
+    assert sorted(qcombinat._POCH_CACHE) == [(n, 1) for n in range(1, 61)]
+    assert q_poch(62) == p60 * poch_range(61, 62)
 
 
 def test_b_kernel_examples():
@@ -214,8 +248,8 @@ def test_borwein_split_reconstruction():
         prod = LaurentPoly.one()
         for k in range(1, n + 1):
             prod = prod * lp({0: 1, 3 * k - 2: -1}) * lp({0: 1, 3 * k - 1: -1})
-        rec = an.subs_power(3) - bn.subs_power(3).scale(1) \
-            - cn.subs_power(3).scale(2)
+        rec = subs_power(an, 3) - subs_power(bn, 3).scale(1) \
+            - subs_power(cn, 3).scale(2)
         assert rec == prod
 
 

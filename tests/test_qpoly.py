@@ -4,13 +4,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qburge.qcombinat import poch_range, q_poch, qbin
-from qburge.qpoly import (LaurentPoly, TruncatedSeries,
-                          poly_agrees_with_series, first_poly_difference,
+from qburge.qpoly import (LaurentPoly, TruncatedSeries, first_poly_difference,
                           first_series_difference)
 
 
 def lp(d):
     return LaurentPoly(dict(d))
+
+
+def poly_agrees_with_series(p, s):
+    """True iff p (no negative exponents) and s agree on exponents 0..s.order."""
+    if p.has_negative_exponent():
+        raise ValueError("polynomial has negative exponents")
+    return all(p.coeff(e) == s.coeffs[e] for e in range(s.order + 1))
 
 
 small_polys = st.dictionaries(

@@ -3,6 +3,7 @@
 import pytest
 
 from qburge.qpoly import LaurentPoly, TruncatedSeries
+from qburge import verify
 from qburge.qcombinat import qbin, d_poly
 from qburge.verify import (CATALOGUE, CampaignBudget, IdentityCase, SUITES,
                            check_identity, partition_oracle, positivity_scan,
@@ -69,14 +70,24 @@ def test_check_identity_fail_reporting():
                                      TruncatedSeries(3, [1, 1, 0, 1])))
     r = check_identity(fake_s, {})
     assert r.status == "fail" and r.first_diff_exponent == 2
+    fake_p = IdentityCase("fake_p", "positivity", "", "",
+                          lambda p: lp({0: 1, 3: -1}))
+    r = check_identity(fake_p, {})
+    assert r.status == "fail" and r.first_diff_exponent == 3
+    assert (r.lhs_coeff, r.rhs_coeff) == (-1, 0)
+    ok_p = IdentityCase("ok_p", "positivity", "", "", lambda p: lp({0: 1, 2: 3}))
+    assert check_identity(ok_p, {}).status == "pass"
 
 
 def test_catalogue_shape():
     assert set(CATALOGUE) >= {"main", "recip", "shifted", "even", "hookp",
                               "series_F", "section8"}
     for case in CATALOGUE.values():
-        assert case.kind in ("polynomial", "truncated-series")
+        assert case.kind in ("polynomial", "truncated-series", "positivity")
         assert case.description
+    assert {cid for cid, case in CATALOGUE.items()
+            if case.kind == "positivity"} == \
+        {"pos_gen", "pos_shifted", "pos_split", "pos_section8"}
 
 
 def test_campaign_small_all_pass_and_deterministic():
@@ -95,6 +106,25 @@ def test_positivity_records_are_timed():
                                                      pos_l_max=5))
     timed = {r.case for r in reps if r.elapsed_ms > 0}
     assert timed == {"pos_gen", "pos_shifted", "pos_split", "pos_section8"}
+
+
+def test_every_record_is_one_check_identity_call(monkeypatch):
+    # the way a benchmark times campaign records: wrap the module globals
+    calls = {"check_identity": 0, "positivity_scan": 0}
+
+    def counting(name):
+        fn = getattr(verify, name)
+
+        def hooked(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return hooked
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counting(name))
+    bud = CampaignBudget(a_max=3, lm_max=2, n_max=2, T=10, pos_l_max=3)
+    n = sum(len(run_campaign(suite, bud)) for suite in SUITES)
+    assert calls == {"check_identity": n, "positivity_scan": 0}
 
 
 def test_campaign_unknown_suite():
