@@ -7,14 +7,17 @@ binomials (the L0 layer).
 Run it as its own interpreter, so the memo caches start cold: the operands
 are built first, and only `a * b` is timed. Each family's time is the best
 of REPEAT runs of enough products to take at least 0.2 s, printed per
-product with the interpreter version and CPU count. The families are
-chosen to reach each path of LaurentPoly.__mul__:
+product with the interpreter version, the CPU count and the operands'
+spans (degree - valuation + 1, the length of their coefficient lists).
+The families are chosen to reach both paths of LaurentPoly.__mul__ with
+two operands of more than one term:
 
-- small:  10 x 10 positive terms, under the packing threshold (schoolbook);
-- qbin:   [16, 8] x [18, 9], dense and nonnegative (packed);
-- poch:   [20, 10] x (q)_20, dense and signed (packed);
-- sparse: (1 - q^88) x (q, q^2; q^3)_29, two terms by a long signed
-          polynomial (schoolbook).
+- small:  spans 10 x 10, positive, under the packing threshold (schoolbook);
+- qbin:   [16, 8] x [18, 9], nonnegative (packed);
+- poch:   [20, 10] x (q)_20, signed (packed);
+- sparse: (1 - q^88) x (q, q^2; q^3)_29, two terms over a span of 89 by a
+          long signed polynomial (packed, since a span costs a word per
+          exponent whether or not its coefficient is zero).
 
 Then it times qbin on a cleared memo, one call per run, best of REPEAT:
 [50, 25] (the largest the catalogue uses), [100, 50] and [2501, 1] (at
@@ -55,7 +58,7 @@ def main():
         timer = timeit.Timer(lambda: a * b)
         number, _ = timer.autorange()
         best = min(timer.repeat(REPEAT, number)) / number
-        print(f"{name:7s} {len(a.coeffs):4d} x {len(b.coeffs):4d} terms "
+        print(f"{name:7s} {len(a.coeffs):4d} x {len(b.coeffs):4d} span  "
               f"{best * 1e6:10.1f} us")
     for n, m, base in COLD_QBIN:
         timer = timeit.Timer(lambda: qbin(n, m, base),

@@ -43,9 +43,6 @@ class CFData:
         """n in [a_0, ..., a_n]."""
         return len(self.quotients) - 1
 
-    def last_ge2(self):
-        return self.quotients[-1] >= 2 or self.quotients == (1,)
-
 
 def cf_expand(a, b, last_ge2=True):
     """Continued fraction of (a/b - 1)^sign(a-2b) in the requested representation.

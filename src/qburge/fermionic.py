@@ -32,8 +32,7 @@ from math import isqrt
 
 from .cf import build_cartan, cf_expand, n_row
 from .qpoly import LaurentPoly, TruncatedSeries
-from .qcombinat import (QBIN_MAX_DEGREE, DegreeLimitError, poch_range,
-                        q_poch, qbin)
+from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin
 
 _CARTAN_CACHE = {}
 
@@ -49,8 +48,8 @@ def cartan_for(a, b, last_ge2=True):
 
 def _cut(p, cut):
     """p without the terms above q^cut (all of p when cut is None)."""
-    return p if cut is None else LaurentPoly(
-        {e: c for e, c in p.coeffs.items() if e <= cut})
+    return p if cut is None else LaurentPoly.dense(
+        p.lo, p.coeffs[:max(0, cut + 1 - p.lo)])
 
 
 def _lattice_sum(d, top, head, phi, psi, cut=None):
@@ -229,7 +228,7 @@ def eval_limit_L(family, a, b, M):
         raise NotImplementedError("large-L limit provided for families F and f only")
     if family == "f" and b == 1:
         if a == 2:
-            return poch_range(M + 1, 2 * M)
+            return qbin(2 * M, M) * q_poch(M)
         return eval_limit_L("F", a - 1, 1, M)
     cd = cartan_for(a, b, last_ge2=True)
     mids = {}
@@ -273,7 +272,7 @@ def eval_limit_both(family, a, b, T, last_ge2=True):
             s = TruncatedSeries.one(T)
             for i in range(1, k + 1):
                 s = s.div_one_minus(key[0] * i)
-            inverses[key] = LaurentPoly(dict(enumerate(s.coeffs)))
+            inverses[key] = LaurentPoly.dense(0, s.coeffs)
         return inverses[key]
 
     total = _limit(cd, family, isqrt(T), lambda m1: LaurentPoly.one(),

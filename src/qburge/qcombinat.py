@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .qpoly import LaurentPoly
+from .qpoly import DegreeLimitError, LaurentPoly
 
 # memos: qbin keyed (n, m, base) with base >= 1 and m <= n - m, q_poch keyed
 # (n, base); values immutable, concurrent re-insert harmless
@@ -28,10 +28,6 @@ _ONE = LaurentPoly.one()  # [n, 0], shared like the memoized values
 # and 8 MB (the 50 memoized [100, j]), a cold [2501, 1] 0.2 ms and under
 # 1 MB.
 QBIN_MAX_DEGREE = 2_500
-
-
-class DegreeLimitError(ValueError):
-    """A q-binomial degree or a series order above QBIN_MAX_DEGREE was asked for."""
 
 
 class NonIntegerExponentError(ValueError):
@@ -78,9 +74,8 @@ def qbin(n, m, base=1):
     k = m - 1
     while k and (n, k, base) not in _QBIN_CACHE:
         k -= 1
-    c = [0] * (k * (n - k) + 1)  # c[i] is the coefficient of x^i
-    for e, v in (_QBIN_CACHE[n, k, base].coeffs.items() if k else ((0, 1),)):
-        c[e // base] = v
+    # c[i] is the coefficient of x^i
+    c = _QBIN_CACHE[n, k, base].coeffs[::base] if k else [1]
     for j in range(k + 1, m + 1):
         c = _times_one_minus(c, n - j + 1)
         for r in range(j):
@@ -89,7 +84,9 @@ def qbin(n, m, base=1):
             raise ArithmeticError(f"qbin({n}, {j}, base={base}): "
                                   f"inexact division by 1 - q^{base * j}")
         del c[-j:]
-        res = LaurentPoly(dict(zip(range(0, base * len(c), base), c)))
+        spread = [0] * (base * len(c) - base + 1)
+        spread[::base] = c
+        res = LaurentPoly.dense(0, spread)
         _QBIN_CACHE[n, j, base] = res
     return res
 
@@ -110,14 +107,6 @@ def q_poch(n, base=1):
     for j in range(k + 1, n + 1):
         res = res * (_ONE - LaurentPoly.monomial(base * j))
         _POCH_CACHE[j, base] = res
-    return res
-
-
-def poch_range(lo, hi):
-    """prod_{k=lo..hi} (1 - q^k); empty product when lo > hi."""
-    res = LaurentPoly.one()
-    for k in range(lo, hi + 1):
-        res = res * (LaurentPoly.one() - LaurentPoly.monomial(k))
     return res
 
 
@@ -204,6 +193,6 @@ def borwein_split(n):
     for e in range(1, 3 * n + 1):
         if e % 3:
             c = _times_one_minus(c, e)
-    return (LaurentPoly(dict(enumerate(c[0::3]))),
-            LaurentPoly(dict(enumerate(-v for v in c[1::3]))),
-            LaurentPoly(dict(enumerate(-v for v in c[2::3]))))
+    return (LaurentPoly.dense(0, c[0::3]),
+            LaurentPoly.dense(0, [-v for v in c[1::3]]),
+            LaurentPoly.dense(0, [-v for v in c[2::3]]))

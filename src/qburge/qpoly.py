@@ -1,7 +1,11 @@
 """Exact Laurent polynomials and truncated power series over Python ints.
 
-A Laurent polynomial is stored as a dict {exponent: coefficient} with no
-zero coefficients, so structural equality is mathematical equality.
+A Laurent polynomial is its lowest exponent `lo` and the dense list
+`coeffs` of the coefficients of q^lo, q^(lo+1), ... with nonzero ends
+(zero is lo = 0, []), so structural equality is mathematical equality.
+Values are immutable and may share lists. A list costs memory per exponent
+of its span, so the dict constructor, `+` and `*` raise DegreeLimitError
+before they build a span above MAX_SPAN.
 A truncated series keeps coefficients 0..order in a list; arithmetic on
 two series truncates to the smaller order.
 
@@ -12,12 +16,10 @@ base 2^w with w = 16, 32 or 64 bits wide enough for every product
 coefficient, and one bigint product replaces the term-pair loop. Signed
 coefficients, such as those of the Pochhammer products (q)_n, are made
 nonnegative digits by a bias of 2^(w-1) per word, so no digit borrows. A
-product is packed only when it is dense: more than 256 term pairs, and
-more than four term pairs per exponent in the operands' summed spans, since
-packing costs a word per exponent of the span. A sparse product, such as
-a two-term factor (1 - q^k) times a long polynomial, stays on schoolbook,
-and so does a product whose coefficient bound exceeds 63 bits, which no
-machine word holds with its sign.
+product of more than 256 coefficient pairs is packed; a product with a
+one-term operand is a `scale`; any other product, or one whose coefficient
+bound exceeds 63 bits (no machine word holds it with its sign), is a
+schoolbook sum of shifted rows.
 """
 
 from __future__ import annotations
@@ -25,14 +27,23 @@ from __future__ import annotations
 import sys
 from array import array
 
-# the density rule above: a product is packed when its term pairs number
-# more than _PACK_MIN_PAIRS and more than _PACK_DENSITY per exponent of the
-# operands' summed spans
+# products of more than this many coefficient pairs are packed
 _PACK_MIN_PAIRS = 256
-_PACK_DENSITY = 4
+# largest span (degree - valuation + 1) that any operation builds; far
+# above the 2,501 that the catalogue, the tests and the benchmark reach
+MAX_SPAN = 1_000_000
 # array typecodes by word width in bits, chosen by itemsize, not by name
 _UNSIGNED = {array(c).itemsize * 8: c for c in "QLIH"}
 _SIGNED = {array(c).itemsize * 8: c for c in "qlih"}
+
+
+class DegreeLimitError(ValueError):
+    """A q-binomial degree, series order or polynomial span above its bound."""
+
+
+def _check_span(n):
+    if n > MAX_SPAN:
+        raise DegreeLimitError(f"polynomial span {n} > {MAX_SPAN}")
 
 
 def _word_int(words):
@@ -45,172 +56,171 @@ def _word_int(words):
     return int.from_bytes(words, sys.byteorder)
 
 
+def _poly(lo, coeffs):
+    """The LaurentPoly with these fields, which must already be canonical."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.lo = lo
+    out.coeffs = coeffs
+    return out
+
+
 class LaurentPoly:
-    """Finite map exponent -> integer coefficient; exponents may be negative."""
+    """sum_i coeffs[i] q^(lo+i); exponents may be negative."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("lo", "coeffs")
 
-    def __init__(self, coeffs=None):
-        if coeffs is None:
-            self.coeffs = {}
-        else:
-            self.coeffs = {e: c for e, c in coeffs.items() if c}
+    def __init__(self, terms=None):
+        """From a dict {exponent: coefficient}; zero coefficients are dropped."""
+        exps = [e for e, c in (terms or {}).items() if c]
+        lo = min(exps, default=0)
+        span = max(exps, default=lo - 1) - lo + 1
+        _check_span(span)
+        self.lo, self.coeffs = lo, [0] * span
+        for e in exps:
+            self.coeffs[e - lo] = terms[e]
+
+    @classmethod
+    def dense(cls, lo, coeffs):
+        """sum_i coeffs[i] q^(lo+i), taking over the list `coeffs` (which the
+        caller must not change afterwards) unless it has zero ends."""
+        if coeffs and coeffs[0] and coeffs[-1]:
+            return _poly(lo, coeffs)
+        nz = [i for i, c in enumerate(coeffs) if c]
+        if not nz:
+            return _poly(0, [])
+        return _poly(lo + nz[0], coeffs[nz[0]:nz[-1] + 1])
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _poly(0, [])
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return _poly(0, [1])
 
     @classmethod
     def monomial(cls, exponent, coefficient=1):
-        return cls({exponent: coefficient})
+        return _poly(exponent, [coefficient]) if coefficient else _poly(0, [])
 
     def is_zero(self):
         return not self.coeffs
 
     def coeff(self, exponent):
-        return self.coeffs.get(exponent, 0)
+        i = exponent - self.lo
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def degree(self):
         """Top degree, or None for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else None
+        return self.lo + len(self.coeffs) - 1 if self.coeffs else None
 
     def valuation(self):
         """Bottom degree, or None for the zero polynomial."""
-        return min(self.coeffs) if self.coeffs else None
+        return self.lo if self.coeffs else None
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.lo == other.lo and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        res = dict(a)
-        for e, c in b.items():
-            s = res.get(e, 0) + c
-            if s:
-                res[e] = s
-            else:
-                res.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = res
-        return out
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        a, b = (self, other) if self.lo <= other.lo else (other, self)
+        off = b.lo - a.lo
+        end = off + len(b.coeffs)
+        _check_span(max(len(a.coeffs), end))
+        res = a.coeffs + [0] * (end - len(a.coeffs))
+        res[off:end] = [x + y for x, y in zip(res[off:end], b.coeffs)]
+        return LaurentPoly.dense(a.lo, res)
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return out
+        return _poly(self.lo, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(0, other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return LaurentPoly()
-        if len(a) > len(b):
-            a, b = b, a
-        pairs = len(a) * len(b)
-        # a span is at least its length: rules out most sparse products
-        # before their spans are scanned
-        if pairs > _PACK_MIN_PAIRS and pairs > _PACK_DENSITY * (len(a) + len(b)):
-            va, vb = min(a), min(b)
-            na, nb = max(a) - va + 1, max(b) - vb + 1
-            if pairs > _PACK_DENSITY * (na + nb):
-                out = self._mul_packed(a, b, va, vb, na, nb)
-                if out is not None:
-                    return out
-        res = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = res.get(e, 0) + c1 * c2
-                if s:
-                    res[e] = s
-                else:
-                    del res[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = res
-        return out
+        a, b = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        if len(a.coeffs) <= 1:
+            return b.scale(a.lo, a.coeffs[0]) if a.coeffs else a
+        ca, cb = a.coeffs, b.coeffs
+        nb = len(cb)
+        _check_span(len(ca) + nb - 1)
+        if len(ca) * nb > _PACK_MIN_PAIRS:
+            res = self._mul_packed(ca, cb)
+            if res is not None:
+                return _poly(a.lo + b.lo, res)
+        res = [0] * (len(ca) + nb - 1)
+        for i, c in enumerate(ca):
+            if c:
+                res[i:i + nb] = [r + c * x for r, x in zip(res[i:i + nb], cb)]
+        # the end coefficients are products of nonzero ends: nothing to strip
+        return _poly(a.lo + b.lo, res)
 
     @staticmethod
-    def _mul_packed(a, b, va, vb, na, nb):
-        """Multiply two coefficient dicts by signed Kronecker substitution.
+    def _mul_packed(a, b):
+        """The coefficient list of the product of two coefficient lists, by
+        signed Kronecker substitution.
 
-        `a` spans exponents va .. va+na-1 and `b` spans vb .. vb+nb-1.
         Every product coefficient is a sum of at most min(len(a), len(b))
         terms, so its magnitude is below 2^(k-1) with k the bound computed
         below; w is the smallest machine word (16, 32 or 64 bits) with
-        w >= k. Each operand is written densely as w-bit words c + 2^(w-1),
-        read as one integer, and its bias sum 2^(w-1) X^i (X = 2^w) is
-        subtracted, which leaves sum c_i X^i exactly. After one bigint
-        product the bias 2^(w-1) is added to every result digit, so no
-        digit borrows from the next and each word holds r + 2^(w-1) in
-        [0, 2^w); flipping the top bit of every word turns that into r in
-        two's complement, read back through a signed memoryview. Returns
-        None when k > 64 (a coefficient bound above 63 bits), which the
-        caller multiplies exactly by schoolbook.
+        w >= k. Each operand is written as w-bit words c + 2^(w-1), read as
+        one integer, and its bias sum 2^(w-1) X^i (X = 2^w) is subtracted,
+        which leaves sum c_i X^i exactly. After one bigint product the bias
+        2^(w-1) is added to every result digit, so no digit borrows from
+        the next and each word holds r + 2^(w-1) in [0, 2^w); flipping the
+        top bit of every word turns that into r in two's complement, read
+        back through a signed memoryview. Returns None when k > 64 (a
+        coefficient bound above 63 bits), which the caller multiplies
+        exactly by schoolbook.
         """
-        ma = max(max(a.values()), -min(a.values()))
-        mb = max(max(b.values()), -min(b.values()))
+        ma = max(max(a), -min(a))
+        mb = max(max(b), -min(b))
         k = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
         w = next((w for w in (16, 32, 64) if w >= k), None)
         if w is None:
             return None
         half = 1 << (w - 1)
         unit = array(_UNSIGNED[w], [half])
-        wa = unit * na
-        for e, c in a.items():
-            wa[e - va] = c + half
-        wb = unit * nb
-        for e, c in b.items():
-            wb[e - vb] = c + half
-        pa = _word_int(wa) - _word_int(unit * na)
-        pb = _word_int(wb) - _word_int(unit * nb)
-        nr = na + nb - 1
+        pa = (_word_int(array(_UNSIGNED[w], [c + half for c in a]))
+              - _word_int(unit * len(a)))
+        pb = (_word_int(array(_UNSIGNED[w], [c + half for c in b]))
+              - _word_int(unit * len(b)))
+        nr = len(a) + len(b) - 1
         bias = _word_int(unit * nr)
         raw = ((pa * pb + bias) ^ bias).to_bytes(nr * w // 8, sys.byteorder)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e: c for e, c in
-                      enumerate(memoryview(raw).cast(_SIGNED[w]), va + vb) if c}
-        return out
+        return memoryview(raw).cast(_SIGNED[w]).tolist()
 
     __rmul__ = __mul__
 
     def scale(self, exponent, coefficient=1):
         """Multiply by coefficient * q**exponent."""
-        if coefficient == 0:
-            return LaurentPoly()
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e + exponent: c * coefficient for e, c in self.coeffs.items()}
-        return out
+        if not coefficient or not self.coeffs:
+            return _poly(0, [])
+        return _poly(self.lo + exponent, self.coeffs if coefficient == 1
+                     else [c * coefficient for c in self.coeffs])
 
     def inverse_q(self):
         """Substitute q -> 1/q, i.e. negate every exponent. Involutive."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {-e: c for e, c in self.coeffs.items()}
-        return out
+        if not self.coeffs:
+            return self
+        return _poly(1 - self.lo - len(self.coeffs), self.coeffs[::-1])
 
     def has_negative_exponent(self):
-        return any(e < 0 for e in self.coeffs)
+        return self.lo < 0
 
     def min_negative(self):
         """First (lowest-exponent) negative coefficient as (exponent, coeff), or None."""
-        for e in sorted(self.coeffs):
-            if self.coeffs[e] < 0:
-                return (e, self.coeffs[e])
+        for i, c in enumerate(self.coeffs):
+            if c < 0:
+                return (self.lo + i, c)
         return None
 
     def items_sorted(self):
-        return sorted(self.coeffs.items())
+        return [(self.lo + i, c) for i, c in enumerate(self.coeffs) if c]
 
     def __repr__(self):
         if not self.coeffs:
@@ -247,9 +257,8 @@ class TruncatedSeries:
         if p.has_negative_exponent():
             raise ValueError("cannot truncate a Laurent polynomial with negative exponents")
         s = cls(order)
-        for e, c in p.coeffs.items():
-            if e <= order:
-                s.coeffs[e] = c
+        part = p.coeffs[:max(0, order + 1 - p.lo)]
+        s.coeffs[p.lo:p.lo + len(part)] = part
         return s
 
     @classmethod
@@ -326,8 +335,9 @@ def first_series_difference(a, b):
 
 def first_poly_difference(a, b):
     """First exponent where two Laurent polynomials disagree, or None."""
-    exps = set(a.coeffs) | set(b.coeffs)
-    for e in sorted(exps):
-        if a.coeff(e) != b.coeff(e):
-            return e
-    return None
+    if a == b:
+        return None
+    e = min(p.lo for p in (a, b) if p.coeffs)
+    while a.coeff(e) == b.coeff(e):
+        e += 1
+    return e

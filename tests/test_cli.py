@@ -141,6 +141,8 @@ def test_verify_config_errors(tmp_path, capsys):
     (["eval", "series", "F", "2", "1", "--order", "100000000"], None),
     (["verify", "--suite", "series", "--order", "100000000"], None),
     (["eval", "qbin", "100000000", "3", "-1"], None),
+    (["eval", "G", "1", "1", "1000000000", "1", "1"], None),
+    (["eval", "D", "2", "1", "2", "2", "1000000000", "1"], None),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:

@@ -6,13 +6,13 @@ from math import gcd
 import pytest
 
 from qburge.qpoly import LaurentPoly, TruncatedSeries
-from qburge.qcombinat import qbin, q_poch, poch_range
+from qburge.qcombinat import qbin, q_poch
 from qburge.fermionic import (_kernel, _lattice_sum, _psi, cartan_for,
                               eval_F, eval_f, eval_H, eval_I, eval_limit_M,
                               eval_limit_L, eval_limit_both)
 
 from test_cf import quad_form
-from test_qpoly import poly_agrees_with_series
+from test_qpoly import poch_range, poly_agrees_with_series
 
 
 def lp(d):
@@ -187,8 +187,6 @@ def test_limit_L_75_display():
     def display(M):
         total = LaurentPoly.zero()
         for m1 in range(0, M + 1):
-            head = qbin(2 * M, M - m1)
-            rest0 = poch_range(M + m1 + 1, 2 * M)  # (q)_2M/(q)_M-m1/(q)_2m1 part
             # build (q)_2M / ((q)_{M-m1} (q)_{2m1}) exactly
             head = qbin(2 * M, M - m1) * qbin(M + m1, 2 * m1) \
                 * q_poch(M - m1)

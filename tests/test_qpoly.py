@@ -3,13 +3,26 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qburge.qcombinat import poch_range, q_poch, qbin
-from qburge.qpoly import (LaurentPoly, TruncatedSeries, first_poly_difference,
-                          first_series_difference)
+from qburge import qpoly
+from qburge.qcombinat import q_poch, qbin
+from qburge.qpoly import (DegreeLimitError, LaurentPoly, TruncatedSeries,
+                          first_poly_difference, first_series_difference)
 
 
 def lp(d):
     return LaurentPoly(dict(d))
+
+
+def poch_range(lo, hi):
+    """prod_{k=lo..hi} (1 - q^k) on a dict, independent of LaurentPoly's
+    arithmetic; the empty product 1 when lo > hi."""
+    res = {0: 1}
+    for k in range(lo, hi + 1):
+        nxt = dict(res)
+        for e, c in res.items():
+            nxt[e + k] = nxt.get(e + k, 0) - c
+        res = nxt
+    return lp(res)
 
 
 def poly_agrees_with_series(p, s):
@@ -26,19 +39,20 @@ small_polys = st.dictionaries(
 
 
 def schoolbook(a, b):
-    """Reference product over the dict items, independent of LaurentPoly.__mul__."""
+    """Reference product over the terms, independent of LaurentPoly.__mul__."""
     res = {}
-    for e1, c1 in a.coeffs.items():
-        for e2, c2 in b.coeffs.items():
+    for e1, c1 in a.items_sorted():
+        for e2, c2 in b.items_sorted():
             res[e1 + e2] = res.get(e1 + e2, 0) + c1 * c2
     return lp(res)
 
 
 def packed(a, b):
-    """The Kronecker path called directly, bypassing __mul__'s routing."""
-    va, vb = a.valuation(), b.valuation()
-    return LaurentPoly._mul_packed(a.coeffs, b.coeffs, va, vb,
-                                   a.degree() - va + 1, b.degree() - vb + 1)
+    """The Kronecker path called directly, bypassing __mul__'s routing;
+    None when it leaves the product to schoolbook."""
+    res = LaurentPoly._mul_packed(a.coeffs, b.coeffs)
+    return None if res is None else \
+        LaurentPoly.dense(a.valuation() + b.valuation(), res)
 
 
 @st.composite
@@ -64,8 +78,21 @@ def test_basic_arith():
 
 
 def test_canonical_form_strips_zeros():
-    assert LaurentPoly({2: 0, 3: 5}).coeffs == {3: 5}
+    assert LaurentPoly({2: 0, 3: 5}).items_sorted() == [(3, 5)]
+    assert LaurentPoly({2: 0, 3: 5}) == LaurentPoly.monomial(3, 5)
     assert lp({1: 3}) - lp({1: 3}) == LaurentPoly.zero()
+    # zero ends of a dense list, and sums that cancel at either end
+    p = LaurentPoly.dense(-2, [0, 0, 4, 0, -1, 0])
+    assert p == lp({0: 4, 2: -1})
+    assert (p.valuation(), p.degree()) == (0, 2)
+    assert p.items_sorted() == [(0, 4), (2, -1)]
+    assert lp({0: 1, 3: 2}) + lp({3: -2}) == LaurentPoly.one()
+    assert lp({0: 1, 3: 2}) - lp({0: 1}) == lp({3: 2})
+    # an all-zero list and an empty one are the zero polynomial
+    for zero in (LaurentPoly.dense(5, [0, 0, 0]), LaurentPoly.dense(-3, []),
+                 LaurentPoly.monomial(7, 0)):
+        assert zero == LaurentPoly.zero() and zero.is_zero()
+        assert zero.degree() is None and zero.valuation() is None
 
 
 @given(small_polys, small_polys, small_polys)
@@ -164,21 +191,16 @@ def test_packed_product_fills_its_word(bits, sign_a, sign_b):
     assert a * b == ref
 
 
-def test_sparse_product_stays_on_schoolbook(monkeypatch):
-    # (1 - q^k) times a long signed polynomial: 2 x 300 term pairs, fewer
-    # than four per term of the operands; and 40 x 40 terms spread over
-    # spans of 391 and 274 exponents: 1,600 term pairs, fewer than four per
-    # exponent of the summed spans
-    long = lp({e: (-1) ** e * (e * 7919 % 1009 + 1) for e in range(-40, 260)})
+def test_sparse_products_match_schoolbook():
+    # (1 - q^k) times a long signed polynomial: 2 terms over a span of 38
+    # exponents by 300; and 40 x 40 terms spread over spans of 391 and 274
+    # exponents. Both are products of dense lists with zeros inside.
+    long = lp({e: (1 - 2 * (e % 2)) * (e * 7919 % 1009 + 1)
+               for e in range(-40, 260)})
     two = lp({0: 1, 37: -1})
     spread_a = lp({10 * i - 50: (-1) ** i * (i + 1) for i in range(40)})
     spread_b = lp({7 * i: i + 1 for i in range(40)})
     refs = [schoolbook(two, long), schoolbook(spread_a, spread_b)]
-
-    def refuse(*args):
-        raise AssertionError("sparse product was packed")
-
-    monkeypatch.setattr(LaurentPoly, "_mul_packed", staticmethod(refuse))
     assert two * long == refs[0] and long * two == refs[0]
     assert spread_a * spread_b == refs[1] and spread_b * spread_a == refs[1]
 
@@ -196,3 +218,54 @@ def test_poch_times_qbin(n):
     # (q)_2n = (q)_n (q)_n [2n, n], so (q)_n [2n, n] = prod_{k=n+1..2n} (1 - q^k);
     # from n = 5 on the left side is a dense signed packed product
     assert q_poch(n) * qbin(2 * n, n) == poch_range(n + 1, 2 * n)
+
+
+# small products take the schoolbook path, dense ones the packed path
+_operands = st.one_of(small_polys, dense_polys(12))
+
+
+@given(_operands, _operands, st.integers(-5, 5), st.integers(-3, 3),
+       st.integers(0, 12), st.integers(0, 6), st.integers(1, 3))
+def test_operations_leave_operands_unchanged(a, b, e, c, n, m, base):
+    # values share their coefficient lists (scale by 1, the qbin memo), so
+    # no operation may write into an operand's list
+    memo = qbin(n, m, base)
+    polys = [a, b, a.scale(e), b.inverse_q(), memo, LaurentPoly.one()]
+    before = [p.items_sorted() for p in polys]
+    for x in polys:
+        for y in polys:
+            x + y, x - y, x * y
+        -x, x.scale(e, c), x.scale(e), x.inverse_q()
+    # memo hits, and chains that start at the memoized [n, m]
+    qbin(n, m, base), qbin(n, m + 1, base), qbin(n, m + 2, base)
+    q_poch(n, base)
+    assert [p.items_sorted() for p in polys] == before
+    assert qbin(n, m, base) == memo
+
+
+def test_span_limit(monkeypatch):
+    # nothing allocates a span above MAX_SPAN: a dict spread that wide, a
+    # sum or a product raises before building its list
+    far = LaurentPoly.monomial(10 ** 9, -1)
+    for build in (lambda: LaurentPoly({0: 1, 10 ** 9: -1}),
+                  lambda: LaurentPoly.one() + far,
+                  lambda: LaurentPoly.one() - far,
+                  lambda: far + LaurentPoly.one()):
+        with pytest.raises(DegreeLimitError,
+                           match=r"^polynomial span 1000000001 > 1000000$"):
+            build()
+    wide = lp({0: 1, 600_000: 1})
+    with pytest.raises(DegreeLimitError,
+                       match=r"^polynomial span 1200001 > 1000000$"):
+        wide * wide
+    monkeypatch.setattr(qpoly, "MAX_SPAN", 10)
+    edge = lp({0: 1, 9: -1})
+    assert (edge + LaurentPoly.one()).degree() == 9
+    assert (lp({0: 1, 4: 1}) * lp({0: 1, 5: 1})).degree() == 9
+    assert (far * edge).degree() == 10 ** 9 + 9  # a one-term factor is a shift
+    with pytest.raises(DegreeLimitError):
+        edge + LaurentPoly.monomial(10)
+    with pytest.raises(DegreeLimitError):
+        edge * lp({0: 1, 1: 1})
+    with pytest.raises(DegreeLimitError):
+        LaurentPoly({-1: 2, 9: 1})
