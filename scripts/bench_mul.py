@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time LaurentPoly products on fixed operand families and cold Gaussian
-binomials (the L0 layer).
+binomials (the L0 layer), and three cold lattice sums (the L1 layer).
 
     PYTHONPATH=src python3 scripts/bench_mul.py
 
@@ -22,18 +22,36 @@ two operands of more than one term:
 Then it times qbin on a cleared memo, one call per run, best of REPEAT:
 [50, 25] (the largest the catalogue uses), [100, 50] and [2501, 1] (at
 QBIN_MAX_DEGREE, one wide and one narrow), and [30, 15] in q^2.
+
+Last, it times one packed lattice sum per evaluator kind, cold: the qbin,
+q_poch, Cartan and packed-factor memos are cleared before every run, so
+each row includes building and packing its factors. The rows are
+eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
+(signed Pochhammer links) and eval_limit_both("F", 7, 5, 60) (products
+cut at q^60).
 """
 
 import os
 import platform
 import timeit
 
-from qburge import qcombinat
+from qburge import fermionic, qcombinat
+from qburge.fermionic import eval_F, eval_limit_L, eval_limit_both
 from qburge.qcombinat import q_poch, qbin
 from qburge.qpoly import LaurentPoly
 
 REPEAT = 7
 COLD_QBIN = ((50, 25, 1), (100, 50, 1), (2501, 1, 1), (30, 15, 2))
+COLD_L1 = (("eval_F(8, 3, 8, 8)", lambda: eval_F(8, 3, 8, 8)),
+           ('eval_limit_L("F", 7, 3, 9)', lambda: eval_limit_L("F", 7, 3, 9)),
+           ('eval_limit_both("F", 7, 5, 60)',
+            lambda: eval_limit_both("F", 7, 5, 60)))
+
+
+def clear_memos():
+    for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE,
+                 fermionic._CARTAN_CACHE, fermionic._PACKED_CACHE):
+        memo.clear()
 
 
 def families():
@@ -65,6 +83,9 @@ def main():
                              setup=qcombinat._QBIN_CACHE.clear)
         best = min(timer.repeat(REPEAT, 1))
         print(f"qbin {f'[{n}, {m}]':10s} base {base} cold {best * 1e6:10.1f} us")
+    for name, run in COLD_L1:
+        best = min(timeit.Timer(run, setup=clear_memos).repeat(REPEAT, 1))
+        print(f"{name:31s} cold {best * 1e6:10.1f} us")
 
 
 if __name__ == "__main__":

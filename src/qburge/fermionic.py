@@ -24,6 +24,30 @@ only frees the step into that position; their first block is written in
 m_j = n_j + m_{j+1} with n_j >= 0, nonincreasing by construction, and
 [2M, M-m_1] bounds m_1 by M. The double limit has exponent >= m_1^2, so
 m_1 <= isqrt(T). No search window is needed.
+
+Arithmetic. The pass runs on integers, not on coefficient lists (Kronecker
+substitution, see qpoly): a polynomial p is held as (lo, v) with
+p = q^lo v(X) at X = 2^w. A factor is its coefficient words read as one
+int, packed once per factor key and width; q^e only moves lo; a product is
+one bigint product and a sum one shifted add; the total is decoded once.
+Factors are named by keys (a qbin key (n, m, base), or a tagged key for the
+limits' links), so equal factors share one packed value whatever object
+built them, and a product is reused across the m_{j-1} that give it the
+same factor.
+
+No overflow, by construction. The integer arithmetic is exact at every
+width; only packing a factor, reducing a cut product and decoding the total
+need every coefficient inside (-2^(w-1), 2^(w-1)). Each state carries a
+bound l1 >= ||p||_1 by ||ab||_1 <= ||a||_1 ||b||_1 and
+||a + b||_1 <= ||a||_1 + ||b||_1; it is exactly p(1) when every factor is
+nonnegative (F, f, H, I and the large-M limit). No bound decreases on the
+way to the total, as every factor has l1 >= 1, so it suffices to check each
+factor as it is packed and the total at the end. When either reaches
+2^(w-1), the pass restarts at the narrowest width that holds it: 32 bits
+first, then 64, then multiples of 64. The Pochhammer links of
+`eval_limit_L` are signed, so they are packed with biased digits and the
+total is decoded as balanced ones. With a cut at q^T (`eval_limit_both`),
+every product is taken mod X^(T+1-lo) and kept as its balanced low digits.
 """
 
 from __future__ import annotations
@@ -31,7 +55,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .cf import build_cartan, cf_expand, n_row
-from .qpoly import LaurentPoly, TruncatedSeries
+from .qpoly import LaurentPoly, TruncatedSeries, pack, pack_width, unpack
 from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin
 
 _CARTAN_CACHE = {}
@@ -46,54 +70,146 @@ def cartan_for(a, b, last_ge2=True):
     return hit
 
 
-def _cut(p, cut):
-    """p without the terms above q^cut (all of p when cut is None)."""
-    return p if cut is None else LaurentPoly.dense(
-        p.lo, p.coeffs[:max(0, cut + 1 - p.lo)])
+# packed factors by word width, then by factor key: see _packed
+_PACKED_CACHE = {}
+_ONE_KEY = (0, 0, 1)  # [n, 0] = 1
+# word width in bits of a lattice sum's first pass
+_FIRST_WIDTH = 32
+
+
+def _qkey(n, m, base=1):
+    """The factor key of qbin(n, m, base), None when it vanishes."""
+    if m < 0 or m > n:
+        return None
+    m = min(m, n - m)
+    return (n, m, base) if m else _ONE_KEY
+
+
+def _factor(key):
+    """The polynomial a factor key names: a qbin key (n, m, base);
+    ("mid", n, x) for [n, x] (q)_(n-x); ("inv", base, k, T) for
+    1/(q^base; q^base)_k mod q^(T+1)."""
+    if key[0] == "mid":
+        return qbin(key[1], key[2]) * q_poch(key[1] - key[2])
+    if key[0] == "inv":
+        _, base, k, order = key
+        s = TruncatedSeries.one(order)
+        for i in range(1, k + 1):
+            s = s.div_one_minus(base * i)
+        return LaurentPoly.dense(0, s.coeffs)
+    return qbin(*key)
+
+
+class _Overflow(Exception):
+    """A coefficient bound reached 2^(w-1); args[0] is the bound."""
+
+
+def _packed(key, w):
+    """(lo, v, l1) of the factor `key` packed at word width w:
+    p = v(2^w) q^lo with l1 = ||p||_1. Raises _Overflow when
+    l1 >= 2^(w-1)."""
+    p = _factor(key)
+    l1 = sum(map(abs, p.coeffs))
+    if l1 >> (w - 1):
+        raise _Overflow(l1)
+    return p.lo, pack(p.coeffs, w), l1
 
 
 def _lattice_sum(d, top, head, phi, psi, cut=None):
-    """Sum of head(m_1) * prod_j phi(j, m_{j-1}, m_j, m_{j+1})
+    """Sum of q^e prod(head factors) * prod_j phi(j, m_{j-1}, m_j, m_{j+1})
     * q^(sum_j psi(j, m_j, m_{j+1})) over top >= m_1 >= ... >= m_d >= 0,
-    with m_0 := top and m_{d+1} := 0 (the support proved above).
+    with m_0 := top and m_{d+1} := 0 (the support proved above), where
+    head(m_1) is (e, factor keys) and phi gives a factor key; None is a
+    zero factor or head, which drops the term. With `cut`, the sum is
+    truncated above q^cut, which is exact when every exponent is >= 0.
+
+    The first pass uses w = _FIRST_WIDTH; a pass whose factor or total
+    bound reaches 2^(w-1) restarts at the narrowest width that holds it
+    (see the module docstring).
+    """
+    w = _FIRST_WIDTH
+    while True:
+        try:
+            lo, v, l1 = _pass(d, top, head, phi, psi, cut, w)
+        except _Overflow as exc:
+            l1 = exc.args[0]
+        else:
+            if not l1 >> (w - 1):
+                return LaurentPoly.dense(lo, unpack(v, abs(v).bit_length() // w + 2, w))
+        w = pack_width(max(w + 1, l1.bit_length() + 1))
+
+
+def _pass(d, top, head, phi, psi, cut, w):
+    """The lattice sum as (lo, v, l1) on values p(X) at X = 2^w, with
+    p = v(X) q^lo and l1 >= ||p||_1.
 
     Level j maps each pair state (m_{j-1}, m_j) to the sum over
     m_{j+1}, ..., m_d of the factors at positions j..d, so the head is
-    multiplied in once per m_1. A zero phi or head drops the term; the
-    largest m_1 with a nonzero head bounds every m_j. With `cut`, every
-    product is truncated above q^cut, which is exact when all factors and
-    exponents are nonnegative. phi values that do not depend on m_{j-1}
-    should be returned as one shared object: their products are reused.
+    multiplied in once per m_1; the largest m_1 with a nonzero head bounds
+    every m_j. A state is (lo, v, l1): q^e moves lo, a
+    product multiplies the v and the l1, a sum shifts the v with the higher
+    lo by whole words and adds the l1. With `cut`, every product is taken
+    mod X^(cut+1-lo), with its operands reduced first, and kept as its
+    balanced digits below q^(cut+1).
     """
     heads = [head(c) for c in range(top + 1)]
-    live = [c for c, h in enumerate(heads) if not h.is_zero()]
+    live = [c for c, h in enumerate(heads) if h is not None]
     if not live:
-        return LaurentPoly.zero()
+        return 0, 0, 0
     hi = live[-1]
-    one = LaurentPoly.one()
-    below = {(c, 0): one for c in range(hi + 1)}
+    memo = _PACKED_CACHE.setdefault(w, {})
+
+    def times(lo, v, l1, key):
+        f = memo.get(key)
+        if f is None:
+            f = memo[key] = _packed(key, w)
+        flo, fv, fl1 = f
+        lo, l1 = lo + flo, l1 * fl1
+        if cut is None:
+            return lo, v * fv, l1
+        keep = w * (cut + 1 - lo)
+        if keep <= 0:
+            return lo, 0, 0
+        # the product mod X^(cut+1-lo), from both operands reduced first
+        mask = (1 << keep) - 1
+        v = (v & mask) * (fv & mask) & mask
+        if v >> (keep - 1):
+            v -= 1 << keep
+        return lo, v, l1
+
+    below = {(c, 0): (0, 1, 1) for c in range(hi + 1)}
     for j in range(d, 0, -1):
         level = {}
-        for (c, n), w in below.items():
-            if j == 1 and heads[c].is_zero():
+        for (c, n), (lo, v, l1) in below.items():
+            if j == 1 and heads[c] is None:
                 continue
-            s = _cut(w.scale(psi(j, c, n)), cut)
-            if s.is_zero():
+            lo += psi(j, c, n)
+            if cut is not None and lo > cut:
                 continue
             last = None
             for p in ((top,) if j == 1 else range(c, hi + 1)):
-                f = phi(j, p, c, n)
-                if f.is_zero():
+                key = phi(j, p, c, n)
+                if key is None:
                     continue
-                if f is not last:
-                    last, t = f, _cut(f * s, cut)
-                key = (p, c)
-                level[key] = level[key] + t if key in level else t
+                if key != last:
+                    last, t = key, times(lo, v, l1, key)
+                at = level.get((p, c))
+                level[p, c] = t if at is None else _add(at, t, w)
         below = level
-    total = LaurentPoly.zero()
-    for (_, c), w in below.items():
-        total = total + _cut(heads[c] * w, cut)
-    return total
+    total = None
+    for (_, c), (lo, v, l1) in below.items():
+        e, keys = heads[c]
+        t = (lo + e, v, l1)
+        for key in keys:
+            t = times(*t, key)
+        total = t if total is None else _add(total, t, w)
+    return total or (0, 0, 0)
+
+
+def _add(x, y, w):
+    """The sum of two packed states."""
+    (xlo, xv, xl1), (ylo, yv, yl1) = (x, y) if x[0] <= y[0] else (y, x)
+    return xlo, xv + (yv << (w * (ylo - xlo))), xl1 + yl1
 
 
 def _kernel(cd, family):
@@ -102,18 +218,19 @@ def _kernel(cd, family):
     if family not in ("F", "f", "H", "I"):
         raise ValueError(f"unknown family {family!r}")
     d, tau = cd.d, cd.tau
+    # per row: up = x m_{j-1} + y m_j + z m_{j+1} + s, lo = t m_j + r, base;
+    # n_row is linear, so its coefficients are its values at unit vectors
+    rows = [None]
+    for j, t in enumerate(tau, 1):
+        shift = family == "H" and j == d
+        drop = family == "H" and j == d - 1
+        rows.append((n_row(cd, j, 1, 0, 0), n_row(cd, j, 0, 1, 0) + t,
+                     n_row(cd, j, 0, 0, 1), -shift, t, -drop,
+                     3 - t if family == "I" else 1))
 
     def phi(j, p, c, n):
-        t = tau[j - 1]
-        lo = t * c
-        up = lo + n_row(cd, j, p, c, n)
-        base = 1
-        if family == "H":
-            up -= j == d
-            lo -= j == d - 1
-        elif family == "I":
-            base = 3 - t
-        return qbin(up, lo, base)
+        x, y, z, s, t, r, base = rows[j]
+        return _qkey(x * p + y * c + z * n + s, t * c + r, base)
     return phi
 
 
@@ -148,15 +265,11 @@ def _bounded(family, a, b, L, M, last_ge2=True):
     bar_head = family == "f" and cd.d == 1
 
     def head(m1):
+        e = (L * m1 if bar_head else 0) + (L * (L - 2 * m1) if ge else 0)
         if M is None:
-            h = LaurentPoly.one()
-        elif ge:
-            h = qbin(L + M + m1, 2 * L)
-        else:
-            h = qbin(2 * L + M - m1, 2 * L)
-        if bar_head:
-            h = h.scale(L * m1)
-        return h.scale(L * (L - 2 * m1)) if ge else h
+            return e, ()
+        key = _qkey(L + M + m1, 2 * L) if ge else _qkey(2 * L + M - m1, 2 * L)
+        return None if key is None else (e, (key,))
 
     return _lattice_sum(cd.d, L, head, _kernel(cd, family), _psi(cd, family))
 
@@ -196,20 +309,22 @@ def eval_limit_M(family, a, b, L, last_ge2=True):
 
 def _limit(cd, family, top, head, chain, mid, cut=None):
     """A limit sum: the kernel factors after position a_0 + 1, where
-    a_0 = 0 for a <= 2b. Before them stand head(m_1), chain(j, m_j, m_{j+1})
-    at j <= a_0 and mid(a_0 + 1, m_{a_0+1}); mid values must be shared."""
+    a_0 = 0 for a <= 2b. Before them stand the factor keys head(m_1) (a
+    tuple), chain(j, m_j, m_{j+1}) at j <= a_0 and mid(a_0 + 1, m_{a_0+1}),
+    which joins the head when a_0 = 0."""
     a0 = cd.cf.quotients[0] if cd.cf.a > 2 * cd.cf.b else 0
     kernel = _kernel(cd, family)
-    one = LaurentPoly.one()
 
     def phi(j, p, c, n):
         if j > a0 + 1:
             return kernel(j, p, c, n)
         if j <= a0:
             return chain(j, c, n)
-        return mid(j, c) if a0 else one
+        return mid(j, c) if a0 else _ONE_KEY
 
-    lead = head if a0 else (lambda m1: head(m1) * mid(1, m1))
+    def lead(m1):
+        return 0, head(m1) if a0 else head(m1) + (mid(1, m1),)
+
     return _lattice_sum(cd.d, top, lead, phi, _psi(cd, family, a0), cut)
 
 
@@ -231,16 +346,9 @@ def eval_limit_L(family, a, b, M):
             return qbin(2 * M, M) * q_poch(M)
         return eval_limit_L("F", a - 1, 1, M)
     cd = cartan_for(a, b, last_ge2=True)
-    mids = {}
-
-    def mid(j, m):
-        if m not in mids:
-            x = cd.tau[j - 1] * m
-            mids[m] = qbin(M + m, x) * q_poch(M + m - x)
-        return mids[m]
-
-    total = _limit(cd, family, M, lambda m1: qbin(2 * M, M - m1),
-                       lambda j, c, n: qbin(M + c, c - n), mid)
+    total = _limit(cd, family, M, lambda m1: (_qkey(2 * M, M - m1),),
+                   lambda j, c, n: _qkey(M + c, c - n),
+                   lambda j, m: ("mid", M + m, cd.tau[j - 1] * m))
     # b = 1 has no position a_0 + 1: its link is m = 0, the constant (q)_M
     return total * q_poch(M) if b == 1 and a > 2 else total
 
@@ -263,19 +371,11 @@ def eval_limit_both(family, a, b, T, last_ge2=True):
     if family == "f" and b == 1:
         raise NotImplementedError("the reciprocal family has no product form for b = 1")
     cd = cartan_for(a, b, last_ge2)
-    inverses = {}
 
     def inv(j, k):
-        # 1/(q^base; q^base)_k mod q^(T+1)
-        key = (3 - cd.tau[j - 1] if family == "I" else 1, k)
-        if key not in inverses:
-            s = TruncatedSeries.one(T)
-            for i in range(1, k + 1):
-                s = s.div_one_minus(key[0] * i)
-            inverses[key] = LaurentPoly.dense(0, s.coeffs)
-        return inverses[key]
+        return ("inv", 3 - cd.tau[j - 1] if family == "I" else 1, k, T)
 
-    total = _limit(cd, family, isqrt(T), lambda m1: LaurentPoly.one(),
-                       lambda j, c, n: inv(j, c - n),
-                       lambda j, m: inv(j, cd.tau[j - 1] * m), cut=T)
+    total = _limit(cd, family, isqrt(T), lambda m1: (),
+                   lambda j, c, n: inv(j, c - n),
+                   lambda j, m: inv(j, cd.tau[j - 1] * m), cut=T)
     return TruncatedSeries.from_poly(total, T)

@@ -93,21 +93,30 @@ def qbin(n, m, base=1):
 
 def q_poch(n, base=1):
     """(q^base; q^base)_n = prod_{k=1..n} (1 - q^(base*k)); empty product for
-    n=0. Built on from the largest memoized k <= n, memoizing each step;
+    n=0. Built like qbin on one dense list in x = q^base, one
+    `_times_one_minus` step per factor from the largest memoized k <= n,
+    memoizing each step; a negative base is q_poch(n, -base).inverse_q().
     DegreeLimitError when |base|*n(n+1)/2 > QBIN_MAX_DEGREE, before any work."""
     if n < 0:
         raise ValueError("q_poch requires n >= 0")
     if abs(base) * n * (n + 1) // 2 > QBIN_MAX_DEGREE:
         raise DegreeLimitError(f"q_poch({n}, base={base}) has degree "
                                f"{abs(base) * n * (n + 1) // 2} > {QBIN_MAX_DEGREE}")
+    if n == 0:
+        return _ONE
+    if base <= 0:
+        return q_poch(n, -base).inverse_q() if base else LaurentPoly.zero()
     k = n
     while k and (k, base) not in _POCH_CACHE:
         k -= 1
-    res = _POCH_CACHE.get((k, base), _ONE)
+    # c[i] is the coefficient of x^i
+    c = _POCH_CACHE[k, base].coeffs[::base] if k else [1]
     for j in range(k + 1, n + 1):
-        res = res * (_ONE - LaurentPoly.monomial(base * j))
-        _POCH_CACHE[j, base] = res
-    return res
+        c = _times_one_minus(c, j)
+        spread = [0] * (base * len(c) - base + 1)
+        spread[::base] = c
+        _POCH_CACHE[j, base] = LaurentPoly.dense(0, spread)
+    return _POCH_CACHE[n, base]
 
 
 def b_kernel(L, M, a, b):

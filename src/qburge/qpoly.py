@@ -13,13 +13,20 @@ Large products use signed Kronecker substitution (D. Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", J.
 Symbolic Comput. 2009): both operands become one integer each, written in
 base 2^w with w = 16, 32 or 64 bits wide enough for every product
-coefficient, and one bigint product replaces the term-pair loop. Signed
-coefficients, such as those of the Pochhammer products (q)_n, are made
-nonnegative digits by a bias of 2^(w-1) per word, so no digit borrows. A
-product of more than 256 coefficient pairs is packed; a product with a
-one-term operand is a `scale`; any other product, or one whose coefficient
-bound exceeds 63 bits (no machine word holds it with its sign), is a
-schoolbook sum of shifted rows.
+coefficient, and one bigint product replaces the term-pair loop. A product
+of more than 256 coefficient pairs is packed; a product with a one-term
+operand is a `scale`; any other product, or one whose coefficient bound
+exceeds 63 bits (no machine word holds it with its sign), is a schoolbook
+sum of shifted rows.
+
+The packing helpers are shared with the lattice sums of `fermionic`, which
+run whole transfer passes on packed values. `pack(coeffs, w)` is the
+integer sum_i c_i 2^(w i), `unpack(v, n, w)` reads n balanced digits back,
+and `pack_width(bits)` picks the word: 16, 32 or 64 bits as machine arrays,
+then multiples of 64 packed byte-wise. Signed coefficients, such as those
+of the Pochhammer products (q)_n, are written as nonnegative digits
+c + 2^(w-1), and the bias is subtracted once from the whole integer, so no
+digit borrows; every coefficient must lie in [-2^(w-1), 2^(w-1)).
 """
 
 from __future__ import annotations
@@ -46,14 +53,51 @@ def _check_span(n):
         raise DegreeLimitError(f"polynomial span {n} > {MAX_SPAN}")
 
 
-def _word_int(words):
-    """The nonnegative integer whose base-2^w digits are the w-bit words of
-    `words`, in native byte order: word 0 is the lowest digit on a
-    little-endian host and the highest on a big-endian one. Kronecker
-    substitution works in either order, because reversing both operands'
-    digit strings reverses their product's, and to_bytes with the same
-    byte order and a fixed length undoes it."""
-    return int.from_bytes(words, sys.byteorder)
+def pack_width(bits):
+    """The narrowest packing word of at least `bits` bits: 16, 32 or 64,
+    then a multiple of 64 (packed byte-wise)."""
+    return next((w for w in (16, 32, 64) if w >= bits), -(-bits // 64) * 64)
+
+
+def _bias(n, w):
+    """sum_{i<n} 2^(w-1) 2^(w i): the bias 2^(w-1) in each of n words."""
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
+
+
+def pack(coeffs, w):
+    """The integer sum_i coeffs[i] 2^(w i), for coefficients with
+    |c| < 2^(w-1). Each coefficient is written as the w-bit word
+    c + 2^(w-1), so no digit is negative, the words are read as one
+    little-endian integer and the bias is subtracted."""
+    half = 1 << (w - 1)
+    code = _UNSIGNED.get(w)
+    if code is None:
+        k = w // 8
+        raw = b"".join((c + half).to_bytes(k, "little") for c in coeffs)
+    else:
+        raw = array(code, [c + half for c in coeffs])
+        if sys.byteorder == "big":
+            raw.byteswap()
+    return int.from_bytes(raw, "little") - _bias(len(coeffs), w)
+
+
+def unpack(v, n, w):
+    """The n balanced base-2^w digits of v, lowest first: the inverse of
+    `pack` when every digit lies in [-2^(w-1), 2^(w-1)) and v has at most
+    n of them. Adding the bias makes every word d + 2^(w-1) in [0, 2^w),
+    so no digit borrows from the next; flipping each word's top bit leaves
+    d in two's complement, read back as signed words."""
+    bias = _bias(n, w)
+    raw = ((v + bias) ^ bias).to_bytes(n * w // 8, "little")
+    code = _SIGNED.get(w)
+    if code is None:
+        k = w // 8
+        return [int.from_bytes(raw[i:i + k], "little", signed=True)
+                for i in range(0, len(raw), k)]
+    words = array(code, raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
 
 
 def _poly(lo, coeffs):
@@ -162,37 +206,22 @@ class LaurentPoly:
     @staticmethod
     def _mul_packed(a, b):
         """The coefficient list of the product of two coefficient lists, by
-        signed Kronecker substitution.
+        signed Kronecker substitution: one `pack` per operand, one bigint
+        product, one `unpack`.
 
         Every product coefficient is a sum of at most min(len(a), len(b))
         terms, so its magnitude is below 2^(k-1) with k the bound computed
-        below; w is the smallest machine word (16, 32 or 64 bits) with
-        w >= k. Each operand is written as w-bit words c + 2^(w-1), read as
-        one integer, and its bias sum 2^(w-1) X^i (X = 2^w) is subtracted,
-        which leaves sum c_i X^i exactly. After one bigint product the bias
-        2^(w-1) is added to every result digit, so no digit borrows from
-        the next and each word holds r + 2^(w-1) in [0, 2^w); flipping the
-        top bit of every word turns that into r in two's complement, read
-        back through a signed memoryview. Returns None when k > 64 (a
-        coefficient bound above 63 bits), which the caller multiplies
+        below, and a word of w >= k bits holds it. Returns None when k > 64
+        (a coefficient bound above 63 bits), which the caller multiplies
         exactly by schoolbook.
         """
         ma = max(max(a), -min(a))
         mb = max(max(b), -min(b))
         k = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
-        w = next((w for w in (16, 32, 64) if w >= k), None)
-        if w is None:
+        w = pack_width(k)
+        if w > 64:
             return None
-        half = 1 << (w - 1)
-        unit = array(_UNSIGNED[w], [half])
-        pa = (_word_int(array(_UNSIGNED[w], [c + half for c in a]))
-              - _word_int(unit * len(a)))
-        pb = (_word_int(array(_UNSIGNED[w], [c + half for c in b]))
-              - _word_int(unit * len(b)))
-        nr = len(a) + len(b) - 1
-        bias = _word_int(unit * nr)
-        raw = ((pa * pb + bias) ^ bias).to_bytes(nr * w // 8, sys.byteorder)
-        return memoryview(raw).cast(_SIGNED[w]).tolist()
+        return unpack(pack(a, w) * pack(b, w), len(a) + len(b) - 1, w)
 
     __rmul__ = __mul__
 

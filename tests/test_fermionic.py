@@ -5,11 +5,13 @@ from math import gcd
 
 import pytest
 
+from qburge import fermionic
 from qburge.qpoly import LaurentPoly, TruncatedSeries
-from qburge.qcombinat import qbin, q_poch
-from qburge.fermionic import (_kernel, _lattice_sum, _psi, cartan_for,
-                              eval_F, eval_f, eval_H, eval_I, eval_limit_M,
-                              eval_limit_L, eval_limit_both)
+from qburge.qcombinat import g_poly, qbin, q_poch
+from qburge.fermionic import (_factor, _kernel, _lattice_sum, _psi, _qkey,
+                              cartan_for, eval_F, eval_f, eval_H, eval_I,
+                              eval_limit_M, eval_limit_L, eval_limit_both)
+from qburge.verify import _sum_bnewp
 
 from test_cf import quad_form
 from test_qpoly import poch_range, poly_agrees_with_series
@@ -83,9 +85,129 @@ def test_boundary_consistency_a_eq_2b():
     for L in range(0, 6):
         for M in range(0, 6):
             def head(m1):
-                return qbin(L + M + m1, 2 * L).scale(L * (L - 2 * m1))
+                key = _qkey(L + M + m1, 2 * L)
+                return None if key is None else (L * (L - 2 * m1), (key,))
             assert _lattice_sum(cd.d, L, head, _kernel(cd, "F"),
                                 _psi(cd, "F")) == eval_F(2, 1, L, M)
+
+
+def _cut(p, cut):
+    """p without the terms above q^cut (all of p when cut is None)."""
+    return p if cut is None else LaurentPoly.dense(
+        p.lo, p.coeffs[:max(0, cut + 1 - p.lo)])
+
+
+def list_lattice_sum(d, top, head, phi, psi, cut=None):
+    """Reference transfer sum on LaurentPoly values: the same support and
+    levels as the engine, with head(m_1) and phi(j, m_{j-1}, m_j, m_{j+1})
+    returning polynomials (zero drops the term) and every product cut
+    above q^cut."""
+    heads = [head(c) for c in range(top + 1)]
+    live = [c for c, h in enumerate(heads) if not h.is_zero()]
+    if not live:
+        return LaurentPoly.zero()
+    hi = live[-1]
+    below = {(c, 0): LaurentPoly.one() for c in range(hi + 1)}
+    for j in range(d, 0, -1):
+        level = {}
+        for (c, n), w in below.items():
+            if j == 1 and heads[c].is_zero():
+                continue
+            s = _cut(w.scale(psi(j, c, n)), cut)
+            if s.is_zero():
+                continue
+            for p in ((top,) if j == 1 else range(c, hi + 1)):
+                f = phi(j, p, c, n)
+                if f.is_zero():
+                    continue
+                t = _cut(f * s, cut)
+                key = (p, c)
+                level[key] = level[key] + t if key in level else t
+        below = level
+    total = LaurentPoly.zero()
+    for (_, c), w in below.items():
+        total = total + _cut(heads[c] * w, cut)
+    return total
+
+
+def on_lists(d, top, head, phi, psi, cut=None):
+    """The engine's arguments (factor keys, (exponent, keys) heads) turned
+    into polynomials for list_lattice_sum."""
+    def poly(key):
+        return LaurentPoly.zero() if key is None else _factor(key)
+
+    def list_head(m1):
+        h = head(m1)
+        if h is None:
+            return LaurentPoly.zero()
+        out = LaurentPoly.one()
+        for key in h[1]:
+            out = out * _factor(key)
+        return out.scale(h[0])
+
+    return list_lattice_sum(d, top, list_head, lambda *x: poly(phi(*x)), psi, cut)
+
+
+def all_lattice_values(pairs, top, orders):
+    """Every lattice evaluator over the pairs, L, M <= top and T in orders."""
+    out = []
+    for a, b in pairs:
+        for L in range(top + 1):
+            out += [eval_limit_M(fam, a, b, L) for fam in ("F", "f", "I")]
+            out += [eval_limit_L("F", a, b, L), eval_limit_L("f", a, b, L)]
+            for M in range(top + 1):
+                out += [fn(a, b, L, M) for fn in (eval_F, eval_f, eval_I)]
+                if a > 2:
+                    out.append(eval_H(a, b, L, M))
+        for T in orders:
+            fams = ("F", "f", "I") if b > 1 else ("F", "I")
+            out += [eval_limit_both(fam, a, b, T) for fam in fams]
+    return out
+
+
+def test_engine_matches_list_reference(monkeypatch):
+    # the packed pass against the list-based transfer sum on the same
+    # factors, for F/f/H/I and the three limits
+    pairs = coprime_pairs(8)
+    packed = all_lattice_values(pairs, 5, (0, 7, 40))
+    monkeypatch.setattr(fermionic, "_lattice_sum", on_lists)
+    assert all_lattice_values(pairs, 5, (0, 7, 40)) == packed
+
+
+def test_signed_cut_matches_list_reference():
+    # signed factors [n, x] (q)_(n-x), like eval_limit_L's links, cut at
+    # q^T: each product is reduced to its balanced low digits
+    def head(m1):
+        return m1, (("mid", 2 * m1, m1),)
+
+    def phi(j, p, c, n):
+        return ("mid", p + n, c)
+
+    def psi(j, x, y):
+        return x * (x - y) + j - 1
+
+    for d in (1, 2, 3):
+        for top in range(6):
+            for T in (0, 5, 17, 40):
+                args = (d, top, head, phi, psi, T)
+                assert _lattice_sum(*args) == on_lists(*args), (d, top, T)
+
+
+def test_wide_words():
+    # coefficients of 83 bits: only the 128-bit word holds them
+    assert eval_F(2, 1, 30, 30) == _sum_bnewp(30, 30)
+    # signed factors whose L1 bound passes 2^63
+    assert eval_limit_L("F", 3, 1, 20) == g_poly(20, 20, 3, 4, 1)
+
+
+def test_restarts_keep_values(monkeypatch):
+    # a first pass of 8-bit words overflows almost everywhere; every
+    # restart must give the same values
+    pairs = [(2, 1), (3, 1), (5, 2), (7, 3), (8, 5)]
+    expect = all_lattice_values(pairs, 6, (0, 12, 40))
+    monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
+    monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
+    assert all_lattice_values(pairs, 6, (0, 12, 40)) == expect
 
 
 def box_terms(a, b, L, family, margin=2):
