@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Record one point of the benchmark trajectory as BENCH_<n>.json.
+
+    python3 scripts/bench.py N --seed S
+
+One after the other, each in its own interpreter, it runs:
+
+- perfbench/run.py on each of its workloads at seed S and its default run
+  length, keeping the JSON result line each run prints last;
+- the tier-1 test suite (see ROADMAP.md), timing its wall clock;
+- scripts/bench_mul.py, keeping its timing rows in microseconds.
+
+It writes them, with the interpreter, the CPU count and the commit, to
+BENCH_N.json at the root of the repository. It reads and changes nothing
+under perfbench/; it only runs it. Compare two points only when they come
+from the same host and seed.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("bounded-grid", "single-limit", "campaign")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# a bench_mul row: its label, then the time in microseconds
+ROW = re.compile(r"^(.*\S)\s+([0-9.]+) us$")
+
+
+def run(args, env=None):
+    """Run the interpreter on args in the repository root; its stdout."""
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="write BENCH_<n>.json")
+    ap.add_argument("n", type=int, help="the number of the point")
+    ap.add_argument("--seed", type=int, required=True,
+                    help="perfbench workload seed")
+    args = ap.parse_args(argv)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    perfbench = {}
+    for workload in WORKLOADS:
+        out = run(["perfbench/run.py", "--workload", workload,
+                   "--seed", str(args.seed)])
+        perfbench[workload] = json.loads(out.strip().splitlines()[-1])
+        print(workload, json.dumps(perfbench[workload]["metrics"]), flush=True)
+
+    started = time.perf_counter()
+    tests = run(TIER1, env)
+    tier1 = {"wall_s": round(time.perf_counter() - started, 2),
+             "summary": tests.strip().splitlines()[-1]}
+    print("tier-1", tier1, flush=True)
+
+    rows = {}
+    for line in run(["scripts/bench_mul.py"], env).splitlines():
+        m = ROW.match(line)
+        if m:
+            rows[" ".join(m.group(1).split())] = float(m.group(2))
+
+    point = {
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "cpus": os.cpu_count(),
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--", "src", "scripts")),
+        "seed": args.seed,
+        "perfbench": perfbench,
+        "tier1": tier1,
+        "bench_mul_us": rows,
+    }
+    path = ROOT / f"BENCH_{args.n}.json"
+    path.write_text(json.dumps(point, indent=1) + "\n")
+    print(f"wrote {path.name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -24,15 +24,17 @@ Then it times qbin on a cleared memo, one call per run, best of REPEAT:
 QBIN_MAX_DEGREE, one wide and one narrow), and [30, 15] in q^2.
 
 Last, it times one packed lattice sum per evaluator kind, cold: the qbin,
-q_poch, Cartan and packed-factor memos are cleared before every run, so
-each row includes building and packing its factors. The rows are
+q_poch, Cartan, packed-factor and level memos are cleared before every
+run, so each row includes building and packing its factors. The rows are
 eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
 (signed Pochhammer links) and eval_limit_both("F", 7, 5, 60) (products
-cut at q^60).
+cut at q^60), and one row of all 81 eval_F(8, 5, L, M) at L, M <= 8 in a
+fixed shuffled order, whose calls share their (L, M)-free levels.
 """
 
 import os
 import platform
+import random
 import timeit
 
 from qburge import fermionic, qcombinat
@@ -42,15 +44,19 @@ from qburge.qpoly import LaurentPoly
 
 REPEAT = 7
 COLD_QBIN = ((50, 25, 1), (100, 50, 1), (2501, 1, 1), (30, 15, 2))
+GRID = random.Random(0).sample([(L, M) for L in range(9) for M in range(9)], 81)
 COLD_L1 = (("eval_F(8, 3, 8, 8)", lambda: eval_F(8, 3, 8, 8)),
            ('eval_limit_L("F", 7, 3, 9)', lambda: eval_limit_L("F", 7, 3, 9)),
            ('eval_limit_both("F", 7, 5, 60)',
-            lambda: eval_limit_both("F", 7, 5, 60)))
+            lambda: eval_limit_both("F", 7, 5, 60)),
+           ("eval_F(8, 5, L, M), L, M <= 8",
+            lambda: [eval_F(8, 5, L, M) for L, M in GRID]))
 
 
 def clear_memos():
     for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE,
-                 fermionic._CARTAN_CACHE, fermionic._PACKED_CACHE):
+                 fermionic._CARTAN_CACHE, fermionic._PACKED_CACHE,
+                 fermionic._LEVEL_CACHE):
         memo.clear()
 
 

@@ -44,10 +44,31 @@ nonnegative (F, f, H, I and the large-M limit). No bound decreases on the
 way to the total, as every factor has l1 >= 1, so it suffices to check each
 factor as it is packed and the total at the end. When either reaches
 2^(w-1), the pass restarts at the narrowest width that holds it: 32 bits
-first, then 64, then multiples of 64. The Pochhammer links of
-`eval_limit_L` are signed, so they are packed with biased digits and the
-total is decoded as balanced ones. With a cut at q^T (`eval_limit_both`),
-every product is taken mod X^(T+1-lo) and kept as its balanced low digits.
+first, then 64, then multiples of 64. A factor is built once: at another
+width its packed digits are repacked, and one too wide for its pass is
+packed at the width that holds it before the pass stops. The Pochhammer
+links of `eval_limit_L` are signed, so they are packed with biased digits
+and the total is decoded as balanced ones. With a cut at q^T
+(`eval_limit_both`), every product is taken mod X^(T+1-lo) and kept as its
+balanced low digits.
+
+Sharing. Only level 1 and the head read L or M: position 1 holds m_0 = L
+and the head the boundary binomial in M. This is the shape of the Burge
+transform, F(L, M) = sum_{m_1} [boundary binomial in M] times a sum at m_1
+free of L and M. The free positions are j >= 2 for F, f, H, I and the
+large-M limit, and j >= a_0 + 2 for the large-L limit. A state there does
+not depend on the bound hi either, which only limits which states are
+built, so these levels are built once and kept in _LEVEL_CACHE, keyed by
+(family, quotients, first free level, word width). The pair and its
+representation enter them only through the continued-fraction quotients,
+so (a, b) and (a, a - b) share an entry. A state packed at width w is
+exact, so each width has its own entry. A call that needs columns
+m_{first-1} <= hi beyond the entry's extends it in place, adding only the
+new columns, level by level from d down; then it runs the levels below
+the free ones and the head on the states with m_1 <= hi. Cut sums
+(`eval_limit_both`) are not shared: their states are reduced below
+q^(T+1), so they depend on T. Like the other memos here, the level memo
+is not bounded.
 """
 
 from __future__ import annotations
@@ -72,6 +93,9 @@ def cartan_for(a, b, last_ge2=True):
 
 # packed factors by word width, then by factor key: see _packed
 _PACKED_CACHE = {}
+# level states of the (L, M)-free positions by (family, quotients, first
+# level, word width): see _extend
+_LEVEL_CACHE = {}
 _ONE_KEY = (0, 0, 1)  # [n, 0] = 1
 # word width in bits of a lattice sum's first pass
 _FIRST_WIDTH = 32
@@ -105,23 +129,40 @@ class _Overflow(Exception):
 
 
 def _packed(key, w):
-    """(lo, v, l1) of the factor `key` packed at word width w:
-    p = v(2^w) q^lo with l1 = ||p||_1. Raises _Overflow when
-    l1 >= 2^(w-1)."""
-    p = _factor(key)
-    l1 = sum(map(abs, p.coeffs))
-    if l1 >> (w - 1):
-        raise _Overflow(l1)
-    return p.lo, pack(p.coeffs, w), l1
+    """(lo, v, l1) of the factor `key` packed at word width w and stored in
+    _PACKED_CACHE[w]: p = v(2^w) q^lo with l1 = ||p||_1. Raises _Overflow
+    when l1 >= 2^(w-1). Each key is built once: a key packed at another
+    width has its digits repacked, and one too wide for w is first packed
+    at the narrowest width that holds it, for the restart."""
+    hit = next(((memo[key], u) for u, memo in _PACKED_CACHE.items()
+                if key in memo), None)
+    if hit is not None:
+        (lo, v, l1), u = hit
+        if l1 >> (w - 1):
+            raise _Overflow(l1)
+        coeffs = unpack(v, abs(v).bit_length() // u + 2, u)
+    else:
+        p = _factor(key)
+        lo, coeffs, l1 = p.lo, p.coeffs, sum(map(abs, p.coeffs))
+        if l1 >> (w - 1):
+            u = pack_width(l1.bit_length() + 1)
+            _PACKED_CACHE.setdefault(u, {})[key] = lo, pack(coeffs, u), l1
+            raise _Overflow(l1)
+    f = _PACKED_CACHE.setdefault(w, {})[key] = lo, pack(coeffs, w), l1
+    return f
 
 
-def _lattice_sum(d, top, head, phi, psi, cut=None):
+def _lattice_sum(d, top, head, phi, psi, cut=None, shared=None):
     """Sum of q^e prod(head factors) * prod_j phi(j, m_{j-1}, m_j, m_{j+1})
     * q^(sum_j psi(j, m_j, m_{j+1})) over top >= m_1 >= ... >= m_d >= 0,
     with m_0 := top and m_{d+1} := 0 (the support proved above), where
     head(m_1) is (e, factor keys) and phi gives a factor key; None is a
     zero factor or head, which drops the term. With `cut`, the sum is
     truncated above q^cut, which is exact when every exponent is >= 0.
+    With `shared` = (name, first), phi and psi at positions j >= first
+    read neither top nor the head's arguments, and the hashable `name`
+    determines them there: those levels come from the level memo (see the
+    module docstring). A cut sum ignores `shared`.
 
     The first pass uses w = _FIRST_WIDTH; a pass whose factor or total
     bound reaches 2^(w-1) restarts at the narrowest width that holds it
@@ -130,7 +171,7 @@ def _lattice_sum(d, top, head, phi, psi, cut=None):
     w = _FIRST_WIDTH
     while True:
         try:
-            lo, v, l1 = _pass(d, top, head, phi, psi, cut, w)
+            lo, v, l1 = _pass(d, top, head, phi, psi, cut, shared, w)
         except _Overflow as exc:
             l1 = exc.args[0]
         else:
@@ -139,18 +180,18 @@ def _lattice_sum(d, top, head, phi, psi, cut=None):
         w = pack_width(max(w + 1, l1.bit_length() + 1))
 
 
-def _pass(d, top, head, phi, psi, cut, w):
+def _pass(d, top, head, phi, psi, cut, shared, w):
     """The lattice sum as (lo, v, l1) on values p(X) at X = 2^w, with
     p = v(X) q^lo and l1 >= ||p||_1.
 
-    Level j maps each pair state (m_{j-1}, m_j) to the sum over
-    m_{j+1}, ..., m_d of the factors at positions j..d, so the head is
-    multiplied in once per m_1; the largest m_1 with a nonzero head bounds
-    every m_j. A state is (lo, v, l1): q^e moves lo, a
-    product multiplies the v and the l1, a sum shifts the v with the higher
-    lo by whole words and adds the l1. With `cut`, every product is taken
-    mod X^(cut+1-lo), with its operands reduced first, and kept as its
-    balanced digits below q^(cut+1).
+    Level j holds the pair states (m_{j-1}, m_j), as level[m_{j-1}][m_j]:
+    each is the sum over m_{j+1}, ..., m_d of the factors at positions
+    j..d, so the head is multiplied in once per m_1; the largest m_1 with
+    a nonzero head bounds every m_j. A state is (lo, v, l1): q^e moves lo,
+    a product multiplies the v and the l1, a sum shifts the v with the
+    higher lo by whole words and adds the l1. With `cut`, every product is
+    taken mod X^(cut+1-lo), with its operands reduced first, and kept as
+    its balanced digits below q^(cut+1).
     """
     heads = [head(c) for c in range(top + 1)]
     live = [c for c, h in enumerate(heads) if h is not None]
@@ -162,7 +203,7 @@ def _pass(d, top, head, phi, psi, cut, w):
     def times(lo, v, l1, key):
         f = memo.get(key)
         if f is None:
-            f = memo[key] = _packed(key, w)
+            f = _packed(key, w)
         flo, fv, fl1 = f
         lo, l1 = lo + flo, l1 * fl1
         if cut is None:
@@ -177,33 +218,80 @@ def _pass(d, top, head, phi, psi, cut, w):
             v -= 1 << keep
         return lo, v, l1
 
-    below = {(c, 0): (0, 1, 1) for c in range(hi + 1)}
-    for j in range(d, 0, -1):
-        level = {}
-        for (c, n), (lo, v, l1) in below.items():
-            if j == 1 and heads[c] is None:
-                continue
-            lo += psi(j, c, n)
+    def level(j, below, out, old):
+        """Add to `out`, level j, its columns m_{j-1} = old+1..hi, from
+        level j+1 in `below`."""
+        out.extend({} for _ in range(old, hi))
+        for c in range(hi + 1):
+            for n, (lo, v, l1) in below[c].items():
+                lo += psi(j, c, n)
+                if cut is not None and lo > cut:
+                    continue
+                last = None
+                for p in range(max(c, old + 1), hi + 1):
+                    key = phi(j, p, c, n)
+                    if key is None:
+                        continue
+                    if key != last:
+                        last, t = key, times(lo, v, l1, key)
+                    col = out[p]
+                    at = col.get(c)
+                    col[c] = t if at is None else _add(at, t, w)
+        return out
+
+    if shared is None or cut is not None:
+        first, below = d + 1, [{0: (0, 1, 1)} for _ in range(hi + 1)]
+    else:
+        name, first = shared
+        first = min(first, d + 1)  # d + 1: no free level
+        key = name + (first, w)
+        entry = _LEVEL_CACHE.get(key)
+        if entry is None or entry[0] < hi:
+            entry = _extend(key, d, first, hi, level)
+        below = entry[1][-1]
+    for j in range(first - 1, 1, -1):
+        below = level(j, below, [], -1)
+    # level 1 (m_0 = top), summed over m_2 before the head multiplies it
+    total = None
+    for c in live:
+        at = None
+        for n, (lo, v, l1) in below[c].items():
+            lo += psi(1, c, n)
             if cut is not None and lo > cut:
                 continue
-            last = None
-            for p in ((top,) if j == 1 else range(c, hi + 1)):
-                key = phi(j, p, c, n)
-                if key is None:
-                    continue
-                if key != last:
-                    last, t = key, times(lo, v, l1, key)
-                at = level.get((p, c))
-                level[p, c] = t if at is None else _add(at, t, w)
-        below = level
-    total = None
-    for (_, c), (lo, v, l1) in below.items():
+            key = phi(1, top, c, n)
+            if key is not None:
+                t = times(lo, v, l1, key)
+                at = t if at is None else _add(at, t, w)
+        if at is None:
+            continue
         e, keys = heads[c]
-        t = (lo + e, v, l1)
+        t = (at[0] + e, at[1], at[2])
         for key in keys:
             t = times(*t, key)
         total = t if total is None else _add(total, t, w)
     return total or (0, 0, 0)
+
+
+def _extend(key, d, first, hi, level):
+    """The level memo's entry `key` grown to the columns m_{first-1} <= hi:
+    [hi, states], the states of the start (m_d, m_{d+1} = 0) and of levels
+    d..first. Only the new columns are built, level by level from d down;
+    if that fails, the entry is left as it was."""
+    entry = _LEVEL_CACHE.get(key)
+    if entry is None:
+        entry = _LEVEL_CACHE[key] = [-1, [[] for _ in range(first, d + 2)]]
+    old, levels = entry
+    try:
+        levels[0].extend({0: (0, 1, 1)} for _ in range(old, hi))
+        for i, j in enumerate(range(d, first - 1, -1), 1):
+            level(j, levels[i - 1], levels[i], old)
+    except BaseException:
+        for states in levels:
+            del states[old + 1:]
+        raise
+    entry[0] = hi
+    return entry
 
 
 def _add(x, y, w):
@@ -271,7 +359,8 @@ def _bounded(family, a, b, L, M, last_ge2=True):
         key = _qkey(L + M + m1, 2 * L) if ge else _qkey(2 * L + M - m1, 2 * L)
         return None if key is None else (e, (key,))
 
-    return _lattice_sum(cd.d, L, head, _kernel(cd, family), _psi(cd, family))
+    return _lattice_sum(cd.d, L, head, _kernel(cd, family), _psi(cd, family),
+                        shared=((family, cd.cf.quotients), 2))
 
 
 def eval_F(a, b, L, M, last_ge2=True):
@@ -325,7 +414,8 @@ def _limit(cd, family, top, head, chain, mid, cut=None):
     def lead(m1):
         return 0, head(m1) if a0 else head(m1) + (mid(1, m1),)
 
-    return _lattice_sum(cd.d, top, lead, phi, _psi(cd, family, a0), cut)
+    return _lattice_sum(cd.d, top, lead, phi, _psi(cd, family, a0), cut,
+                        ((family, cd.cf.quotients), a0 + 2))
 
 
 def eval_limit_L(family, a, b, M):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
 
 from .qpoly import (LaurentPoly, TruncatedSeries, first_poly_difference,
@@ -117,9 +118,15 @@ def _partitions_in_box(N, M):
 
 
 def _conjugate(lam):
+    """The conjugate of a partition (parts >= 1, largest first): its c-th
+    part is the number of parts >= c, a suffix sum of the counts of the
+    parts of each size."""
     if not lam:
         return []
-    return [sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1)]
+    count = [0] * (lam[0] + 1)
+    for p in lam:
+        count[p] += 1
+    return list(accumulate(reversed(count[1:])))[::-1]
 
 
 def partition_oracle(K, i, N, M, alpha, beta):

@@ -1,6 +1,8 @@
 """Fermionic lattice sums: four families, limits, overrides, support."""
 
 import itertools
+import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -130,7 +132,7 @@ def list_lattice_sum(d, top, head, phi, psi, cut=None):
     return total
 
 
-def on_lists(d, top, head, phi, psi, cut=None):
+def on_lists(d, top, head, phi, psi, cut=None, shared=None):
     """The engine's arguments (factor keys, (exponent, keys) heads) turned
     into polynomials for list_lattice_sum."""
     def poly(key):
@@ -207,7 +209,99 @@ def test_restarts_keep_values(monkeypatch):
     expect = all_lattice_values(pairs, 6, (0, 12, 40))
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
     monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
+    monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
     assert all_lattice_values(pairs, 6, (0, 12, 40)) == expect
+
+
+def grid_calls(pairs, top):
+    """(evaluator, args) of F/f/H/I, eval_limit_M and eval_limit_L over the
+    pairs and L, M <= top, smallest sizes first."""
+    calls = []
+    for L in range(top + 1):
+        for M in range(top + 1):
+            for a, b in pairs:
+                calls += [(fn, (a, b, L, M)) for fn in (eval_F, eval_f, eval_I)]
+                if a > 2:
+                    calls.append((eval_H, (a, b, L, M)))
+        for a, b in pairs:
+            calls += [(eval_limit_M, (fam, a, b, L)) for fam in ("F", "f", "I")]
+            calls += [(eval_limit_L, (fam, a, b, L)) for fam in ("F", "f")]
+    return calls
+
+
+def test_failed_build_keeps_memo_whole(monkeypatch):
+    # with 8-bit words, factors too wide for the word stop builds part
+    # way; largest sizes first, the smaller calls after them must find
+    # only whole columns in the level memo
+    calls = grid_calls([(5, 2), (7, 3), (8, 5)], 8)[::-1]
+    expect = [fn(*args) for fn, args in calls]
+    monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
+    monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
+    monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+    assert [fn(*args) for fn, args in calls] == expect
+
+
+def test_restarts_build_each_factor_once(monkeypatch):
+    # a restart at a wider word repacks the factors packed so far, and a
+    # factor too wide for its pass is kept at the width that holds it
+    monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
+    for run in (lambda: eval_limit_L("F", 7, 3, 9),
+                lambda: eval_limit_both("F", 7, 5, 60)):
+        monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
+        monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+        built = Counter()
+
+        def counting(key):
+            built[key] += 1
+            return _factor(key)
+
+        monkeypatch.setattr(fermionic, "_factor", counting)
+        run()
+        assert len(fermionic._PACKED_CACHE) > 1  # the pass did restart
+        assert built and max(built.values()) == 1
+
+
+def test_shared_levels_in_any_order(monkeypatch):
+    # the level memo grows in place with the first call that needs more
+    # columns; smallest first grows it at every size
+    calls = grid_calls(coprime_pairs(8), 6)
+    with monkeypatch.context() as m:
+        m.setattr(fermionic, "_lattice_sum", on_lists)
+        expect = [fn(*args) for fn, args in calls]
+    ascending = list(range(len(calls)))
+    shuffled = random.Random(9).sample(ascending, len(calls))
+    for order in (ascending, ascending[::-1], shuffled):
+        monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
+        monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+        for i in order:
+            fn, args = calls[i]
+            assert fn(*args) == expect[i], (fn.__name__, args)
+
+
+def test_shared_levels_built_once(monkeypatch):
+    # largest sizes first, the builder runs once per key and width; in any
+    # order, each of its runs builds only the columns past the last one
+    calls = grid_calls(coprime_pairs(8), 6)
+    extend = fermionic._extend
+
+    def builds(order):
+        monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+        runs, columns = Counter(), Counter()
+
+        def counting(key, d, first, hi, level):
+            runs[key] += 1
+            columns[key] += hi - fermionic._LEVEL_CACHE.get(key, [-1])[0]
+            return extend(key, d, first, hi, level)
+
+        monkeypatch.setattr(fermionic, "_extend", counting)
+        for fn, args in order:
+            fn(*args)
+        memo = fermionic._LEVEL_CACHE
+        assert columns == Counter({key: hi + 1 for key, (hi, _) in memo.items()})
+        return runs
+
+    assert set(builds(calls[::-1]).values()) == {1}
+    assert max(builds(calls).values()) > 1  # smallest first: grown in place
 
 
 def box_terms(a, b, L, family, margin=2):

@@ -26,6 +26,20 @@ def test_partition_oracle_trivia():
         partition_oracle(4, 1, 6, 0, 1, 1)  # N-M outside the window
 
 
+def conjugate_by_columns(lam):
+    """The conjugate partition, one count of the parts >= c per column c."""
+    if not lam:
+        return []
+    return [sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1)]
+
+
+def test_conjugate_matches_column_counts():
+    box = list(verify._partitions_in_box(6, 6))
+    assert len(box) == 924
+    for lam in box:
+        assert verify._conjugate(lam) == conjugate_by_columns(lam), lam
+
+
 def test_hook_sum_matches_oracle_pinned():
     K, i, alpha, beta = 4, 2, 1, 1
     for N in range(0, 7):
