@@ -9,15 +9,18 @@ are built first, and only `a * b` is timed. Each family's time is the best
 of REPEAT runs of enough products to take at least 0.2 s, printed per
 product with the interpreter version, the CPU count and the operands'
 spans (degree - valuation + 1, the length of their coefficient lists).
-The families are chosen to reach both paths of LaurentPoly.__mul__ with
-two operands of more than one term:
+Every product of two operands of more than one term takes the one path of
+LaurentPoly.__mul__, a Kronecker product; the families span its sizes,
+signs and word widths:
 
-- small:  spans 10 x 10, positive, under the packing threshold (schoolbook);
-- qbin:   [16, 8] x [18, 9], nonnegative (packed);
-- poch:   [20, 10] x (q)_20, signed (packed);
+- small:  spans 10 x 10, positive (16-bit words);
+- qbin:   [16, 8] x [18, 9], nonnegative;
+- poch:   [20, 10] x (q)_20, signed;
 - sparse: (1 - q^88) x (q, q^2; q^3)_29, two terms over a span of 89 by a
-          long signed polynomial (packed, since a span costs a word per
-          exponent whether or not its coefficient is zero).
+          long signed polynomial (a span costs a word per exponent whether
+          or not its coefficient is zero);
+- wide:   20 x 20 terms near +-2^40, an 88-bit coefficient bound (128-bit
+          words written byte by byte).
 
 Then it times qbin on a cleared memo, one call per run, best of REPEAT:
 [50, 25] (the largest the catalogue uses), [100, 50] and [2501, 1] (at
@@ -72,6 +75,8 @@ def families():
         "qbin": (qbin(16, 8), qbin(18, 9)),
         "poch": (qbin(20, 10), q_poch(20)),
         "sparse": (one - LaurentPoly.monomial(88), split),
+        "wide": (LaurentPoly({e: 2 ** 40 + e for e in range(-10, 10)}),
+                 LaurentPoly({e: -(2 ** 40) + 3 * e for e in range(20)})),
     }
 
 

@@ -26,7 +26,6 @@ class BosonicSpec:
     c2: Fraction = Fraction(0)
     c1: Fraction = Fraction(0)
     c0: Fraction = Fraction(0)
-    alternating: bool = True
 
 
 def bosonic_eval(spec, L, M):
@@ -45,7 +44,7 @@ def bosonic_eval(spec, L, M):
         if ker.is_zero():
             continue
         e = _int_exponent(c2 * j * j + c1 * j + c0, f"bosonic spec {spec} at j={j}")
-        sign = -1 if (spec.alternating and j % 2) else 1
+        sign = -1 if j % 2 else 1
         total = total + ker.scale(e, sign)
     return total
 

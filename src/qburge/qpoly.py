@@ -6,18 +6,15 @@ A Laurent polynomial is its lowest exponent `lo` and the dense list
 Values are immutable and may share lists. A list costs memory per exponent
 of its span, so the dict constructor, `+` and `*` raise DegreeLimitError
 before they build a span above MAX_SPAN.
-A truncated series keeps coefficients 0..order in a list; arithmetic on
-two series truncates to the smaller order.
+A truncated series keeps coefficients 0..order in a list; the sum of two
+series truncates to the smaller order.
 
-Large products use signed Kronecker substitution (D. Harvey, "Faster
+Products use signed Kronecker substitution (D. Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", J.
 Symbolic Comput. 2009): both operands become one integer each, written in
-base 2^w with w = 16, 32 or 64 bits wide enough for every product
-coefficient, and one bigint product replaces the term-pair loop. A product
-of more than 256 coefficient pairs is packed; a product with a one-term
-operand is a `scale`; any other product, or one whose coefficient bound
-exceeds 63 bits (no machine word holds it with its sign), is a schoolbook
-sum of shifted rows.
+base 2^w with w wide enough for every product coefficient, and one bigint
+product replaces the term-pair loop. A product with a one-term operand is
+a `scale`; every other product is packed, at any coefficient width.
 
 The packing helpers are shared with the lattice sums of `fermionic`, which
 run whole transfer passes on packed values. `pack(coeffs, w)` is the
@@ -34,8 +31,6 @@ from __future__ import annotations
 import sys
 from array import array
 
-# products of more than this many coefficient pairs are packed
-_PACK_MIN_PAIRS = 256
 # largest span (degree - valuation + 1) that any operation builds; far
 # above the 2,501 that the catalogue, the tests and the benchmark reach
 MAX_SPAN = 1_000_000
@@ -45,7 +40,8 @@ _SIGNED = {array(c).itemsize * 8: c for c in "qlih"}
 
 
 class DegreeLimitError(ValueError):
-    """A q-binomial degree, series order or polynomial span above its bound."""
+    """A q-binomial degree, series order, polynomial span or partition-oracle
+    box above its bound."""
 
 
 def _check_span(n):
@@ -190,38 +186,15 @@ class LaurentPoly:
         if len(a.coeffs) <= 1:
             return b.scale(a.lo, a.coeffs[0]) if a.coeffs else a
         ca, cb = a.coeffs, b.coeffs
-        nb = len(cb)
-        _check_span(len(ca) + nb - 1)
-        if len(ca) * nb > _PACK_MIN_PAIRS:
-            res = self._mul_packed(ca, cb)
-            if res is not None:
-                return _poly(a.lo + b.lo, res)
-        res = [0] * (len(ca) + nb - 1)
-        for i, c in enumerate(ca):
-            if c:
-                res[i:i + nb] = [r + c * x for r, x in zip(res[i:i + nb], cb)]
-        # the end coefficients are products of nonzero ends: nothing to strip
-        return _poly(a.lo + b.lo, res)
-
-    @staticmethod
-    def _mul_packed(a, b):
-        """The coefficient list of the product of two coefficient lists, by
-        signed Kronecker substitution: one `pack` per operand, one bigint
-        product, one `unpack`.
-
-        Every product coefficient is a sum of at most min(len(a), len(b))
-        terms, so its magnitude is below 2^(k-1) with k the bound computed
-        below, and a word of w >= k bits holds it. Returns None when k > 64
-        (a coefficient bound above 63 bits), which the caller multiplies
-        exactly by schoolbook.
-        """
-        ma = max(max(a), -min(a))
-        mb = max(max(b), -min(b))
-        k = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
+        n = len(ca) + len(cb) - 1
+        _check_span(n)
+        # every product coefficient is a sum of at most len(ca) terms, so its
+        # magnitude is below 2^(k-1) and a word of w >= k bits holds it
+        k = (max(max(ca), -min(ca)).bit_length()
+             + max(max(cb), -min(cb)).bit_length() + len(ca).bit_length() + 1)
         w = pack_width(k)
-        if w > 64:
-            return None
-        return unpack(pack(a, w) * pack(b, w), len(a) + len(b) - 1, w)
+        # the end coefficients are products of nonzero ends: nothing to strip
+        return _poly(a.lo + b.lo, unpack(pack(ca, w) * pack(cb, w), n, w))
 
     __rmul__ = __mul__
 
@@ -329,20 +302,6 @@ class TruncatedSeries:
     def __add__(self, other):
         t = min(self.order, other.order)
         return TruncatedSeries(t, [self.coeffs[i] + other.coeffs[i] for i in range(t + 1)])
-
-    def __sub__(self, other):
-        t = min(self.order, other.order)
-        return TruncatedSeries(t, [self.coeffs[i] - other.coeffs[i] for i in range(t + 1)])
-
-    def __mul__(self, other):
-        t = min(self.order, other.order)
-        res = [0] * (t + 1)
-        for i in range(t + 1):
-            ci = self.coeffs[i]
-            if ci:
-                for j in range(t + 1 - i):
-                    res[i + j] += ci * other.coeffs[j]
-        return TruncatedSeries(t, res)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -13,10 +13,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
-from .qpoly import (LaurentPoly, TruncatedSeries, first_poly_difference,
-                    first_series_difference)
+from .qpoly import (DegreeLimitError, LaurentPoly, TruncatedSeries,
+                    first_poly_difference, first_series_difference)
 from .qcombinat import qbin, b_kernel, g_poly, d_poly, borwein_split
 from .fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_M,
                         eval_limit_L, eval_limit_both)
@@ -106,6 +106,12 @@ def product_series(x, y, z, order):
 # ---------------------------------------------------------------------------
 # partition oracle
 
+# most partitions the oracle enumerates in one box: about 1.2 s at 1.0-1.2
+# us each (Python 3.11, 2-CPU VM); the default campaign's largest box,
+# 6 x 6, holds 924
+ORACLE_MAX_PARTITIONS = 1_000_000
+
+
 def _partitions_in_box(N, M):
     """All partitions with at most M parts, each part at most N."""
     def rec(maxpart, slots, prefix):
@@ -133,11 +139,17 @@ def partition_oracle(K, i, N, M, alpha, beta):
     """Generating function of partitions in the N x M box whose hook
     differences are >= beta-i+1 on diagonal 1-beta and <= K-alpha-i-1 on
     diagonal alpha-1.  Exhaustive enumeration; integer alpha,beta >= 1 only.
+    Raises DegreeLimitError, before enumerating, on a box of more than
+    ORACLE_MAX_PARTITIONS partitions.
     """
     if alpha < 1 or beta < 1:
         raise ValueError("oracle requires integer alpha, beta >= 1")
     if not (beta - i <= N - M <= K - alpha - i):
         raise ValueError(f"(K={K},i={i},N={N},M={M}) outside beta-i <= N-M <= K-alpha-i")
+    size = comb(N + M, N)
+    if size > ORACLE_MAX_PARTITIONS:
+        raise DegreeLimitError(f"the {N} x {M} box holds {size} partitions "
+                               f"> {ORACLE_MAX_PARTITIONS}")
     lo = beta - i + 1
     hi = K - alpha - i - 1
     counts = {}

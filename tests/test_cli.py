@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qburge import cli, qcombinat
+from qburge import cli, qcombinat, verify
 from qburge.verify import VerifyReport
 
 
@@ -199,6 +199,18 @@ def test_verify_budget_past_qbin_limit_exits_2(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("usage error: budget too large")
     assert len(err.splitlines()) == 1
+
+
+def test_verify_hookp_past_oracle_limit_exits_2(monkeypatch, capsys):
+    # at a limit of 924 partitions (the 6 x 6 box) the suite stops at its
+    # first larger oracle box, 6 x 7, with one line on stderr
+    monkeypatch.setattr(verify, "ORACLE_MAX_PARTITIONS", 924)
+    code, out, err = run(capsys, ["verify", "--suite", "hookp",
+                                  "--lm-max", "20"])
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: budget too large: " \
+        "the 6 x 7 box holds 1716 partitions > 924\n"
 
 
 def test_verify_out_file(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qburge.qpoly import LaurentPoly, TruncatedSeries
+from qburge.qpoly import DegreeLimitError, LaurentPoly, TruncatedSeries
 from qburge import verify
 from qburge.qcombinat import qbin, d_poly
 from qburge.verify import (CATALOGUE, CampaignBudget, IdentityCase, SUITES,
@@ -24,6 +24,21 @@ def test_partition_oracle_trivia():
         partition_oracle(4, 2, 2, 2, 0, 1)
     with pytest.raises(ValueError):
         partition_oracle(4, 1, 6, 0, 1, 1)  # N-M outside the window
+
+
+def test_partition_oracle_box_limit(monkeypatch):
+    # a box of more than ORACLE_MAX_PARTITIONS partitions raises before any
+    # is enumerated; the 6 x 6 box (924, the default campaign's largest) is
+    # exactly at the lowered limit and still runs
+    monkeypatch.setattr(verify, "ORACLE_MAX_PARTITIONS", 924)
+    assert partition_oracle(4, 1, 6, 6, 1, 1) == d_poly(4, 1, 6, 6, 1, 1)
+
+    def enumerate_box(N, M):
+        raise AssertionError("enumerated past the limit")
+    monkeypatch.setattr(verify, "_partitions_in_box", enumerate_box)
+    with pytest.raises(DegreeLimitError,
+                       match=r"^the 7 x 6 box holds 1716 partitions > 924$"):
+        partition_oracle(4, 1, 7, 6, 1, 1)
 
 
 def conjugate_by_columns(lam):
