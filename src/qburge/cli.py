@@ -20,7 +20,8 @@ from .qcombinat import (QBIN_MAX_DEGREE, DegreeLimitError, qbin, b_kernel,
                         g_poly, d_poly)
 from .fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_L,
                         eval_limit_both)
-from .verify import CATALOGUE, CampaignBudget, SUITES, run_campaign
+from .verify import (CATALOGUE, CampaignBudget, SUITES, check_oracle_box,
+                     run_campaign)
 
 
 @dataclass
@@ -145,6 +146,12 @@ def _check_config(cfg):
     unknown = [s for s in cfg.suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}")
+    if "hookp" in cfg.suites:  # the first oversized box, in run order
+        try:
+            for _, p in SUITES["hookp"](cfg):
+                check_oracle_box(p["N"], p["M"])
+        except DegreeLimitError as exc:
+            raise ValueError(f"budget too large: {exc}") from None
 
 
 def _cmd_verify(args):

@@ -56,19 +56,29 @@ Sharing. Only level 1 and the head read L or M: position 1 holds m_0 = L
 and the head the boundary binomial in M. This is the shape of the Burge
 transform, F(L, M) = sum_{m_1} [boundary binomial in M] times a sum at m_1
 free of L and M. The free positions are j >= 2 for F, f, H, I and the
-large-M limit, and j >= a_0 + 2 for the large-L limit. A state there does
-not depend on the bound hi either, which only limits which states are
-built, so these levels are built once and kept in _LEVEL_CACHE, keyed by
-(family, quotients, first free level, word width). The pair and its
-representation enter them only through the continued-fraction quotients,
-so (a, b) and (a, a - b) share an entry. A state packed at width w is
-exact, so each width has its own entry. A call that needs columns
-m_{first-1} <= hi beyond the entry's extends it in place, adding only the
-new columns, level by level from d down; then it runs the levels below
-the free ones and the head on the states with m_1 <= hi. Cut sums
-(`eval_limit_both`) are not shared: their states are reduced below
-q^(T+1), so they depend on T. Like the other memos here, the level memo
-is not bounded.
+large-M limit. For the large-L limit they are j >= 2 at b = 1 and at
+a_0 <= 1, once its Pochhammer chain has telescoped (see `eval_limit_L`),
+and j >= a_0 + 2 at a_0 >= 2. A state there does not depend on the bound
+hi either, which only limits which states are built, so these levels are
+built once and kept in _LEVEL_CACHE, keyed by (name, first free level,
+word width). The name fixes phi and psi at the free levels:
+
+- (family, quotients) for the kernel levels: F, f, H, I, the large-M limit
+  and the large-L limit at a_0 = 0 or a_0 >= 2. The pair and its
+  representation enter them only through the continued-fraction quotients,
+  so (a, b) and (a, a - b) share an entry;
+- ("limit_L", family, quotients) for the large-L limit at a_0 = 1, whose
+  level 2 is the telescoped [m_1 + (tau-1) m_2, tau m_2], not the kernel;
+- ("multinomial", d) for the large-L limit at b = 1: every level is
+  [m_j, m_{j+1}] with exponent m_j^2, so the depth d alone fixes them.
+
+A state packed at width w is exact, so each width has its own entry. A
+call that needs columns m_{first-1} <= hi beyond the entry's extends it
+in place, adding only the new columns, level by level from d down; then
+it runs the levels below the free ones and the head on the states with
+m_1 <= hi. Cut sums (`eval_limit_both`) are not shared: their states are
+reduced below q^(T+1), so they depend on T. Like the other memos here,
+the level memo is not bounded.
 """
 
 from __future__ import annotations
@@ -93,8 +103,8 @@ def cartan_for(a, b, last_ge2=True):
 
 # packed factors by word width, then by factor key: see _packed
 _PACKED_CACHE = {}
-# level states of the (L, M)-free positions by (family, quotients, first
-# level, word width): see _extend
+# level states of the (L, M)-free positions by (name, first level, word
+# width): see _extend and the module docstring
 _LEVEL_CACHE = {}
 _ONE_KEY = (0, 0, 1)  # [n, 0] = 1
 # word width in bits of a lattice sum's first pass
@@ -428,6 +438,23 @@ def eval_limit_L(family, a, b, M):
     m_j = n_j + m_{j+1} it is the local chain [2M, M-m_1]
     prod_{j<=a_0} [M+m_j, m_j-m_{j+1}] [M+m, tau m] (q)_{M+m-tau m}, and
     position j <= a_0 has exponent m_j^2.
+
+    The chain telescopes, so that M is read only by the head and level 1
+    and the levels below are shared (see the module docstring):
+
+    - b = 1 (a_0 = d, m = m_{d+1} = 0, the link is (q)_M):
+      prod_{j<=d} [M+m_j, m_j-m_{j+1}] (q)_M
+        = [M+m_1, m_1] (q)_M prod_{j<=d} [m_j, m_{j+1}],
+      the head [2M, M-m_1] [M+m_1, m_1] (q)_M times the M-free
+      q-multinomial prod [m_j, m_{j+1}] with exponent sum_j m_j^2;
+    - a_0 = 1 (tau = tau_2, m = m_2):
+      [M+m_1, m_1-m_2] [M+m_2, tau m_2] (q)_{M-(tau-1)m_2}
+        = [M+m_1, m_1+(tau-1)m_2] (q)_{M-(tau-1)m_2}
+          [m_1+(tau-1)m_2, tau m_2],
+      level 1 the first factor and level 2 the M-free second one.
+
+    At a_0 >= 2 the telescoped head would read m_{a_0+1}, so those pairs
+    keep the chain.
     """
     if family not in ("F", "f"):
         raise NotImplementedError("large-L limit provided for families F and f only")
@@ -436,11 +463,33 @@ def eval_limit_L(family, a, b, M):
             return qbin(2 * M, M) * q_poch(M)
         return eval_limit_L("F", a - 1, 1, M)
     cd = cartan_for(a, b, last_ge2=True)
-    total = _limit(cd, family, M, lambda m1: (_qkey(2 * M, M - m1),),
-                   lambda j, c, n: _qkey(M + c, c - n),
-                   lambda j, m: ("mid", M + m, cd.tau[j - 1] * m))
-    # b = 1 has no position a_0 + 1: its link is m = 0, the constant (q)_M
-    return total * q_poch(M) if b == 1 and a > 2 else total
+
+    def head(m1):
+        return (_qkey(2 * M, M - m1),)
+
+    if b == 1:
+        return _lattice_sum(cd.d, M,
+                            lambda m1: (0, head(m1) + (("mid", M + m1, m1),)),
+                            lambda j, p, c, n: _qkey(c, n),
+                            lambda j, x, y: x * x,
+                            shared=(("multinomial", cd.d), 2))
+    tau = cd.tau
+    if a > 2 * b and cd.cf.quotients[0] == 1:
+        t, kernel = tau[1], _kernel(cd, family)
+
+        def phi(j, p, c, n):
+            if j == 1:
+                return "mid", M + c, c + (t - 1) * n
+            if j == 2:
+                return _qkey(p + (t - 1) * c, t * c)
+            return kernel(j, p, c, n)
+
+        # level 2 is not the kernel's, so not the name _bounded shares
+        return _lattice_sum(cd.d, M, lambda m1: (0, head(m1)), phi,
+                            _psi(cd, family, 1),
+                            shared=(("limit_L", family, cd.cf.quotients), 2))
+    return _limit(cd, family, M, head, lambda j, c, n: _qkey(M + c, c - n),
+                  lambda j, m: ("mid", M + m, tau[j - 1] * m))
 
 
 def eval_limit_both(family, a, b, T, last_ge2=True):

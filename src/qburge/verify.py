@@ -135,6 +135,15 @@ def _conjugate(lam):
     return list(accumulate(reversed(count[1:])))[::-1]
 
 
+def check_oracle_box(N, M):
+    """Raise DegreeLimitError if the N x M box holds more than
+    ORACLE_MAX_PARTITIONS partitions."""
+    size = comb(N + M, N)
+    if size > ORACLE_MAX_PARTITIONS:
+        raise DegreeLimitError(f"the {N} x {M} box holds {size} partitions "
+                               f"> {ORACLE_MAX_PARTITIONS}")
+
+
 def partition_oracle(K, i, N, M, alpha, beta):
     """Generating function of partitions in the N x M box whose hook
     differences are >= beta-i+1 on diagonal 1-beta and <= K-alpha-i-1 on
@@ -146,10 +155,7 @@ def partition_oracle(K, i, N, M, alpha, beta):
         raise ValueError("oracle requires integer alpha, beta >= 1")
     if not (beta - i <= N - M <= K - alpha - i):
         raise ValueError(f"(K={K},i={i},N={N},M={M}) outside beta-i <= N-M <= K-alpha-i")
-    size = comb(N + M, N)
-    if size > ORACLE_MAX_PARTITIONS:
-        raise DegreeLimitError(f"the {N} x {M} box holds {size} partitions "
-                               f"> {ORACLE_MAX_PARTITIONS}")
+    check_oracle_box(N, M)
     lo = beta - i + 1
     hi = K - alpha - i - 1
     counts = {}
@@ -868,12 +874,14 @@ def _hookp(bud):
     # valid region determined by exhaustive scan: the stated window on
     # N-M plus 1 <= i <= K-1 and alpha+beta < K; outside it the
     # alternating sum picks up uncancelled wrap-around terms and stops
-    # being a generating function
-    lms = range(bud.lm_max + 1)
+    # being a generating function. The range of M holds every M with a
+    # valid i, so the list grows linearly in lm_max.
     return [("hookp", {"K": K, "i": i, "N": N, "M": M, "alpha": alpha,
                        "beta": beta})
             for K in (3, 4, 5) for alpha in (1, 2) for beta in (1, 2)
-            if alpha + beta < K for N in lms for M in lms
+            if alpha + beta < K for N in range(bud.lm_max + 1)
+            for M in range(max(0, N - K + alpha + 1),
+                           min(bud.lm_max, N + K - 1 - beta) + 1)
             for i in range(max(1, beta - N + M),
                            min(K - 1, K - alpha - N + M) + 1)]
 

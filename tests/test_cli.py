@@ -213,6 +213,23 @@ def test_verify_hookp_past_oracle_limit_exits_2(monkeypatch, capsys):
         "the 6 x 7 box holds 1716 partitions > 924\n"
 
 
+def test_verify_oversized_hookp_runs_no_check(monkeypatch, capsys):
+    # the budget is checked against the suite's first oversized oracle box
+    # before any check runs
+    ran = []
+
+    def check(cid, params):
+        ran.append((cid, params))
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "check_identity", check)
+    code, out, err = run(capsys, ["verify", "--suite", "hookp",
+                                  "--lm-max", "20"])
+    assert (code, out, ran) == (2, "", [])
+    assert err == "usage error: budget too large: " \
+        "the 11 x 12 box holds 1352078 partitions > 1000000\n"
+
+
 def test_verify_out_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run(capsys, ["verify", "--suite", "thmmain",

@@ -398,6 +398,60 @@ def test_limit_L_overrides():
         eval_limit_L("I", 3, 2, 2)
 
 
+def limit_L_chain(family, a, b, M):
+    """eval_limit_L on the untelescoped chain: the head [2M, M-m_1], the
+    factors [M+m_j, m_j-m_{j+1}] at j <= a_0 and the link
+    [M+m, tau m] (q)_(M+m-tau m), times (q)_M for b = 1, a >= 3; f at
+    b = 1 by its overrides."""
+    if family == "f" and b == 1:
+        if a == 2:
+            return qbin(2 * M, M) * q_poch(M)
+        return limit_L_chain("F", a - 1, 1, M)
+    cd = cartan_for(a, b)
+    total = fermionic._limit(cd, family, M, lambda m1: (_qkey(2 * M, M - m1),),
+                             lambda j, c, n: _qkey(M + c, c - n),
+                             lambda j, m: ("mid", M + m, cd.tau[j - 1] * m))
+    return total * q_poch(M) if b == 1 and a > 2 else total
+
+
+def test_limit_L_matches_chain():
+    # the telescoped heads (b = 1 and a_0 = 1) against the chain they
+    # replace, and the chain kept for the other pairs
+    for a, b in coprime_pairs(8):
+        for M in range(16):
+            for fam in ("F", "f"):
+                assert eval_limit_L(fam, a, b, M) == \
+                    limit_L_chain(fam, a, b, M), (fam, a, b, M)
+
+
+def test_limit_L_memo_names(monkeypatch):
+    # the telescoped sums keep their levels under names of their own: one
+    # shared with eval_F / eval_limit_M on the same quotients or with the
+    # mirror pair's limit (a kernel level 2), or a b = 1 name without the
+    # depth, would hand one sum the states of another
+    calls = []
+    for M in range(7):
+        for a, b in ((5, 2), (7, 3), (8, 3)):  # a_0 = 1
+            for fam, fn in (("F", eval_F), ("f", eval_f)):
+                calls += [(fn, (a, b, M, M)), (eval_limit_L, (fam, a, b, M)),
+                          (eval_limit_M, (fam, a, b, M)),
+                          (eval_limit_L, (fam, a, a - b, M)),
+                          (eval_limit_M, (fam, a, a - b, M)),
+                          (fn, (a, a - b, M, M))]
+    calls += [(eval_limit_L, ("F", a, 1, M)) for a in range(2, 9)
+              for M in range(7)]
+    with monkeypatch.context() as m:
+        m.setattr(fermionic, "_lattice_sum", on_lists)
+        expect = [limit_L_chain(*args) if fn is eval_limit_L else fn(*args)
+                  for fn, args in calls]
+    for order in (range(len(calls)), range(len(calls) - 1, -1, -1)):
+        monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
+        monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+        for i in order:
+            fn, args = calls[i]
+            assert fn(*args) == expect[i], (fn.__name__, args)
+
+
 def test_limit_L_75_display():
     # quadruple sum with quadratic form m1^2+(m1-m2)^2+m3^2+m4^2
     def display(M):

@@ -26,6 +26,20 @@ def test_partition_oracle_trivia():
         partition_oracle(4, 1, 6, 0, 1, 1)  # N-M outside the window
 
 
+def test_hookp_suite_window():
+    # the suite's M range is the window of N - M with a valid i: the same
+    # checks, in the same order, as scanning the whole lm_max x lm_max square
+    for lm_max in range(15):
+        lms = range(lm_max + 1)
+        square = [("hookp", {"K": K, "i": i, "N": N, "M": M, "alpha": alpha,
+                             "beta": beta})
+                  for K in (3, 4, 5) for alpha in (1, 2) for beta in (1, 2)
+                  if alpha + beta < K for N in lms for M in lms
+                  for i in range(max(1, beta - N + M),
+                                 min(K - 1, K - alpha - N + M) + 1)]
+        assert SUITES["hookp"](CampaignBudget(lm_max=lm_max)) == square
+
+
 def test_partition_oracle_box_limit(monkeypatch):
     # a box of more than ORACLE_MAX_PARTITIONS partitions raises before any
     # is enumerated; the 6 x 6 box (924, the default campaign's largest) is
