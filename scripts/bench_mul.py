@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time LaurentPoly products on fixed operand families and cold Gaussian
-binomials (the L0 layer), and three cold lattice sums (the L1 layer).
+binomials (the L0 layer), and cold lattice sums and cold and warm bosonic
+sums (the L1 layer).
 
     PYTHONPATH=src python3 scripts/bench_mul.py
 
@@ -26,24 +27,36 @@ Then it times qbin on a cleared memo, one call per run, best of REPEAT:
 [50, 25] (the largest the catalogue uses), [100, 50] and [2501, 1] (at
 QBIN_MAX_DEGREE, one wide and one narrow), and [30, 15] in q^2.
 
-Last, it times one packed lattice sum per evaluator kind, cold: the qbin,
+Then it times one packed lattice sum per evaluator kind, cold: the qbin,
 q_poch, Cartan, packed-factor and level memos are cleared before every
 run, so each row includes building and packing its factors. The rows are
 eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
 (signed Pochhammer links) and eval_limit_both("F", 7, 5, 60) (products
 cut at q^60), and one row of all 81 eval_F(8, 5, L, M) at L, M <= 8 in a
 fixed shuffled order, whose calls share their (L, M)-free levels.
+
+Last, it times the bosonic sums, each a loop of `qcombinat.qsum`, over
+three grids (the L1 bypass sides): g_poly on the G sides of the four
+single-limit identities (coprime a <= 8, v <= 9), bosonic_eval(spec_main)
+over coprime a <= 8 and L, M <= 8, and d_poly over the hookp region of the
+default budget. Each grid gets a cold row (memos cleared before every run,
+so it includes building the q-binomials) and a warm row (the same grid
+again with every q-binomial memoized: the q-sum loops alone).
 """
 
 import os
 import platform
 import random
 import timeit
+from fractions import Fraction
+from math import gcd
 
 from qburge import fermionic, qcombinat
+from qburge.burge import bosonic_eval, spec_main
 from qburge.fermionic import eval_F, eval_limit_L, eval_limit_both
-from qburge.qcombinat import q_poch, qbin
+from qburge.qcombinat import d_poly, g_poly, q_poch, qbin
 from qburge.qpoly import LaurentPoly
+from qburge.verify import SUITES, CampaignBudget
 
 REPEAT = 7
 COLD_QBIN = ((50, 25, 1), (100, 50, 1), (2501, 1, 1), (30, 15, 2))
@@ -54,6 +67,20 @@ COLD_L1 = (("eval_F(8, 3, 8, 8)", lambda: eval_F(8, 3, 8, 8)),
             lambda: eval_limit_both("F", 7, 5, 60)),
            ("eval_F(8, 5, L, M), L, M <= 8",
             lambda: [eval_F(8, 5, L, M) for L, M in GRID]))
+PAIRS = [(a, b) for a in range(2, 9) for b in range(1, a) if gcd(a, b) == 1]
+# (N, M, alpha, beta, K) of the g_eq_limF, limFt, limf and limft cases
+G_GRID = [(v, v, alpha, beta, K) for a, b in PAIRS for v in range(10)
+          for alpha, beta, K in ((Fraction(b), Fraction(a * b + 1, a), a),
+                                 (Fraction(a), Fraction(a * b + 1, b), b),
+                                 (Fraction(a * b - 1, a), Fraction(b), a),
+                                 (Fraction(a * b - 1, b), Fraction(a), b))]
+HOOKP = [tuple(p[k] for k in ("K", "i", "N", "M", "alpha", "beta"))
+         for _, p in SUITES["hookp"](CampaignBudget())]
+BOSONIC = (("g_poly, single-limit G grid", lambda: [g_poly(*g) for g in G_GRID]),
+           ("bosonic_eval(spec_main), a, L, M <= 8",
+            lambda: [bosonic_eval(spec_main(a, b), L, M) for a, b in PAIRS
+                     for L in range(9) for M in range(9)]),
+           ("d_poly, hookp region", lambda: [d_poly(*h) for h in HOOKP]))
 
 
 def clear_memos():
@@ -97,6 +124,12 @@ def main():
     for name, run in COLD_L1:
         best = min(timeit.Timer(run, setup=clear_memos).repeat(REPEAT, 1))
         print(f"{name:31s} cold {best * 1e6:10.1f} us")
+    for name, run in BOSONIC:
+        cold = min(timeit.Timer(run, setup=clear_memos).repeat(REPEAT, 1))
+        run()
+        warm = min(timeit.Timer(run).repeat(REPEAT, 1))
+        print(f"{name:37s} cold {cold * 1e6:10.1f} us")
+        print(f"{name:37s} warm {warm * 1e6:10.1f} us")
 
 
 if __name__ == "__main__":

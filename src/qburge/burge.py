@@ -12,7 +12,7 @@ from fractions import Fraction
 from .cf import bar_pair, cf_expand, check_pair
 from .fermionic import eval_H
 from .qpoly import LaurentPoly
-from .qcombinat import b_kernel, qbin, _as_fraction, _int_exponent
+from .qcombinat import b_kernel, qbin, qsum
 
 
 @dataclass(frozen=True)
@@ -32,21 +32,13 @@ def bosonic_eval(spec, L, M):
     """Evaluate the alternating kernel sum; j runs over the kernel support."""
     if spec.a <= 0:
         raise ValueError("spec.a must be positive")
-    total = LaurentPoly.zero()
-    c2 = _as_fraction(spec.c2)
-    c1 = _as_fraction(spec.c1)
-    c0 = _as_fraction(spec.c0)
     # |a j + abar| <= L is necessary for a nonzero kernel
-    jlo = -((L + spec.abar) // spec.a) - 1
-    jhi = (L - spec.abar) // spec.a + 1
-    for j in range(jlo, jhi + 1):
-        ker = b_kernel(L, M, spec.a * j + spec.abar, spec.b * j + spec.bbar)
-        if ker.is_zero():
-            continue
-        e = _int_exponent(c2 * j * j + c1 * j + c0, f"bosonic spec {spec} at j={j}")
-        sign = -1 if j % 2 else 1
-        total = total + ker.scale(e, sign)
-    return total
+    return qsum((spec.c2, spec.c1, spec.c0),
+                ((j, -1 if j % 2 else 1,
+                  b_kernel(L, M, spec.a * j + spec.abar, spec.b * j + spec.bbar))
+                 for j in range(-((L + spec.abar) // spec.a),
+                                (L - spec.abar) // spec.a + 1)),
+                lambda: f"bosonic spec {spec}")
 
 
 def spec_main(a, b):
@@ -93,12 +85,10 @@ def transform_step(direction, inner, L, M):
     direction "B1": sum_i q^(i^2) [2L+M-i, 2L] inner(L-i, i)
     direction "B2": sum_i q^(i^2) [2L+M-i, 2L] inner(i, L-i)
     """
-    total = LaurentPoly.zero()
-    for i, (l, m) in enumerate(_inner_args(direction, L, M)):
-        val = inner(l, m)
-        if not val.is_zero():
-            total = total + (qbin(2 * L + M - i, 2 * L) * val).scale(i * i)
-    return total
+    vals = (inner(l, m) for l, m in _inner_args(direction, L, M))
+    return qsum((1, 0, 0), ((i, 1, qbin(2 * L + M - i, 2 * L) * v)
+                            for i, v in enumerate(vals) if not v.is_zero()),
+                lambda: f"transform_step {direction}")
 
 
 def _inner_args(direction, L, M):

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .qpoly import LaurentPoly, TruncatedSeries
-from .qcombinat import (QBIN_MAX_DEGREE, DegreeLimitError, qbin, b_kernel,
-                        g_poly, d_poly)
+from . import qcombinat
+from .qcombinat import DegreeLimitError, qbin, b_kernel, g_poly, d_poly
 from .fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_L,
                         eval_limit_both)
 from .verify import (CATALOGUE, CampaignBudget, SUITES, check_oracle_box,
@@ -59,13 +59,15 @@ def _cmd_eval(args):
         elif obj == "D":
             K, i, N, M = map(int, v[:4])
             res = d_poly(K, i, N, M, Fraction(v[4]), Fraction(v[5]))
-        elif obj in ("F", "f", "H", "I"):
+        elif obj in ("F", "f", "H", "I", "Ftilde"):
             a, b = int(v[0]), int(v[1])
-            fn = {"F": eval_F, "f": eval_f, "H": eval_H, "I": eval_I}[obj]
+            flags = ("M",) if obj == "Ftilde" else ("L", "M")
+            missing = " and ".join(f"--{f}" for f in flags if getattr(args, f) is None)
+            if missing:
+                raise ValueError(f"eval {obj} needs {missing}")
+            fn = {"F": eval_F, "f": eval_f, "H": eval_H, "I": eval_I,
+                  "Ftilde": lambda a, b, L, M: eval_limit_L("F", a, b, M)}[obj]
             res = fn(a, b, args.L, args.M)
-        elif obj == "Ftilde":
-            a, b = int(v[0]), int(v[1])
-            res = eval_limit_L("F", a, b, args.M)
         elif obj == "series":
             fam, a, b = v[0], int(v[1]), int(v[2])
             res = eval_limit_both(fam, a, b, args.order)
@@ -134,8 +136,6 @@ def _check_config(cfg):
         v = getattr(cfg, f.name)
         if type(v) is not int or v < 0:
             raise ValueError(f"{f.name} must be an integer >= 0, got {v!r}")
-    if cfg.T > QBIN_MAX_DEGREE:
-        raise ValueError(f"T must be <= {QBIN_MAX_DEGREE}, got {cfg.T}")
     if cfg.format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {cfg.format!r}")
     if cfg.out is not None and not isinstance(cfg.out, str):
@@ -146,6 +146,17 @@ def _check_config(cfg):
     unknown = [s for s in cfg.suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}")
+    limit = qcombinat.QBIN_MAX_DEGREE  # read at call time: tests patch it
+    # g_poly(N, N, ...) reads [2N, N], of degree N^2: pos_gen (given a pair,
+    # a_max >= 2) at N <= pos_l_max, pos_section8 and section8 at N <= n_max
+    for name, used in (("pos_l_max", "positivity" in cfg.suites and cfg.a_max >= 2),
+                       ("n_max", {"positivity", "section8"} & set(cfg.suites))):
+        n = getattr(cfg, name)
+        if used and n * n > limit:
+            raise ValueError(f"budget too large: {name} {n} needs "
+                             f"qbin({2 * n}, {n}) of degree {n * n} > {limit}")
+    if cfg.T > limit:
+        raise ValueError(f"T must be <= {limit}, got {cfg.T}")
     if "hookp" in cfg.suites:  # the first oversized box, in run order
         try:
             for _, p in SUITES["hookp"](cfg):

@@ -87,7 +87,7 @@ from math import isqrt
 
 from .cf import build_cartan, cf_expand, n_row
 from .qpoly import LaurentPoly, TruncatedSeries, pack, pack_width, unpack
-from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin
+from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin, qsum
 
 _CARTAN_CACHE = {}
 
@@ -386,11 +386,9 @@ def eval_f(a, b, L, M, last_ge2=True):
 def eval_H(a, b, L, M):
     """Shifted-kernel family; (2,1) is the explicit seed sum."""
     if (a, b) == (2, 1):
-        total = LaurentPoly.zero()
-        for n in range(0, min(L, M) + 1):
-            t = qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n)
-            total = total + t.scale(n * n)
-        return total
+        return qsum((1, 0, 0),
+                    ((n, 1, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
+                     for n in range(min(L, M) + 1)), lambda: "eval_H(2, 1)")
     return _bounded("H", a, b, L, M)  # the shifted kernel is rep-sensitive
 
 

@@ -1,16 +1,17 @@
 """q-binomial coefficients, q-Pochhammer products, the two-binomial kernel,
 the G and D alternating sums, and the Borwein residue split.
 
-All results are exact LaurentPoly values. Rational parameters are carried
-as Fractions and every exponent is asserted integral per contributing term,
-so invalid parameter combinations fail loudly instead of silently rounding.
+All results are exact LaurentPoly values. Every alternating sum goes through
+`qsum`, which puts its rational quadratic exponent over one integer
+denominator and checks each contributing term's exponent by one divmod, so
+invalid parameter combinations fail loudly instead of silently rounding.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, lcm
 
 from .qpoly import DegreeLimitError, LaurentPoly
 
@@ -127,15 +128,28 @@ def b_kernel(L, M, a, b):
     return qbin(L + M + a - b, L + a) * qbin(L + M - a + b, L - a)
 
 
-def _as_fraction(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+def qsum(quad, terms, context):
+    """The sum of sign * q^(c2 j^2 + c1 j + c0) * p over the (j, sign, p) in
+    terms, where quad = (c2, c1, c0) are ints or Fractions.
 
-
-def _int_exponent(e, context):
-    e = _as_fraction(e)
-    if e.denominator != 1:
-        raise NonIntegerExponentError(f"non-integer exponent {e} in {context}")
-    return e.numerator
+    The three coefficients are put once over their least common denominator
+    d, so each nonzero p costs one integer evaluation and one divmod by d.
+    A nonzero remainder raises NonIntegerExponentError naming context(), a
+    callable called only then, and j. A zero p is skipped unchecked: a
+    fractional exponent is an error only where it contributes.
+    """
+    den = lcm(*(c.denominator for c in quad))
+    n2, n1, n0 = (c.numerator * (den // c.denominator) for c in quad)
+    total = LaurentPoly.zero()
+    for j, sign, p in terms:
+        if p.is_zero():
+            continue
+        e, r = divmod((n2 * j + n1) * j + n0, den)
+        if r:
+            raise NonIntegerExponentError(
+                f"non-integer exponent {e + Fraction(r, den)} in {context()} at j={j}")
+        total = total + p.scale(e, sign)
+    return total
 
 
 def g_poly(N, M, alpha, beta, K):
@@ -146,23 +160,12 @@ def g_poly(N, M, alpha, beta, K):
     """
     if K <= 0:
         raise ValueError("K must be a positive integer")
-    alpha = _as_fraction(alpha)
-    beta = _as_fraction(beta)
-    total = LaurentPoly.zero()
-    # [M+N, N-Kj] nonzero iff 0 <= N-Kj <= M+N
-    jlo = -(M // K) - 1
-    jhi = N // K + 1
-    for j in range(jlo, jhi + 1):
-        if not (0 <= N - K * j <= M + N):
-            continue
-        binom = qbin(M + N, N - K * j)
-        if binom.is_zero():
-            continue
-        e = Fraction(K * j, 2) * ((alpha + beta) * j + alpha - beta)
-        exp = _int_exponent(e, f"g_poly(N={N},M={M},alpha={alpha},beta={beta},K={K}) at j={j}")
-        term = binom.scale(exp, -1 if j % 2 else 1)
-        total = total + term
-    return total
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    # [M+N, N-Kj] vanishes unless -M <= Kj <= N
+    return qsum((K * (alpha + beta) / 2, K * (alpha - beta) / 2, 0),
+                ((j, -1 if j % 2 else 1, qbin(M + N, N - K * j))
+                 for j in range(-(M // K), N // K + 1)),
+                lambda: f"g_poly(N={N},M={M},alpha={alpha},beta={beta},K={K})")
 
 
 def d_poly(K, i, N, M, alpha, beta):
@@ -173,21 +176,16 @@ def d_poly(K, i, N, M, alpha, beta):
     """
     if K <= 0:
         raise ValueError("K must be a positive integer")
-    alpha = _as_fraction(alpha)
-    beta = _as_fraction(beta)
-    total = LaurentPoly.zero()
-    span = (M + N) // K + abs(i) + 2
-    for j in range(-span, span + 1):
-        ctx = f"d_poly(K={K},i={i},N={N},M={M},alpha={alpha},beta={beta}) at j={j}"
-        b1 = qbin(M + N, M - K * j)
-        if not b1.is_zero():
-            e1 = j * ((alpha + beta) * K * j + K * beta - (alpha + beta) * i)
-            total = total + b1.scale(_int_exponent(e1, ctx))
-        b2 = qbin(M + N, M - K * j - i)
-        if not b2.is_zero():
-            e2 = ((alpha + beta) * j + beta) * (K * j + i)
-            total = total - b2.scale(_int_exponent(e2, ctx))
-    return total
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    s = alpha + beta
+    context = lambda: f"d_poly(K={K},i={i},N={N},M={M},alpha={alpha},beta={beta})"
+    # [M+N, M-u] vanishes unless -N <= u <= M; u = Kj, then u = Kj+i
+    return qsum((s * K, K * beta - s * i, 0),
+                ((j, 1, qbin(M + N, M - K * j))
+                 for j in range(-(N // K), M // K + 1)), context) - \
+        qsum((s * K, s * i + K * beta, beta * i),
+             ((j, 1, qbin(M + N, M - K * j - i))
+              for j in range(-((N + i) // K), (M - i) // K + 1)), context)
 
 
 def borwein_split(n):

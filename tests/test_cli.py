@@ -57,7 +57,12 @@ def test_eval_series(capsys):
 def test_eval_usage_error(capsys):
     code, _, err = run(capsys, ["eval", "F", "2", "1"])  # missing --L/--M
     assert code == 2
-    assert "usage error" in err
+    assert err == "usage error: eval F needs --L and --M\n"
+    for obj in ("f", "H", "I", "Ftilde"):
+        code, _, err = run(capsys, ["eval", obj, "2", "1", "--L", "1"])
+        assert (code, err) == (2, f"usage error: eval {obj} needs --M\n")
+    code, _, err = run(capsys, ["eval", "I", "2", "1", "--M", "1"])
+    assert (code, err) == (2, "usage error: eval I needs --L\n")
     code, _, err = run(capsys, ["eval", "qbin"])  # missing params
     assert code == 2
 
@@ -143,6 +148,10 @@ def test_verify_config_errors(tmp_path, capsys):
     (["eval", "qbin", "100000000", "3", "-1"], None),
     (["eval", "G", "1", "1", "1000000000", "1", "1"], None),
     (["eval", "D", "2", "1", "2", "2", "1000000000", "1"], None),
+    (["eval", "F", "2", "1"], None),
+    (["eval", "Ftilde", "2", "1"], None),
+    # d_poly's j range is exact, not 2|i| wide: this answers at once
+    (["eval", "D", "2", "1000000000000", "2", "2", "1", "1"], None),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
@@ -228,6 +237,22 @@ def test_verify_oversized_hookp_runs_no_check(monkeypatch, capsys):
     assert (code, out, ran) == (2, "", [])
     assert err == "usage error: budget too large: " \
         "the 11 x 12 box holds 1352078 partitions > 1000000\n"
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--suite", "positivity", "--a-max", "10", "--pos-l-max", "60"],
+     "pos_l_max 60 needs qbin(120, 60) of degree 3600 > 2500"),
+    (["--suite", "section8", "--n-max", "60"],
+     "n_max 60 needs qbin(120, 60) of degree 3600 > 2500"),
+    # without a coprime pair (a_max < 2) pos_gen has no case to read pos_l_max
+    (["--suite", "positivity", "--a-max", "1", "--pos-l-max", "60",
+      "--n-max", "51"], "n_max 51 needs qbin(102, 51) of degree 2601 > 2500"),
+])
+def test_verify_oversized_g_poly_runs_no_check(monkeypatch, capsys, flags, err):
+    # G(N, N) reads [2N, N], of degree N^2: checked before any check runs
+    monkeypatch.setattr(verify, "check_identity", lambda cid, params: 1 / 0)
+    code, out, got = run(capsys, ["verify"] + flags)
+    assert (code, out, got) == (2, "", f"usage error: budget too large: {err}\n")
 
 
 def test_verify_out_file(tmp_path, capsys):

@@ -1,0 +1,213 @@
+"""The alternating sums on `qcombinat.qsum` against the Fraction loops they
+replaced, kept here as references: equal values and, for bosonic_eval and
+g_poly, the same NonIntegerExponentError message (text and first offending
+j)."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qburge.burge import (BosonicSpec, bosonic_eval, spec_even, spec_main,
+                          spec_recip, spec_shifted, transform_step)
+from qburge.qcombinat import (NonIntegerExponentError, b_kernel, d_poly,
+                              g_poly, qbin, qsum)
+from qburge.qpoly import LaurentPoly
+from qburge.verify import _SECTION8, SUITES, CampaignBudget
+
+
+def _as_fraction(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _int_exponent(e, context):
+    e = _as_fraction(e)
+    if e.denominator != 1:
+        raise NonIntegerExponentError(f"non-integer exponent {e} in {context}")
+    return e.numerator
+
+
+def ref_bosonic_eval(spec, L, M):
+    if spec.a <= 0:
+        raise ValueError("spec.a must be positive")
+    total = LaurentPoly.zero()
+    c2 = _as_fraction(spec.c2)
+    c1 = _as_fraction(spec.c1)
+    c0 = _as_fraction(spec.c0)
+    jlo = -((L + spec.abar) // spec.a) - 1
+    jhi = (L - spec.abar) // spec.a + 1
+    for j in range(jlo, jhi + 1):
+        ker = b_kernel(L, M, spec.a * j + spec.abar, spec.b * j + spec.bbar)
+        if ker.is_zero():
+            continue
+        e = _int_exponent(c2 * j * j + c1 * j + c0, f"bosonic spec {spec} at j={j}")
+        sign = -1 if j % 2 else 1
+        total = total + ker.scale(e, sign)
+    return total
+
+
+def ref_g_poly(N, M, alpha, beta, K):
+    if K <= 0:
+        raise ValueError("K must be a positive integer")
+    alpha = _as_fraction(alpha)
+    beta = _as_fraction(beta)
+    total = LaurentPoly.zero()
+    jlo = -(M // K) - 1
+    jhi = N // K + 1
+    for j in range(jlo, jhi + 1):
+        if not (0 <= N - K * j <= M + N):
+            continue
+        binom = qbin(M + N, N - K * j)
+        if binom.is_zero():
+            continue
+        e = Fraction(K * j, 2) * ((alpha + beta) * j + alpha - beta)
+        exp = _int_exponent(e, f"g_poly(N={N},M={M},alpha={alpha},beta={beta},K={K}) at j={j}")
+        total = total + binom.scale(exp, -1 if j % 2 else 1)
+    return total
+
+
+def ref_d_poly(K, i, N, M, alpha, beta):
+    if K <= 0:
+        raise ValueError("K must be a positive integer")
+    alpha = _as_fraction(alpha)
+    beta = _as_fraction(beta)
+    total = LaurentPoly.zero()
+    span = (M + N) // K + abs(i) + 2
+    for j in range(-span, span + 1):
+        ctx = f"d_poly(K={K},i={i},N={N},M={M},alpha={alpha},beta={beta}) at j={j}"
+        b1 = qbin(M + N, M - K * j)
+        if not b1.is_zero():
+            e1 = j * ((alpha + beta) * K * j + K * beta - (alpha + beta) * i)
+            total = total + b1.scale(_int_exponent(e1, ctx))
+        b2 = qbin(M + N, M - K * j - i)
+        if not b2.is_zero():
+            e2 = ((alpha + beta) * j + beta) * (K * j + i)
+            total = total - b2.scale(_int_exponent(e2, ctx))
+    return total
+
+
+def ref_transform_step(direction, inner, L, M):
+    if direction not in ("B1", "B2"):
+        raise ValueError("direction must be 'B1' or 'B2'")
+    total = LaurentPoly.zero()
+    for i in range(min(L, M) + 1):
+        val = inner(L - i, i) if direction == "B1" else inner(i, L - i)
+        if not val.is_zero():
+            total = total + (qbin(2 * L + M - i, 2 * L) * val).scale(i * i)
+    return total
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the NonIntegerExponentError it raises."""
+    try:
+        return fn(*args)
+    except NonIntegerExponentError as exc:
+        return f"raised: {exc}"
+
+
+def coprime_pairs(a_max):
+    return [(a, b) for a in range(2, a_max + 1) for b in range(1, a)
+            if gcd(a, b) == 1]
+
+
+def test_qsum_reduces_once_and_checks_each_term():
+    x = LaurentPoly.monomial(0)
+    # (1/2) j^2 + (1/2) j is an integer at every j
+    terms = [(j, 1, x) for j in range(-3, 4)]
+    assert qsum((Fraction(1, 2), Fraction(1, 2), 0), terms, None) == \
+        LaurentPoly({0: 2, 1: 2, 3: 2, 6: 1})
+    # a zero term is skipped unchecked; the context is built only to raise
+    half = (0, 0, Fraction(1, 2))
+    assert qsum(half, [(0, 1, LaurentPoly.zero())], None).is_zero()
+    with pytest.raises(NonIntegerExponentError,
+                       match=r"^non-integer exponent 1/2 in here at j=-2$"):
+        qsum(half, [(-2, -1, x)], lambda: "here")
+
+
+def test_bosonic_eval_matches_reference():
+    specs = [spec(a, b) for a, b in coprime_pairs(8)
+             for spec in (spec_main, spec_recip, spec_even)] + \
+        [spec_shifted(a, b) for a, b in coprime_pairs(8) if a >= 3] + \
+        [BosonicSpec(1, 1, c2=Fraction(3, 2), c1=Fraction(1, 2)),  # bnew
+         BosonicSpec(2, 1, abar=1, bbar=0, c2=Fraction(5, 2),
+                     c1=Fraction(1, 2))]  # bnewp2
+    for spec in specs:
+        for L in range(-1, 9):
+            for M in range(-1, 9):
+                assert bosonic_eval(spec, L, M) == \
+                    ref_bosonic_eval(spec, L, M), (spec, L, M)
+
+
+def test_g_poly_matches_reference():
+    params = [(alpha, beta, K) for a, b in coprime_pairs(8)
+              for alpha, beta, K in ((b, Fraction(a * b + 1, a), a),
+                                     (a, Fraction(a * b + 1, b), b),
+                                     (Fraction(a * b - 1, a), b, a),
+                                     (Fraction(a * b - 1, b), a, b))] + \
+        [(alpha, beta, K) for alpha, beta, K, _ in _SECTION8.values()]
+    sizes = [(N, M) for N in range(-1, 9) for M in range(-1, 9)] + \
+        [(n, n) for n in range(9, 13)]
+    for alpha, beta, K in params:
+        for N, M in sizes:
+            assert outcome(g_poly, N, M, alpha, beta, K) == \
+                outcome(ref_g_poly, N, M, alpha, beta, K), (N, M, alpha, beta, K)
+
+
+def test_d_poly_matches_reference():
+    hookp = [tuple(p[k] for k in ("K", "i", "N", "M", "alpha", "beta"))
+             for _, p in SUITES["hookp"](CampaignBudget(lm_max=8))]
+    negative_i = [(K, i, N, M, alpha, beta) for K in (1, 2, 3, 4, 5)
+                  for i in range(-K - 1, 0) for N in range(6) for M in range(6)
+                  for alpha in (1, 2) for beta in (0, 1, 2)]
+    for args in hookp + negative_i:
+        assert d_poly(*args) == ref_d_poly(*args), args
+
+
+def test_transform_step_matches_reference():
+    inners = [lambda l, m: b_kernel(l, m, 1, 0), lambda l, m: qbin(l + m, m),
+              lambda l, m: qbin(l, m).scale(l - m) if l > m else
+              LaurentPoly.zero()]
+    for direction in ("B1", "B2"):
+        for inner in inners:
+            for L in range(9):
+                for M in range(9):
+                    assert transform_step(direction, inner, L, M) == \
+                        ref_transform_step(direction, inner, L, M)
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_RATIONAL, _RATIONAL, st.integers(1, 4), st.integers(0, 7),
+       st.integers(0, 7))
+def test_g_poly_rational_parameters(alpha, beta, K, N, M):
+    assert outcome(g_poly, N, M, alpha, beta, K) == \
+        outcome(ref_g_poly, N, M, alpha, beta, K)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(-2, 2),
+       st.integers(-2, 2), _RATIONAL, _RATIONAL, _RATIONAL,
+       st.integers(0, 5), st.integers(0, 5))
+def test_bosonic_eval_rational_exponents(a, b, abar, bbar, c2, c1, c0, L, M):
+    spec = BosonicSpec(a, b, abar, bbar, c2, c1, c0)
+    assert outcome(bosonic_eval, spec, L, M) == \
+        outcome(ref_bosonic_eval, spec, L, M)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4), st.integers(-3, 3), st.integers(0, 6),
+       st.integers(0, 6), _RATIONAL, _RATIONAL)
+def test_d_poly_rational_parameters(K, i, N, M, alpha, beta):
+    # d_poly sums its two parts one after the other, so when both have an
+    # offending term it names the first one of its first part, where the
+    # interleaved reference may name an earlier j of the second part
+    new = outcome(d_poly, K, i, N, M, alpha, beta)
+    ref = outcome(ref_d_poly, K, i, N, M, alpha, beta)
+    if isinstance(ref, str):
+        context = f" in d_poly(K={K},i={i},N={N},M={M},alpha={alpha},beta={beta}) at j="
+        assert isinstance(new, str) and context in new
+    else:
+        assert new == ref
