@@ -10,10 +10,11 @@ One after the other, each in its own interpreter, it runs:
 - the tier-1 test suite (see ROADMAP.md), timing its wall clock;
 - scripts/bench_mul.py, keeping its timing rows in microseconds.
 
-It writes them, with the interpreter, the CPU count and the commit, to
-BENCH_N.json at the root of the repository. It reads and changes nothing
-under perfbench/; it only runs it. Compare two points only when they come
-from the same host and seed.
+It writes them, with the line count of each src/qburge/*.py and their
+total (the code-size side of the trajectory), the interpreter, the CPU
+count and the commit, to BENCH_N.json at the root of the repository. It
+reads and changes nothing under perfbench/; it only runs it. Compare two
+points only when they come from the same host and seed.
 """
 
 import argparse
@@ -74,6 +75,10 @@ def main(argv=None):
         if m:
             rows[" ".join(m.group(1).split())] = float(m.group(2))
 
+    src_lines = {path.name: len(path.read_text().splitlines())
+                 for path in sorted((ROOT / "src" / "qburge").glob("*.py"))}
+    src_lines["total"] = sum(src_lines.values())
+
     point = {
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "cpus": os.cpu_count(),
@@ -83,6 +88,7 @@ def main(argv=None):
         "perfbench": perfbench,
         "tier1": tier1,
         "bench_mul_us": rows,
+        "src_lines": src_lines,
     }
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(point, indent=1) + "\n")

@@ -132,13 +132,11 @@ def _cf_value(quots):
 def bar_pair(a, b):
     """The convergent pair (abar, bbar) of a/b, from the last-quotient>=2 rep.
 
-    Special cases: (a,1) -> (1,0); (a,a-1) -> (1,1) for a > 2.
+    Special case: (a,1) -> (1,0).
     """
     check_pair(a, b)
     if b == 1:
         return (1, 0)
-    if b == a - 1 and a > 2:
-        return (1, 1)
     c = cf_expand(a, b, last_ge2=True)
     head = list(c.quotients[:-1])
     if a < 2 * b:

@@ -44,9 +44,9 @@ nonnegative (F, f, H, I and the large-M limit). No bound decreases on the
 way to the total, as every factor has l1 >= 1, so it suffices to check each
 factor as it is packed and the total at the end. When either reaches
 2^(w-1), the pass restarts at the narrowest width that holds it: 32 bits
-first, then 64, then multiples of 64. A factor is built once: at another
-width its packed digits are repacked, and one too wide for its pass is
-packed at the width that holds it before the pass stops. The Pochhammer
+first, then 64, then multiples of 64. A factor is built once: its
+(lo, coefficients, l1) are kept in _FACTOR_CACHE, so a restart packs the
+stored coefficients at its width and builds nothing again. The Pochhammer
 links of `eval_limit_L` are signed, so they are packed with biased digits
 and the total is decoded as balanced ones. With a cut at q^T
 (`eval_limit_both`), every product is taken mod X^(T+1-lo) and kept as its
@@ -92,15 +92,16 @@ from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin, qsum
 _CARTAN_CACHE = {}
 
 
-def cartan_for(a, b, last_ge2=True):
-    key = (a, b, last_ge2)
-    hit = _CARTAN_CACHE.get(key)
+def cartan_for(a, b):
+    """The Cartan data of (a, b), last quotient >= 2."""
+    hit = _CARTAN_CACHE.get((a, b))
     if hit is None:
-        hit = build_cartan(cf_expand(a, b, last_ge2=last_ge2))
-        _CARTAN_CACHE[key] = hit
+        hit = _CARTAN_CACHE[a, b] = build_cartan(cf_expand(a, b))
     return hit
 
 
+# (lo, coefficients, l1) by factor key: see _packed
+_FACTOR_CACHE = {}
 # packed factors by word width, then by factor key: see _packed
 _PACKED_CACHE = {}
 # level states of the (L, M)-free positions by (name, first level, word
@@ -127,9 +128,8 @@ def _factor(key):
         return qbin(key[1], key[2]) * q_poch(key[1] - key[2])
     if key[0] == "inv":
         _, base, k, order = key
-        s = TruncatedSeries.one(order)
-        for i in range(1, k + 1):
-            s = s.div_one_minus(base * i)
+        s = TruncatedSeries.from_factors([(base * i, -1) for i in range(1, k + 1)],
+                                         order)
         return LaurentPoly.dense(0, s.coeffs)
     return qbin(*key)
 
@@ -141,23 +141,16 @@ class _Overflow(Exception):
 def _packed(key, w):
     """(lo, v, l1) of the factor `key` packed at word width w and stored in
     _PACKED_CACHE[w]: p = v(2^w) q^lo with l1 = ||p||_1. Raises _Overflow
-    when l1 >= 2^(w-1). Each key is built once: a key packed at another
-    width has its digits repacked, and one too wide for w is first packed
-    at the narrowest width that holds it, for the restart."""
-    hit = next(((memo[key], u) for u, memo in _PACKED_CACHE.items()
-                if key in memo), None)
-    if hit is not None:
-        (lo, v, l1), u = hit
-        if l1 >> (w - 1):
-            raise _Overflow(l1)
-        coeffs = unpack(v, abs(v).bit_length() // u + 2, u)
-    else:
+    when l1 >= 2^(w-1). The factor is built once and kept in _FACTOR_CACHE
+    (a qbin key keeps the qbin memo's own list), so every width packs the
+    same stored coefficients."""
+    f = _FACTOR_CACHE.get(key)
+    if f is None:
         p = _factor(key)
-        lo, coeffs, l1 = p.lo, p.coeffs, sum(map(abs, p.coeffs))
-        if l1 >> (w - 1):
-            u = pack_width(l1.bit_length() + 1)
-            _PACKED_CACHE.setdefault(u, {})[key] = lo, pack(coeffs, u), l1
-            raise _Overflow(l1)
+        f = _FACTOR_CACHE[key] = p.lo, p.coeffs, sum(map(abs, p.coeffs))
+    lo, coeffs, l1 = f
+    if l1 >> (w - 1):
+        raise _Overflow(l1)
     f = _PACKED_CACHE.setdefault(w, {})[key] = lo, pack(coeffs, w), l1
     return f
 
@@ -353,13 +346,13 @@ def _psi(cd, family, head_block=0):
     return psi
 
 
-def _bounded(family, a, b, L, M, last_ge2=True):
-    """The sum at (L, M) with m_0 := L. For a > 2b the boundary binomial is
+def _bounded(family, cd, L, M):
+    """The sum at (L, M) with m_0 := L on the Cartan data cd of (a, b), in
+    either representation. For a > 2b the boundary binomial is
     [L+M+m_1, 2L] and q^(L(L-2m_1)) joins the exponent, else it is
     [2L+M-m_1, 2L]; M = None drops it (the large-M limit times (q)_2L).
     For f at d = 1 the head carries the barred term's m_0 m_1 = L m_1."""
-    cd = cartan_for(a, b, last_ge2)
-    ge = a > 2 * b
+    ge = cd.cf.a > 2 * cd.cf.b
     bar_head = family == "f" and cd.d == 1
 
     def head(m1):
@@ -373,14 +366,14 @@ def _bounded(family, a, b, L, M, last_ge2=True):
                         shared=((family, cd.cf.quotients), 2))
 
 
-def eval_F(a, b, L, M, last_ge2=True):
+def eval_F(a, b, L, M):
     """Doubly-bounded fermionic polynomial for the pair (a,b)."""
-    return _bounded("F", a, b, L, M, last_ge2)
+    return _bounded("F", cartan_for(a, b), L, M)
 
 
-def eval_f(a, b, L, M, last_ge2=True):
+def eval_f(a, b, L, M):
     """Barred-quadratic-form variant: the exponent gains m_d (m_{d-1} - m_d)."""
-    return _bounded("f", a, b, L, M, last_ge2)
+    return _bounded("f", cartan_for(a, b), L, M)
 
 
 def eval_H(a, b, L, M):
@@ -389,19 +382,19 @@ def eval_H(a, b, L, M):
         return qsum((1, 0, 0),
                     ((n, 1, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
                      for n in range(min(L, M) + 1)), lambda: "eval_H(2, 1)")
-    return _bounded("H", a, b, L, M)  # the shifted kernel is rep-sensitive
+    return _bounded("H", cartan_for(a, b), L, M)  # the shifted kernel is rep-sensitive
 
 
-def eval_I(a, b, L, M, last_ge2=True):
+def eval_I(a, b, L, M):
     """Even-modulus family: factor j is a Gaussian binomial in q^(3-tau_j)."""
-    return _bounded("I", a, b, L, M, last_ge2)
+    return _bounded("I", cartan_for(a, b), L, M)
 
 
-def eval_limit_M(family, a, b, L, last_ge2=True):
+def eval_limit_M(family, a, b, L):
     """Large-M limit times (q)_2L: the singly-bounded polynomial at L."""
     if family == "H":
         raise NotImplementedError("large-M limit not provided for family H")
-    return _bounded(family, a, b, L, None, last_ge2)
+    return _bounded(family, cartan_for(a, b), L, None)
 
 
 def _limit(cd, family, top, head, chain, mid, cut=None):
@@ -460,7 +453,7 @@ def eval_limit_L(family, a, b, M):
         if a == 2:
             return qbin(2 * M, M) * q_poch(M)
         return eval_limit_L("F", a - 1, 1, M)
-    cd = cartan_for(a, b, last_ge2=True)
+    cd = cartan_for(a, b)
 
     def head(m1):
         return (_qkey(2 * M, M - m1),)
@@ -490,7 +483,7 @@ def eval_limit_L(family, a, b, M):
                   lambda j, m: ("mid", M + m, tau[j - 1] * m))
 
 
-def eval_limit_both(family, a, b, T, last_ge2=True):
+def eval_limit_both(family, a, b, T):
     """Both bounds to infinity: the Rogers-Ramanujan-type sum side, truncated
     to order T. Families F, f (b >= 2) and I.
 
@@ -507,7 +500,7 @@ def eval_limit_both(family, a, b, T, last_ge2=True):
         raise NotImplementedError("double limit not provided for family H")
     if family == "f" and b == 1:
         raise NotImplementedError("the reciprocal family has no product form for b = 1")
-    cd = cartan_for(a, b, last_ge2)
+    cd = cartan_for(a, b)
 
     def inv(j, k):
         return ("inv", 3 - cd.tau[j - 1] if family == "I" else 1, k, T)

@@ -16,7 +16,7 @@ from math import comb, lcm
 from .qpoly import DegreeLimitError, LaurentPoly
 
 # memos: qbin keyed (n, m, base) with base >= 1 and m <= n - m, q_poch keyed
-# (n, base); values immutable, concurrent re-insert harmless
+# n; values immutable, concurrent re-insert harmless
 _QBIN_CACHE = {}
 _POCH_CACHE = {}
 _ONE = LaurentPoly.one()  # [n, 0], shared like the memoized values
@@ -92,32 +92,26 @@ def qbin(n, m, base=1):
     return res
 
 
-def q_poch(n, base=1):
-    """(q^base; q^base)_n = prod_{k=1..n} (1 - q^(base*k)); empty product for
-    n=0. Built like qbin on one dense list in x = q^base, one
-    `_times_one_minus` step per factor from the largest memoized k <= n,
-    memoizing each step; a negative base is q_poch(n, -base).inverse_q().
-    DegreeLimitError when |base|*n(n+1)/2 > QBIN_MAX_DEGREE, before any work."""
+def q_poch(n):
+    """(q; q)_n = prod_{k=1..n} (1 - q^k); empty product for n=0. Built like
+    qbin on one dense list, one `_times_one_minus` step per factor from the
+    largest memoized k <= n, memoizing each step. DegreeLimitError when
+    n(n+1)/2 > QBIN_MAX_DEGREE, before any work."""
     if n < 0:
         raise ValueError("q_poch requires n >= 0")
-    if abs(base) * n * (n + 1) // 2 > QBIN_MAX_DEGREE:
-        raise DegreeLimitError(f"q_poch({n}, base={base}) has degree "
-                               f"{abs(base) * n * (n + 1) // 2} > {QBIN_MAX_DEGREE}")
+    if n * (n + 1) // 2 > QBIN_MAX_DEGREE:
+        raise DegreeLimitError(f"q_poch({n}) has degree "
+                               f"{n * (n + 1) // 2} > {QBIN_MAX_DEGREE}")
     if n == 0:
         return _ONE
-    if base <= 0:
-        return q_poch(n, -base).inverse_q() if base else LaurentPoly.zero()
     k = n
-    while k and (k, base) not in _POCH_CACHE:
+    while k and k not in _POCH_CACHE:
         k -= 1
-    # c[i] is the coefficient of x^i
-    c = _POCH_CACHE[k, base].coeffs[::base] if k else [1]
+    c = _POCH_CACHE[k].coeffs if k else [1]
     for j in range(k + 1, n + 1):
         c = _times_one_minus(c, j)
-        spread = [0] * (base * len(c) - base + 1)
-        spread[::base] = c
-        _POCH_CACHE[j, base] = LaurentPoly.dense(0, spread)
-    return _POCH_CACHE[n, base]
+        _POCH_CACHE[j] = LaurentPoly.dense(0, c)
+    return _POCH_CACHE[n]
 
 
 def b_kernel(L, M, a, b):

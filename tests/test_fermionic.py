@@ -10,8 +10,9 @@ import pytest
 from qburge import fermionic
 from qburge.qpoly import LaurentPoly, TruncatedSeries
 from qburge.qcombinat import g_poly, qbin, q_poch
-from qburge.fermionic import (_factor, _kernel, _lattice_sum, _psi, _qkey,
-                              cartan_for, eval_F, eval_f, eval_H, eval_I,
+from qburge.cf import build_cartan, cf_expand
+from qburge.fermionic import (_bounded, _factor, _kernel, _lattice_sum, _psi,
+                              _qkey, cartan_for, eval_F, eval_f, eval_H, eval_I,
                               eval_limit_M, eval_limit_L, eval_limit_both)
 from qburge.verify import _sum_bnewp
 
@@ -71,14 +72,12 @@ def test_representation_independence():
     # the value must not depend on whether the final quotient is >= 2 or
     # split off as a trailing 1
     for (a, b) in coprime_pairs(9, a_min=3):
+        split = build_cartan(cf_expand(a, b, last_ge2=False))
         for L in range(0, 5):
             for M in range(0, 5):
-                assert eval_F(a, b, L, M, last_ge2=True) == \
-                    eval_F(a, b, L, M, last_ge2=False)
-                assert eval_f(a, b, L, M, last_ge2=True) == \
-                    eval_f(a, b, L, M, last_ge2=False)
-                assert eval_I(a, b, L, M, last_ge2=True) == \
-                    eval_I(a, b, L, M, last_ge2=False)
+                for family in ("F", "f", "I"):
+                    assert _bounded(family, cartan_for(a, b), L, M) == \
+                        _bounded(family, split, L, M)
 
 
 def test_boundary_consistency_a_eq_2b():
@@ -208,6 +207,7 @@ def test_restarts_keep_values(monkeypatch):
     pairs = [(2, 1), (3, 1), (5, 2), (7, 3), (8, 5)]
     expect = all_lattice_values(pairs, 6, (0, 12, 40))
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
+    monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
     monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
     assert all_lattice_values(pairs, 6, (0, 12, 40)) == expect
@@ -236,17 +236,19 @@ def test_failed_build_keeps_memo_whole(monkeypatch):
     calls = grid_calls([(5, 2), (7, 3), (8, 5)], 8)[::-1]
     expect = [fn(*args) for fn, args in calls]
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
+    monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
     monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
     assert [fn(*args) for fn, args in calls] == expect
 
 
 def test_restarts_build_each_factor_once(monkeypatch):
-    # a restart at a wider word repacks the factors packed so far, and a
-    # factor too wide for its pass is kept at the width that holds it
+    # a restart at a wider word packs the stored coefficients of the
+    # factors built so far, and builds none of them again
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
     for run in (lambda: eval_limit_L("F", 7, 3, 9),
                 lambda: eval_limit_both("F", 7, 5, 60)):
+        monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
         monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
         monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
         built = Counter()
@@ -261,6 +263,18 @@ def test_restarts_build_each_factor_once(monkeypatch):
         assert built and max(built.values()) == 1
 
 
+def test_inv_factor_against_division_chain():
+    # ("inv", base, k, T) is 1/(q^base; q^base)_k mod q^(T+1), the k-step
+    # div_one_minus chain
+    for base in (1, 2):
+        for k in range(13):
+            for T in (0, 5, 40, 60):
+                s = TruncatedSeries.one(T)
+                for i in range(1, k + 1):
+                    s = s.div_one_minus(base * i)
+                assert _factor(("inv", base, k, T)) == LaurentPoly.dense(0, s.coeffs)
+
+
 def test_shared_levels_in_any_order(monkeypatch):
     # the level memo grows in place with the first call that needs more
     # columns; smallest first grows it at every size
@@ -271,6 +285,7 @@ def test_shared_levels_in_any_order(monkeypatch):
     ascending = list(range(len(calls)))
     shuffled = random.Random(9).sample(ascending, len(calls))
     for order in (ascending, ascending[::-1], shuffled):
+        monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
         monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
         monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
         for i in order:
@@ -445,6 +460,7 @@ def test_limit_L_memo_names(monkeypatch):
         expect = [limit_L_chain(*args) if fn is eval_limit_L else fn(*args)
                   for fn, args in calls]
     for order in (range(len(calls)), range(len(calls) - 1, -1, -1)):
+        monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
         monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
         monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
         for i in order:

@@ -226,7 +226,7 @@ def test_operations_leave_operands_unchanged(a, b, e, c, n, m, base):
         -x, x.scale(e, c), x.scale(e), x.inverse_q()
     # memo hits, and chains that start at the memoized [n, m]
     qbin(n, m, base), qbin(n, m + 1, base), qbin(n, m + 2, base)
-    q_poch(n, base)
+    q_poch(n)
     assert [p.items_sorted() for p in polys] == before
     assert qbin(n, m, base) == memo
 
