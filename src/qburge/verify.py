@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
 from math import comb, gcd, isqrt
 
 from .qpoly import (DegreeLimitError, LaurentPoly, TruncatedSeries,
@@ -106,33 +106,12 @@ def product_series(x, y, z, order):
 # ---------------------------------------------------------------------------
 # partition oracle
 
-# most partitions the oracle enumerates in one box: about 1.2 s at 1.0-1.2
-# us each (Python 3.11, 2-CPU VM); the default campaign's largest box,
-# 6 x 6, holds 924
+# most partitions the oracle enumerates in one box. A box is indexed once
+# at about 2.6 us a partition (11 x 11, 705,432 partitions, in 1.8 s;
+# Python 3.11, 2-CPU VM), so about 2.6 s at the limit, and a query of an
+# indexed box takes 25-50 us; the default campaign's largest box, 6 x 6,
+# holds 924 and is indexed in 2.4 ms
 ORACLE_MAX_PARTITIONS = 1_000_000
-
-
-def _partitions_in_box(N, M):
-    """All partitions with at most M parts, each part at most N."""
-    def rec(maxpart, slots, prefix):
-        yield prefix
-        if slots == 0:
-            return
-        for p in range(min(maxpart, N), 0, -1):
-            yield from rec(p, slots - 1, prefix + [p])
-    yield from rec(N, M, [])
-
-
-def _conjugate(lam):
-    """The conjugate of a partition (parts >= 1, largest first): its c-th
-    part is the number of parts >= c, a suffix sum of the counts of the
-    parts of each size."""
-    if not lam:
-        return []
-    count = [0] * (lam[0] + 1)
-    for p in lam:
-        count[p] += 1
-    return list(accumulate(reversed(count[1:])))[::-1]
 
 
 def check_oracle_box(N, M):
@@ -144,12 +123,59 @@ def check_oracle_box(N, M):
                                f"> {ORACLE_MAX_PARTITIONS}")
 
 
+@lru_cache(maxsize=256)
+def _hook_index(N, M, alpha, beta):
+    """One enumeration of the N x M box by the hook-difference definition:
+    a dict from (lowest hook difference on diagonal 1-beta, highest on
+    diagonal alpha-1), None for a diagonal with no node, to the dense list
+    of the counts of those partitions by weight. The memo holds all 252
+    boxes of the hookp suite at lm_max = 11, the largest budget that
+    ORACLE_MAX_PARTITIONS admits (132 at the default budget).
+
+    The hook difference at node (r, c) is lam_r - lam'_c; row r's node on
+    diagonal 1-beta is (r, r+beta-1), on diagonal alpha-1 (r, r-alpha+1).
+    A depth-first walk adds rows top down. A partition of r rows, last
+    part p, has lam'_c known for the closed columns c > p; a next part
+    q < p closes columns q+1..p at lam'_c = r, and the partition itself
+    closes columns 1..p at r. The nodes in a block of newly closed
+    columns have hook differences lam_r' - r, and lam is nonincreasing, so
+    the lowest on diagonal 1-beta is at the block's last row and the
+    highest on diagonal alpha-1 at its first: O(1) per partition.
+    """
+    k = beta - 1
+    none = N + M  # beyond every hook difference, which lies in (-M, N)
+    index = {}
+    # (parts, last part, weight, lowest and highest over closed columns)
+    stack = [([], N, 0, none, -none)]
+    while stack:
+        lam, p, w, low, high = stack.pop()
+        r = len(lam)
+        m = min(p - k, r)  # last row with a diagonal 1-beta node in 1..p
+        low_all = min(low, lam[m - 1] - r) if m >= 1 else low
+        high_all = max(high, lam[alpha - 1] - r) if r >= alpha else high
+        counts = index.get((low_all, high_all))
+        if counts is None:
+            counts = index[low_all, high_all] = [0] * (N * M + 1)
+        counts[w] += 1
+        if r < M:
+            # columns q+1..p: diagonal 1-beta nodes in rows q+2-beta..m,
+            # diagonal alpha-1 nodes from row q+alpha
+            stack.extend((lam + [q], q, w + q, low_all if q - k < m else low,
+                          max(high, lam[q + alpha - 1] - r)
+                          if q < p and q + alpha <= r else high)
+                         for q in range(1, p + 1))
+    return {(None if low == none else low, None if high == -none else high):
+            counts for (low, high), counts in index.items()}
+
+
 def partition_oracle(K, i, N, M, alpha, beta):
     """Generating function of partitions in the N x M box whose hook
     differences are >= beta-i+1 on diagonal 1-beta and <= K-alpha-i-1 on
-    diagonal alpha-1.  Exhaustive enumeration; integer alpha,beta >= 1 only.
-    Raises DegreeLimitError, before enumerating, on a box of more than
-    ORACLE_MAX_PARTITIONS partitions.
+    diagonal alpha-1; integer alpha,beta >= 1 only. The box is enumerated
+    once per (N, M, alpha, beta) into a memoized index by the extreme hook
+    differences on the two diagonals, and a query sums the counts of the
+    pairs that meet its bounds. Raises DegreeLimitError, before
+    enumerating, on a box of more than ORACLE_MAX_PARTITIONS partitions.
     """
     if alpha < 1 or beta < 1:
         raise ValueError("oracle requires integer alpha, beta >= 1")
@@ -158,25 +184,10 @@ def partition_oracle(K, i, N, M, alpha, beta):
     check_oracle_box(N, M)
     lo = beta - i + 1
     hi = K - alpha - i - 1
-    counts = {}
-    for lam in _partitions_in_box(N, M):
-        conj = _conjugate(lam)
-        ok = True
-        for r, part in enumerate(lam, start=1):
-            # node on diagonal 1-beta: (r, r+beta-1)
-            c = r + beta - 1
-            if 1 <= c <= part and part - conj[c - 1] < lo:
-                ok = False
-                break
-            # node on diagonal alpha-1: (r, r-alpha+1)
-            c = r - alpha + 1
-            if 1 <= c <= part and part - conj[c - 1] > hi:
-                ok = False
-                break
-        if ok:
-            w = sum(lam)
-            counts[w] = counts.get(w, 0) + 1
-    return LaurentPoly(counts)
+    kept = [counts for (low, high), counts
+            in _hook_index(N, M, alpha, beta).items()
+            if (low is None or low >= lo) and (high is None or high <= hi)]
+    return LaurentPoly.dense(0, [sum(col) for col in zip(*kept)])
 
 
 # ---------------------------------------------------------------------------

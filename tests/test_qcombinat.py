@@ -254,6 +254,52 @@ def test_borwein_split_reconstruction():
         assert rec == prod
 
 
+def borwein_split_from_one(n):
+    """The residue split of (q,q^2;q^3)_n, built from 1 on one dense list."""
+    c = [1]
+    for e in range(1, 3 * n + 1):
+        if e % 3:
+            pad = [0] * e
+            c = [u - v for u, v in zip(c + pad, pad + c)]
+    return (LaurentPoly.dense(0, c[0::3]),
+            LaurentPoly.dense(0, [-v for v in c[1::3]]),
+            LaurentPoly.dense(0, [-v for v in c[2::3]]))
+
+
+def borwein_product(n):
+    """(q,q^2;q^3)_n on a dict, independent of LaurentPoly's arithmetic."""
+    res = {0: 1}
+    for e in range(1, 3 * n + 1):
+        if e % 3:
+            nxt = dict(res)
+            for k, c in res.items():
+                nxt[k + e] = nxt.get(k + e, 0) - c
+            res = nxt
+    return lp(res)
+
+
+def test_borwein_split_keeps_one_product():
+    # ascending, descending, repeated and interleaved calls all return the
+    # split built from 1, which rebuilds the product, and only the last
+    # product is kept
+    expected = [borwein_split_from_one(n) for n in range(31)]
+    products = [borwein_product(n) for n in range(31)]
+    up = list(range(31))
+    orders = [up, up[::-1], [n for n in up for _ in range(3)],
+              [m for pair in zip(up, up[::-1]) for m in pair],
+              random.Random(7).sample(up, len(up))]
+    for order in orders:
+        for n in order:
+            split = borwein_split(n)
+            assert split == expected[n], n
+            an, bn, cn = split
+            assert subs_power(an, 3) - subs_power(bn, 3).scale(1) \
+                - subs_power(cn, 3).scale(2) == products[n], n
+            m, coeffs, kept = qcombinat._BORWEIN_LAST
+            assert m == n and kept is split
+            assert LaurentPoly.dense(0, list(coeffs)) == products[n]
+
+
 def test_borwein_first_part_is_g():
     for n in range(0, 11):
         an, _, _ = borwein_split(n)

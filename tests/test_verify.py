@@ -1,5 +1,9 @@
 """Oracles, catalogue plumbing, campaign driver."""
 
+from functools import cache
+from itertools import combinations_with_replacement
+from math import comb
+
 import pytest
 
 from qburge.qpoly import DegreeLimitError, LaurentPoly, TruncatedSeries
@@ -47,9 +51,9 @@ def test_partition_oracle_box_limit(monkeypatch):
     monkeypatch.setattr(verify, "ORACLE_MAX_PARTITIONS", 924)
     assert partition_oracle(4, 1, 6, 6, 1, 1) == d_poly(4, 1, 6, 6, 1, 1)
 
-    def enumerate_box(N, M):
+    def enumerate_box(N, M, alpha, beta):
         raise AssertionError("enumerated past the limit")
-    monkeypatch.setattr(verify, "_partitions_in_box", enumerate_box)
+    monkeypatch.setattr(verify, "_hook_index", enumerate_box)
     with pytest.raises(DegreeLimitError,
                        match=r"^the 7 x 6 box holds 1716 partitions > 924$"):
         partition_oracle(4, 1, 7, 6, 1, 1)
@@ -62,13 +66,6 @@ def conjugate_by_columns(lam):
     return [sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1)]
 
 
-def test_conjugate_matches_column_counts():
-    box = list(verify._partitions_in_box(6, 6))
-    assert len(box) == 924
-    for lam in box:
-        assert verify._conjugate(lam) == conjugate_by_columns(lam), lam
-
-
 def test_hook_sum_matches_oracle_pinned():
     K, i, alpha, beta = 4, 2, 1, 1
     for N in range(0, 7):
@@ -77,6 +74,77 @@ def test_hook_sum_matches_oracle_pinned():
                 continue
             assert d_poly(K, i, N, M, alpha, beta) == \
                 partition_oracle(K, i, N, M, alpha, beta), (N, M)
+
+
+@cache
+def box_partitions(N, M):
+    """Each partition in the N x M box, from the nonincreasing M-tuples over
+    N..0 with zeros dropped, with its conjugate and its weight."""
+    return [(lam, conjugate_by_columns(lam), sum(lam))
+            for lam in ([p for p in t if p] for t in
+                        combinations_with_replacement(range(N, -1, -1), M))]
+
+
+def hook_filter_oracle(K, i, N, M, alpha, beta):
+    """The per-partition filter the indexed oracle replaced: every partition
+    of the box, kept when its hook differences meet both bounds."""
+    lo = beta - i + 1
+    hi = K - alpha - i - 1
+    counts = {}
+    for lam, conj, w in box_partitions(N, M):
+        ok = True
+        for r, part in enumerate(lam, start=1):
+            # node on diagonal 1-beta: (r, r+beta-1)
+            c = r + beta - 1
+            if 1 <= c <= part and part - conj[c - 1] < lo:
+                ok = False
+                break
+            # node on diagonal alpha-1: (r, r-alpha+1)
+            c = r - alpha + 1
+            if 1 <= c <= part and part - conj[c - 1] > hi:
+                ok = False
+                break
+        if ok:
+            counts[w] = counts.get(w, 0) + 1
+    return LaurentPoly(counts)
+
+
+def test_partition_oracle_matches_filter_reference():
+    # every box up to 7 x 7, K <= 6, alpha, beta <= 3 and every i in the
+    # window, in suite order and then in reverse from an empty memo; the
+    # 576 boxes overflow the memo, so entries are evicted and rebuilt
+    cases = [(K, i, N, M, alpha, beta)
+             for K in range(1, 7) for alpha in (1, 2, 3) for beta in (1, 2, 3)
+             for N in range(8) for M in range(8)
+             for i in range(beta - N + M, K - alpha - N + M + 1)]
+    assert len(cases) == 3840
+    assert all(len(box_partitions(N, M)) == comb(N + M, N)
+               for N in range(8) for M in range(8))
+    expected = {case: hook_filter_oracle(*case) for case in cases}
+    for order in (cases, cases[::-1]):
+        verify._hook_index.cache_clear()
+        for case in order:
+            assert partition_oracle(*case) == expected[case], case
+
+
+def test_hook_sum_matches_oracle_beyond_campaign():
+    # the campaign covers K <= 5 and alpha, beta <= 2; here K = 6, 7 and
+    # alpha, beta <= 3, with i in the window and 1 <= i <= K-1
+    n = 0
+    for K in (6, 7):
+        for alpha in (1, 2, 3):
+            for beta in (1, 2, 3):
+                if alpha + beta >= K:
+                    continue
+                for N in range(6):
+                    for M in range(6):
+                        for i in range(max(1, beta - N + M),
+                                       min(K - 1, K - alpha - N + M) + 1):
+                            assert d_poly(K, i, N, M, alpha, beta) == \
+                                partition_oracle(K, i, N, M, alpha, beta), \
+                                (K, i, N, M, alpha, beta)
+                            n += 1
+    assert n == 1500
 
 
 def test_product_series_self_check_and_reject():
