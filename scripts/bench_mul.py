@@ -28,8 +28,9 @@ Then it times qbin on a cleared memo, one call per run, best of REPEAT:
 QBIN_MAX_DEGREE, one wide and one narrow), and [30, 15] in q^2.
 
 Then it times one packed lattice sum per evaluator kind, cold: the qbin,
-q_poch, Cartan, factor, packed-factor and level memos are cleared before
-every run, so each row includes building and packing its factors. The rows are
+q_poch, Cartan, factor, packed-factor, rules and level memos are cleared
+before every run, so each row includes building and packing its factors and
+building its rules. The rows are
 eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
 (signed Pochhammer links) and eval_limit_both("F", 7, 5, 60) (products
 cut at q^60), and one row of all 81 eval_F(8, 5, L, M) at L, M <= 8 in a
@@ -86,7 +87,8 @@ BOSONIC = (("g_poly, single-limit G grid", lambda: [g_poly(*g) for g in G_GRID])
 def clear_memos():
     for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE,
                  fermionic._CARTAN_CACHE, fermionic._FACTOR_CACHE,
-                 fermionic._PACKED_CACHE, fermionic._LEVEL_CACHE):
+                 fermionic._PACKED_CACHE, fermionic._RULES,
+                 fermionic._LEVEL_CACHE):
         memo.clear()
 
 

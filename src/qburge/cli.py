@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .qpoly import LaurentPoly, TruncatedSeries
+from .qpoly import TruncatedSeries
 from . import qcombinat
 from .qcombinat import DegreeLimitError, qbin, b_kernel, g_poly, d_poly
 from .fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_L,
@@ -148,13 +148,20 @@ def _check_config(cfg):
         raise ValueError(f"unknown suite(s) {unknown}")
     limit = qcombinat.QBIN_MAX_DEGREE  # read at call time: tests patch it
     # g_poly(N, N, ...) reads [2N, N], of degree N^2: pos_gen (given a pair,
-    # a_max >= 2) at N <= pos_l_max, pos_section8 and section8 at N <= n_max
-    for name, used in (("pos_l_max", "positivity" in cfg.suites and cfg.a_max >= 2),
-                       ("n_max", {"positivity", "section8"} & set(cfg.suites))):
+    # a_max >= 2) at N <= pos_l_max, pos_section8 and section8 at N <= n_max.
+    # The lattice suites read [3L, 2L], of degree 2 L^2, at L = M = lm_max:
+    # thmmain2 and comp in their explicit sums, thmmain, even and
+    # corollaries in the boundary binomial of the pair (2, 1)
+    lattice = {"thmmain2", "comp"} | \
+        ({"thmmain", "even", "corollaries"} if cfg.a_max >= 2 else set())
+    for name, k, used in (
+            ("pos_l_max", 1, "positivity" in cfg.suites and cfg.a_max >= 2),
+            ("n_max", 1, {"positivity", "section8"} & set(cfg.suites)),
+            ("lm_max", 2, lattice & set(cfg.suites))):
         n = getattr(cfg, name)
-        if used and n * n > limit:
-            raise ValueError(f"budget too large: {name} {n} needs "
-                             f"qbin({2 * n}, {n}) of degree {n * n} > {limit}")
+        if used and k * n * n > limit:
+            raise ValueError(f"budget too large: {name} {n} needs qbin("
+                             f"{(k + 1) * n}, {k * n}) of degree {k * n * n} > {limit}")
     if cfg.T > limit:
         raise ValueError(f"T must be <= {limit}, got {cfg.T}")
     if "hookp" in cfg.suites:  # the first oversized box, in run order

@@ -60,25 +60,20 @@ large-M limit. For the large-L limit they are j >= 2 at b = 1 and at
 a_0 <= 1, once its Pochhammer chain has telescoped (see `eval_limit_L`),
 and j >= a_0 + 2 at a_0 >= 2. A state there does not depend on the bound
 hi either, which only limits which states are built, so these levels are
-built once and kept in _LEVEL_CACHE, keyed by (name, first free level,
-word width). The name fixes phi and psi at the free levels:
-
-- (family, quotients) for the kernel levels: F, f, H, I, the large-M limit
-  and the large-L limit at a_0 = 0 or a_0 >= 2. The pair and its
-  representation enter them only through the continued-fraction quotients,
-  so (a, b) and (a, a - b) share an entry;
-- ("limit_L", family, quotients) for the large-L limit at a_0 = 1, whose
-  level 2 is the telescoped [m_1 + (tau-1) m_2, tau m_2], not the kernel;
-- ("multinomial", d) for the large-L limit at b = 1: every level is
-  [m_j, m_{j+1}] with exponent m_j^2, so the depth d alone fixes them.
+built once and kept in _LEVEL_CACHE, keyed by the rules at the free
+positions and the word width. A rule is a function object built once:
+`_rules` builds the kernel's per family and quotients (the pair and its
+representation enter them only through the quotients, so (a, b) and
+(a, a - b) share them), and the telescoped limits' are module functions.
+Two sums share levels exactly when they run the same rules there.
 
 A state packed at width w is exact, so each width has its own entry. A
-call that needs columns m_{first-1} <= hi beyond the entry's extends it
-in place, adding only the new columns, level by level from d down; then
-it runs the levels below the free ones and the head on the states with
-m_1 <= hi. Cut sums (`eval_limit_both`) are not shared: their states are
-reduced below q^(T+1), so they depend on T. Like the other memos here,
-the level memo is not bounded.
+call that needs columns m_{first-1} <= hi beyond the entry's extends it,
+adding only the new columns, level by level from d down; then it runs the
+levels below the free ones and the head on the states with m_1 <= hi. Cut
+sums (`eval_limit_both`) are not shared: their states are reduced below
+q^(T+1), so they depend on T. Like the other memos here, the level memo
+is not bounded.
 """
 
 from __future__ import annotations
@@ -104,8 +99,10 @@ def cartan_for(a, b):
 _FACTOR_CACHE = {}
 # packed factors by word width, then by factor key: see _packed
 _PACKED_CACHE = {}
-# level states of the (L, M)-free positions by (name, first level, word
-# width): see _extend and the module docstring
+# the kernel's (phis, psis) by (family, quotients): see _rules
+_RULES = {}
+# level states of the (L, M)-free positions by (their phis, their psis,
+# word width): see _extend and the module docstring
 _LEVEL_CACHE = {}
 _ONE_KEY = (0, 0, 1)  # [n, 0] = 1
 # word width in bits of a lattice sum's first pass
@@ -155,17 +152,17 @@ def _packed(key, w):
     return f
 
 
-def _lattice_sum(d, top, head, phi, psi, cut=None, shared=None):
-    """Sum of q^e prod(head factors) * prod_j phi(j, m_{j-1}, m_j, m_{j+1})
-    * q^(sum_j psi(j, m_j, m_{j+1})) over top >= m_1 >= ... >= m_d >= 0,
-    with m_0 := top and m_{d+1} := 0 (the support proved above), where
-    head(m_1) is (e, factor keys) and phi gives a factor key; None is a
-    zero factor or head, which drops the term. With `cut`, the sum is
-    truncated above q^cut, which is exact when every exponent is >= 0.
-    With `shared` = (name, first), phi and psi at positions j >= first
-    read neither top nor the head's arguments, and the hashable `name`
-    determines them there: those levels come from the level memo (see the
-    module docstring). A cut sum ignores `shared`.
+def _lattice_sum(top, head, phis, psis, cut=None, first=None):
+    """Sum of q^e prod(head factors) * prod_j phis[j](m_{j-1}, m_j, m_{j+1})
+    * q^(sum_j psis[j](m_j, m_{j+1})) over top >= m_1 >= ... >= m_d >= 0,
+    with d = len(phis) - 1, m_0 := top and m_{d+1} := 0 (the support proved
+    above), where head(m_1) is (e, factor keys) and a phi rule gives a
+    factor key; None is a zero factor or head, which drops the term. With
+    `cut`, the sum is truncated above q^cut, which is exact when every
+    exponent is >= 0. With `first`, the rules at positions j >= first read
+    neither top nor the head's arguments: those levels come from the level
+    memo, keyed by the rule objects there (see the module docstring). A cut
+    sum ignores `first`.
 
     The first pass uses w = _FIRST_WIDTH; a pass whose factor or total
     bound reaches 2^(w-1) restarts at the narrowest width that holds it
@@ -174,7 +171,7 @@ def _lattice_sum(d, top, head, phi, psi, cut=None, shared=None):
     w = _FIRST_WIDTH
     while True:
         try:
-            lo, v, l1 = _pass(d, top, head, phi, psi, cut, shared, w)
+            lo, v, l1 = _pass(top, head, phis, psis, cut, first, w)
         except _Overflow as exc:
             l1 = exc.args[0]
         else:
@@ -183,7 +180,7 @@ def _lattice_sum(d, top, head, phi, psi, cut=None, shared=None):
         w = pack_width(max(w + 1, l1.bit_length() + 1))
 
 
-def _pass(d, top, head, phi, psi, cut, shared, w):
+def _pass(top, head, phis, psis, cut, first, w):
     """The lattice sum as (lo, v, l1) on values p(X) at X = 2^w, with
     p = v(X) q^lo and l1 >= ||p||_1.
 
@@ -224,15 +221,16 @@ def _pass(d, top, head, phi, psi, cut, shared, w):
     def level(j, below, out, old):
         """Add to `out`, level j, its columns m_{j-1} = old+1..hi, from
         level j+1 in `below`."""
+        phi, psi = phis[j], psis[j]
         out.extend({} for _ in range(old, hi))
         for c in range(hi + 1):
             for n, (lo, v, l1) in below[c].items():
-                lo += psi(j, c, n)
+                lo += psi(c, n)
                 if cut is not None and lo > cut:
                     continue
                 last = None
                 for p in range(max(c, old + 1), hi + 1):
-                    key = phi(j, p, c, n)
+                    key = phi(p, c, n)
                     if key is None:
                         continue
                     if key != last:
@@ -242,12 +240,12 @@ def _pass(d, top, head, phi, psi, cut, shared, w):
                     col[c] = t if at is None else _add(at, t, w)
         return out
 
-    if shared is None or cut is not None:
+    d = len(phis) - 1
+    if first is None or cut is not None:
         first, below = d + 1, [{0: (0, 1, 1)} for _ in range(hi + 1)]
     else:
-        name, first = shared
         first = min(first, d + 1)  # d + 1: no free level
-        key = name + (first, w)
+        key = tuple(phis[first:]), tuple(psis[first:]), w
         entry = _LEVEL_CACHE.get(key)
         if entry is None or entry[0] < hi:
             entry = _extend(key, d, first, hi, level)
@@ -255,14 +253,15 @@ def _pass(d, top, head, phi, psi, cut, shared, w):
     for j in range(first - 1, 1, -1):
         below = level(j, below, [], -1)
     # level 1 (m_0 = top), summed over m_2 before the head multiplies it
+    phi, psi = phis[1], psis[1]
     total = None
     for c in live:
         at = None
         for n, (lo, v, l1) in below[c].items():
-            lo += psi(1, c, n)
+            lo += psi(c, n)
             if cut is not None and lo > cut:
                 continue
-            key = phi(1, top, c, n)
+            key = phi(top, c, n)
             if key is not None:
                 t = times(lo, v, l1, key)
                 at = t if at is None else _add(at, t, w)
@@ -278,22 +277,17 @@ def _pass(d, top, head, phi, psi, cut, shared, w):
 
 def _extend(key, d, first, hi, level):
     """The level memo's entry `key` grown to the columns m_{first-1} <= hi:
-    [hi, states], the states of the start (m_d, m_{d+1} = 0) and of levels
-    d..first. Only the new columns are built, level by level from d down;
-    if that fails, the entry is left as it was."""
-    entry = _LEVEL_CACHE.get(key)
-    if entry is None:
-        entry = _LEVEL_CACHE[key] = [-1, [[] for _ in range(first, d + 2)]]
-    old, levels = entry
-    try:
-        levels[0].extend({0: (0, 1, 1)} for _ in range(old, hi))
-        for i, j in enumerate(range(d, first - 1, -1), 1):
-            level(j, levels[i - 1], levels[i], old)
-    except BaseException:
-        for states in levels:
-            del states[old + 1:]
-        raise
-    entry[0] = hi
+    (hi, states), the states of the start (m_d, m_{d+1} = 0) and of levels
+    d..first. Only the new columns are built, level by level from d down,
+    into copies of the entry's lists, which share its old columns (`level`
+    writes only columns m_{j-1} > old); the entry is stored once they are
+    all built, so a build that fails leaves the memo as it was."""
+    old, levels = _LEVEL_CACHE.get(key, (-1, ((),) * (d + 2 - first)))
+    levels = [list(states) for states in levels]
+    levels[0].extend({0: (0, 1, 1)} for _ in range(old, hi))
+    for i, j in enumerate(range(d, first - 1, -1), 1):
+        level(j, levels[i - 1], levels[i], old)
+    entry = _LEVEL_CACHE[key] = hi, levels
     return entry
 
 
@@ -303,47 +297,58 @@ def _add(x, y, w):
     return xlo, xv + (yv << (w * (ylo - xlo))), xl1 + yl1
 
 
-def _kernel(cd, family):
-    """phi of the kernel factor [tau_j m_j + n_j, tau_j m_j] at every row;
-    H shifts the last two factors, I takes factor j in q^(3-tau_j)."""
+def _binomial(x, y, z, s, t, r, base):
+    """The phi rule of [x m_{j-1} + y m_j + z m_{j+1} + s, t m_j + r] in
+    q^base."""
+    return lambda p, c, n: _qkey(x * p + y * c + z * n + s, t * c + r, base)
+
+
+def _quadratic(x2, x1, x0, e):
+    """The psi rule (x2 m_j + x1 m_{j+1} + x0) m_j + e."""
+    return lambda x, y: (x2 * x + x1 * y + x0) * x + e
+
+
+def _multinomial(p, c, n):
+    """[m_j, m_{j+1}]: every level of the large-L limit at b = 1."""
+    return _qkey(c, n)
+
+
+# m_j^2: the exponent at the chain positions of the limits
+_square = _quadratic(1, 0, 0, 0)
+# [m_1 + m_2, 2 m_2]: level 2 of the large-L limit at a_0 = 1
+_telescoped = _binomial(1, 1, 0, 0, 2, 0, 1)
+
+
+def _rules(cd, family):
+    """The kernel's rules (phis, psis), indexed by position j = 1..d.
+    phis[j](m_{j-1}, m_j, m_{j+1}) is the factor key of
+    [tau_j m_j + n_j, tau_j m_j]; H shifts the last two factors, I takes
+    factor j in q^(3-tau_j). psis[j](m_j, m_{j+1}) is one quadratic: m C m
+    split over neighbouring pairs, plus the barred correction
+    m_d (m_{d-1} - m_d) for f (its L m_1 is in the head when d = 1) and
+    H's 2 m_d - 2 m_{d-1} + 1. Built once per (family, quotients) and kept
+    in _RULES, so equal data give the same rule objects (see the module
+    docstring)."""
+    hit = _RULES.get((family, cd.cf.quotients))
+    if hit is not None:
+        return hit
     if family not in ("F", "f", "H", "I"):
         raise ValueError(f"unknown family {family!r}")
-    d, tau = cd.d, cd.tau
-    # per row: up = x m_{j-1} + y m_j + z m_{j+1} + s, lo = t m_j + r, base;
-    # n_row is linear, so its coefficients are its values at unit vectors
-    rows = [None]
-    for j, t in enumerate(tau, 1):
-        shift = family == "H" and j == d
-        drop = family == "H" and j == d - 1
-        rows.append((n_row(cd, j, 1, 0, 0), n_row(cd, j, 0, 1, 0) + t,
-                     n_row(cd, j, 0, 0, 1), -shift, t, -drop,
-                     3 - t if family == "I" else 1))
-
-    def phi(j, p, c, n):
-        x, y, z, s, t, r, base = rows[j]
-        return _qkey(x * p + y * c + z * n + s, t * c + r, base)
-    return phi
-
-
-def _psi(cd, family, head_block=0):
-    """psi splitting the exponent m C m over neighbouring pairs, plus the
-    barred correction m_d (m_{d-1} - m_d) for f (its L m_1 is in the head
-    when d = 1) and H's 2 m_d - 2 m_{d-1} + 1.
-    Positions j <= head_block carry m_j^2 instead (the a > 2b limits)."""
     d, car = cd.d, cd.cartan
-
-    def psi(j, x, y):
-        if j <= head_block:
-            return x * x
-        e = car[j - 1][j - 1] * x * x
-        if j < d:
-            e += (car[j - 1][j] + car[j][j - 1]) * x * y
-        if family == "f":
-            e += x * y if j == d - 1 else -x * x if j == d else 0
-        elif family == "H":
-            e += -2 * x if j == d - 1 else 2 * x + 1 if j == d else 0
-        return e
-    return psi
+    phis, psis = [None], [None]
+    for j, t in enumerate(cd.tau, 1):
+        # n_row is linear, so its coefficients are its values at unit vectors
+        phis.append(_binomial(n_row(cd, j, 1, 0, 0), n_row(cd, j, 0, 1, 0) + t,
+                              n_row(cd, j, 0, 0, 1), -(family == "H" and j == d),
+                              t, -(family == "H" and j == d - 1),
+                              3 - t if family == "I" else 1))
+        x2 = car[j - 1][j - 1] - (family == "f" and j == d)
+        x1 = (car[j - 1][j] + car[j][j - 1] if j < d else 0) + \
+            (family == "f" and j == d - 1)
+        x0 = (-2 if j == d - 1 else 2 if j == d else 0) if family == "H" else 0
+        psis.append(_quadratic(x2, x1, x0, int(family == "H" and j == d)))
+    hit = _RULES[family, cd.cf.quotients] = phis, psis
+    return hit
 
 
 def _bounded(family, cd, L, M):
@@ -362,8 +367,7 @@ def _bounded(family, cd, L, M):
         key = _qkey(L + M + m1, 2 * L) if ge else _qkey(2 * L + M - m1, 2 * L)
         return None if key is None else (e, (key,))
 
-    return _lattice_sum(cd.d, L, head, _kernel(cd, family), _psi(cd, family),
-                        shared=((family, cd.cf.quotients), 2))
+    return _lattice_sum(L, head, *_rules(cd, family), first=2)
 
 
 def eval_F(a, b, L, M):
@@ -400,23 +404,15 @@ def eval_limit_M(family, a, b, L):
 def _limit(cd, family, top, head, chain, mid, cut=None):
     """A limit sum: the kernel factors after position a_0 + 1, where
     a_0 = 0 for a <= 2b. Before them stand the factor keys head(m_1) (a
-    tuple), chain(j, m_j, m_{j+1}) at j <= a_0 and mid(a_0 + 1, m_{a_0+1}),
-    which joins the head when a_0 = 0."""
+    tuple), chain(j, m_j, m_{j+1}) at j <= a_0, with exponent m_j^2, and
+    mid(a_0 + 1, m_{a_0+1}), which b = 1 (a_0 = d) drops."""
     a0 = cd.cf.quotients[0] if cd.cf.a > 2 * cd.cf.b else 0
-    kernel = _kernel(cd, family)
-
-    def phi(j, p, c, n):
-        if j > a0 + 1:
-            return kernel(j, p, c, n)
-        if j <= a0:
-            return chain(j, c, n)
-        return mid(j, c) if a0 else _ONE_KEY
-
-    def lead(m1):
-        return 0, head(m1) if a0 else head(m1) + (mid(1, m1),)
-
-    return _lattice_sum(cd.d, top, lead, phi, _psi(cd, family, a0), cut,
-                        ((family, cd.cf.quotients), a0 + 2))
+    phis, psis = _rules(cd, family)
+    links = [lambda p, c, n, j=j: chain(j, c, n) for j in range(1, a0 + 1)]
+    links.append(lambda p, c, n: mid(a0 + 1, c))
+    return _lattice_sum(top, lambda m1: (0, head(m1)),
+                        ([None] + links + phis[a0 + 2:])[:cd.d + 1],
+                        [None] + [_square] * a0 + psis[a0 + 1:], cut, a0 + 2)
 
 
 def eval_limit_L(family, a, b, M):
@@ -459,28 +455,17 @@ def eval_limit_L(family, a, b, M):
         return (_qkey(2 * M, M - m1),)
 
     if b == 1:
-        return _lattice_sum(cd.d, M,
-                            lambda m1: (0, head(m1) + (("mid", M + m1, m1),)),
-                            lambda j, p, c, n: _qkey(c, n),
-                            lambda j, x, y: x * x,
-                            shared=(("multinomial", cd.d), 2))
-    tau = cd.tau
-    if a > 2 * b and cd.cf.quotients[0] == 1:
-        t, kernel = tau[1], _kernel(cd, family)
-
-        def phi(j, p, c, n):
-            if j == 1:
-                return "mid", M + c, c + (t - 1) * n
-            if j == 2:
-                return _qkey(p + (t - 1) * c, t * c)
-            return kernel(j, p, c, n)
-
-        # level 2 is not the kernel's, so not the name _bounded shares
-        return _lattice_sum(cd.d, M, lambda m1: (0, head(m1)), phi,
-                            _psi(cd, family, 1),
-                            shared=(("limit_L", family, cd.cf.quotients), 2))
+        return _lattice_sum(M, lambda m1: (0, head(m1) + (("mid", M + m1, m1),)),
+                            [None] + [_multinomial] * cd.d,
+                            [None] + [_square] * cd.d, first=2)
+    if a > 2 * b and cd.cf.quotients[0] == 1:  # tau_2 = 2, as 2 < d
+        phis, psis = _rules(cd, family)
+        return _lattice_sum(M, lambda m1: (0, head(m1)),
+                            [None, lambda p, c, n: ("mid", M + c, c + n),
+                             _telescoped] + phis[3:],
+                            [None, _square] + psis[2:], first=2)
     return _limit(cd, family, M, head, lambda j, c, n: _qkey(M + c, c - n),
-                  lambda j, m: ("mid", M + m, tau[j - 1] * m))
+                  lambda j, m: ("mid", M + m, cd.tau[j - 1] * m))
 
 
 def eval_limit_both(family, a, b, T):

@@ -255,6 +255,32 @@ def test_verify_oversized_g_poly_runs_no_check(monkeypatch, capsys, flags, err):
     assert (code, out, got) == (2, "", f"usage error: budget too large: {err}\n")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--suite", suite, "--lm-max", "40"]
+    for suite in ("thmmain", "thmmain2", "even", "corollaries", "comp")
+] + [
+    # without a coprime pair, thmmain2 and comp still read [3L, 2L]
+    ["--suite", suite, "--a-max", "1", "--lm-max", "40"]
+    for suite in ("thmmain2", "comp")
+])
+def test_verify_oversized_lattice_runs_no_check(monkeypatch, capsys, flags):
+    # [3L, 2L] at L = M = lm_max has degree 2 lm_max^2: checked before any
+    # check runs
+    monkeypatch.setattr(verify, "check_identity", lambda cid, params: 1 / 0)
+    code, out, err = run(capsys, ["verify"] + flags)
+    assert (code, out, err) == (2, "", "usage error: budget too large: lm_max 40 "
+                                "needs qbin(120, 80) of degree 3200 > 2500\n")
+
+
+def test_verify_lattice_budget_needs_a_pair(capsys):
+    # without a coprime pair (a_max < 2) thmmain and even have no check,
+    # so no q-binomial bounds lm_max
+    for suite in ("thmmain", "even"):
+        code, out, _ = run(capsys, ["verify", "--suite", suite, "--a-max", "1",
+                                    "--lm-max", "40"])
+        assert (code, out) == (0, "PASS 0/0\n")
+
+
 def test_verify_out_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run(capsys, ["verify", "--suite", "thmmain",

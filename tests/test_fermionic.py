@@ -11,8 +11,8 @@ from qburge import fermionic
 from qburge.qpoly import LaurentPoly, TruncatedSeries
 from qburge.qcombinat import g_poly, qbin, q_poch
 from qburge.cf import build_cartan, cf_expand
-from qburge.fermionic import (_bounded, _factor, _kernel, _lattice_sum, _psi,
-                              _qkey, cartan_for, eval_F, eval_f, eval_H, eval_I,
+from qburge.fermionic import (_bounded, _factor, _lattice_sum, _qkey, _rules,
+                              cartan_for, eval_F, eval_f, eval_H, eval_I,
                               eval_limit_M, eval_limit_L, eval_limit_both)
 from qburge.verify import _sum_bnewp
 
@@ -88,8 +88,7 @@ def test_boundary_consistency_a_eq_2b():
             def head(m1):
                 key = _qkey(L + M + m1, 2 * L)
                 return None if key is None else (L * (L - 2 * m1), (key,))
-            assert _lattice_sum(cd.d, L, head, _kernel(cd, "F"),
-                                _psi(cd, "F")) == eval_F(2, 1, L, M)
+            assert _lattice_sum(L, head, *_rules(cd, "F")) == eval_F(2, 1, L, M)
 
 
 def _cut(p, cut):
@@ -131,9 +130,9 @@ def list_lattice_sum(d, top, head, phi, psi, cut=None):
     return total
 
 
-def on_lists(d, top, head, phi, psi, cut=None, shared=None):
-    """The engine's arguments (factor keys, (exponent, keys) heads) turned
-    into polynomials for list_lattice_sum."""
+def on_lists(top, head, phis, psis, cut=None, first=None):
+    """The engine's arguments (per-position rules, factor keys, (exponent,
+    keys) heads) turned into polynomials for list_lattice_sum."""
     def poly(key):
         return LaurentPoly.zero() if key is None else _factor(key)
 
@@ -146,7 +145,9 @@ def on_lists(d, top, head, phi, psi, cut=None, shared=None):
             out = out * _factor(key)
         return out.scale(h[0])
 
-    return list_lattice_sum(d, top, list_head, lambda *x: poly(phi(*x)), psi, cut)
+    return list_lattice_sum(len(phis) - 1, top, list_head,
+                            lambda j, *x: poly(phis[j](*x)),
+                            lambda j, x, y: psis[j](x, y), cut)
 
 
 def all_lattice_values(pairs, top, orders):
@@ -181,16 +182,14 @@ def test_signed_cut_matches_list_reference():
     def head(m1):
         return m1, (("mid", 2 * m1, m1),)
 
-    def phi(j, p, c, n):
+    def phi(p, c, n):
         return ("mid", p + n, c)
 
-    def psi(j, x, y):
-        return x * (x - y) + j - 1
-
+    psis = [None] + [lambda x, y, j=j: x * (x - y) + j - 1 for j in range(1, 4)]
     for d in (1, 2, 3):
         for top in range(6):
             for T in (0, 5, 17, 40):
-                args = (d, top, head, phi, psi, T)
+                args = (top, head, [None] + [phi] * d, psis[:d + 1], T)
                 assert _lattice_sum(*args) == on_lists(*args), (d, top, T)
 
 
@@ -239,7 +238,12 @@ def test_failed_build_keeps_memo_whole(monkeypatch):
     monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
     monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
-    assert [fn(*args) for fn, args in calls] == expect
+    got = []
+    for fn, args in calls:
+        got.append(fn(*args))
+        # a failed build stores nothing: no entry without columns
+        assert all(hi >= 0 for hi, _ in fermionic._LEVEL_CACHE.values())
+    assert got == expect
 
 
 def test_restarts_build_each_factor_once(monkeypatch):
@@ -317,6 +321,29 @@ def test_shared_levels_built_once(monkeypatch):
 
     assert set(builds(calls[::-1]).values()) == {1}
     assert max(builds(calls).values()) > 1  # smallest first: grown in place
+
+
+def test_shared_levels_keyed_by_rules(monkeypatch):
+    # the level memo is keyed by the rule objects at the free positions:
+    # (7, 2) and (7, 5) have the same quotients, so the same rules and one
+    # entry
+    assert _rules(cartan_for(7, 2), "F") is _rules(cartan_for(7, 5), "F")
+    assert _rules(build_cartan(cf_expand(7, 2)), "F") is _rules(cartan_for(7, 2), "F")
+    monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+    eval_F(7, 2, 4, 4)
+    eval_F(7, 5, 4, 4)
+    assert len(fermionic._LEVEL_CACHE) == 1
+    # a rule rebuilt per call would give each call states of its own: a
+    # second pass over the grid must add no entry and build no column
+    calls = grid_calls(coprime_pairs(8), 6)
+    for fn, args in calls:
+        fn(*args)
+    memo = fermionic._LEVEL_CACHE
+    entries = {key: hi for key, (hi, _) in memo.items()}
+    monkeypatch.setattr(fermionic, "_extend", lambda *args: 1 / 0)
+    for fn, args in calls:
+        fn(*args)
+    assert {key: hi for key, (hi, _) in memo.items()} == entries
 
 
 def box_terms(a, b, L, family, margin=2):
@@ -440,10 +467,10 @@ def test_limit_L_matches_chain():
 
 
 def test_limit_L_memo_names(monkeypatch):
-    # the telescoped sums keep their levels under names of their own: one
-    # shared with eval_F / eval_limit_M on the same quotients or with the
-    # mirror pair's limit (a kernel level 2), or a b = 1 name without the
-    # depth, would hand one sum the states of another
+    # the telescoped sums run rules of their own at the shared positions: a
+    # level-memo key shared with eval_F / eval_limit_M on the same quotients
+    # or with the mirror pair's limit (a kernel level 2), or a b = 1 key
+    # without the depth, would hand one sum the states of another
     calls = []
     for M in range(7):
         for a, b in ((5, 2), (7, 3), (8, 3)):  # a_0 = 1
