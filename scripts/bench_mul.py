@@ -32,7 +32,8 @@ q_poch, Cartan, factor, packed-factor, rules and level memos are cleared
 before every run, so each row includes building and packing its factors and
 building its rules. The rows are
 eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
-(signed Pochhammer links) and eval_limit_both("F", 7, 5, 60) (products
+(signed Pochhammer links), eval_limit_L("F", 8, 1, 15) (the finitized
+Andrews-Gordon sum of b = 1), eval_limit_both("F", 7, 5, 60) (products
 cut at q^60), and one row of all 81 eval_F(8, 5, L, M) at L, M <= 8 in a
 fixed shuffled order, whose calls share their (L, M)-free levels.
 
@@ -64,6 +65,7 @@ COLD_QBIN = ((50, 25, 1), (100, 50, 1), (2501, 1, 1), (30, 15, 2))
 GRID = random.Random(0).sample([(L, M) for L in range(9) for M in range(9)], 81)
 COLD_L1 = (("eval_F(8, 3, 8, 8)", lambda: eval_F(8, 3, 8, 8)),
            ('eval_limit_L("F", 7, 3, 9)', lambda: eval_limit_L("F", 7, 3, 9)),
+           ('eval_limit_L("F", 8, 1, 15)', lambda: eval_limit_L("F", 8, 1, 15)),
            ('eval_limit_both("F", 7, 5, 60)',
             lambda: eval_limit_both("F", 7, 5, 60)),
            ("eval_F(8, 5, L, M), L, M <= 8",

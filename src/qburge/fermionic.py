@@ -22,8 +22,8 @@ n_{d-1} >= -1 is paid for by n_d >= 1 (the last step is then <= -1).
 The limits drop the row of position a_0 + 1 (a_0 = 0 for a <= 2b), which
 only frees the step into that position; their first block is written in
 m_j = n_j + m_{j+1} with n_j >= 0, nonincreasing by construction, and
-[2M, M-m_1] bounds m_1 by M. The double limit has exponent >= m_1^2, so
-m_1 <= isqrt(T). No search window is needed.
+the head ([2M, M-m_1], or [M, m_1] at b = 1) bounds m_1 by M. The
+double limit has exponent >= m_1^2, so m_1 <= isqrt(T). No search window is needed.
 
 Arithmetic. The pass runs on integers, not on coefficient lists (Kronecker
 substitution, see qpoly): a polynomial p is held as (lo, v) with
@@ -56,9 +56,10 @@ Sharing. Only level 1 and the head read L or M: position 1 holds m_0 = L
 and the head the boundary binomial in M. This is the shape of the Burge
 transform, F(L, M) = sum_{m_1} [boundary binomial in M] times a sum at m_1
 free of L and M. The free positions are j >= 2 for F, f, H, I and the
-large-M limit. For the large-L limit they are j >= 2 at b = 1 and at
-a_0 <= 1, once its Pochhammer chain has telescoped (see `eval_limit_L`),
-and j >= a_0 + 2 at a_0 >= 2. A state there does not depend on the bound
+large-M limit. For the large-L limit they are j >= 2 at a_0 <= 1, once
+its Pochhammer chain has telescoped, and j >= a_0 + 2 at a_0 >= 2; at
+b = 1 the head [M, m_1] alone reads M, and [2M, M] (q)_M multiplies the
+total (see `eval_limit_L`). A state there does not depend on the bound
 hi either, which only limits which states are built, so these levels are
 built once and kept in _LEVEL_CACHE, keyed by the rules at the free
 positions and the word width. A rule is a function object built once:
@@ -80,7 +81,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .cf import build_cartan, cf_expand, n_row
+from .cf import build_cartan, cf_expand, check_pair, n_row
 from .qpoly import LaurentPoly, TruncatedSeries, pack, pack_width, unpack
 from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin, qsum
 
@@ -418,8 +419,7 @@ def _limit(cd, family, top, head, chain, mid, cut=None):
 def eval_limit_L(family, a, b, M):
     """Large-L limit times (q)_2M: the tilde polynomial at M.
 
-    Families F and f only; f has the overrides ftilde_(a,1) = Ftilde_(a-1,1)
-    and ftilde_(2,1) = (q)_2M/(q)_M. The terms carry the Pochhammer quotient
+    Families F and f only. The terms carry the Pochhammer quotient
     (q)_2M / ((q)_{M-m_1} prod_x (q)_x) over x = n_1..n_{a_0}, tau m and
     M + m - tau m, with m = m_{a_0+1} (a_0 = 0 for a <= 2b). In
     m_j = n_j + m_{j+1} it is the local chain [2M, M-m_1]
@@ -429,11 +429,16 @@ def eval_limit_L(family, a, b, M):
     The chain telescopes, so that M is read only by the head and level 1
     and the levels below are shared (see the module docstring):
 
-    - b = 1 (a_0 = d, m = m_{d+1} = 0, the link is (q)_M):
-      prod_{j<=d} [M+m_j, m_j-m_{j+1}] (q)_M
-        = [M+m_1, m_1] (q)_M prod_{j<=d} [m_j, m_{j+1}],
-      the head [2M, M-m_1] [M+m_1, m_1] (q)_M times the M-free
-      q-multinomial prod [m_j, m_{j+1}] with exponent sum_j m_j^2;
+    - b = 1 (a_0 = d = a - 1, m = m_{d+1} = 0, the link is (q)_M): the
+      factors before the levels, [2M, M-m_1] [M+m_1, m_1] (q)_M, equal
+      [M, m_1] [2M, M] (q)_M, so with m_0 = M
+        Ftilde_(a,1) = [2M, M] (q)_M
+                       sum q^(sum_j m_j^2) prod_{j=1..d} [m_{j-1}, m_j],
+      the finitized Andrews-Gordon multisum (Burge 1993; Foda, Lee and
+      Welsh 1998) times one factor free of m_1. The head is [M, m_1], the
+      levels are the M-free [m_j, m_{j+1}], and [2M, M] (q)_M multiplies
+      the total once. As ftilde_(a,1) = Ftilde_(a-1,1), f is the same sum
+      at d = a - 2, empty at (2, 1): ftilde_(2,1) = (q)_2M/(q)_M;
     - a_0 = 1 (tau = tau_2, m = m_2):
       [M+m_1, m_1-m_2] [M+m_2, tau m_2] (q)_{M-(tau-1)m_2}
         = [M+m_1, m_1+(tau-1)m_2] (q)_{M-(tau-1)m_2}
@@ -445,19 +450,22 @@ def eval_limit_L(family, a, b, M):
     """
     if family not in ("F", "f"):
         raise NotImplementedError("large-L limit provided for families F and f only")
-    if family == "f" and b == 1:
-        if a == 2:
-            return qbin(2 * M, M) * q_poch(M)
-        return eval_limit_L("F", a - 1, 1, M)
+    check_pair(a, b)
+    if b == 1:
+        if M < 0:
+            return LaurentPoly.zero()
+        d = a - 1 - (family == "f")
+        total = qbin(2 * M, M) * q_poch(M)
+        if d:
+            total *= _lattice_sum(M, lambda m1: (0, (_qkey(M, m1),)),
+                                  [None] + [_multinomial] * d,
+                                  [None] + [_square] * d, first=2)
+        return total
     cd = cartan_for(a, b)
 
     def head(m1):
         return (_qkey(2 * M, M - m1),)
 
-    if b == 1:
-        return _lattice_sum(M, lambda m1: (0, head(m1) + (("mid", M + m1, m1),)),
-                            [None] + [_multinomial] * cd.d,
-                            [None] + [_square] * cd.d, first=2)
     if a > 2 * b and cd.cf.quotients[0] == 1:  # tau_2 = 2, as 2 < d
         phis, psis = _rules(cd, family)
         return _lattice_sum(M, lambda m1: (0, head(m1)),

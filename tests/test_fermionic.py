@@ -440,6 +440,20 @@ def test_limit_L_overrides():
         eval_limit_L("I", 3, 2, 2)
 
 
+def test_limit_L_b1_negative_M():
+    for a in range(2, 9):
+        for fam in ("F", "f"):
+            for M in (-1, -3):
+                assert eval_limit_L(fam, a, 1, M).is_zero(), (fam, a, M)
+
+
+@pytest.mark.parametrize("fam", ["F", "f"])
+@pytest.mark.parametrize("a,b", [(1, 1), (0, 1), (3, 3), (4, 2)])
+def test_limit_L_rejects_pair(fam, a, b):
+    with pytest.raises(ValueError, match=rf"\({a},{b}\)"):
+        eval_limit_L(fam, a, b, 3)
+
+
 def limit_L_chain(family, a, b, M):
     """eval_limit_L on the untelescoped chain: the head [2M, M-m_1], the
     factors [M+m_j, m_j-m_{j+1}] at j <= a_0 and the link
@@ -458,12 +472,14 @@ def limit_L_chain(family, a, b, M):
 
 def test_limit_L_matches_chain():
     # the telescoped heads (b = 1 and a_0 = 1) against the chain they
-    # replace, and the chain kept for the other pairs
-    for a, b in coprime_pairs(8):
-        for M in range(16):
-            for fam in ("F", "f"):
-                assert eval_limit_L(fam, a, b, M) == \
-                    limit_L_chain(fam, a, b, M), (fam, a, b, M)
+    # replace, and the chain kept for the other pairs; deeper b = 1 sums
+    # at smaller M
+    cases = [(a, b, M) for a, b in coprime_pairs(8) for M in range(16)]
+    cases += [(a, 1, M) for a in range(9, 14) for M in range(11)]
+    for a, b, M in cases:
+        for fam in ("F", "f"):
+            assert eval_limit_L(fam, a, b, M) == \
+                limit_L_chain(fam, a, b, M), (fam, a, b, M)
 
 
 def test_limit_L_memo_names(monkeypatch):
