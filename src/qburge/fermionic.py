@@ -23,7 +23,8 @@ The limits drop the row of position a_0 + 1 (a_0 = 0 for a <= 2b), which
 only frees the step into that position; their first block is written in
 m_j = n_j + m_{j+1} with n_j >= 0, nonincreasing by construction, and
 the head ([2M, M-m_1], or [M, m_1] at b = 1) bounds m_1 by M. The
-double limit has exponent >= m_1^2, so m_1 <= isqrt(T). No search window is needed.
+double limit has exponent >= m_1^2, so m_1 <= isqrt(T). No search
+window is needed.
 
 Arithmetic. The pass runs on integers, not on coefficient lists (Kronecker
 substitution, see qpoly): a polynomial p is held as (lo, v) with
@@ -56,15 +57,15 @@ Sharing. Only level 1 and the head read L or M: position 1 holds m_0 = L
 and the head the boundary binomial in M. This is the shape of the Burge
 transform, F(L, M) = sum_{m_1} [boundary binomial in M] times a sum at m_1
 free of L and M. The free positions are j >= 2 for F, f, H, I and the
-large-M limit. For the large-L limit they are j >= 2 at a_0 <= 1, once
-its Pochhammer chain has telescoped, and j >= a_0 + 2 at a_0 >= 2; at
-b = 1 the head [M, m_1] alone reads M, and [2M, M] (q)_M multiplies the
-total (see `eval_limit_L`). A state there does not depend on the bound
-hi either, which only limits which states are built, so these levels are
-built once and kept in _LEVEL_CACHE, keyed by the rules at the free
-positions and the word width. A rule is a function object built once:
-`_rules` builds the kernel's per family and quotients (the pair and its
-representation enter them only through the quotients, so (a, b) and
+large-M limit. For the large-L limit, whose Pochhammer chain telescopes
+at b = 1 and at a_0 <= 1 (see `eval_limit_L`), they are j >= 2 there and
+j >= a_0 + 2 at the other pairs; at b = 1 the head [M, m_1] alone reads
+M, and [2M, M] (q)_M multiplies the total. A state there does not depend
+on the bound hi either, which only limits which states are built, so these
+levels are built once and kept in _LEVEL_CACHE, keyed by the rules at the
+free positions and the word width. A rule is a function object built
+once: `_rules` builds the kernel's per family and quotients (the pair and
+its representation enter them only through the quotients, so (a, b) and
 (a, a - b) share them), and the telescoped limits' are module functions.
 Two sums share levels exactly when they run the same rules there.
 
