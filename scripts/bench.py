@@ -10,14 +10,21 @@ One after the other, each in its own interpreter, it runs:
 - the tier-1 test suite (see ROADMAP.md), timing its wall clock;
 - scripts/bench_mul.py, keeping its timing rows in microseconds.
 
-It writes them, with the line count of each src/qburge/*.py and their
-total (the code-size side of the trajectory), the interpreter, the CPU
-count and the commit, to BENCH_N.json at the root of the repository. It
-reads and changes nothing under perfbench/; it only runs it. Compare two
+It writes them, with the size of each src/qburge/*.py and of all of them
+(the code-size side of the trajectory), the interpreter, the CPU count and
+the commit, to BENCH_N.json at the root of the repository. A size is given
+twice: `src_lines` counts every line, `src_code_lines` only the lines that
+hold code, not blanks, comments or docstrings. To print the sizes alone:
+
+    python3 -c 'from scripts.bench import src_sizes; print(src_sizes())'
+
+It reads and changes nothing under perfbench/; it only runs it. Compare two
 points only when they come from the same host and seed.
 """
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -25,6 +32,7 @@ import re
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +40,9 @@ WORKLOADS = ("bounded-grid", "single-limit", "campaign")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # a bench_mul row: its label, then the time in microseconds
 ROW = re.compile(r"^(.*\S)\s+([0-9.]+) us$")
+# tokens that hold no code
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+          tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
 def run(args, env=None):
@@ -44,6 +55,37 @@ def run(args, env=None):
 def git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def code_lines(text):
+    """The number of lines of the Python source `text` that hold a token
+    other than a comment, leaving out docstrings (the string that opens a
+    module, class or function body)."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def src_sizes():
+    """(src_lines, src_code_lines): every line, and the code lines, of each
+    src/qburge/*.py by file name, with their totals."""
+    texts = {path.name: path.read_text()
+             for path in sorted((ROOT / "src" / "qburge").glob("*.py"))}
+    sizes = ({name: len(text.splitlines()) for name, text in texts.items()},
+             {name: code_lines(text) for name, text in texts.items()})
+    for size in sizes:
+        size["total"] = sum(size.values())
+    return sizes
 
 
 def main(argv=None):
@@ -75,9 +117,7 @@ def main(argv=None):
         if m:
             rows[" ".join(m.group(1).split())] = float(m.group(2))
 
-    src_lines = {path.name: len(path.read_text().splitlines())
-                 for path in sorted((ROOT / "src" / "qburge").glob("*.py"))}
-    src_lines["total"] = sum(src_lines.values())
+    src_lines, src_code_lines = src_sizes()
 
     point = {
         "python": f"{platform.python_implementation()} {platform.python_version()}",
@@ -89,6 +129,7 @@ def main(argv=None):
         "tier1": tier1,
         "bench_mul_us": rows,
         "src_lines": src_lines,
+        "src_code_lines": src_code_lines,
     }
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(point, indent=1) + "\n")

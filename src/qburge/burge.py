@@ -61,7 +61,7 @@ def shifted_bar(a, b):
     family takes its abar branch, i.e. cf(a,b) (last quotient >= 2) has even
     order and a < 2b, or odd order and a > 2b."""
     abar, bbar = bar_pair(a, b)
-    n = cf_expand(a, b, last_ge2=True).order
+    n = cf_expand(a, b).order
     return abar, bbar, (a < 2 * b and n % 2 == 0) or (a > 2 * b and n % 2 == 1)
 
 

@@ -1,5 +1,5 @@
-"""Continued fractions of coprime pairs, tadpole-block incidence matrices,
-the (m,n)-system and the convergent (bar) pair.
+"""Continued fractions of coprime pairs, their tadpole-block incidence and
+Cartan matrices, and the convergent (bar) pair.
 
 A pair (a, b) with gcd(a,b)=1 and 1 <= b < a is expanded as the continued
 fraction of (a/b - 1)^sign(a-2b), sign(0)=0. Every rational except the
@@ -44,10 +44,11 @@ class CFData:
         return len(self.quotients) - 1
 
 
-def cf_expand(a, b, last_ge2=True):
-    """Continued fraction of (a/b - 1)^sign(a-2b) in the requested representation.
+def cf_expand(a, b):
+    """Continued fraction of (a/b - 1)^sign(a-2b), last quotient >= 2; the
+    other representation is `cf_toggle` of it.
 
-    The pair (2,1) has the single representation [1] under either flag.
+    The pair (2,1) has the single representation [1].
     """
     check_pair(a, b)
     if (a, b) == (2, 1):
@@ -60,10 +61,7 @@ def cf_expand(a, b, last_ge2=True):
     while q:
         quots.append(p // q)
         p, q = q, p % q
-    c = CFData(a, b, tuple(quots))
-    if last_ge2:
-        return c
-    return cf_toggle(c)
+    return CFData(a, b, tuple(quots))
 
 
 def cf_toggle(c):
@@ -110,18 +108,6 @@ def build_cartan(c):
     return CartanData(c, tuple(map(tuple, inc)), tuple(map(tuple, car)), tau)
 
 
-def n_row(cd, j, prev, cur, nxt):
-    """n_j = L*delta(j,1) - sum_k C_jk m_k at the 1-based row j of the
-    tridiagonal Cartan matrix, from prev = m_{j-1} (m_0 := L), cur = m_j and
-    nxt = m_{j+1} (m_{d+1} := 0)."""
-    row = cd.cartan[j - 1]
-    n = prev if j == 1 else -row[j - 2] * prev
-    n -= row[j - 1] * cur
-    if j < cd.d:
-        n -= row[j] * nxt
-    return n
-
-
 def _cf_value(quots):
     v = Fraction(quots[-1])
     for q in reversed(quots[:-1]):
@@ -137,7 +123,7 @@ def bar_pair(a, b):
     check_pair(a, b)
     if b == 1:
         return (1, 0)
-    c = cf_expand(a, b, last_ge2=True)
+    c = cf_expand(a, b)
     head = list(c.quotients[:-1])
     if a < 2 * b:
         quots = [1] + head

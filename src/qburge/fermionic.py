@@ -5,9 +5,11 @@ Every value is one call of `_lattice_sum`, a transfer-matrix sum along the
 continued fraction. The Cartan matrix is tridiagonal, so the binomial factor
 at position j depends only on (m_{j-1}, m_j, m_{j+1}) and the quadratic form
 splits into terms on neighbouring pairs (m_j, m_{j+1}); the sum is built
-right to left over the pair states. The head at m_1 carries the boundary
-binomial and, for f at d = 1, the term L m_1 = m_0 m_1 of the barred
-correction m_1 (m_0 - m_1), which no pair (m_j, m_{j+1}) with j >= 1 holds.
+right to left over the pair states. A sum is two rule lists, one factor
+rule and one exponent rule per position, with the head at position 0: it
+reads (m_0, m_1) and carries the boundary binomial and, for f at d = 1,
+the term L m_1 = m_0 m_1 of the barred correction m_1 (m_0 - m_1), which
+no pair (m_j, m_{j+1}) with j >= 1 holds.
 
 Support. Write m_0 := L and m_{d+1} := 0. The kernel factor
 [tau_j m_j + n_j, tau_j m_j] vanishes unless n_j >= 0, where
@@ -53,21 +55,23 @@ and the total is decoded as balanced ones. With a cut at q^T
 (`eval_limit_both`), every product is taken mod X^(T+1-lo) and kept as its
 balanced low digits.
 
-Sharing. Only level 1 and the head read L or M: position 1 holds m_0 = L
-and the head the boundary binomial in M. This is the shape of the Burge
-transform, F(L, M) = sum_{m_1} [boundary binomial in M] times a sum at m_1
-free of L and M. The free positions are j >= 2 for F, f, H, I and the
-large-M limit. For the large-L limit, whose Pochhammer chain telescopes
-at b = 1 and at a_0 <= 1 (see `eval_limit_L`), they are j >= 2 there and
-j >= a_0 + 2 at the other pairs; at b = 1 the head [M, m_1] alone reads
-M, and [2M, M] (q)_M multiplies the total. A state there does not depend
-on the bound hi either, which only limits which states are built, so these
-levels are built once and kept in _LEVEL_CACHE, keyed by the rules at the
-free positions and the word width. A rule is a function object built
-once: `_rules` builds the kernel's per family and quotients (the pair and
-its representation enter them only through the quotients, so (a, b) and
-(a, a - b) share them), and the telescoped limits' are module functions.
-Two sums share levels exactly when they run the same rules there.
+Sharing. Only positions 0 and 1 read L or M: position 1 holds m_0 = L
+and the head, position 0, the boundary binomial in M. This is the shape
+of the Burge transform, F(L, M) = sum_{m_1} [boundary binomial in M]
+times a sum at m_1 free of L and M. The free positions are j >= 2 for
+F, f, H, I and the large-M limit. For the large-L limit, whose Pochhammer
+chain telescopes at b = 1 and at a_0 <= 1 (see `eval_limit_L`), they are
+j >= 2 there and j >= a_0 + 2 at the other pairs; at b = 1 the head
+[M, m_1] alone reads M, and [2M, M] (q)_M multiplies the total. A state
+there does not depend on the bound hi either, which only limits which
+states are built, so these levels are built once and kept in
+_LEVEL_CACHE, keyed by the rules at the free positions and the word
+width. A rule is a function object built once: `_rules` builds the
+kernel's per family and quotients (the pair and its representation enter
+them only through the quotients, so (a, b) and (a, a - b) share them),
+and the telescoped limits' are module functions. Two sums share levels
+exactly when they run the same rules there. The rules at positions 0
+and 1 read L or M, so each call builds its own.
 
 A state packed at width w is exact, so each width has its own entry. A
 call that needs columns m_{first-1} <= hi beyond the entry's extends it,
@@ -82,7 +86,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .cf import build_cartan, cf_expand, check_pair, n_row
+from .cf import build_cartan, cf_expand, check_pair
 from .qpoly import LaurentPoly, TruncatedSeries, pack, pack_width, unpack
 from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin, qsum
 
@@ -154,17 +158,16 @@ def _packed(key, w):
     return f
 
 
-def _lattice_sum(top, head, phis, psis, cut=None, first=None):
-    """Sum of q^e prod(head factors) * prod_j phis[j](m_{j-1}, m_j, m_{j+1})
-    * q^(sum_j psis[j](m_j, m_{j+1})) over top >= m_1 >= ... >= m_d >= 0,
-    with d = len(phis) - 1, m_0 := top and m_{d+1} := 0 (the support proved
-    above), where head(m_1) is (e, factor keys) and a phi rule gives a
-    factor key; None is a zero factor or head, which drops the term. With
-    `cut`, the sum is truncated above q^cut, which is exact when every
-    exponent is >= 0. With `first`, the rules at positions j >= first read
-    neither top nor the head's arguments: those levels come from the level
-    memo, keyed by the rule objects there (see the module docstring). A cut
-    sum ignores `first`.
+def _lattice_sum(top, phis, psis, cut=None, first=None):
+    """Sum of prod_j phis[j](m_{j-1}, m_j, m_{j+1}) q^(psis[j](m_j, m_{j+1}))
+    over j = 0..d and top >= m_1 >= ... >= m_d >= 0, with d = len(phis) - 1,
+    m_{-1} := m_0 := top and m_{d+1} := 0 (the support proved above). A phi
+    rule gives a factor key, or None for a zero factor, which drops the
+    term; position 0 is the head. With `cut`, the sum is truncated above
+    q^cut, which is exact when every exponent is >= 0. With `first`, the
+    rules at positions j >= first read neither top nor m_{first-1}: those
+    levels come from the level memo, keyed by the rule objects there (see
+    the module docstring). A cut sum ignores `first`.
 
     The first pass uses w = _FIRST_WIDTH; a pass whose factor or total
     bound reaches 2^(w-1) restarts at the narrowest width that holds it
@@ -173,7 +176,7 @@ def _lattice_sum(top, head, phis, psis, cut=None, first=None):
     w = _FIRST_WIDTH
     while True:
         try:
-            lo, v, l1 = _pass(top, head, phis, psis, cut, first, w)
+            lo, v, l1 = _pass(top, phis, psis, cut, first, w)
         except _Overflow as exc:
             l1 = exc.args[0]
         else:
@@ -182,21 +185,21 @@ def _lattice_sum(top, head, phis, psis, cut=None, first=None):
         w = pack_width(max(w + 1, l1.bit_length() + 1))
 
 
-def _pass(top, head, phis, psis, cut, first, w):
+def _pass(top, phis, psis, cut, first, w):
     """The lattice sum as (lo, v, l1) on values p(X) at X = 2^w, with
     p = v(X) q^lo and l1 >= ||p||_1.
 
     Level j holds the pair states (m_{j-1}, m_j), as level[m_{j-1}][m_j]:
     each is the sum over m_{j+1}, ..., m_d of the factors at positions
     j..d, so the head is multiplied in once per m_1; the largest m_1 with
-    a nonzero head bounds every m_j. A state is (lo, v, l1): q^e moves lo,
-    a product multiplies the v and the l1, a sum shifts the v with the
-    higher lo by whole words and adds the l1. With `cut`, every product is
+    a nonzero head factor bounds every m_j. A state is (lo, v, l1): q^e
+    moves lo, a product multiplies the v and the l1, a sum shifts the v
+    with the higher lo by whole words and adds the l1. With `cut`, every product is
     taken mod X^(cut+1-lo), with its operands reduced first, and kept as
     its balanced digits below q^(cut+1).
     """
-    heads = [head(c) for c in range(top + 1)]
-    live = [c for c, h in enumerate(heads) if h is not None]
+    heads = [phis[0](top, top, c) for c in range(top + 1)]
+    live = [c for c, key in enumerate(heads) if key is not None]
     if not live:
         return 0, 0, 0
     hi = live[-1]
@@ -269,10 +272,7 @@ def _pass(top, head, phis, psis, cut, first, w):
                 at = t if at is None else _add(at, t, w)
         if at is None:
             continue
-        e, keys = heads[c]
-        t = (at[0] + e, at[1], at[2])
-        for key in keys:
-            t = times(*t, key)
+        t = times(at[0] + psis[0](top, c), at[1], at[2], heads[c])
         total = t if total is None else _add(total, t, w)
     return total or (0, 0, 0)
 
@@ -310,11 +310,18 @@ def _quadratic(x2, x1, x0, e):
     return lambda x, y: (x2 * x + x1 * y + x0) * x + e
 
 
+def _unit(p, c, n):
+    """The key of 1: the head of a sum without a boundary factor."""
+    return _ONE_KEY
+
+
 def _multinomial(p, c, n):
-    """[m_j, m_{j+1}]: every level of the large-L limit at b = 1."""
+    """[m_j, m_{j+1}]: every position of the large-L limit at b = 1."""
     return _qkey(c, n)
 
 
+# 0: the exponent at the head of the limits
+_flat = _quadratic(0, 0, 0, 0)
 # m_j^2: the exponent at the chain positions of the limits
 _square = _quadratic(1, 0, 0, 0)
 # [m_1 + m_2, 2 m_2]: level 2 of the large-L limit at a_0 = 1
@@ -322,7 +329,8 @@ _telescoped = _binomial(1, 1, 0, 0, 2, 0, 1)
 
 
 def _rules(cd, family):
-    """The kernel's rules (phis, psis), indexed by position j = 1..d.
+    """The kernel's rules (phis, psis), indexed by position j = 1..d; the
+    caller puts the head at position 0.
     phis[j](m_{j-1}, m_j, m_{j+1}) is the factor key of
     [tau_j m_j + n_j, tau_j m_j]; H shifts the last two factors, I takes
     factor j in q^(3-tau_j). psis[j](m_j, m_{j+1}) is one quadratic: m C m
@@ -339,13 +347,14 @@ def _rules(cd, family):
     d, car = cd.d, cd.cartan
     phis, psis = [None], [None]
     for j, t in enumerate(cd.tau, 1):
-        # n_row is linear, so its coefficients are its values at unit vectors
-        phis.append(_binomial(n_row(cd, j, 1, 0, 0), n_row(cd, j, 0, 1, 0) + t,
-                              n_row(cd, j, 0, 0, 1), -(family == "H" and j == d),
+        # n_j = L delta(j,1) - sum_k C_jk m_k on the tridiagonal row j
+        row = car[j - 1]
+        phis.append(_binomial(-row[j - 2] if j > 1 else 1, t - row[j - 1],
+                              -row[j] if j < d else 0, -(family == "H" and j == d),
                               t, -(family == "H" and j == d - 1),
                               3 - t if family == "I" else 1))
-        x2 = car[j - 1][j - 1] - (family == "f" and j == d)
-        x1 = (car[j - 1][j] + car[j][j - 1] if j < d else 0) + \
+        x2 = row[j - 1] - (family == "f" and j == d)
+        x1 = (row[j] + car[j][j - 1] if j < d else 0) + \
             (family == "f" and j == d - 1)
         x0 = (-2 if j == d - 1 else 2 if j == d else 0) if family == "H" else 0
         psis.append(_quadratic(x2, x1, x0, int(family == "H" and j == d)))
@@ -360,16 +369,11 @@ def _bounded(family, cd, L, M):
     [2L+M-m_1, 2L]; M = None drops it (the large-M limit times (q)_2L).
     For f at d = 1 the head carries the barred term's m_0 m_1 = L m_1."""
     ge = cd.cf.a > 2 * cd.cf.b
-    bar_head = family == "f" and cd.d == 1
-
-    def head(m1):
-        e = (L * m1 if bar_head else 0) + (L * (L - 2 * m1) if ge else 0)
-        if M is None:
-            return e, ()
-        key = _qkey(L + M + m1, 2 * L) if ge else _qkey(2 * L + M - m1, 2 * L)
-        return None if key is None else (e, (key,))
-
-    return _lattice_sum(L, head, *_rules(cd, family), first=2)
+    phis, psis = _rules(cd, family)
+    head = _unit if M is None else \
+        _binomial(0, 1, 1, M, 2, 0, 1) if ge else _binomial(0, 2, -1, M, 2, 0, 1)
+    exponent = _quadratic(ge, (family == "f" and cd.d == 1) - 2 * ge, 0, 0)
+    return _lattice_sum(L, [head] + phis[1:], [exponent] + psis[1:], first=2)
 
 
 def eval_F(a, b, L, M):
@@ -403,18 +407,17 @@ def eval_limit_M(family, a, b, L):
     return _bounded(family, cartan_for(a, b), L, None)
 
 
-def _limit(cd, family, top, head, chain, mid, cut=None):
-    """A limit sum: the kernel factors after position a_0 + 1, where
-    a_0 = 0 for a <= 2b. Before them stand the factor keys head(m_1) (a
-    tuple), chain(j, m_j, m_{j+1}) at j <= a_0, with exponent m_j^2, and
-    mid(a_0 + 1, m_{a_0+1}), which b = 1 (a_0 = d) drops."""
-    a0 = cd.cf.quotients[0] if cd.cf.a > 2 * cd.cf.b else 0
+def _limit(cd, family, top, links, cut=None, first=None):
+    """A limit sum: the phi rules `links` at positions 0..a_0 + 1, where
+    a_0 = 0 for a <= 2b, then the kernel's after them. The exponent is 0 at
+    the head, m_j^2 at 1 <= j <= a_0 and the kernel's after. b = 1 (a_0 = d)
+    drops the last link. The levels from `first`, a_0 + 2 by default, are
+    shared."""
+    a0 = len(links) - 2
     phis, psis = _rules(cd, family)
-    links = [lambda p, c, n, j=j: chain(j, c, n) for j in range(1, a0 + 1)]
-    links.append(lambda p, c, n: mid(a0 + 1, c))
-    return _lattice_sum(top, lambda m1: (0, head(m1)),
-                        ([None] + links + phis[a0 + 2:])[:cd.d + 1],
-                        [None] + [_square] * a0 + psis[a0 + 1:], cut, a0 + 2)
+    return _lattice_sum(top, (links + phis[a0 + 2:])[:cd.d + 1],
+                        [_flat] + [_square] * a0 + psis[a0 + 1:], cut,
+                        a0 + 2 if first is None else first)
 
 
 def eval_limit_L(family, a, b, M):
@@ -427,8 +430,8 @@ def eval_limit_L(family, a, b, M):
     prod_{j<=a_0} [M+m_j, m_j-m_{j+1}] [M+m, tau m] (q)_{M+m-tau m}, and
     position j <= a_0 has exponent m_j^2.
 
-    The chain telescopes, so that M is read only by the head and level 1
-    and the levels below are shared (see the module docstring):
+    The chain telescopes, so that M is read only at positions 0 (the head)
+    and 1 and the levels after them are shared (see the module docstring):
 
     - b = 1 (a_0 = d = a - 1, m = m_{d+1} = 0, the link is (q)_M): the
       factors before the levels, [2M, M-m_1] [M+m_1, m_1] (q)_M, equal
@@ -444,7 +447,7 @@ def eval_limit_L(family, a, b, M):
       [M+m_1, m_1-m_2] [M+m_2, tau m_2] (q)_{M-(tau-1)m_2}
         = [M+m_1, m_1+(tau-1)m_2] (q)_{M-(tau-1)m_2}
           [m_1+(tau-1)m_2, tau m_2],
-      level 1 the first factor and level 2 the M-free second one.
+      position 1 the first factor and position 2 the M-free second one.
 
     At a_0 >= 2 the telescoped head would read m_{a_0+1}, so those pairs
     keep the chain.
@@ -458,23 +461,18 @@ def eval_limit_L(family, a, b, M):
         d = a - 1 - (family == "f")
         total = qbin(2 * M, M) * q_poch(M)
         if d:
-            total *= _lattice_sum(M, lambda m1: (0, (_qkey(M, m1),)),
-                                  [None] + [_multinomial] * d,
-                                  [None] + [_square] * d, first=2)
+            total *= _lattice_sum(M, [_multinomial] * (d + 1),
+                                  [_flat] + [_square] * d, first=2)
         return total
     cd = cartan_for(a, b)
-
-    def head(m1):
-        return (_qkey(2 * M, M - m1),)
-
-    if a > 2 * b and cd.cf.quotients[0] == 1:  # tau_2 = 2, as 2 < d
-        phis, psis = _rules(cd, family)
-        return _lattice_sum(M, lambda m1: (0, head(m1)),
-                            [None, lambda p, c, n: ("mid", M + c, c + n),
-                             _telescoped] + phis[3:],
-                            [None, _square] + psis[2:], first=2)
-    return _limit(cd, family, M, head, lambda j, c, n: _qkey(M + c, c - n),
-                  lambda j, m: ("mid", M + m, cd.tau[j - 1] * m))
+    a0 = cd.cf.quotients[0] if a > 2 * b else 0
+    head = [lambda p, c, n: _qkey(2 * M, M - n)]
+    if a0 == 1:  # tau_2 = 2, as 2 < d
+        return _limit(cd, family, M, head + [
+            lambda p, c, n: ("mid", M + c, c + n), _telescoped], first=2)
+    tau = cd.tau[a0]
+    return _limit(cd, family, M, head + [lambda p, c, n: _qkey(M + c, c - n)] * a0
+                  + [lambda p, c, n: ("mid", M + c, tau * c)])
 
 
 def eval_limit_both(family, a, b, T):
@@ -492,14 +490,16 @@ def eval_limit_both(family, a, b, T):
         raise DegreeLimitError(f"truncation order {T} > {QBIN_MAX_DEGREE}")
     if family == "H":
         raise NotImplementedError("double limit not provided for family H")
+    check_pair(a, b)
     if family == "f" and b == 1:
         raise NotImplementedError("the reciprocal family has no product form for b = 1")
     cd = cartan_for(a, b)
+    a0 = cd.cf.quotients[0] if a > 2 * b else 0
 
     def inv(j, k):
         return ("inv", 3 - cd.tau[j - 1] if family == "I" else 1, k, T)
 
-    total = _limit(cd, family, isqrt(T), lambda m1: (),
-                   lambda j, c, n: inv(j, c - n),
-                   lambda j, m: inv(j, cd.tau[j - 1] * m), cut=T)
+    links = [_unit] + [lambda p, c, n, j=j: inv(j, c - n) for j in range(1, a0 + 1)]
+    links.append(lambda p, c, n: inv(a0 + 1, cd.tau[a0] * c))
+    total = _limit(cd, family, isqrt(T), links, cut=T)
     return TruncatedSeries.from_poly(total, T)

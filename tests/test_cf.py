@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
-from qburge.cf import (check_pair, cf_expand, cf_toggle, build_cartan,
-                       n_row, bar_pair)
+from qburge.cf import check_pair, cf_expand, cf_toggle, build_cartan, bar_pair
+from qburge.fermionic import _qkey, _rules
 
 
 def coprime_pairs(a_max, a_min=2):
@@ -24,6 +24,18 @@ def quad_form(cd, m, barred=False):
         return full
     prev = m[d - 2] if d >= 2 else 0
     return full + m[d - 1] * (prev - m[d - 1])
+
+
+def n_row(cd, j, prev, cur, nxt):
+    """n_j = L*delta(j,1) - sum_k C_jk m_k at the 1-based row j of the
+    tridiagonal Cartan matrix, from prev = m_{j-1} (m_0 := L), cur = m_j and
+    nxt = m_{j+1} (m_{d+1} := 0)."""
+    row = cd.cartan[j - 1]
+    n = prev if j == 1 else -row[j - 2] * prev
+    n -= row[j - 1] * cur
+    if j < cd.d:
+        n -= row[j] * nxt
+    return n
 
 
 def quad_form_squares(c, m):
@@ -48,9 +60,9 @@ def test_cf_examples():
     assert cf_expand(2, 1).quotients == (1,)
     assert cf_expand(2, 1).d == 1
     assert cf_expand(7, 5).quotients == (2, 2)
-    assert cf_expand(7, 5, last_ge2=False).quotients == (2, 1, 1)
+    assert cf_toggle(cf_expand(7, 5)).quotients == (2, 1, 1)
     assert cf_expand(7, 5).d == 4
-    assert cf_expand(5, 3, last_ge2=False).quotients == (1, 1, 1)
+    assert cf_toggle(cf_expand(5, 3)).quotients == (1, 1, 1)
     assert cf_expand(19, 12).quotients == (1, 1, 2, 2)
 
 
@@ -59,7 +71,7 @@ def test_cf_symmetry_and_d_invariance():
         c1 = cf_expand(a, b)
         assert c1.quotients == cf_expand(a, a - b).quotients
         if (a, b) != (2, 1):
-            c2 = cf_expand(a, b, last_ge2=False)
+            c2 = cf_toggle(c1)
             assert c1.d == c2.d
             assert c2.quotients[-1] == 1
 
@@ -83,7 +95,7 @@ def test_cartan_21():
 
 def test_cartan_75_printed_matrices():
     # the [2,1,1] representation reproduces the reference 4x4 matrices
-    cd = build_cartan(cf_expand(7, 5, last_ge2=False))
+    cd = build_cartan(cf_toggle(cf_expand(7, 5)))
     assert cd.incidence == ((0, 1, 0, 0), (1, 1, -1, 0),
                             (0, 1, 1, -1), (0, 0, 1, 1))
     assert cd.cartan == ((2, -1, 0, 0), (-1, 1, 1, 0),
@@ -93,10 +105,9 @@ def test_cartan_75_printed_matrices():
 
 def test_cartan_plus_incidence_is_2id():
     for (a, b) in coprime_pairs(12):
-        for rep in (True, False):
-            if (a, b) == (2, 1) and not rep:
-                continue
-            cd = build_cartan(cf_expand(a, b, last_ge2=rep))
+        c = cf_expand(a, b)
+        for rep in (c, cf_toggle(c)) if (a, b) != (2, 1) else (c,):
+            cd = build_cartan(rep)
             d = cd.d
             for j in range(d):
                 for k in range(d):
@@ -133,14 +144,27 @@ def test_mn_solve():
     for L in range(0, 5):
         for m1 in range(0, 4):
             assert n_vec(cd, L, [m1]) == [L - m1]
-    cd75 = build_cartan(cf_expand(7, 5, last_ge2=False))
-    assert n_vec(cd75, 3, [0, 0, 0, 0]) == [3, 0, 0, 0]
-    # against the printed C(7,5): row sums with m=(1,1,1,0)
-    assert n_vec(cd75, 3, [1, 1, 1, 0]) == [2, -1, 0, 1]
+    cd75 = build_cartan(cf_toggle(cf_expand(7, 5)))
+    rows = {(3, (0, 0, 0, 0)): [3, 0, 0, 0],
+            # against the printed C(7,5): row sums with m=(1,1,1,0)
+            (3, (1, 1, 1, 0)): [2, -1, 0, 1],
+            # m_4 > 0 and n_4 > 0, where I's base q^2 shows
+            (7, (5, 3, 2, 1)): [0, 0, 0, 1]}
+    for (L, m), n in rows.items():
+        assert n_vec(cd75, L, list(m)) == n
+        # the engine's kernel rules name [tau_j m_j + n_j, tau_j m_j], in
+        # q^(3 - tau_j) for I, on the same rows
+        x = (L,) + m + (0,)
+        for family in ("F", "f", "I"):
+            phis = _rules(cd75, family)[0]
+            for j, t in enumerate(cd75.tau, 1):
+                base = 3 - t if family == "I" else 1
+                assert phis[j](*x[j - 1:j + 2]) == \
+                    _qkey(t * m[j - 1] + n[j - 1], t * m[j - 1], base), (m, family, j)
 
 
 def test_quad_form_examples():
-    cd = build_cartan(cf_expand(7, 5, last_ge2=False))
+    cd = build_cartan(cf_toggle(cf_expand(7, 5)))
     assert quad_form(cd, [1, 1, 0, 0]) == 1  # m1^2+(m1-m2)^2+m3^2+m4^2
     assert quad_form(cd, [0, 0, 0, 0]) == 0
     assert quad_form(cd, [0, 0, 0, 0], barred=True) == 0

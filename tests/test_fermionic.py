@@ -10,7 +10,7 @@ import pytest
 from qburge import fermionic
 from qburge.qpoly import LaurentPoly, TruncatedSeries
 from qburge.qcombinat import g_poly, qbin, q_poch
-from qburge.cf import build_cartan, cf_expand
+from qburge.cf import build_cartan, cf_expand, cf_toggle
 from qburge.fermionic import (_bounded, _factor, _lattice_sum, _qkey, _rules,
                               cartan_for, eval_F, eval_f, eval_H, eval_I,
                               eval_limit_M, eval_limit_L, eval_limit_both)
@@ -72,7 +72,7 @@ def test_representation_independence():
     # the value must not depend on whether the final quotient is >= 2 or
     # split off as a trailing 1
     for (a, b) in coprime_pairs(9, a_min=3):
-        split = build_cartan(cf_expand(a, b, last_ge2=False))
+        split = build_cartan(cf_toggle(cf_expand(a, b)))
         for L in range(0, 5):
             for M in range(0, 5):
                 for family in ("F", "f", "I"):
@@ -82,13 +82,15 @@ def test_representation_independence():
 
 def test_boundary_consistency_a_eq_2b():
     # on the pair (2,1) both boundary-binomial conventions coincide
-    cd = cartan_for(2, 1)
+    phis, psis = _rules(cartan_for(2, 1), "F")
     for L in range(0, 6):
         for M in range(0, 6):
-            def head(m1):
-                key = _qkey(L + M + m1, 2 * L)
-                return None if key is None else (L * (L - 2 * m1), (key,))
-            assert _lattice_sum(L, head, *_rules(cd, "F")) == eval_F(2, 1, L, M)
+            def head(p, c, n):
+                return _qkey(L + M + n, 2 * L)
+
+            assert _lattice_sum(L, [head] + phis[1:],
+                                [lambda x, y: x * (x - 2 * y)] + psis[1:]) == \
+                eval_F(2, 1, L, M)
 
 
 def _cut(p, cut):
@@ -130,20 +132,14 @@ def list_lattice_sum(d, top, head, phi, psi, cut=None):
     return total
 
 
-def on_lists(top, head, phis, psis, cut=None, first=None):
-    """The engine's arguments (per-position rules, factor keys, (exponent,
-    keys) heads) turned into polynomials for list_lattice_sum."""
+def on_lists(top, phis, psis, cut=None, first=None):
+    """The engine's arguments (per-position rules giving factor keys, the
+    head at position 0) turned into polynomials for list_lattice_sum."""
     def poly(key):
         return LaurentPoly.zero() if key is None else _factor(key)
 
     def list_head(m1):
-        h = head(m1)
-        if h is None:
-            return LaurentPoly.zero()
-        out = LaurentPoly.one()
-        for key in h[1]:
-            out = out * _factor(key)
-        return out.scale(h[0])
+        return poly(phis[0](top, top, m1)).scale(psis[0](top, m1))
 
     return list_lattice_sum(len(phis) - 1, top, list_head,
                             lambda j, *x: poly(phis[j](*x)),
@@ -179,17 +175,18 @@ def test_engine_matches_list_reference(monkeypatch):
 def test_signed_cut_matches_list_reference():
     # signed factors [n, x] (q)_(n-x), like eval_limit_L's links, cut at
     # q^T: each product is reduced to its balanced low digits
-    def head(m1):
-        return m1, (("mid", 2 * m1, m1),)
+    def head(p, c, n):
+        return ("mid", 2 * n, n)
 
     def phi(p, c, n):
         return ("mid", p + n, c)
 
-    psis = [None] + [lambda x, y, j=j: x * (x - y) + j - 1 for j in range(1, 4)]
+    psis = [lambda x, y: y] + [lambda x, y, j=j: x * (x - y) + j - 1
+                               for j in range(1, 4)]
     for d in (1, 2, 3):
         for top in range(6):
             for T in (0, 5, 17, 40):
-                args = (top, head, [None] + [phi] * d, psis[:d + 1], T)
+                args = (top, [head] + [phi] * d, psis[:d + 1], T)
                 assert _lattice_sum(*args) == on_lists(*args), (d, top, T)
 
 
@@ -464,9 +461,11 @@ def limit_L_chain(family, a, b, M):
             return qbin(2 * M, M) * q_poch(M)
         return limit_L_chain("F", a - 1, 1, M)
     cd = cartan_for(a, b)
-    total = fermionic._limit(cd, family, M, lambda m1: (_qkey(2 * M, M - m1),),
-                             lambda j, c, n: _qkey(M + c, c - n),
-                             lambda j, m: ("mid", M + m, cd.tau[j - 1] * m))
+    a0 = cd.cf.quotients[0] if a > 2 * b else 0
+    links = [lambda p, c, n: _qkey(2 * M, M - n)]
+    links += [lambda p, c, n: _qkey(M + c, c - n)] * a0
+    links.append(lambda p, c, n: ("mid", M + c, cd.tau[a0] * c))
+    total = fermionic._limit(cd, family, M, links)
     return total * q_poch(M) if b == 1 and a > 2 else total
 
 
@@ -566,6 +565,9 @@ def test_limit_both_rejects():
         eval_limit_both("H", 3, 1, 5)
     with pytest.raises(NotImplementedError):
         eval_limit_both("f", 3, 1, 5)
+    for fam, a, b in (("f", 1, 1), ("F", 4, 2)):
+        with pytest.raises(ValueError, match=rf"\({a},{b}\)"):
+            eval_limit_both(fam, a, b, 5)
 
 
 def test_limits_converge_to_double_limit():
