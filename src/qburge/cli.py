@@ -42,24 +42,36 @@ def _fmt_poly(p):
     return " ".join(f"{e}:{c}" for e, c in p.items_sorted())
 
 
+# eval object -> its positional params; a bracketed one is optional
+EVAL_PARAMS = {"qbin": "n m [base]", "B": "L M a b", "G": "N M alpha beta K",
+               "D": "K i N M alpha beta", "F": "a b", "f": "a b", "H": "a b",
+               "I": "a b", "Ftilde": "a b", "series": "family a b"}
+
+
 def _cmd_eval(args):
     obj = args.object
     v = args.params
     try:
+        names = EVAL_PARAMS[obj].split()
+        if not sum(not n.startswith("[") for n in names) <= len(v) <= len(names):
+            raise ValueError(f"eval {obj} takes {EVAL_PARAMS[obj]} "
+                             f"(got {len(v)} param{'' if len(v) == 1 else 's'})")
         if obj == "qbin":
             n, m = int(v[0]), int(v[1])
             base = int(v[2]) if len(v) > 2 else 1
             res = qbin(n, m, base)
         elif obj == "B":
-            L, M, a, b = map(int, v[:4])
-            res = b_kernel(L, M, a, b)
+            res = b_kernel(*map(int, v))
         elif obj == "G":
             N, M = int(v[0]), int(v[1])
             res = g_poly(N, M, Fraction(v[2]), Fraction(v[3]), int(v[4]))
         elif obj == "D":
             K, i, N, M = map(int, v[:4])
             res = d_poly(K, i, N, M, Fraction(v[4]), Fraction(v[5]))
-        elif obj in ("F", "f", "H", "I", "Ftilde"):
+        elif obj == "series":
+            fam, a, b = v[0], int(v[1]), int(v[2])
+            res = eval_limit_both(fam, a, b, args.order)
+        else:  # a lattice sum
             a, b = int(v[0]), int(v[1])
             flags = ("M",) if obj == "Ftilde" else ("L", "M")
             missing = " and ".join(f"--{f}" for f in flags if getattr(args, f) is None)
@@ -68,12 +80,7 @@ def _cmd_eval(args):
             fn = {"F": eval_F, "f": eval_f, "H": eval_H, "I": eval_I,
                   "Ftilde": lambda a, b, L, M: eval_limit_L("F", a, b, M)}[obj]
             res = fn(a, b, args.L, args.M)
-        elif obj == "series":
-            fam, a, b = v[0], int(v[1]), int(v[2])
-            res = eval_limit_both(fam, a, b, args.order)
-        else:
-            raise ValueError(f"unknown object {obj!r}")
-    except (IndexError, ValueError, TypeError, ZeroDivisionError,
+    except (ValueError, TypeError, ZeroDivisionError,
             NotImplementedError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -92,6 +99,12 @@ def _report_record(r):
     return rec
 
 
+def _summary(reports):
+    """`PASS n/m` when all m reports pass, else `FAIL n/m`."""
+    npass = sum(1 for r in reports if r.status == "pass")
+    return f"{'PASS' if npass == len(reports) else 'FAIL'} {npass}/{len(reports)}"
+
+
 def _render(reports, fmt):
     if fmt == "json":
         return json.dumps([_report_record(r) for r in reports],
@@ -106,16 +119,11 @@ def _render(reports, fmt):
                         r.status, r.first_diff_exponent, r.lhs_coeff,
                         r.rhs_coeff, round(r.elapsed_ms, 3)])
         return buf.getvalue()
-    lines = []
-    for r in reports:
-        if r.status == "fail":
-            lines.append(f"FAIL {r.case} {dict(sorted(r.params.items()))} "
-                         f"first diff q^{r.first_diff_exponent}: "
-                         f"{r.lhs_coeff} vs {r.rhs_coeff}")
-    npass = sum(1 for r in reports if r.status == "pass")
-    lines.append(f"{'PASS' if npass == len(reports) else 'FAIL'} "
-                 f"{npass}/{len(reports)}")
-    return "\n".join(lines) + "\n"
+    lines = [f"FAIL {r.case} {dict(sorted(r.params.items()))} "
+             f"first diff q^{r.first_diff_exponent}: "
+             f"{r.lhs_coeff} vs {r.rhs_coeff}"
+             for r in reports if r.status == "fail"]
+    return "\n".join(lines + [_summary(reports)]) + "\n"
 
 
 def _load_config(path, cfg):
@@ -207,9 +215,7 @@ def _cmd_verify(args):
         except OSError as exc:
             print(f"I/O error: {exc}", file=sys.stderr)
             return 3
-        npass = sum(1 for r in reports if r.status == "pass")
-        print(f"{'PASS' if npass == len(reports) else 'FAIL'} "
-              f"{npass}/{len(reports)} -> {cfg.out}")
+        print(f"{_summary(reports)} -> {cfg.out}")
     else:
         sys.stdout.write(text)
     return 0 if all(r.status == "pass" for r in reports) else 1
@@ -230,9 +236,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a single object")
-    pe.add_argument("object",
-                    choices=["qbin", "B", "G", "D", "F", "f", "H", "I",
-                             "Ftilde", "series"])
+    pe.add_argument("object", choices=list(EVAL_PARAMS))
     pe.add_argument("params", nargs="*",
                     help="positional parameters for the object")
     pe.add_argument("--L", type=int, default=None)

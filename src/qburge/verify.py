@@ -5,6 +5,14 @@ Every catalogue case computes its two sides independently and compares them
 exactly (polynomial equality, or series equality to the requested order).
 Product sides of series cases are themselves computed two independent ways
 (factor expansion vs. triple-product sum) and must agree before use.
+
+The explicit displays (the (n, i) double sums, the (7,5) and (7,2)
+quadruple sums, the Andrews-Gordon multisum, the closing Section 8
+display) are independent transcription oracles: each is written out term
+by term in its own function and calls no evaluator it checks. They share
+only their loop: `_total` sums q^e p over (e, p) pairs, and
+`_series_total` sums q^e p / prod_k (1 - q^k) truncated at the order.
+A catalogue case takes its params as keyword arguments.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ class IdentityCase:
     kind: str               # polynomial | truncated-series | positivity
     description: str
     param_domain: str
-    # params dict -> (lhs, rhs), or for kind positivity the polynomial to scan
+    # params dict -> (lhs, rhs), or for kind positivity the polynomial to
+    # scan; a registered case takes the params as keyword arguments
     sides: object = field(compare=False)
 
 
@@ -70,16 +79,17 @@ def positivity_scan(p, case="", params=None):
 
 def _jtp_series(x, z, order):
     """(q^x, q^(z-x), q^z; q^z)_inf via the triple-product sum
-    sum_j (-1)^j q^(x j + z j(j-1)/2), truncated."""
+    sum_j (-1)^j q^(x j + z j(j-1)/2), truncated; 0 <= x < z.
+
+    With x < z the exponent at j = +-k is at least z k(k-1)/2, which
+    exceeds order once k >= isqrt(2 order // z) + 2, so the terms with
+    |j| <= isqrt(2 order // z) + 1 are all of them."""
     s = TruncatedSeries(order)
-    j = 0
-    while x * j + z * j * (j - 1) // 2 <= order:
-        s.coeffs[x * j + z * j * (j - 1) // 2] += -1 if j % 2 else 1
-        j += 1
-    j = -1
-    while x * j + z * j * (j - 1) // 2 <= order:
-        s.coeffs[x * j + z * j * (j - 1) // 2] += -1 if (-j) % 2 else 1
-        j -= 1
+    r = isqrt(2 * order // z) + 1
+    for j in range(-r, r + 1):
+        e = x * j + z * j * (j - 1) // 2
+        if e <= order:
+            s.coeffs[e] += -1 if j % 2 else 1
     return s
 
 
@@ -193,50 +203,42 @@ def partition_oracle(K, i, N, M, alpha, beta):
 # ---------------------------------------------------------------------------
 # explicit sum sides used as independent transcription oracles
 
-def _sum_bnewp(L, M):
+def _total(terms):
+    """Sum of q^e p over the (e, p) pairs of terms; a zero p is skipped."""
     tot = LaurentPoly.zero()
-    for n in range(0, min(L, M) + 1):
-        tot = tot + (qbin(2 * L + M - n, 2 * L) * qbin(L, n)).scale(n * n)
+    for e, p in terms:
+        if not p.is_zero():
+            tot = tot + p.scale(e)
     return tot
+
+
+def _sum_bnewp(L, M):
+    return _total((n * n, qbin(2 * L + M - n, 2 * L) * qbin(L, n))
+                  for n in range(0, min(L, M) + 1))
 
 
 def _sum_bnewp2(L, M):
-    tot = LaurentPoly.zero()
-    for n in range(0, L + 1):
-        t = qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n)
-        if not t.is_zero():
-            tot = tot + t.scale(n * n)
-    return tot
+    return _total((n * n, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
+                  for n in range(0, L + 1))
 
 
 def _sum_comp(L, M, shift=0):
     # shift=0: right side of the n(n+1) companion; shift=1: its +1 variant
-    tot = LaurentPoly.zero()
-    for n in range(0, L + 1):
-        t = qbin(2 * L + M - n + shift, 2 * L + 1) * qbin(L, n)
-        if not t.is_zero():
-            tot = tot + t.scale(n * (n + 1))
-    return tot
+    return _total((n * (n + 1), qbin(2 * L + M - n + shift, 2 * L + 1) * qbin(L, n))
+                  for n in range(0, L + 1))
 
 
 def _qbin_altsum(L, M, term):
-    """sum over j of term(j) where term returns (exponent, poly) or None."""
-    tot = LaurentPoly.zero()
-    for j in range(-(L + M) - 2, L + M + 3):
-        r = term(j)
-        if r is None:
-            continue
-        e, p = r
-        if not p.is_zero():
-            tot = tot + p.scale(e, -1 if j % 2 else 1)
-    return tot
+    """Sum over |j| <= L + M + 2 of (-1)^j q^e p, where term(j) = (e, p)."""
+    return _total((e, -p if j % 2 else p)
+                  for j in range(-(L + M) - 2, L + M + 3) for e, p in [term(j)])
 
 
 def _lhs_comp(L, M):
+    # j(5j+3) is even for every j (5j+3 is even when j is odd)
     return _qbin_altsum(L, M, lambda j: (
         j * (5 * j + 3) // 2,
-        qbin(L + M + j, M - j - 1) * qbin(L + M - j, M + j))
-        if (j * (5 * j + 3)) % 2 == 0 else None)
+        qbin(L + M + j, M - j - 1) * qbin(L + M - j, M + j)))
 
 
 def _lhs_comp2(L, M):
@@ -256,13 +258,9 @@ def _lhs_rr1(L):
 
 
 def _rhs_rr1(L):
-    tot = LaurentPoly.zero()
-    for n in range(0, L + 1):
-        for i in range(0, L - n + 1):
-            t = qbin(2 * L - 2 * i - n, n) * qbin(L - i - n, i)
-            if not t.is_zero():
-                tot = tot + t.scale(n * n + i * (L + n))
-    return tot
+    return _total((n * n + i * (L + n),
+                   qbin(2 * L - 2 * i - n, n) * qbin(L - i - n, i))
+                  for n in range(0, L + 1) for i in range(0, L - n + 1))
 
 
 def _lhs_rr2(L):
@@ -270,36 +268,24 @@ def _lhs_rr2(L):
 
 
 def _rhs_rr2(L):
-    tot = LaurentPoly.zero()
-    for n in range(0, L + 1):
-        for i in range(0, L + 1):
-            t = qbin(2 * L - 2 * i - n - 1, n) * qbin(L - i - n - 1, i)
-            if not t.is_zero():
-                tot = tot + t.scale(n * (n + 1) + i * (L + n + 1))
-    return tot
+    return _total((n * (n + 1) + i * (L + n + 1),
+                   qbin(2 * L - 2 * i - n - 1, n) * qbin(L - i - n - 1, i))
+                  for n in range(0, L + 1) for i in range(0, L + 1))
 
 
 def _rhs_f31_display(L, M):
     # (3,1) double sum: second doubly-bounded first-Rogers-Ramanujan analogue
-    tot = LaurentPoly.zero()
-    for n in range(0, L + 1):
-        for i in range(0, L - n + 1):
-            t = (qbin(2 * L + M - n - i, 2 * L) * qbin(2 * L - 2 * i - n, n)
-                 * qbin(L - i - n, i))
-            if not t.is_zero():
-                tot = tot + t.scale(n * n + i * (L + n))
-    return tot
+    return _total((n * n + i * (L + n),
+                   qbin(2 * L + M - n - i, 2 * L) * qbin(2 * L - 2 * i - n, n)
+                   * qbin(L - i - n, i))
+                  for n in range(0, L + 1) for i in range(0, L - n + 1))
 
 
 def _rhs_ab32_display(L, M):
-    tot = LaurentPoly.zero()
-    for i in range(0, min(L, M) + 1):
-        for n in range(0, i + 1):
-            t = (qbin(2 * L + M - i, 2 * L) * qbin(L + i - n - 1, 2 * i - 1)
-                 * qbin(i - 1, n))
-            if not t.is_zero():
-                tot = tot + t.scale(i * i + n * n)
-    return tot
+    return _total((i * i + n * n,
+                   qbin(2 * L + M - i, 2 * L) * qbin(L + i - n - 1, 2 * i - 1)
+                   * qbin(i - 1, n))
+                  for i in range(0, min(L, M) + 1) for n in range(0, i + 1))
 
 
 def _lhs_ab32(L, M):
@@ -315,14 +301,10 @@ def _lhs_rr2inv(L, M):
 
 
 def _rhs_rr2inv_display(L, M):
-    tot = LaurentPoly.zero()
-    for m1 in range(0, L + 1):
-        for m2 in range(0, m1 + 1):
-            t = (qbin(L + M + m1, 2 * L) * qbin(L + m2, 2 * m1 - 1)
-                 * qbin(m1 - 1, m2))
-            if not t.is_zero():
-                tot = tot + t.scale((L - m1) ** 2 + (m1 - m2 - 1) ** 2)
-    return tot
+    return _total(((L - m1) ** 2 + (m1 - m2 - 1) ** 2,
+                   qbin(L + M + m1, 2 * L) * qbin(L + m2, 2 * m1 - 1)
+                   * qbin(m1 - 1, m2))
+                  for m1 in range(0, L + 1) for m2 in range(0, m1 + 1))
 
 
 def _lhs_isolated(L):
@@ -330,90 +312,59 @@ def _lhs_isolated(L):
 
 
 def _rhs_isolated(L):
-    tot = LaurentPoly.zero()
-    for n in range(0, L + 1):
-        tot = tot + qbin(L, n).scale(n * (n + 1))
-    return tot
+    return _total((n * (n + 1), qbin(L, n)) for n in range(0, L + 1))
 
 
 # explicit quadruple-sum transcriptions of the two on-going-example displays
 
-def _series_display75(T, barred):
+def _series_total(T, terms):
+    """Sum of q^e p / prod_{k in ks} (1 - q^k) over the (e, p, ks) triples
+    of terms, truncated at order T; a zero p is skipped."""
     tot = TruncatedSeries(T)
-    r = isqrt(T) + 1
-    for m1 in range(0, r + 1):
-        for m2 in range(0, m1 + r + 1):
-            for m3 in range(0, r + 1):
-                for m4 in range(0, m3 + 1):
-                    e = m1 * m1 + (m1 - m2) ** 2 + m3 * m3
-                    e += m3 * m4 if barred else m4 * m4
-                    if e > T:
-                        continue
-                    p = (qbin(m1 + m2 - m3, 2 * m2) * qbin(m2 + m3 - m4, 2 * m3)
-                         * qbin(m3, m4))
-                    if p.is_zero():
-                        continue
-                    s = TruncatedSeries.from_poly(p.scale(e), T)
-                    for k in range(1, 2 * m1 + 1):
-                        if k <= T:
-                            s = s.div_one_minus(k)
-                    tot = tot + s
+    for e, p, ks in terms:
+        if p.is_zero():
+            continue
+        s = TruncatedSeries.from_poly(p.scale(e), T)
+        for k in ks:
+            if k <= T:
+                s = s.div_one_minus(k)
+        tot = tot + s
     return tot
+
+
+def _series_display75(T, barred):
+    r = isqrt(T) + 1
+    return _series_total(T, (
+        (e, qbin(m1 + m2 - m3, 2 * m2) * qbin(m2 + m3 - m4, 2 * m3) * qbin(m3, m4),
+         range(1, 2 * m1 + 1))
+        for m1 in range(0, r + 1) for m2 in range(0, m1 + r + 1)
+        for m3 in range(0, r + 1) for m4 in range(0, m3 + 1)
+        if (e := m1 * m1 + (m1 - m2) ** 2 + m3 * m3
+            + (m3 * m4 if barred else m4 * m4)) <= T))
 
 
 def _series_display72(T, barred):
-    tot = TruncatedSeries(T)
     r = isqrt(T) + 1
-    for n1 in range(0, r + 1):
-        for n2 in range(0, r + 1):
-            for m3 in range(0, r + 1):
-                for m4 in range(0, m3 + 1):
-                    e = (n1 + n2 + m3) ** 2 + (n2 + m3) ** 2 + m3 * m3
-                    e += m3 * m4 if barred else m4 * m4
-                    if e > T:
-                        continue
-                    p = qbin(m3, m4)
-                    if p.is_zero():
-                        continue
-                    s = TruncatedSeries.from_poly(p.scale(e), T)
-                    for k in list(range(1, n1 + 1)) + list(range(1, n2 + 1)) \
-                            + list(range(1, 2 * m3 + 1)):
-                        if k <= T:
-                            s = s.div_one_minus(k)
-                    tot = tot + s
-    return tot
+    return _series_total(T, (
+        (e, qbin(m3, m4),
+         (*range(1, n1 + 1), *range(1, n2 + 1), *range(1, 2 * m3 + 1)))
+        for n1 in range(0, r + 1) for n2 in range(0, r + 1)
+        for m3 in range(0, r + 1) for m4 in range(0, m3 + 1)
+        if (e := (n1 + n2 + m3) ** 2 + (n2 + m3) ** 2 + m3 * m3
+            + (m3 * m4 if barred else m4 * m4)) <= T))
 
 
 def _series_agid(k, T):
-    # (k-1)-fold sum with exponent N_1^2+...+N_{k-1}^2 over 1/(q)_{n_j}
-    tot = TruncatedSeries(T)
+    # (k-1)-fold sum with exponent N_1^2+...+N_{k-1}^2 over 1/(q)_{n_j},
+    # N_j = n_j + ... + n_{k-1}, over n_1 + ... + n_{k-1} <= isqrt(T) + 1
     r = isqrt(T) + 1
-
-    def rec(j, ns):
-        nonlocal tot
-        if j == k - 1:
-            big_n = 0
-            e = 0
-            for n in reversed(ns):
-                big_n += n
-                e += big_n * big_n
-            if e > T:
-                return
-            s = TruncatedSeries(T)
-            s.coeffs[e] = 1
-            for n in ns:
-                for kk in range(1, n + 1):
-                    if kk <= T:
-                        s = s.div_one_minus(kk)
-            tot = tot + s
-            return
-        for n in range(0, r + 1):
-            if sum(ns) + n > r:
-                break
-            rec(j + 1, ns + [n])
-
-    rec(0, [])
-    return tot
+    nss = [()]
+    for _ in range(k - 1):
+        nss = [ns + (n,) for ns in nss for n in range(r + 1 - sum(ns))]
+    return _series_total(T, (
+        (e, LaurentPoly.one(), [kk for n in ns for kk in range(1, n + 1)])
+        for ns in nss
+        if (e := sum(sum(ns[j:]) ** 2 for j in range(len(ns)))) <= T))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +375,8 @@ CATALOGUE = {}
 
 def _register(id, kind, description, domain):
     def deco(fn):
-        CATALOGUE[id] = IdentityCase(id, kind, description, domain, fn)
+        CATALOGUE[id] = IdentityCase(id, kind, description, domain,
+                                     lambda params: fn(**params))
         return fn
     return deco
 
@@ -437,80 +389,70 @@ def _pairs(a_max, a_min=2):
 @_register("main", "polynomial",
            "alternating kernel sum with j((2ab+1)j+1)/2 equals the F lattice sum",
            "(a,b) coprime, L,M >= 0")
-def _case_main(p):
-    a, b, L, M = p["a"], p["b"], p["L"], p["M"]
+def _case_main(a, b, L, M):
     return bosonic_eval(spec_main(a, b), L, M), eval_F(a, b, L, M)
 
 
 @_register("main_tree", "polynomial",
            "transform-tree recursion reproduces the F lattice sum",
            "(a,b) coprime, L,M >= 0")
-def _case_main_tree(p):
-    a, b, L, M = p["a"], p["b"], p["L"], p["M"]
+def _case_main_tree(a, b, L, M):
     return tree_walk(a, b, "F", L, M), eval_F(a, b, L, M)
 
 
 @_register("recip", "polynomial",
            "alternating kernel sum with j((2ab-1)j+1)/2 equals the f lattice sum",
            "(a,b) coprime, L,M >= 0")
-def _case_recip(p):
-    a, b, L, M = p["a"], p["b"], p["L"], p["M"]
+def _case_recip(a, b, L, M):
     return bosonic_eval(spec_recip(a, b), L, M), eval_f(a, b, L, M)
 
 
 @_register("shifted", "polynomial",
            "bar-shifted alternating kernel sum equals the H lattice sum",
            "(a,b) coprime, (2,1) excluded, L,M >= 0")
-def _case_shifted(p):
-    a, b, L, M = p["a"], p["b"], p["L"], p["M"]
+def _case_shifted(a, b, L, M):
     return bosonic_eval(spec_shifted(a, b), L, M), eval_H(a, b, L, M)
 
 
 @_register("shifted_tree", "polynomial",
            "transform-tree recursion reproduces the H lattice sum",
            "(a,b) coprime, (2,1) excluded, L,M >= 0")
-def _case_shifted_tree(p):
-    a, b, L, M = p["a"], p["b"], p["L"], p["M"]
+def _case_shifted_tree(a, b, L, M):
     return tree_walk(a, b, "H", L, M), eval_H(a, b, L, M)
 
 
 @_register("even", "polynomial",
            "alternating kernel sum with exponent ab j^2 equals the I lattice sum",
            "(a,b) coprime, L,M >= 0")
-def _case_even(p):
-    a, b, L, M = p["a"], p["b"], p["L"], p["M"]
+def _case_even(a, b, L, M):
     return bosonic_eval(spec_even(a, b), L, M), eval_I(a, b, L, M)
 
 
 @_register("even_tree", "polynomial",
            "transform-tree recursion reproduces the I lattice sum",
            "(a,b) coprime, L,M >= 0")
-def _case_even_tree(p):
-    a, b, L, M = p["a"], p["b"], p["L"], p["M"]
+def _case_even_tree(a, b, L, M):
     return tree_walk(a, b, "I", L, M), eval_I(a, b, L, M)
 
 
 @_register("bnew", "polynomial",
            "seed lemma: kernel sum with j(3j+1)/2 equals a single binomial",
            "L,M >= 0")
-def _case_bnew(p):
-    L, M = p["L"], p["M"]
+def _case_bnew(L, M):
     return bosonic_eval(BosonicSpec(1, 1, c2=Fraction(3, 2), c1=Fraction(1, 2)), L, M), \
         qbin(L + M, M)
 
 
 @_register("bnewp", "polynomial",
            "doubly-bounded first Rogers-Ramanujan analogue", "L,M >= 0")
-def _case_bnewp(p):
-    L, M = p["L"], p["M"]
+def _case_bnewp(L, M):
     return bosonic_eval(spec_main(2, 1), L, M), _sum_bnewp(L, M)
 
 
 @_register("bnewp2", "polynomial",
            "shifted-kernel doubly-bounded first Rogers-Ramanujan analogue",
            "L,M >= 0")
-def _case_bnewp2(p):
-    L, M = p["L"], p["M"]
+def _case_bnewp2(L, M):
     lhs = bosonic_eval(BosonicSpec(2, 1, abar=1, bbar=0,
                                    c2=Fraction(5, 2), c1=Fraction(1, 2)), L, M)
     return lhs, _sum_bnewp2(L, M)
@@ -519,30 +461,26 @@ def _case_bnewp2(p):
 @_register("brep", "polynomial",
            "binomial-kernel companion of the shifted doubly-bounded analogue",
            "L,M >= 0")
-def _case_brep(p):
-    L, M = p["L"], p["M"]
+def _case_brep(L, M):
     return _lhs_brep(L, M), _sum_bnewp2(L, M)
 
 
 @_register("comp", "polynomial",
            "n(n+1) companion with off-kernel binomial product", "L,M >= 0")
-def _case_comp(p):
-    L, M = p["L"], p["M"]
+def _case_comp(L, M):
     return _lhs_comp(L, M), _sum_comp(L, M, 0)
 
 
 @_register("comp2", "polynomial",
            "second n(n+1) companion", "L,M >= 0")
-def _case_comp2(p):
-    L, M = p["L"], p["M"]
+def _case_comp2(L, M):
     return _lhs_comp2(L, M), _sum_comp(L, M, 1)
 
 
 @_register("comp_sum", "polynomial",
            "comp2 equals comp plus q^M times the doubly-bounded analogue",
            "L,M >= 0")
-def _case_comp_sum(p):
-    L, M = p["L"], p["M"]
+def _case_comp_sum(L, M):
     lhs = _lhs_comp2(L, M)
     rhs = _lhs_comp(L, M) + bosonic_eval(spec_main(2, 1), L, M).scale(M)
     return lhs, rhs
@@ -550,50 +488,45 @@ def _case_comp_sum(p):
 
 @_register("isolated", "polynomial",
            "large-M limit of the n(n+1) companion", "L >= 0")
-def _case_isolated(p):
-    L = p["L"]
+def _case_isolated(L):
     return _lhs_isolated(L), _rhs_isolated(L)
 
 
 @_register("rr1", "polynomial",
            "single-binomial bosonic sum vs (n,i) double sum, j(5j+1)/2", "L >= 0")
-def _case_rr1(p):
-    return _lhs_rr1(p["L"]), _rhs_rr1(p["L"])
+def _case_rr1(L):
+    return _lhs_rr1(L), _rhs_rr1(L)
 
 
 @_register("rr2", "polynomial",
            "single-binomial bosonic sum vs (n,i) double sum, j(5j+3)/2", "L >= 0")
-def _case_rr2(p):
-    return _lhs_rr2(p["L"]), _rhs_rr2(p["L"])
+def _case_rr2(L):
+    return _lhs_rr2(L), _rhs_rr2(L)
 
 
 @_register("f31_display", "polynomial",
            "(3,1) barred lattice sum equals its explicit (n,i) double-sum form",
            "L,M >= 0")
-def _case_f31(p):
-    L, M = p["L"], p["M"]
+def _case_f31(L, M):
     return eval_f(3, 1, L, M), _rhs_f31_display(L, M)
 
 
 @_register("ab32", "polynomial",
            "(3,2) shifted kernel sum vs explicit (i,n) double sum", "L,M >= 0")
-def _case_ab32(p):
-    L, M = p["L"], p["M"]
+def _case_ab32(L, M):
     return _lhs_ab32(L, M), _rhs_ab32_display(L, M)
 
 
 @_register("rr2inv", "polynomial",
            "(3,1) shifted kernel sum vs explicit (m1,m2) double sum", "L,M >= 0")
-def _case_rr2inv(p):
-    L, M = p["L"], p["M"]
+def _case_rr2inv(L, M):
     return _lhs_rr2inv(L, M), _rhs_rr2inv_display(L, M)
 
 
 @_register("g_eq_limF", "polynomial",
            "G(L,L;b,b+1/a,a) equals the large-M limit polynomial of F",
            "(a,b) coprime, L >= 0")
-def _case_g_limF(p):
-    a, b, L = p["a"], p["b"], p["L"]
+def _case_g_limF(a, b, L):
     return g_poly(L, L, Fraction(b), Fraction(a * b + 1, a), a), \
         eval_limit_M("F", a, b, L)
 
@@ -601,8 +534,7 @@ def _case_g_limF(p):
 @_register("g_eq_limFt", "polynomial",
            "G(M,M;a,a+1/b,b) equals the large-L limit polynomial of F",
            "(a,b) coprime, M >= 0")
-def _case_g_limFt(p):
-    a, b, M = p["a"], p["b"], p["M"]
+def _case_g_limFt(a, b, M):
     return g_poly(M, M, Fraction(a), Fraction(a * b + 1, b), b), \
         eval_limit_L("F", a, b, M)
 
@@ -610,8 +542,7 @@ def _case_g_limFt(p):
 @_register("g_eq_limf", "polynomial",
            "G(L,L;b-1/a,b,a) equals the large-M limit polynomial of f",
            "(a,b) coprime, L >= 0")
-def _case_g_limf(p):
-    a, b, L = p["a"], p["b"], p["L"]
+def _case_g_limf(a, b, L):
     return g_poly(L, L, Fraction(a * b - 1, a), Fraction(b), a), \
         eval_limit_M("f", a, b, L)
 
@@ -619,8 +550,7 @@ def _case_g_limf(p):
 @_register("g_eq_limft", "polynomial",
            "G(M,M;a-1/b,a,b) equals the large-L limit polynomial of f",
            "(a,b) coprime, M >= 0")
-def _case_g_limft(p):
-    a, b, M = p["a"], p["b"], p["M"]
+def _case_g_limft(a, b, M):
     return g_poly(M, M, Fraction(a * b - 1, b), Fraction(a), b), \
         eval_limit_L("f", a, b, M)
 
@@ -628,8 +558,7 @@ def _case_g_limft(p):
 @_register("series_F", "truncated-series",
            "F-family double limit equals the modulus-(2ab+1) triple product",
            "(a,b) coprime, order T")
-def _case_series_F(p):
-    a, b, T = p["a"], p["b"], p["T"]
+def _case_series_F(a, b, T):
     return eval_limit_both("F", a, b, T), \
         product_series(a * b, a * b + 1, 2 * a * b + 1, T)
 
@@ -637,8 +566,7 @@ def _case_series_F(p):
 @_register("series_f", "truncated-series",
            "f-family double limit equals the modulus-(2ab-1) triple product",
            "(a,b) coprime, b > 1, order T")
-def _case_series_f(p):
-    a, b, T = p["a"], p["b"], p["T"]
+def _case_series_f(a, b, T):
     return eval_limit_both("f", a, b, T), \
         product_series(a * b - 1, a * b, 2 * a * b - 1, T)
 
@@ -646,8 +574,7 @@ def _case_series_f(p):
 @_register("series_I", "truncated-series",
            "I-family double limit equals the modulus-2ab triple product",
            "(a,b) coprime, order T")
-def _case_series_I(p):
-    a, b, T = p["a"], p["b"], p["T"]
+def _case_series_I(a, b, T):
     return eval_limit_both("I", a, b, T), \
         product_series(a * b, a * b, 2 * a * b, T)
 
@@ -655,75 +582,56 @@ def _case_series_I(p):
 @_register("series_agid", "truncated-series",
            "(k-1)-fold multisum display equals the modulus-(2k+1) product",
            "k >= 2, order T")
-def _case_series_agid(p):
-    k, T = p["k"], p["T"]
+def _case_series_agid(k, T):
     return _series_agid(k, T), product_series(k, k + 1, 2 * k + 1, T)
 
 
 @_register("series_display75F", "truncated-series",
            "explicit (7,5) quadruple-sum display, modulus 71", "order T")
-def _case_series_75F(p):
-    T = p["T"]
+def _case_series_75F(T):
     return _series_display75(T, barred=False), product_series(35, 36, 71, T)
 
 
 @_register("series_display72F", "truncated-series",
            "explicit (7,2) quadruple-sum display, modulus 29", "order T")
-def _case_series_72F(p):
-    T = p["T"]
+def _case_series_72F(T):
     return _series_display72(T, barred=False), product_series(14, 15, 29, T)
 
 
 @_register("series_display75f", "truncated-series",
            "explicit (7,5) quadruple-sum display, modulus 69", "order T")
-def _case_series_75f(p):
-    T = p["T"]
+def _case_series_75f(T):
     return _series_display75(T, barred=True), product_series(34, 35, 69, T)
 
 
 @_register("series_display72f", "truncated-series",
            "explicit (7,2) quadruple-sum display, modulus 27", "order T")
-def _case_series_72f(p):
-    T = p["T"]
+def _case_series_72f(T):
     return _series_display72(T, barred=True), product_series(13, 14, 27, T)
 
 
 @_register("hookp", "polynomial",
            "two-part alternating sum equals the hook-difference partition count",
            "K >= 1, integer alpha,beta >= 1, beta-i <= N-M <= K-alpha-i")
-def _case_hookp(p):
-    K, i, N, M, alpha, beta = p["K"], p["i"], p["N"], p["M"], p["alpha"], p["beta"]
+def _case_hookp(K, i, N, M, alpha, beta):
     return d_poly(K, i, N, M, Fraction(alpha), Fraction(beta)), \
         partition_oracle(K, i, N, M, alpha, beta)
 
 
 def _s8_a2(n):
-    tot = LaurentPoly.zero()
-    for m1 in range(0, 2 * n + 2):
-        for m2 in range(0, m1 + 1):
-            t = qbin(n + m2, 2 * m1) * qbin(m1, m2)
-            if not t.is_zero():
-                tot = tot + t.scale((n - m1) ** 2 + (m1 - m2) ** 2)
-    return tot
+    return _total(((n - m1) ** 2 + (m1 - m2) ** 2, qbin(n + m2, 2 * m1) * qbin(m1, m2))
+                  for m1 in range(0, 2 * n + 2) for m2 in range(0, m1 + 1))
 
 
 def _s8_triple(n, middle_sq):
-    tot = LaurentPoly.zero()
-    for m1 in range(0, n + 1):
-        for m2 in range(0, m1 // 2 + 1):
-            for m3 in range(0, m2 + 1):
-                t = qbin(n, m1) * qbin(m1, 2 * m2) * qbin(m2, m3)
-                if t.is_zero():
-                    continue
-                e = n * (n - m1)
-                e += m2 * m2 + m3 * m3 if middle_sq else m2 * (m2 + m3)
-                tot = tot + t.scale(e)
-    return tot
+    return _total((n * (n - m1) + (m2 * m2 + m3 * m3 if middle_sq else m2 * (m2 + m3)),
+                   qbin(n, m1) * qbin(m1, 2 * m2) * qbin(m2, m3))
+                  for m1 in range(0, n + 1) for m2 in range(0, m1 // 2 + 1)
+                  for m3 in range(0, m2 + 1))
 
 
 def _s8_single(n, quad):
-    return sum((qbin(n, m).scale(quad(m)) for m in range(n + 1)),
-               LaurentPoly.zero())
+    return _total((quad(m), qbin(n, m)) for m in range(n + 1))
 
 
 # entry -> (alpha, beta, K, sum side of G(n, n; alpha, beta, K)); b2 is the
@@ -741,9 +649,9 @@ _SECTION8 = {
 @_register("section8", "polynomial",
            "closing-display identities for G(n,n;alpha,beta,K) with "
            "noninteger parameters", "entry in {a1,a2,a3,b1,b3}, n >= 0")
-def _case_section8(p):
-    alpha, beta, K, rhs = _SECTION8[p["entry"]]
-    return g_poly(p["n"], p["n"], alpha, beta, K), rhs(p["n"])
+def _case_section8(entry, n):
+    alpha, beta, K, rhs = _SECTION8[entry]
+    return g_poly(n, n, alpha, beta, K), rhs(n)
 
 
 # positivity cases: every coefficient of the scanned polynomial is >= 0
@@ -751,16 +659,14 @@ def _case_section8(p):
 @_register("pos_gen", "positivity",
            "G(L,L;b,b+1/a,a) has nonnegative coefficients",
            "(a,b) coprime, L >= 0")
-def _case_pos_gen(p):
-    a, b, L = p["a"], p["b"], p["L"]
+def _case_pos_gen(a, b, L):
     return g_poly(L, L, Fraction(b), Fraction(a * b + 1, a), a)
 
 
 @_register("pos_shifted", "positivity",
            "the shifted family's G(L+abar,L-abar;alpha,beta,a) has "
            "nonnegative coefficients", "(a,b) coprime, a >= 3, L >= abar")
-def _case_pos_shifted(p):
-    a, b, L = p["a"], p["b"], p["L"]
+def _case_pos_shifted(a, b, L):
     abar, bbar, one = shifted_bar(a, b)
     if one:
         alpha = Fraction(b) - Fraction(2 * abar * b, a)
@@ -774,16 +680,16 @@ def _case_pos_shifted(p):
 @_register("pos_split", "positivity",
            "each part of the residue split of (q,q^2;q^3)_n has nonnegative "
            "coefficients", "part in {A,B,C}, n >= 0")
-def _case_pos_split(p):
-    return borwein_split(p["n"])["ABC".index(p["part"])]
+def _case_pos_split(part, n):
+    return borwein_split(n)["ABC".index(part)]
 
 
 @_register("pos_section8", "positivity",
            "G(n,n;alpha,beta,K) of the closing display has nonnegative "
            "coefficients", "entry in {a1,a2,a3,b1,b2,b3}, n >= 0")
-def _case_pos_section8(p):
-    alpha, beta, K, _ = _SECTION8[p["entry"]]
-    return g_poly(p["n"], p["n"], alpha, beta, K)
+def _case_pos_section8(entry, n):
+    alpha, beta, K, _ = _SECTION8[entry]
+    return g_poly(n, n, alpha, beta, K)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from qburge.qpoly import LaurentPoly
 from qburge.qcombinat import g_poly, borwein_split
 from qburge.fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_M,
                               eval_limit_L)

@@ -67,6 +67,14 @@ def test_eval_usage_error(capsys):
     assert code == 2
 
 
+def test_eval_param_count(capsys):
+    code, out, err = run(capsys, ["eval", "series", "F", "3", "1", "7"])
+    assert (code, out) == (2, "")
+    assert err == "usage error: eval series takes family a b (got 4 params)\n"
+    code, _, err = run(capsys, ["eval", "qbin", "5"])
+    assert (code, err) == (2, "usage error: eval qbin takes n m [base] (got 1 param)\n")
+
+
 def test_verify_plain_pass(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "thmmain",
                                 "--a-max", "2", "--lm-max", "2"])
@@ -152,6 +160,17 @@ def test_verify_config_errors(tmp_path, capsys):
     (["eval", "Ftilde", "2", "1"], None),
     # d_poly's j range is exact, not 2|i| wide: this answers at once
     (["eval", "D", "2", "1000000000000", "2", "2", "1", "1"], None),
+    # a param too many or too few, for each object
+    (["eval", "series", "F", "3", "1", "7"], None),
+    (["eval", "series", "F", "3"], None),
+    (["eval", "qbin", "5", "2", "1", "9"], None),
+    (["eval", "qbin", "5"], None),
+    (["eval", "B", "1", "1", "1"], None),
+    (["eval", "B", "1", "1", "1", "1", "1"], None),
+    (["eval", "G", "1", "1", "1", "3/2"], None),
+    (["eval", "D", "2", "1", "2", "2", "1"], None),
+    (["eval", "F", "2", "1", "3", "--L", "1", "--M", "1"], None),
+    (["eval", "Ftilde", "2", "--M", "1"], None),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:

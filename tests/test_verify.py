@@ -155,6 +155,15 @@ def test_product_series_self_check_and_reject():
     assert s.coeffs == [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6]
 
 
+def test_product_series_grid():
+    # product_series raises if its triple-product sum misses a term, so
+    # this pins the j range of _jtp_series
+    for z in range(2, 17):
+        for x in range(1, z):
+            for order in range(81):
+                product_series(x, z - x, z, order)
+
+
 def test_positivity_scan():
     ok = positivity_scan(lp({0: 1, 1: 2, 2: 1}), "c", {"x": 1})
     assert ok.nonneg and ok.first_negative is None
