@@ -34,8 +34,11 @@ building its rules. The rows are
 eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
 (signed Pochhammer links), eval_limit_L("F", 8, 1, 15) (the finitized
 Andrews-Gordon sum of b = 1), eval_limit_both("F", 7, 5, 60) (products
-cut at q^60), and one row of all 81 eval_F(8, 5, L, M) at L, M <= 8 in a
-fixed shuffled order, whose calls share their (L, M)-free levels.
+cut at q^60), one row of all 81 eval_F(8, 5, L, M) at L, M <= 8 in a
+fixed shuffled order, whose calls share their (L, M)-free levels, and one
+row of the 25 eval_limit_both calls of the default `series` suite in its
+order (T = 40; four of them repeat an earlier call, and the calls on equal
+kernel rules share their cut levels).
 
 Last, it times the bosonic sums, each a loop of `qcombinat.qsum`, over
 three grids (the L1 bypass sides): g_poly on the G sides of the four
@@ -63,13 +66,20 @@ from qburge.verify import SUITES, CampaignBudget
 REPEAT = 7
 COLD_QBIN = ((50, 25, 1), (100, 50, 1), (2501, 1, 1), (30, 15, 2))
 GRID = random.Random(0).sample([(L, M) for L in range(9) for M in range(9)], 81)
+# (family, a, b, T) of the series_F, series_f and series_I checks of the
+# default series suite
+SERIES = [(cid[-1], p["a"], p["b"], p["T"])
+          for cid, p in SUITES["series"](CampaignBudget())
+          if cid in ("series_F", "series_f", "series_I")]
 COLD_L1 = (("eval_F(8, 3, 8, 8)", lambda: eval_F(8, 3, 8, 8)),
            ('eval_limit_L("F", 7, 3, 9)', lambda: eval_limit_L("F", 7, 3, 9)),
            ('eval_limit_L("F", 8, 1, 15)', lambda: eval_limit_L("F", 8, 1, 15)),
            ('eval_limit_both("F", 7, 5, 60)',
             lambda: eval_limit_both("F", 7, 5, 60)),
            ("eval_F(8, 5, L, M), L, M <= 8",
-            lambda: [eval_F(8, 5, L, M) for L, M in GRID]))
+            lambda: [eval_F(8, 5, L, M) for L, M in GRID]),
+           ("eval_limit_both, series suite",
+            lambda: [eval_limit_both(*args) for args in SERIES]))
 PAIRS = [(a, b) for a in range(2, 9) for b in range(1, a) if gcd(a, b) == 1]
 # (N, M, alpha, beta, K) of the g_eq_limF, limFt, limf and limft cases
 G_GRID = [(v, v, alpha, beta, K) for a, b in PAIRS for v in range(10)

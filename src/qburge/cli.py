@@ -42,20 +42,31 @@ def _fmt_poly(p):
     return " ".join(f"{e}:{c}" for e, c in p.items_sorted())
 
 
-# eval object -> its positional params; a bracketed one is optional
-EVAL_PARAMS = {"qbin": "n m [base]", "B": "L M a b", "G": "N M alpha beta K",
-               "D": "K i N M alpha beta", "F": "a b", "f": "a b", "H": "a b",
-               "I": "a b", "Ftilde": "a b", "series": "family a b"}
+# eval object -> its positional params (a bracketed one is optional) and
+# the flags it reads (--L and --M are needed where read; --order is 20 when
+# not given)
+EVAL_PARAMS = {"qbin": ("n m [base]", ()), "B": ("L M a b", ()),
+               "G": ("N M alpha beta K", ()), "D": ("K i N M alpha beta", ()),
+               **dict.fromkeys("FfHI", ("a b", ("L", "M"))),
+               "Ftilde": ("a b", ("M",)), "series": ("family a b", ("order",))}
 
 
 def _cmd_eval(args):
     obj = args.object
     v = args.params
+    params, reads = EVAL_PARAMS[obj]
     try:
-        names = EVAL_PARAMS[obj].split()
+        names = params.split()
         if not sum(not n.startswith("[") for n in names) <= len(v) <= len(names):
-            raise ValueError(f"eval {obj} takes {EVAL_PARAMS[obj]} "
+            raise ValueError(f"eval {obj} takes {params} "
                              f"(got {len(v)} param{'' if len(v) == 1 else 's'})")
+        given = [f for f in ("L", "M", "order") if getattr(args, f) is not None]
+        missing = [f for f in reads if f not in given and f != "order"]
+        unread = [f for f in given if f not in reads]
+        for verb, flags in (("needs", missing), ("does not read", unread)):
+            if flags:
+                raise ValueError(f"eval {obj} {verb} "
+                                 + " and ".join(f"--{f}" for f in flags))
         if obj == "qbin":
             n, m = int(v[0]), int(v[1])
             base = int(v[2]) if len(v) > 2 else 1
@@ -70,13 +81,9 @@ def _cmd_eval(args):
             res = d_poly(K, i, N, M, Fraction(v[4]), Fraction(v[5]))
         elif obj == "series":
             fam, a, b = v[0], int(v[1]), int(v[2])
-            res = eval_limit_both(fam, a, b, args.order)
+            res = eval_limit_both(fam, a, b, 20 if args.order is None else args.order)
         else:  # a lattice sum
             a, b = int(v[0]), int(v[1])
-            flags = ("M",) if obj == "Ftilde" else ("L", "M")
-            missing = " and ".join(f"--{f}" for f in flags if getattr(args, f) is None)
-            if missing:
-                raise ValueError(f"eval {obj} needs {missing}")
             fn = {"F": eval_F, "f": eval_f, "H": eval_H, "I": eval_I,
                   "Ftilde": lambda a, b, L, M: eval_limit_L("F", a, b, M)}[obj]
             res = fn(a, b, args.L, args.M)
@@ -241,8 +248,8 @@ def build_parser():
                     help="positional parameters for the object")
     pe.add_argument("--L", type=int, default=None)
     pe.add_argument("--M", type=int, default=None)
-    pe.add_argument("--order", type=int, default=20,
-                    help="series truncation order")
+    pe.add_argument("--order", type=int, default=None,
+                    help="series truncation order (default 20)")
     pe.set_defaults(fn=_cmd_eval)
 
     pv = sub.add_parser("verify", help="run verification campaigns")

@@ -58,28 +58,34 @@ balanced low digits.
 Sharing. Only positions 0 and 1 read L or M: position 1 holds m_0 = L
 and the head, position 0, the boundary binomial in M. This is the shape
 of the Burge transform, F(L, M) = sum_{m_1} [boundary binomial in M]
-times a sum at m_1 free of L and M. The free positions are j >= 2 for
-F, f, H, I and the large-M limit. For the large-L limit, whose Pochhammer
-chain telescopes at b = 1 and at a_0 <= 1 (see `eval_limit_L`), they are
-j >= 2 there and j >= a_0 + 2 at the other pairs; at b = 1 the head
-[M, m_1] alone reads M, and [2M, M] (q)_M multiplies the total. A state
-there does not depend on the bound hi either, which only limits which
-states are built, so these levels are built once and kept in
-_LEVEL_CACHE, keyed by the rules at the free positions and the word
-width. A rule is a function object built once: `_rules` builds the
-kernel's per family and quotients (the pair and its representation enter
-them only through the quotients, so (a, b) and (a, a - b) share them),
-and the telescoped limits' are module functions. Two sums share levels
-exactly when they run the same rules there. The rules at positions 0
-and 1 read L or M, so each call builds its own.
+times a sum at m_1 free of L and M. Every sum but the b = 1 large-L
+limit runs the kernel's rules with a per-call prefix in front
+(`_kernel_sum`): the head for F, f, H, I and the large-M limit, whose
+free positions are j >= 2, and the head and Pochhammer links for the
+other limits. For the large-L limit, whose chain telescopes at b = 1 and
+at a_0 <= 1 (see `eval_limit_L`), the free positions are j >= 2 there
+and j >= a_0 + 2 at the other pairs; at b = 1 the head [M, m_1] alone
+reads M, and [2M, M] (q)_M multiplies the total. For the double limit
+they are j >= a_0 + 2. A state there does not depend on the bound hi
+either, which only limits which states are built, so these levels are
+built once and kept in _LEVEL_CACHE. A rule is a function object built
+once: `_rules` builds the kernel's per family and quotients (the pair
+and its representation enter them only through the quotients, so (a, b)
+and (a, a - b) share them), and the telescoped limits' are module
+functions. The prefix rules read L, M or T, so each call builds its own.
 
-A state packed at width w is exact, so each width has its own entry. A
-call that needs columns m_{first-1} <= hi beyond the entry's extends it,
-adding only the new columns, level by level from d down; then it runs the
-levels below the free ones and the head on the states with m_1 <= hi. Cut
-sums (`eval_limit_both`) are not shared: their states are reduced below
-q^(T+1), so they depend on T. Like the other memos here, the level memo
-is not bounded.
+Every sum takes its free levels from the level memo, under one key: the
+rules at the free positions, the word width and the cut (None for an
+uncut sum). A state packed at width w is exact, so each width has its
+own entry, and a cut sum's states are reduced below q^(T+1), so each cut
+has its own. Two sums share levels exactly when they run the same rules
+there at the same width and cut; a sum with no free level gets the start
+states (m_d, m_{d+1} = 0) of its key. A call that needs columns
+m_{first-1} <= hi beyond the entry's extends it, adding only the new
+columns, level by level from d down; then it runs the levels below the
+free ones and the head on the states with m_1 <= hi. Cut entries are kept
+like the others: like the other memos here, the level memo is not
+bounded.
 """
 
 from __future__ import annotations
@@ -107,8 +113,8 @@ _FACTOR_CACHE = {}
 _PACKED_CACHE = {}
 # the kernel's (phis, psis) by (family, quotients): see _rules
 _RULES = {}
-# level states of the (L, M)-free positions by (their phis, their psis,
-# word width): see _extend and the module docstring
+# level states of the free positions by (their phis, their psis, word
+# width, cut): see _extend and the module docstring
 _LEVEL_CACHE = {}
 _ONE_KEY = (0, 0, 1)  # [n, 0] = 1
 # word width in bits of a lattice sum's first pass
@@ -158,16 +164,17 @@ def _packed(key, w):
     return f
 
 
-def _lattice_sum(top, phis, psis, cut=None, first=None):
+def _lattice_sum(top, phis, psis, first, cut=None):
     """Sum of prod_j phis[j](m_{j-1}, m_j, m_{j+1}) q^(psis[j](m_j, m_{j+1}))
     over j = 0..d and top >= m_1 >= ... >= m_d >= 0, with d = len(phis) - 1,
     m_{-1} := m_0 := top and m_{d+1} := 0 (the support proved above). A phi
     rule gives a factor key, or None for a zero factor, which drops the
     term; position 0 is the head. With `cut`, the sum is truncated above
-    q^cut, which is exact when every exponent is >= 0. With `first`, the
-    rules at positions j >= first read neither top nor m_{first-1}: those
-    levels come from the level memo, keyed by the rule objects there (see
-    the module docstring). A cut sum ignores `first`.
+    q^cut, which is exact when every exponent is >= 0. The rules at
+    positions j >= first read neither top nor any other value of the call:
+    those levels come from the level memo, keyed by the rule objects there,
+    the word width and the cut (see the module docstring); first =
+    len(phis) when no level is free.
 
     The first pass uses w = _FIRST_WIDTH; a pass whose factor or total
     bound reaches 2^(w-1) restarts at the narrowest width that holds it
@@ -176,7 +183,7 @@ def _lattice_sum(top, phis, psis, cut=None, first=None):
     w = _FIRST_WIDTH
     while True:
         try:
-            lo, v, l1 = _pass(top, phis, psis, cut, first, w)
+            lo, v, l1 = _pass(top, phis, psis, first, cut, w)
         except _Overflow as exc:
             l1 = exc.args[0]
         else:
@@ -185,7 +192,7 @@ def _lattice_sum(top, phis, psis, cut=None, first=None):
         w = pack_width(max(w + 1, l1.bit_length() + 1))
 
 
-def _pass(top, phis, psis, cut, first, w):
+def _pass(top, phis, psis, first, cut, w):
     """The lattice sum as (lo, v, l1) on values p(X) at X = 2^w, with
     p = v(X) q^lo and l1 >= ||p||_1.
 
@@ -246,15 +253,12 @@ def _pass(top, phis, psis, cut, first, w):
         return out
 
     d = len(phis) - 1
-    if first is None or cut is not None:
-        first, below = d + 1, [{0: (0, 1, 1)} for _ in range(hi + 1)]
-    else:
-        first = min(first, d + 1)  # d + 1: no free level
-        key = tuple(phis[first:]), tuple(psis[first:]), w
-        entry = _LEVEL_CACHE.get(key)
-        if entry is None or entry[0] < hi:
-            entry = _extend(key, d, first, hi, level)
-        below = entry[1][-1]
+    first = min(first, d + 1)  # d + 1: no free level
+    key = tuple(phis[first:]), tuple(psis[first:]), w, cut
+    entry = _LEVEL_CACHE.get(key)
+    if entry is None or entry[0] < hi:
+        entry = _extend(key, d, first, hi, level)
+    below = entry[1][-1]
     for j in range(first - 1, 1, -1):
         below = level(j, below, [], -1)
     # level 1 (m_0 = top), summed over m_2 before the head multiplies it
@@ -362,6 +366,17 @@ def _rules(cd, family):
     return hit
 
 
+def _kernel_sum(cd, family, top, phis, psis, first, cut=None):
+    """The lattice sum on the kernel's rules of `family`, with the per-call
+    prefix `phis`, `psis` in front: position j runs the prefix rule where
+    there is one, else the kernel's. Both lists are cut to d + 1 positions,
+    which drops the last link of the b = 1 limits (a_0 = d). `first` and
+    `cut` are `_lattice_sum`'s."""
+    kphis, kpsis = _rules(cd, family)
+    return _lattice_sum(top, (phis + kphis[len(phis):])[:cd.d + 1],
+                        (psis + kpsis[len(psis):])[:cd.d + 1], first, cut)
+
+
 def _bounded(family, cd, L, M):
     """The sum at (L, M) with m_0 := L on the Cartan data cd of (a, b), in
     either representation. For a > 2b the boundary binomial is
@@ -369,11 +384,10 @@ def _bounded(family, cd, L, M):
     [2L+M-m_1, 2L]; M = None drops it (the large-M limit times (q)_2L).
     For f at d = 1 the head carries the barred term's m_0 m_1 = L m_1."""
     ge = cd.cf.a > 2 * cd.cf.b
-    phis, psis = _rules(cd, family)
     head = _unit if M is None else \
         _binomial(0, 1, 1, M, 2, 0, 1) if ge else _binomial(0, 2, -1, M, 2, 0, 1)
     exponent = _quadratic(ge, (family == "f" and cd.d == 1) - 2 * ge, 0, 0)
-    return _lattice_sum(L, [head] + phis[1:], [exponent] + psis[1:], first=2)
+    return _kernel_sum(cd, family, L, [head], [exponent], 2)
 
 
 def eval_F(a, b, L, M):
@@ -405,19 +419,6 @@ def eval_limit_M(family, a, b, L):
     if family == "H":
         raise NotImplementedError("large-M limit not provided for family H")
     return _bounded(family, cartan_for(a, b), L, None)
-
-
-def _limit(cd, family, top, links, cut=None, first=None):
-    """A limit sum: the phi rules `links` at positions 0..a_0 + 1, where
-    a_0 = 0 for a <= 2b, then the kernel's after them. The exponent is 0 at
-    the head, m_j^2 at 1 <= j <= a_0 and the kernel's after. b = 1 (a_0 = d)
-    drops the last link. The levels from `first`, a_0 + 2 by default, are
-    shared."""
-    a0 = len(links) - 2
-    phis, psis = _rules(cd, family)
-    return _lattice_sum(top, (links + phis[a0 + 2:])[:cd.d + 1],
-                        [_flat] + [_square] * a0 + psis[a0 + 1:], cut,
-                        a0 + 2 if first is None else first)
 
 
 def eval_limit_L(family, a, b, M):
@@ -461,18 +462,19 @@ def eval_limit_L(family, a, b, M):
         d = a - 1 - (family == "f")
         total = qbin(2 * M, M) * q_poch(M)
         if d:
-            total *= _lattice_sum(M, [_multinomial] * (d + 1),
-                                  [_flat] + [_square] * d, first=2)
+            total *= _lattice_sum(M, [_multinomial] * (d + 1), [_flat] + [_square] * d, 2)
         return total
     cd = cartan_for(a, b)
     a0 = cd.cf.quotients[0] if a > 2 * b else 0
-    head = [lambda p, c, n: _qkey(2 * M, M - n)]
-    if a0 == 1:  # tau_2 = 2, as 2 < d
-        return _limit(cd, family, M, head + [
-            lambda p, c, n: ("mid", M + c, c + n), _telescoped], first=2)
-    tau = cd.tau[a0]
-    return _limit(cd, family, M, head + [lambda p, c, n: _qkey(M + c, c - n)] * a0
-                  + [lambda p, c, n: ("mid", M + c, tau * c)])
+    links = [lambda p, c, n: _qkey(2 * M, M - n)]
+    if a0 == 1:  # tau_2 = 2, as 2 < d; level 2 is free
+        links += [lambda p, c, n: ("mid", M + c, c + n), _telescoped]
+    else:
+        tau = cd.tau[a0]
+        links += [lambda p, c, n: _qkey(M + c, c - n)] * a0 + \
+            [lambda p, c, n: ("mid", M + c, tau * c)]
+    return _kernel_sum(cd, family, M, links, [_flat] + [_square] * a0,
+                       2 if a0 == 1 else a0 + 2)
 
 
 def eval_limit_both(family, a, b, T):
@@ -501,5 +503,5 @@ def eval_limit_both(family, a, b, T):
 
     links = [_unit] + [lambda p, c, n, j=j: inv(j, c - n) for j in range(1, a0 + 1)]
     links.append(lambda p, c, n: inv(a0 + 1, cd.tau[a0] * c))
-    total = _limit(cd, family, isqrt(T), links, cut=T)
-    return TruncatedSeries.from_poly(total, T)
+    return TruncatedSeries.from_poly(
+        _kernel_sum(cd, family, isqrt(T), links, [_flat] + [_square] * a0, a0 + 2, T), T)

@@ -229,9 +229,14 @@ def _sum_comp(L, M, shift=0):
 
 
 def _qbin_altsum(L, M, term):
-    """Sum over |j| <= L + M + 2 of (-1)^j q^e p, where term(j) = (e, p)."""
+    """Sum over |j| <= min(L, M) of (-1)^j q^e p, where term(j) = (e, p).
+
+    That is each display's support: every p below holds a binomial that
+    vanishes beyond it (for the two kernel displays, b_kernel(L, M, a, b),
+    which vanishes unless |a| <= L and |b| <= M), and the window is empty,
+    as is the sum, when L or M is negative."""
     return _total((e, -p if j % 2 else p)
-                  for j in range(-(L + M) - 2, L + M + 3) for e, p in [term(j)])
+                  for j in range(-min(L, M), min(L, M) + 1) for e, p in [term(j)])
 
 
 def _lhs_comp(L, M):

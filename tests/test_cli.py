@@ -65,6 +65,11 @@ def test_eval_usage_error(capsys):
     assert (code, err) == (2, "usage error: eval I needs --L\n")
     code, _, err = run(capsys, ["eval", "qbin"])  # missing params
     assert code == 2
+    # an unread flag, once none is missing (Ftilde --L alone needs --M above)
+    code, _, err = run(capsys, ["eval", "Ftilde", "2", "1", "--L", "5", "--M", "1"])
+    assert (code, err) == (2, "usage error: eval Ftilde does not read --L\n")
+    code, _, err = run(capsys, ["eval", "qbin", "3", "1", "--L", "4", "--order", "3"])
+    assert (code, err) == (2, "usage error: eval qbin does not read --L and --order\n")
 
 
 def test_eval_param_count(capsys):
@@ -171,6 +176,9 @@ def test_verify_config_errors(tmp_path, capsys):
     (["eval", "D", "2", "1", "2", "2", "1"], None),
     (["eval", "F", "2", "1", "3", "--L", "1", "--M", "1"], None),
     (["eval", "Ftilde", "2", "--M", "1"], None),
+    # a flag the object does not read
+    (["eval", "qbin", "3", "1", "--L", "4", "--order", "3"], None),
+    (["eval", "Ftilde", "2", "1", "--L", "5", "--M", "1"], None),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:

@@ -11,9 +11,10 @@ from qburge import fermionic
 from qburge.qpoly import LaurentPoly, TruncatedSeries
 from qburge.qcombinat import g_poly, qbin, q_poch
 from qburge.cf import build_cartan, cf_expand, cf_toggle
-from qburge.fermionic import (_bounded, _factor, _lattice_sum, _qkey, _rules,
-                              cartan_for, eval_F, eval_f, eval_H, eval_I,
-                              eval_limit_M, eval_limit_L, eval_limit_both)
+from qburge.fermionic import (_bounded, _factor, _flat, _kernel_sum,
+                              _lattice_sum, _qkey, _rules, _square, cartan_for,
+                              eval_F, eval_f, eval_H, eval_I, eval_limit_M,
+                              eval_limit_L, eval_limit_both)
 from qburge.verify import _sum_bnewp
 
 from test_cf import quad_form
@@ -89,7 +90,7 @@ def test_boundary_consistency_a_eq_2b():
                 return _qkey(L + M + n, 2 * L)
 
             assert _lattice_sum(L, [head] + phis[1:],
-                                [lambda x, y: x * (x - 2 * y)] + psis[1:]) == \
+                                [lambda x, y: x * (x - 2 * y)] + psis[1:], 2) == \
                 eval_F(2, 1, L, M)
 
 
@@ -132,7 +133,7 @@ def list_lattice_sum(d, top, head, phi, psi, cut=None):
     return total
 
 
-def on_lists(top, phis, psis, cut=None, first=None):
+def on_lists(top, phis, psis, first, cut=None):
     """The engine's arguments (per-position rules giving factor keys, the
     head at position 0) turned into polynomials for list_lattice_sum."""
     def poly(key):
@@ -186,8 +187,22 @@ def test_signed_cut_matches_list_reference():
     for d in (1, 2, 3):
         for top in range(6):
             for T in (0, 5, 17, 40):
-                args = (top, [head] + [phi] * d, psis[:d + 1], T)
+                args = (top, [head] + [phi] * d, psis[:d + 1], d + 1, T)
                 assert _lattice_sum(*args) == on_lists(*args), (d, top, T)
+
+
+def test_cut_levels_keyed_by_cut(monkeypatch):
+    # the free levels of a cut sum are reduced below q^(cut+1), so one set
+    # of rules at two cuts keeps two entries: either order gives the sums
+    # that each cut gives alone (these levels have exponents past q^2)
+    phis = [fermionic._multinomial] * 4
+    psis = [_flat] + [lambda x, y: 3 * x] * 3
+    expect = {T: on_lists(3, phis, psis, 2, T) for T in (2, 30)}
+    for order in ((2, 30), (30, 2)):
+        monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+        for T in order:
+            assert _lattice_sum(3, phis, psis, 2, T) == expect[T], (order, T)
+    assert len(fermionic._LEVEL_CACHE) == 2
 
 
 def test_wide_words():
@@ -211,7 +226,10 @@ def test_restarts_keep_values(monkeypatch):
 
 def grid_calls(pairs, top):
     """(evaluator, args) of F/f/H/I, eval_limit_M and eval_limit_L over the
-    pairs and L, M <= top, smallest sizes first."""
+    pairs and L, M <= top, smallest sizes first, then eval_limit_both over
+    the pairs at T = 0, 7, 40. A cut sum's levels are keyed by T, and every
+    sum at one T has the same m_1 <= isqrt(T), so any order of them builds
+    each of their keys once."""
     calls = []
     for L in range(top + 1):
         for M in range(top + 1):
@@ -222,6 +240,10 @@ def grid_calls(pairs, top):
         for a, b in pairs:
             calls += [(eval_limit_M, (fam, a, b, L)) for fam in ("F", "f", "I")]
             calls += [(eval_limit_L, (fam, a, b, L)) for fam in ("F", "f")]
+    for T in (0, 7, 40):
+        for a, b in pairs:
+            fams = ("F", "f", "I") if b > 1 else ("F", "I")
+            calls += [(eval_limit_both, (fam, a, b, T)) for fam in fams]
     return calls
 
 
@@ -465,7 +487,7 @@ def limit_L_chain(family, a, b, M):
     links = [lambda p, c, n: _qkey(2 * M, M - n)]
     links += [lambda p, c, n: _qkey(M + c, c - n)] * a0
     links.append(lambda p, c, n: ("mid", M + c, cd.tau[a0] * c))
-    total = fermionic._limit(cd, family, M, links)
+    total = _kernel_sum(cd, family, M, links, [_flat] + [_square] * a0, a0 + 2)
     return total * q_poch(M) if b == 1 and a > 2 else total
 
 

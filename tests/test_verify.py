@@ -164,6 +164,29 @@ def test_product_series_grid():
                 product_series(x, z - x, z, order)
 
 
+def test_altsum_displays_over_their_support(monkeypatch):
+    # the eight alternating displays run j over |j| <= min(L, M); written
+    # out over the generic window |j| <= L + M + 2, they give the same sums
+    def wide(L, M, term):
+        tot = LaurentPoly.zero()
+        for j in range(-(L + M) - 2, L + M + 3):
+            e, p = term(j)
+            tot = tot + (-p if j % 2 else p).scale(e)
+        return tot
+
+    cases = [(fn, (L, M)) for fn in (verify._lhs_comp, verify._lhs_comp2,
+                                     verify._lhs_brep, verify._lhs_ab32,
+                                     verify._lhs_rr2inv)
+             for L in range(-1, 13) for M in range(-1, 13)]
+    cases += [(fn, (L,)) for fn in (verify._lhs_rr1, verify._lhs_rr2,
+                                    verify._lhs_isolated)
+              for L in range(-1, 30)]
+    got = [fn(*args) for fn, args in cases]
+    monkeypatch.setattr(verify, "_qbin_altsum", wide)
+    for (fn, args), value in zip(cases, got):
+        assert fn(*args) == value, (fn.__name__, args)
+
+
 def test_positivity_scan():
     ok = positivity_scan(lp({0: 1, 1: 2, 2: 1}), "c", {"x": 1})
     assert ok.nonneg and ok.first_negative is None
