@@ -8,7 +8,11 @@ One after the other, each in its own interpreter, it runs:
 - perfbench/run.py on each of its workloads at seed S and its default run
   length, keeping the JSON result line each run prints last;
 - the tier-1 test suite (see ROADMAP.md), timing its wall clock;
-- scripts/bench_mul.py, keeping its timing rows in microseconds.
+- scripts/bench_mul.py, keeping its timing rows in microseconds;
+- COLD_RUNS fresh interpreters that each time, inside themselves,
+  `import qburge, qburge.cli, qburge.verify` and the growth of their
+  ru_maxrss over it, keeping the medians and the PYTHONDONTWRITEBYTECODE
+  they ran with (when it is set, every run compiles the sources again).
 
 It writes them, with the size of each src/qburge/*.py and of all of them
 (the code-size side of the trajectory), the interpreter, the CPU count and
@@ -29,6 +33,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -38,6 +43,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bounded-grid", "single-limit", "campaign")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+COLD_RUNS = 7
+# run in a fresh interpreter: the import's time in ms and ru_maxrss growth in KB
+COLD_IMPORT = """\
+import resource, time
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+t0 = time.perf_counter()
+import qburge, qburge.cli, qburge.verify
+ms = (time.perf_counter() - t0) * 1000
+print(ms, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss)
+"""
 # a bench_mul row: its label, then the time in microseconds
 ROW = re.compile(r"^(.*\S)\s+([0-9.]+) us$")
 # tokens that hold no code
@@ -88,6 +103,17 @@ def src_sizes():
     return sizes
 
 
+def cold_import(env):
+    """Medians over COLD_RUNS fresh interpreters of the in-child time and
+    ru_maxrss growth of importing the package, with the
+    PYTHONDONTWRITEBYTECODE they ran with."""
+    runs = [run(["-c", COLD_IMPORT], env).split() for _ in range(COLD_RUNS)]
+    return {"runs": COLD_RUNS,
+            "import_ms": round(statistics.median(float(ms) for ms, _ in runs), 2),
+            "maxrss_growth_kb": statistics.median(int(kb) for _, kb in runs),
+            "PYTHONDONTWRITEBYTECODE": env.get("PYTHONDONTWRITEBYTECODE")}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description="write BENCH_<n>.json")
     ap.add_argument("n", type=int, help="the number of the point")
@@ -117,6 +143,9 @@ def main(argv=None):
         if m:
             rows[" ".join(m.group(1).split())] = float(m.group(2))
 
+    cold = cold_import(env)
+    print("cold import", cold, flush=True)
+
     src_lines, src_code_lines = src_sizes()
 
     point = {
@@ -128,6 +157,7 @@ def main(argv=None):
         "perfbench": perfbench,
         "tier1": tier1,
         "bench_mul_us": rows,
+        "cold_import": cold,
         "src_lines": src_lines,
         "src_code_lines": src_code_lines,
     }

@@ -6,34 +6,27 @@ coprime pair, without recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cf import bar_pair, cf_expand, check_pair
 from .fermionic import eval_H
 from .qpoly import LaurentPoly
-from .qcombinat import b_kernel, qbin, qsum
+from .qcombinat import b_kernel, over_lcm, qbin, qsum
 
 
-@dataclass(frozen=True)
-class BosonicSpec:
-    """One alternating sum  sum_j (-1)^j q^(c2 j^2 + c1 j + c0) B(L,M,aj+abar,bj+bbar)."""
-
-    a: int
-    b: int
-    abar: int = 0
-    bbar: int = 0
-    c2: Fraction = Fraction(0)
-    c1: Fraction = Fraction(0)
-    c0: Fraction = Fraction(0)
+# one alternating sum  sum_j (-1)^j q^(c2 j^2 + c1 j + c0) B(L,M,aj+abar,bj+bbar)
+BosonicSpec = namedtuple("BosonicSpec", "a b abar bbar c2 c1 c0",
+                         defaults=(0, 0, Fraction(0), Fraction(0), Fraction(0)))
 
 
 def bosonic_eval(spec, L, M):
     """Evaluate the alternating kernel sum; j runs over the kernel support."""
     if spec.a <= 0:
         raise ValueError("spec.a must be positive")
+    quad, den = over_lcm(spec.c2, spec.c1, spec.c0)
     # |a j + abar| <= L is necessary for a nonzero kernel
-    return qsum((spec.c2, spec.c1, spec.c0),
+    return qsum(quad, den,
                 ((j, -1 if j % 2 else 1,
                   b_kernel(L, M, spec.a * j + spec.abar, spec.b * j + spec.bbar))
                  for j in range(-((L + spec.abar) // spec.a),
@@ -86,8 +79,8 @@ def transform_step(direction, inner, L, M):
     direction "B2": sum_i q^(i^2) [2L+M-i, 2L] inner(i, L-i)
     """
     vals = (inner(l, m) for l, m in _inner_args(direction, L, M))
-    return qsum((1, 0, 0), ((i, 1, qbin(2 * L + M - i, 2 * L) * v)
-                            for i, v in enumerate(vals) if not v.is_zero()),
+    return qsum((1, 0, 0), 1, ((i, 1, qbin(2 * L + M - i, 2 * L) * v)
+                               for i, v in enumerate(vals) if not v.is_zero()),
                 lambda: f"transform_step {direction}")
 
 

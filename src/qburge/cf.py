@@ -10,8 +10,9 @@ the canonical choice here is last quotient >= 2, with an explicit toggle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 
 
 def check_pair(a, b):
@@ -21,22 +22,18 @@ def check_pair(a, b):
         raise ValueError(f"({a},{b}) is not coprime")
 
 
-@dataclass(frozen=True)
-class CFData:
-    """Partial quotients of cf(a,b) plus the derived index data."""
+class CFData(namedtuple("CFData", "a b quotients t d")):
+    """Partial quotients of cf(a,b) plus the derived index data:
+    t[0]=0, t[j+1]-t[j] = quotients[j], and d the sum of the quotients."""
 
-    a: int
-    b: int
-    quotients: tuple
-    t: tuple = field(init=False)  # t[0]=0, t[j+1]-t[j] = quotients[j]
-    d: int = field(init=False)    # sum of quotients
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = [0]
-        for q in self.quotients:
-            t.append(t[-1] + q)
-        object.__setattr__(self, "t", tuple(t))
-        object.__setattr__(self, "d", t[-1])
+    def __new__(cls, a, b, quotients):
+        t = tuple(accumulate(quotients, initial=0))
+        return super().__new__(cls, a, b, quotients, t, t[-1])
+
+    def __getnewargs__(self):
+        return self[:3]
 
     @property
     def order(self):
@@ -78,14 +75,10 @@ def cf_toggle(c):
     return CFData(c.a, c.b, tuple(q))
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(namedtuple("CartanData", "cf incidence cartan tau")):
     """Incidence matrix (tadpole blocks), Cartan matrix 2*Id - I, and tau."""
 
-    cf: CFData
-    incidence: tuple
-    cartan: tuple
-    tau: tuple
+    __slots__ = ()
 
     @property
     def d(self):

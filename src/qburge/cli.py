@@ -8,11 +8,9 @@ Exit codes: 0 success / all pass, 1 campaign failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .qpoly import TruncatedSeries
@@ -24,11 +22,16 @@ from .verify import (CATALOGUE, CampaignBudget, SUITES, check_oracle_box,
                      run_campaign)
 
 
-@dataclass
 class RunConfig(CampaignBudget):
-    suites: list = field(default_factory=lambda: list(SUITES))
-    format: str = "plain"      # plain | json | csv
-    out: str = None
+    """A campaign budget plus what `qburge verify` runs and where it writes."""
+
+    FIELDS = CampaignBudget.FIELDS + ("suites", "format", "out")
+
+    def __init__(self):
+        super().__init__()
+        self.suites = list(SUITES)
+        self.format = "plain"      # plain | json | csv
+        self.out = None
 
 
 FORMATS = ("plain", "json", "csv")
@@ -117,6 +120,7 @@ def _render(reports, fmt):
         return json.dumps([_report_record(r) for r in reports],
                           sort_keys=False, indent=None, separators=(",", ":")) + "\n"
     if fmt == "csv":
+        import csv  # only this format needs it
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["case", "params", "status", "first_diff_exponent",
@@ -139,7 +143,7 @@ def _load_config(path, cfg):
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     for key, val in data.items():
-        if not hasattr(cfg, key):
+        if key not in cfg.FIELDS:
             raise ValueError(f"unknown config key {key!r}")
         setattr(cfg, key, val)
     return cfg
@@ -147,10 +151,10 @@ def _load_config(path, cfg):
 
 def _check_config(cfg):
     """Reject a merged configuration that the campaign cannot run."""
-    for f in fields(CampaignBudget):
-        v = getattr(cfg, f.name)
+    for name in CampaignBudget.FIELDS:
+        v = getattr(cfg, name)
         if type(v) is not int or v < 0:
-            raise ValueError(f"{f.name} must be an integer >= 0, got {v!r}")
+            raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
     if cfg.format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {cfg.format!r}")
     if cfg.out is not None and not isinstance(cfg.out, str):
@@ -198,10 +202,10 @@ def _cmd_verify(args):
         except (ValueError, json.JSONDecodeError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
-    for f in fields(cfg):  # flags win over the config file
-        v = getattr(args, f.name)
+    for name in cfg.FIELDS:  # flags win over the config file
+        v = getattr(args, name)
         if v is not None:
-            setattr(cfg, f.name, v)
+            setattr(cfg, name, v)
     try:
         _check_config(cfg)
     except ValueError as exc:

@@ -403,7 +403,7 @@ def eval_f(a, b, L, M):
 def eval_H(a, b, L, M):
     """Shifted-kernel family; (2,1) is the explicit seed sum."""
     if (a, b) == (2, 1):
-        return qsum((1, 0, 0),
+        return qsum((1, 0, 0), 1,
                     ((n, 1, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
                      for n in range(min(L, M) + 1)), lambda: "eval_H(2, 1)")
     return _bounded("H", cartan_for(a, b), L, M)  # the shifted kernel is rep-sensitive

@@ -2,9 +2,11 @@
 the G and D alternating sums, and the Borwein residue split.
 
 All results are exact LaurentPoly values. Every alternating sum goes through
-`qsum`, which puts its rational quadratic exponent over one integer
-denominator and checks each contributing term's exponent by one divmod, so
-invalid parameter combinations fail loudly instead of silently rounding.
+`qsum`, which takes its rational quadratic exponent as integer numerators
+over one integer denominator and checks each contributing term's exponent
+by one divmod, so invalid parameter combinations fail loudly instead of
+silently rounding. The callers put their Fraction parameters over that
+denominator once, at entry.
 """
 
 from __future__ import annotations
@@ -122,18 +124,16 @@ def b_kernel(L, M, a, b):
     return qbin(L + M + a - b, L + a) * qbin(L + M - a + b, L - a)
 
 
-def qsum(quad, terms, context):
-    """The sum of sign * q^(c2 j^2 + c1 j + c0) * p over the (j, sign, p) in
-    terms, where quad = (c2, c1, c0) are ints or Fractions.
+def qsum(quad, den, terms, context):
+    """The sum of sign * q^((n2 j^2 + n1 j + n0) / den) * p over the
+    (j, sign, p) in terms, where quad = (n2, n1, n0) and den >= 1 are ints.
 
-    The three coefficients are put once over their least common denominator
-    d, so each nonzero p costs one integer evaluation and one divmod by d.
-    A nonzero remainder raises NonIntegerExponentError naming context(), a
+    Each nonzero p costs one integer evaluation and one divmod by den. A
+    nonzero remainder raises NonIntegerExponentError naming context(), a
     callable called only then, and j. A zero p is skipped unchecked: a
     fractional exponent is an error only where it contributes.
     """
-    den = lcm(*(c.denominator for c in quad))
-    n2, n1, n0 = (c.numerator * (den // c.denominator) for c in quad)
+    n2, n1, n0 = quad
     total = LaurentPoly.zero()
     for j, sign, p in terms:
         if p.is_zero():
@@ -146,6 +146,13 @@ def qsum(quad, terms, context):
     return total
 
 
+def over_lcm(*xs):
+    """(numerators, den): the ints or Fractions xs as integer numerators
+    over den, the least common denominator of all of them."""
+    den = lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (den // x.denominator) for x in xs), den
+
+
 def g_poly(N, M, alpha, beta, K):
     """Alternating sum sum_j (-1)^j q^(K j ((a+b)j + a-b)/2) [M+N, N-Kj].
 
@@ -155,8 +162,9 @@ def g_poly(N, M, alpha, beta, K):
     if K <= 0:
         raise ValueError("K must be a positive integer")
     alpha, beta = Fraction(alpha), Fraction(beta)
+    (A, B), den = over_lcm(alpha, beta)
     # [M+N, N-Kj] vanishes unless -M <= Kj <= N
-    return qsum((K * (alpha + beta) / 2, K * (alpha - beta) / 2, 0),
+    return qsum((K * (A + B), K * (A - B), 0), 2 * den,
                 ((j, -1 if j % 2 else 1, qbin(M + N, N - K * j))
                  for j in range(-(M // K), N // K + 1)),
                 lambda: f"g_poly(N={N},M={M},alpha={alpha},beta={beta},K={K})")
@@ -171,13 +179,14 @@ def d_poly(K, i, N, M, alpha, beta):
     if K <= 0:
         raise ValueError("K must be a positive integer")
     alpha, beta = Fraction(alpha), Fraction(beta)
-    s = alpha + beta
+    (A, B), den = over_lcm(alpha, beta)
+    S = A + B
     context = lambda: f"d_poly(K={K},i={i},N={N},M={M},alpha={alpha},beta={beta})"
     # [M+N, M-u] vanishes unless -N <= u <= M; u = Kj, then u = Kj+i
-    return qsum((s * K, K * beta - s * i, 0),
+    return qsum((S * K, K * B - S * i, 0), den,
                 ((j, 1, qbin(M + N, M - K * j))
                  for j in range(-(N // K), M // K + 1)), context) - \
-        qsum((s * K, s * i + K * beta, beta * i),
+        qsum((S * K, S * i + K * B, B * i), den,
              ((j, 1, qbin(M + N, M - K * j - i))
               for j in range(-((N + i) // K), (M - i) // K + 1)), context)
 

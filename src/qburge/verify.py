@@ -18,7 +18,7 @@ A catalogue case takes its params as keyword arguments.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
@@ -35,37 +35,27 @@ from .burge import (bosonic_eval, spec_main, spec_recip, spec_even,
 # ---------------------------------------------------------------------------
 # report types
 
-@dataclass(frozen=True)
-class IdentityCase:
-    id: str
-    kind: str               # polynomial | truncated-series | positivity
-    description: str
-    param_domain: str
-    # params dict -> (lhs, rhs), or for kind positivity the polynomial to
-    # scan; a registered case takes the params as keyword arguments
-    sides: object = field(compare=False)
+# kind: polynomial | truncated-series | positivity; sides: params dict ->
+# (lhs, rhs), or for kind positivity the polynomial to scan; a registered
+# case takes the params as keyword arguments
+IdentityCase = namedtuple("IdentityCase", "id kind description param_domain sides")
 
 
-@dataclass
-class VerifyReport:
-    case: str
-    params: dict
-    status: str             # pass | fail
-    first_diff_exponent: int = None
-    lhs_coeff: int = None
-    rhs_coeff: int = None
-    elapsed_ms: float = 0.0
+class VerifyReport(namedtuple("VerifyReport",
+                              "case params status first_diff_exponent "
+                              "lhs_coeff rhs_coeff elapsed_ms",
+                              defaults=(None, None, None, 0.0))):
+    """One checked identity; status is pass or fail."""
+
+    __slots__ = ()
 
     def key(self):
         return (self.case, tuple(sorted(self.params.items())))
 
 
-@dataclass
-class PositivityReport:
-    case: str
-    params: dict
-    nonneg: bool
-    first_negative: tuple = None   # (exponent, coefficient)
+# first_negative: (exponent, coefficient)
+PositivityReport = namedtuple("PositivityReport",
+                              "case params nonneg first_negative", defaults=(None,))
 
 
 def positivity_scan(p, case="", params=None):
@@ -700,13 +690,14 @@ def _case_pos_section8(entry, n):
 # ---------------------------------------------------------------------------
 # campaign driver
 
-@dataclass
 class CampaignBudget:
-    a_max: int = 5
-    lm_max: int = 6
-    n_max: int = 12
-    T: int = 40
-    pos_l_max: int = 20
+    """The sizes a campaign's suites run at; FIELDS names them in order."""
+
+    FIELDS = ("a_max", "lm_max", "n_max", "T", "pos_l_max")
+
+    def __init__(self, a_max=5, lm_max=6, n_max=12, T=40, pos_l_max=20):
+        self.a_max, self.lm_max, self.n_max = a_max, lm_max, n_max
+        self.T, self.pos_l_max = T, pos_l_max
 
 
 def _compare(lhs, rhs):

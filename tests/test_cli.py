@@ -4,10 +4,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qburge
 from qburge import cli, qcombinat, verify
 from qburge.verify import VerifyReport
 
@@ -179,6 +183,9 @@ def test_verify_config_errors(tmp_path, capsys):
     # a flag the object does not read
     (["eval", "qbin", "3", "1", "--L", "4", "--order", "3"], None),
     (["eval", "Ftilde", "2", "1", "--L", "5", "--M", "1"], None),
+    # a config key is a field name, not any attribute of the config
+    (["verify"], {"__class__": 1}),
+    (["verify"], {"FIELDS": []}),
 ])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
@@ -356,3 +363,17 @@ def test_verify_default_json_digest(tmp_path, capsys):
     canon = sorted(json.dumps(r, sort_keys=True) for r in records)
     assert hashlib.sha256("\n".join(canon).encode()).hexdigest() == \
         "f74723f27b5d404bb982c7ae9a1aa9e0349ba8bf678a625eab6f7cc284ddbb25"
+
+
+def test_import_loads_no_generic_machinery():
+    # a fresh interpreter, so the modules loaded by `site` and by this test
+    # run do not count: only what importing the package adds
+    code = ("import sys; before = set(sys.modules); "
+            "import qburge, qburge.cli, qburge.verify; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(qburge.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "qburge.verify" in added
+    assert not {"dataclasses", "inspect", "csv", "typing"} & set(added)

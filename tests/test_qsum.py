@@ -113,16 +113,19 @@ def coprime_pairs(a_max):
 
 def test_qsum_reduces_once_and_checks_each_term():
     x = LaurentPoly.monomial(0)
-    # (1/2) j^2 + (1/2) j is an integer at every j
+    # (j^2 + j) / 2 is an integer at every j
     terms = [(j, 1, x) for j in range(-3, 4)]
-    assert qsum((Fraction(1, 2), Fraction(1, 2), 0), terms, None) == \
+    assert qsum((1, 1, 0), 2, terms, None) == \
         LaurentPoly({0: 2, 1: 2, 3: 2, 6: 1})
     # a zero term is skipped unchecked; the context is built only to raise
-    half = (0, 0, Fraction(1, 2))
-    assert qsum(half, [(0, 1, LaurentPoly.zero())], None).is_zero()
+    assert qsum((0, 0, 1), 2, [(0, 1, LaurentPoly.zero())], None).is_zero()
     with pytest.raises(NonIntegerExponentError,
                        match=r"^non-integer exponent 1/2 in here at j=-2$"):
-        qsum(half, [(-2, -1, x)], lambda: "here")
+        qsum((0, 0, 1), 2, [(-2, -1, x)], lambda: "here")
+    # the exponent is named in lowest terms, below zero too
+    with pytest.raises(NonIntegerExponentError,
+                       match=r"^non-integer exponent -7/3 in here at j=1$"):
+        qsum((0, -14, 0), 6, [(1, 1, x)], lambda: "here")
 
 
 def test_bosonic_eval_matches_reference():
@@ -162,6 +165,30 @@ def test_d_poly_matches_reference():
                   for alpha in (1, 2) for beta in (0, 1, 2)]
     for args in hookp + negative_i:
         assert d_poly(*args) == ref_d_poly(*args), args
+
+
+def test_bosonic_eval_rational_grid():
+    # rational c2, c1, c0 over small denominators: equal values, or the
+    # same message naming the same first offending j
+    rats = [Fraction(n, d) for d in (1, 2, 3, 6) for n in (-5, -1, 1, 3)] + [0]
+    raised = 0
+    for c2 in rats[::2]:
+        for c1 in rats[1::3]:
+            for c0 in (0, Fraction(1, 2), Fraction(-1, 3)):
+                for head in ((1, 1, 0, 0), (2, 1, 1, 0), (3, 2, -1, 1)):
+                    spec = BosonicSpec(*head, Fraction(c2), Fraction(c1),
+                                       Fraction(c0))
+                    for L in range(-1, 4):
+                        for M in range(-1, 4):
+                            new = outcome(bosonic_eval, spec, L, M)
+                            assert new == outcome(ref_bosonic_eval, spec, L, M)
+                            raised += isinstance(new, str)
+    assert raised > 100
+    # the text names the spec as its fields, defaults included
+    assert outcome(bosonic_eval, BosonicSpec(2, 1, c2=Fraction(1, 2)), 3, 3) == \
+        "raised: non-integer exponent 1/2 in bosonic spec BosonicSpec(a=2, " \
+        "b=1, abar=0, bbar=0, c2=Fraction(1, 2), c1=Fraction(0, 1), " \
+        "c0=Fraction(0, 1)) at j=-1"
 
 
 def test_transform_step_matches_reference():
