@@ -28,9 +28,9 @@ Then it times qbin on a cleared memo, one call per run, best of REPEAT:
 QBIN_MAX_DEGREE, one wide and one narrow), and [30, 15] in q^2.
 
 Then it times one packed lattice sum per evaluator kind, cold: the qbin,
-q_poch, Cartan, factor, packed-factor, rules and level memos are cleared
-before every run, so each row includes building and packing its factors and
-building its rules. The rows are
+q_poch, packed-factor and level memos and the continued-fraction, factor and
+rules caches are cleared before every run, so each row includes building
+and packing its factors and building its rules. The rows are
 eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
 (signed Pochhammer links), eval_limit_L("F", 8, 1, 15) (the finitized
 Andrews-Gordon sum of b = 1), eval_limit_both("F", 7, 5, 60) (products
@@ -56,7 +56,7 @@ import timeit
 from fractions import Fraction
 from math import gcd
 
-from qburge import fermionic, qcombinat
+from qburge import cf, fermionic, qcombinat
 from qburge.burge import bosonic_eval, spec_main
 from qburge.fermionic import eval_F, eval_limit_L, eval_limit_both
 from qburge.qcombinat import d_poly, g_poly, q_poch, qbin
@@ -98,10 +98,10 @@ BOSONIC = (("g_poly, single-limit G grid", lambda: [g_poly(*g) for g in G_GRID])
 
 def clear_memos():
     for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE,
-                 fermionic._CARTAN_CACHE, fermionic._FACTOR_CACHE,
-                 fermionic._PACKED_CACHE, fermionic._RULES,
-                 fermionic._LEVEL_CACHE):
+                 fermionic._PACKED_CACHE, fermionic._LEVEL_CACHE):
         memo.clear()
+    for cached in (cf.cf_expand, fermionic._factor, fermionic._rules):
+        cached.cache_clear()
 
 
 def families():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 
 
@@ -41,9 +42,11 @@ class CFData(namedtuple("CFData", "a b quotients t d")):
         return len(self.quotients) - 1
 
 
+@cache
 def cf_expand(a, b):
     """Continued fraction of (a/b - 1)^sign(a-2b), last quotient >= 2; the
-    other representation is `cf_toggle` of it.
+    other representation is `cf_toggle` of it. Cached: a pair's data are
+    built once.
 
     The pair (2,1) has the single representation [1].
     """
@@ -86,6 +89,9 @@ class CartanData(namedtuple("CartanData", "cf incidence cartan tau")):
 
 
 def build_cartan(c):
+    """The full d x d incidence and Cartan matrices of c, and tau. The lattice
+    engine reads each row off the quotients instead (`fermionic._rules`); this
+    is the reference its rules are checked against."""
     d = c.d
     ends = set(c.t[1:])  # block-terminating indices t_1..t_{n+1}
     inc = [[0] * d for _ in range(d)]

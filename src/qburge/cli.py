@@ -45,19 +45,24 @@ def _fmt_poly(p):
     return " ".join(f"{e}:{c}" for e, c in p.items_sorted())
 
 
-# eval object -> its positional params (a bracketed one is optional) and
-# the flags it reads (--L and --M are needed where read; --order is 20 when
-# not given)
-EVAL_PARAMS = {"qbin": ("n m [base]", ()), "B": ("L M a b", ()),
-               "G": ("N M alpha beta K", ()), "D": ("K i N M alpha beta", ()),
-               **dict.fromkeys("FfHI", ("a b", ("L", "M"))),
-               "Ftilde": ("a b", ("M",)), "series": ("family a b", ("order",))}
+# eval object -> its evaluator, its positional params (a bracketed one is
+# optional) and the flags it reads, passed after them (--L and --M are
+# needed where read; --order is 20 when not given)
+EVAL = {"qbin": (qbin, "n m [base]", ()), "B": (b_kernel, "L M a b", ()),
+        "G": (g_poly, "N M alpha beta K", ()), "D": (d_poly, "K i N M alpha beta", ()),
+        **{obj: (fn, "a b", ("L", "M")) for obj, fn in
+           (("F", eval_F), ("f", eval_f), ("H", eval_H), ("I", eval_I))},
+        "Ftilde": (lambda a, b, M: eval_limit_L("F", a, b, M), "a b", ("M",)),
+        "series": (lambda family, a, b, T: eval_limit_both(
+            family, a, b, 20 if T is None else T), "family a b", ("order",))}
+# how a positional param parses, by name; every other one is an int
+PARSE = {"alpha": Fraction, "beta": Fraction, "family": str}
 
 
 def _cmd_eval(args):
     obj = args.object
     v = args.params
-    params, reads = EVAL_PARAMS[obj]
+    fn, params, reads = EVAL[obj]
     try:
         names = params.split()
         if not sum(not n.startswith("[") for n in names) <= len(v) <= len(names):
@@ -70,26 +75,8 @@ def _cmd_eval(args):
             if flags:
                 raise ValueError(f"eval {obj} {verb} "
                                  + " and ".join(f"--{f}" for f in flags))
-        if obj == "qbin":
-            n, m = int(v[0]), int(v[1])
-            base = int(v[2]) if len(v) > 2 else 1
-            res = qbin(n, m, base)
-        elif obj == "B":
-            res = b_kernel(*map(int, v))
-        elif obj == "G":
-            N, M = int(v[0]), int(v[1])
-            res = g_poly(N, M, Fraction(v[2]), Fraction(v[3]), int(v[4]))
-        elif obj == "D":
-            K, i, N, M = map(int, v[:4])
-            res = d_poly(K, i, N, M, Fraction(v[4]), Fraction(v[5]))
-        elif obj == "series":
-            fam, a, b = v[0], int(v[1]), int(v[2])
-            res = eval_limit_both(fam, a, b, 20 if args.order is None else args.order)
-        else:  # a lattice sum
-            a, b = int(v[0]), int(v[1])
-            fn = {"F": eval_F, "f": eval_f, "H": eval_H, "I": eval_I,
-                  "Ftilde": lambda a, b, L, M: eval_limit_L("F", a, b, M)}[obj]
-            res = fn(a, b, args.L, args.M)
+        res = fn(*(PARSE.get(n.strip("[]"), int)(x) for n, x in zip(names, v)),
+                 *(getattr(args, f) for f in reads))
     except (ValueError, TypeError, ZeroDivisionError,
             NotImplementedError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -247,7 +234,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a single object")
-    pe.add_argument("object", choices=list(EVAL_PARAMS))
+    pe.add_argument("object", choices=list(EVAL))
     pe.add_argument("params", nargs="*",
                     help="positional parameters for the object")
     pe.add_argument("--L", type=int, default=None)

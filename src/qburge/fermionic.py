@@ -2,14 +2,16 @@
 F, f, H, I, their one-sided large-bound limits and the double-limit series.
 
 Every value is one call of `_lattice_sum`, a transfer-matrix sum along the
-continued fraction. The Cartan matrix is tridiagonal, so the binomial factor
-at position j depends only on (m_{j-1}, m_j, m_{j+1}) and the quadratic form
-splits into terms on neighbouring pairs (m_j, m_{j+1}); the sum is built
-right to left over the pair states. A sum is two rule lists, one factor
-rule and one exponent rule per position, with the head at position 0: it
-reads (m_0, m_1) and carries the boundary binomial and, for f at d = 1,
-the term L m_1 = m_0 m_1 of the barred correction m_1 (m_0 - m_1), which
-no pair (m_j, m_{j+1}) with j >= 1 holds.
+continued fraction. The kernel reads only its quotients: row j of the
+Cartan matrix is (-1, 2, -1) inside a tadpole block and (-1, 1, 1) at a
+block's end, and tau_j = 2 except tau_d = 1. The matrix is tridiagonal, so
+the binomial factor at position j depends only on (m_{j-1}, m_j, m_{j+1})
+and the quadratic form splits into terms on neighbouring pairs
+(m_j, m_{j+1}); the sum is built right to left over the pair states. A sum
+is two rule lists, one factor rule and one exponent rule per position, with
+the head at position 0: it reads (m_0, m_1) and carries the boundary
+binomial and, for f at d = 1, the term L m_1 = m_0 m_1 of the barred
+correction m_1 (m_0 - m_1), which no pair (m_j, m_{j+1}) with j >= 1 holds.
 
 Support. Write m_0 := L and m_{d+1} := 0. The kernel factor
 [tau_j m_j + n_j, tau_j m_j] vanishes unless n_j >= 0, where
@@ -47,13 +49,12 @@ nonnegative (F, f, H, I and the large-M limit). No bound decreases on the
 way to the total, as every factor has l1 >= 1, so it suffices to check each
 factor as it is packed and the total at the end. When either reaches
 2^(w-1), the pass restarts at the narrowest width that holds it: 32 bits
-first, then 64, then multiples of 64. A factor is built once: its
-(lo, coefficients, l1) are kept in _FACTOR_CACHE, so a restart packs the
-stored coefficients at its width and builds nothing again. The Pochhammer
-links of `eval_limit_L` are signed, so they are packed with biased digits
-and the total is decoded as balanced ones. With a cut at q^T
-(`eval_limit_both`), every product is taken mod X^(T+1-lo) and kept as its
-balanced low digits.
+first, then 64, then multiples of 64. A factor is built once (`_factor` is
+cached), so a restart packs the stored coefficients at its width and builds
+nothing again. The Pochhammer links of `eval_limit_L` are signed, so they
+are packed with biased digits and the total is decoded as balanced ones.
+With a cut at q^T (`eval_limit_both`), every product is taken mod
+X^(T+1-lo) and kept as its balanced low digits.
 
 Sharing. Only positions 0 and 1 read L or M: position 1 holds m_0 = L
 and the head, position 0, the boundary binomial in M. This is the shape
@@ -69,9 +70,9 @@ reads M, and [2M, M] (q)_M multiplies the total. For the double limit
 they are j >= a_0 + 2. A state there does not depend on the bound hi
 either, which only limits which states are built, so these levels are
 built once and kept in _LEVEL_CACHE. A rule is a function object built
-once: `_rules` builds the kernel's per family and quotients (the pair
-and its representation enter them only through the quotients, so (a, b)
-and (a, a - b) share them), and the telescoped limits' are module
+once: the cached `_rules` builds the kernel's per quotients and family (the
+pair and its representation enter them only through the quotients, so
+(a, b) and (a, a - b) share them), and the telescoped limits' are module
 functions. The prefix rules read L, M or T, so each call builds its own.
 
 Every sum takes its free levels from the level memo, under one key: the
@@ -90,29 +91,16 @@ bounded.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import accumulate
 from math import isqrt
 
-from .cf import build_cartan, cf_expand, check_pair
+from .cf import cf_expand, check_pair
 from .qpoly import LaurentPoly, TruncatedSeries, pack, pack_width, unpack
 from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin, qsum
 
-_CARTAN_CACHE = {}
-
-
-def cartan_for(a, b):
-    """The Cartan data of (a, b), last quotient >= 2."""
-    hit = _CARTAN_CACHE.get((a, b))
-    if hit is None:
-        hit = _CARTAN_CACHE[a, b] = build_cartan(cf_expand(a, b))
-    return hit
-
-
-# (lo, coefficients, l1) by factor key: see _packed
-_FACTOR_CACHE = {}
 # packed factors by word width, then by factor key: see _packed
 _PACKED_CACHE = {}
-# the kernel's (phis, psis) by (family, quotients): see _rules
-_RULES = {}
 # level states of the free positions by (their phis, their psis, word
 # width, cut): see _extend and the module docstring
 _LEVEL_CACHE = {}
@@ -129,6 +117,7 @@ def _qkey(n, m, base=1):
     return (n, m, base) if m else _ONE_KEY
 
 
+@cache
 def _factor(key):
     """The polynomial a factor key names: a qbin key (n, m, base);
     ("mid", n, x) for [n, x] (q)_(n-x); ("inv", base, k, T) for
@@ -150,17 +139,14 @@ class _Overflow(Exception):
 def _packed(key, w):
     """(lo, v, l1) of the factor `key` packed at word width w and stored in
     _PACKED_CACHE[w]: p = v(2^w) q^lo with l1 = ||p||_1. Raises _Overflow
-    when l1 >= 2^(w-1). The factor is built once and kept in _FACTOR_CACHE
-    (a qbin key keeps the qbin memo's own list), so every width packs the
-    same stored coefficients."""
-    f = _FACTOR_CACHE.get(key)
-    if f is None:
-        p = _factor(key)
-        f = _FACTOR_CACHE[key] = p.lo, p.coeffs, sum(map(abs, p.coeffs))
-    lo, coeffs, l1 = f
+    when l1 >= 2^(w-1). The factor is built once by the cached `_factor`
+    (a qbin key gets the qbin memo's own polynomial), so every width packs
+    the same stored coefficients."""
+    p = _factor(key)
+    l1 = sum(map(abs, p.coeffs))
     if l1 >> (w - 1):
         raise _Overflow(l1)
-    f = _PACKED_CACHE.setdefault(w, {})[key] = lo, pack(coeffs, w), l1
+    f = _PACKED_CACHE.setdefault(w, {})[key] = p.lo, pack(p.coeffs, w), l1
     return f
 
 
@@ -332,72 +318,70 @@ _square = _quadratic(1, 0, 0, 0)
 _telescoped = _binomial(1, 1, 0, 0, 2, 0, 1)
 
 
-def _rules(cd, family):
-    """The kernel's rules (phis, psis), indexed by position j = 1..d; the
-    caller puts the head at position 0.
+@cache
+def _rules(quotients, family):
+    """The kernel's rules (phis, psis) on these quotients, indexed by
+    position j = 1..d; the caller puts the head at position 0. Row j of the
+    Cartan matrix is (C_j,j-1, C_jj, C_j,j+1) = (-1, 1, 1) when j ends a
+    tadpole block (j in accumulate(quotients)), else (-1, 2, -1); tau_j = 2
+    except tau_d = 1.
     phis[j](m_{j-1}, m_j, m_{j+1}) is the factor key of
     [tau_j m_j + n_j, tau_j m_j]; H shifts the last two factors, I takes
     factor j in q^(3-tau_j). psis[j](m_j, m_{j+1}) is one quadratic: m C m
-    split over neighbouring pairs, plus the barred correction
-    m_d (m_{d-1} - m_d) for f (its L m_1 is in the head when d = 1) and
-    H's 2 m_d - 2 m_{d-1} + 1. Built once per (family, quotients) and kept
-    in _RULES, so equal data give the same rule objects (see the module
-    docstring)."""
-    hit = _RULES.get((family, cd.cf.quotients))
-    if hit is not None:
-        return hit
+    split over neighbouring pairs, C_jj m_j^2 + (C_j,j+1 + C_j+1,j) m_j m_{j+1},
+    plus the barred correction m_d (m_{d-1} - m_d) for f (its L m_1 is in the
+    head when d = 1) and H's 2 m_d - 2 m_{d-1} + 1. Cached, so equal
+    quotients give the same rule objects (see the module docstring)."""
     if family not in ("F", "f", "H", "I"):
         raise ValueError(f"unknown family {family!r}")
-    d, car = cd.d, cd.cartan
+    ends, d = set(accumulate(quotients)), sum(quotients)
     phis, psis = [None], [None]
-    for j, t in enumerate(cd.tau, 1):
-        # n_j = L delta(j,1) - sum_k C_jk m_k on the tridiagonal row j
-        row = car[j - 1]
-        phis.append(_binomial(-row[j - 2] if j > 1 else 1, t - row[j - 1],
-                              -row[j] if j < d else 0, -(family == "H" and j == d),
+    for j in range(1, d + 1):
+        diag, off = (1, 1) if j in ends else (2, -1)  # C_jj, C_j,j+1
+        t = 1 if j == d else 2
+        # n_j = m_{j-1} - C_jj m_j - C_j,j+1 m_{j+1}, with m_0 = L, m_{d+1} = 0
+        phis.append(_binomial(1, t - diag, -off, -(family == "H" and j == d),
                               t, -(family == "H" and j == d - 1),
                               3 - t if family == "I" else 1))
-        x2 = row[j - 1] - (family == "f" and j == d)
-        x1 = (row[j] + car[j][j - 1] if j < d else 0) + \
-            (family == "f" and j == d - 1)
         x0 = (-2 if j == d - 1 else 2 if j == d else 0) if family == "H" else 0
-        psis.append(_quadratic(x2, x1, x0, int(family == "H" and j == d)))
-    hit = _RULES[family, cd.cf.quotients] = phis, psis
-    return hit
+        psis.append(_quadratic(diag - (family == "f" and j == d),
+                               off - 1 + (family == "f" and j == d - 1), x0,
+                               int(family == "H" and j == d)))
+    return phis, psis
 
 
-def _kernel_sum(cd, family, top, phis, psis, first, cut=None):
-    """The lattice sum on the kernel's rules of `family`, with the per-call
-    prefix `phis`, `psis` in front: position j runs the prefix rule where
-    there is one, else the kernel's. Both lists are cut to d + 1 positions,
-    which drops the last link of the b = 1 limits (a_0 = d). `first` and
-    `cut` are `_lattice_sum`'s."""
-    kphis, kpsis = _rules(cd, family)
-    return _lattice_sum(top, (phis + kphis[len(phis):])[:cd.d + 1],
-                        (psis + kpsis[len(psis):])[:cd.d + 1], first, cut)
+def _kernel_sum(cfd, family, top, phis, psis, first, cut=None):
+    """The lattice sum on the kernel's rules of `family` on the continued
+    fraction `cfd`, with the per-call prefix `phis`, `psis` in front:
+    position j runs the prefix rule where there is one, else the kernel's.
+    Both lists are cut to d + 1 positions, which drops the last link of the
+    b = 1 limits (a_0 = d). `first` and `cut` are `_lattice_sum`'s."""
+    kphis, kpsis = _rules(cfd.quotients, family)
+    return _lattice_sum(top, (phis + kphis[len(phis):])[:cfd.d + 1],
+                        (psis + kpsis[len(psis):])[:cfd.d + 1], first, cut)
 
 
-def _bounded(family, cd, L, M):
-    """The sum at (L, M) with m_0 := L on the Cartan data cd of (a, b), in
-    either representation. For a > 2b the boundary binomial is
+def _bounded(family, cfd, L, M):
+    """The sum at (L, M) with m_0 := L on the continued fraction cfd of
+    (a, b), in either representation. For a > 2b the boundary binomial is
     [L+M+m_1, 2L] and q^(L(L-2m_1)) joins the exponent, else it is
     [2L+M-m_1, 2L]; M = None drops it (the large-M limit times (q)_2L).
     For f at d = 1 the head carries the barred term's m_0 m_1 = L m_1."""
-    ge = cd.cf.a > 2 * cd.cf.b
+    ge = cfd.a > 2 * cfd.b
     head = _unit if M is None else \
         _binomial(0, 1, 1, M, 2, 0, 1) if ge else _binomial(0, 2, -1, M, 2, 0, 1)
-    exponent = _quadratic(ge, (family == "f" and cd.d == 1) - 2 * ge, 0, 0)
-    return _kernel_sum(cd, family, L, [head], [exponent], 2)
+    exponent = _quadratic(ge, (family == "f" and cfd.d == 1) - 2 * ge, 0, 0)
+    return _kernel_sum(cfd, family, L, [head], [exponent], 2)
 
 
 def eval_F(a, b, L, M):
     """Doubly-bounded fermionic polynomial for the pair (a,b)."""
-    return _bounded("F", cartan_for(a, b), L, M)
+    return _bounded("F", cf_expand(a, b), L, M)
 
 
 def eval_f(a, b, L, M):
     """Barred-quadratic-form variant: the exponent gains m_d (m_{d-1} - m_d)."""
-    return _bounded("f", cartan_for(a, b), L, M)
+    return _bounded("f", cf_expand(a, b), L, M)
 
 
 def eval_H(a, b, L, M):
@@ -406,19 +390,19 @@ def eval_H(a, b, L, M):
         return qsum((1, 0, 0), 1,
                     ((n, 1, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
                      for n in range(min(L, M) + 1)), lambda: "eval_H(2, 1)")
-    return _bounded("H", cartan_for(a, b), L, M)  # the shifted kernel is rep-sensitive
+    return _bounded("H", cf_expand(a, b), L, M)  # the shifted kernel is rep-sensitive
 
 
 def eval_I(a, b, L, M):
     """Even-modulus family: factor j is a Gaussian binomial in q^(3-tau_j)."""
-    return _bounded("I", cartan_for(a, b), L, M)
+    return _bounded("I", cf_expand(a, b), L, M)
 
 
 def eval_limit_M(family, a, b, L):
     """Large-M limit times (q)_2L: the singly-bounded polynomial at L."""
     if family == "H":
         raise NotImplementedError("large-M limit not provided for family H")
-    return _bounded(family, cartan_for(a, b), L, None)
+    return _bounded(family, cf_expand(a, b), L, None)
 
 
 def eval_limit_L(family, a, b, M):
@@ -464,16 +448,16 @@ def eval_limit_L(family, a, b, M):
         if d:
             total *= _lattice_sum(M, [_multinomial] * (d + 1), [_flat] + [_square] * d, 2)
         return total
-    cd = cartan_for(a, b)
-    a0 = cd.cf.quotients[0] if a > 2 * b else 0
+    cfd = cf_expand(a, b)
+    a0 = cfd.quotients[0] if a > 2 * b else 0
     links = [lambda p, c, n: _qkey(2 * M, M - n)]
-    if a0 == 1:  # tau_2 = 2, as 2 < d; level 2 is free
+    # at b >= 2 the last quotient is >= 2, so a_0 + 1 < d and tau_{a_0+1} = 2
+    if a0 == 1:  # level 2 is free
         links += [lambda p, c, n: ("mid", M + c, c + n), _telescoped]
     else:
-        tau = cd.tau[a0]
         links += [lambda p, c, n: _qkey(M + c, c - n)] * a0 + \
-            [lambda p, c, n: ("mid", M + c, tau * c)]
-    return _kernel_sum(cd, family, M, links, [_flat] + [_square] * a0,
+            [lambda p, c, n: ("mid", M + c, 2 * c)]
+    return _kernel_sum(cfd, family, M, links, [_flat] + [_square] * a0,
                        2 if a0 == 1 else a0 + 2)
 
 
@@ -495,13 +479,14 @@ def eval_limit_both(family, a, b, T):
     check_pair(a, b)
     if family == "f" and b == 1:
         raise NotImplementedError("the reciprocal family has no product form for b = 1")
-    cd = cartan_for(a, b)
-    a0 = cd.cf.quotients[0] if a > 2 * b else 0
+    cfd = cf_expand(a, b)
+    a0 = cfd.quotients[0] if a > 2 * b else 0
+    tau = 1 if a0 + 1 == cfd.d else 2  # of the last link: 1 at (2, 1)
 
-    def inv(j, k):
-        return ("inv", 3 - cd.tau[j - 1] if family == "I" else 1, k, T)
+    def inv(j, k):  # base 3 - tau_j for I, tau_j = 2 except tau_d = 1
+        return ("inv", 1 + (family == "I" and j == cfd.d), k, T)
 
     links = [_unit] + [lambda p, c, n, j=j: inv(j, c - n) for j in range(1, a0 + 1)]
-    links.append(lambda p, c, n: inv(a0 + 1, cd.tau[a0] * c))
+    links.append(lambda p, c, n: inv(a0 + 1, tau * c))
     return TruncatedSeries.from_poly(
-        _kernel_sum(cd, family, isqrt(T), links, [_flat] + [_square] * a0, a0 + 2, T), T)
+        _kernel_sum(cfd, family, isqrt(T), links, [_flat] + [_square] * a0, a0 + 2, T), T)

@@ -1,5 +1,6 @@
 """Continued fractions, Cartan data, (m,n)-system, bar pair."""
 
+import random
 from math import gcd
 
 import pytest
@@ -156,11 +157,46 @@ def test_mn_solve():
         # q^(3 - tau_j) for I, on the same rows
         x = (L,) + m + (0,)
         for family in ("F", "f", "I"):
-            phis = _rules(cd75, family)[0]
+            phis = _rules(cd75.cf.quotients, family)[0]
             for j, t in enumerate(cd75.tau, 1):
                 base = 3 - t if family == "I" else 1
                 assert phis[j](*x[j - 1:j + 2]) == \
                     _qkey(t * m[j - 1] + n[j - 1], t * m[j - 1], base), (m, family, j)
+
+
+def test_rules_match_build_cartan():
+    # the engine reads each row of the Cartan matrix off the quotients; on
+    # random points, its kernel rules against the full matrix of
+    # build_cartan, in both representations of every pair with a <= 13:
+    # phi_j names [tau_j m_j + n_j, tau_j m_j] (H shifts the last two, I
+    # takes base 3 - tau_j), and the psis sum to m C m (barred for f; H adds
+    # 2 m_d - 2 m_{d-1} + 1)
+    rng = random.Random(13)
+    for (a, b) in coprime_pairs(13):
+        c = cf_expand(a, b)
+        for rep in (c, cf_toggle(c)) if (a, b) != (2, 1) else (c,):
+            cd = build_cartan(rep)
+            d = cd.d
+            for family in ("F", "f", "H", "I") if d > 1 else ("F", "f", "I"):
+                phis, psis = _rules(rep.quotients, family)
+                assert len(phis) == len(psis) == d + 1
+                for _ in range(20):
+                    L = rng.randrange(6)
+                    m = [rng.randrange(5) for _ in range(d)]
+                    x = [L] + m + [0]
+                    for j, t in enumerate(cd.tau, 1):
+                        n = n_row(cd, j, *x[j - 1:j + 2])
+                        up, lo = t * m[j - 1] + n, t * m[j - 1]
+                        if family == "H":
+                            up, lo = up - (j == d), lo - (j == d - 1)
+                        base = 3 - t if family == "I" else 1
+                        assert phis[j](*x[j - 1:j + 2]) == _qkey(up, lo, base), \
+                            (rep.quotients, family, x, j)
+                    e = quad_form(cd, m, barred=(family == "f"))
+                    if family == "H":
+                        e += 2 * m[d - 1] - 2 * m[d - 2] + 1
+                    assert sum(psis[j](x[j], x[j + 1]) for j in range(1, d + 1)) == e, \
+                        (rep.quotients, family, m)
 
 
 def test_quad_form_examples():

@@ -12,8 +12,8 @@ from qburge.qpoly import LaurentPoly, TruncatedSeries
 from qburge.qcombinat import g_poly, qbin, q_poch
 from qburge.cf import build_cartan, cf_expand, cf_toggle
 from qburge.fermionic import (_bounded, _factor, _flat, _kernel_sum,
-                              _lattice_sum, _qkey, _rules, _square, cartan_for,
-                              eval_F, eval_f, eval_H, eval_I, eval_limit_M,
+                              _lattice_sum, _qkey, _rules, _square, eval_F,
+                              eval_f, eval_H, eval_I, eval_limit_M,
                               eval_limit_L, eval_limit_both)
 from qburge.verify import _sum_bnewp
 
@@ -73,17 +73,17 @@ def test_representation_independence():
     # the value must not depend on whether the final quotient is >= 2 or
     # split off as a trailing 1
     for (a, b) in coprime_pairs(9, a_min=3):
-        split = build_cartan(cf_toggle(cf_expand(a, b)))
+        c = cf_expand(a, b)
         for L in range(0, 5):
             for M in range(0, 5):
                 for family in ("F", "f", "I"):
-                    assert _bounded(family, cartan_for(a, b), L, M) == \
-                        _bounded(family, split, L, M)
+                    assert _bounded(family, c, L, M) == \
+                        _bounded(family, cf_toggle(c), L, M)
 
 
 def test_boundary_consistency_a_eq_2b():
     # on the pair (2,1) both boundary-binomial conventions coincide
-    phis, psis = _rules(cartan_for(2, 1), "F")
+    phis, psis = _rules(cf_expand(2, 1).quotients, "F")
     for L in range(0, 6):
         for M in range(0, 6):
             def head(p, c, n):
@@ -218,7 +218,7 @@ def test_restarts_keep_values(monkeypatch):
     pairs = [(2, 1), (3, 1), (5, 2), (7, 3), (8, 5)]
     expect = all_lattice_values(pairs, 6, (0, 12, 40))
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
-    monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
+    _factor.cache_clear()
     monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
     assert all_lattice_values(pairs, 6, (0, 12, 40)) == expect
@@ -254,7 +254,7 @@ def test_failed_build_keeps_memo_whole(monkeypatch):
     calls = grid_calls([(5, 2), (7, 3), (8, 5)], 8)[::-1]
     expect = [fn(*args) for fn, args in calls]
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
-    monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
+    _factor.cache_clear()
     monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
     got = []
@@ -271,19 +271,17 @@ def test_restarts_build_each_factor_once(monkeypatch):
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
     for run in (lambda: eval_limit_L("F", 7, 3, 9),
                 lambda: eval_limit_both("F", 7, 5, 60)):
-        monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
+        _factor.cache_clear()
         monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
         monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
-        built = Counter()
-
-        def counting(key):
-            built[key] += 1
-            return _factor(key)
-
-        monkeypatch.setattr(fermionic, "_factor", counting)
         run()
-        assert len(fermionic._PACKED_CACHE) > 1  # the pass did restart
-        assert built and max(built.values()) == 1
+        memo = fermionic._PACKED_CACHE
+        assert len(memo) > 1  # the pass did restart
+        # one build per factor packed at any width; a restart's repacking
+        # reads the cache
+        info = _factor.cache_info()
+        assert info.misses == info.currsize == len(set().union(*memo.values()))
+        assert info.hits
 
 
 def test_inv_factor_against_division_chain():
@@ -308,7 +306,7 @@ def test_shared_levels_in_any_order(monkeypatch):
     ascending = list(range(len(calls)))
     shuffled = random.Random(9).sample(ascending, len(calls))
     for order in (ascending, ascending[::-1], shuffled):
-        monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
+        _factor.cache_clear()
         monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
         monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
         for i in order:
@@ -345,9 +343,12 @@ def test_shared_levels_built_once(monkeypatch):
 def test_shared_levels_keyed_by_rules(monkeypatch):
     # the level memo is keyed by the rule objects at the free positions:
     # (7, 2) and (7, 5) have the same quotients, so the same rules and one
-    # entry
-    assert _rules(cartan_for(7, 2), "F") is _rules(cartan_for(7, 5), "F")
-    assert _rules(build_cartan(cf_expand(7, 2)), "F") is _rules(cartan_for(7, 2), "F")
+    # entry; an equal tuple built afresh gets the same objects
+    rules = _rules(cf_expand(7, 2).quotients, "F")
+    assert _rules(cf_expand(7, 5).quotients, "F") is rules
+    fresh = tuple([2] * 2)
+    assert fresh == cf_expand(7, 2).quotients and fresh is not cf_expand(7, 2).quotients
+    assert _rules(fresh, "F") is rules
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
     eval_F(7, 2, 4, 4)
     eval_F(7, 5, 4, 4)
@@ -369,7 +370,7 @@ def box_terms(a, b, L, family, margin=2):
     """Nonzero terms of the raw lattice sum over the full box
     0 <= m_j <= L+margin, without the boundary binomial: (m_1, poly, exponent).
     No monotonicity, no pruning; n_j is transcribed from the Cartan matrix."""
-    cd = cartan_for(a, b)
+    cd = build_cartan(cf_expand(a, b))
     d, car, tau = cd.d, cd.cartan, cd.tau
     out = []
     for m in itertools.product(range(L + margin + 1), repeat=d):
@@ -482,12 +483,13 @@ def limit_L_chain(family, a, b, M):
         if a == 2:
             return qbin(2 * M, M) * q_poch(M)
         return limit_L_chain("F", a - 1, 1, M)
-    cd = cartan_for(a, b)
-    a0 = cd.cf.quotients[0] if a > 2 * b else 0
+    cfd = cf_expand(a, b)
+    a0 = cfd.quotients[0] if a > 2 * b else 0
+    tau = build_cartan(cfd).tau  # read by the link only where there is one
     links = [lambda p, c, n: _qkey(2 * M, M - n)]
     links += [lambda p, c, n: _qkey(M + c, c - n)] * a0
-    links.append(lambda p, c, n: ("mid", M + c, cd.tau[a0] * c))
-    total = _kernel_sum(cd, family, M, links, [_flat] + [_square] * a0, a0 + 2)
+    links.append(lambda p, c, n: ("mid", M + c, tau[a0] * c))
+    total = _kernel_sum(cfd, family, M, links, [_flat] + [_square] * a0, a0 + 2)
     return total * q_poch(M) if b == 1 and a > 2 else total
 
 
@@ -524,7 +526,7 @@ def test_limit_L_memo_names(monkeypatch):
         expect = [limit_L_chain(*args) if fn is eval_limit_L else fn(*args)
                   for fn, args in calls]
     for order in (range(len(calls)), range(len(calls) - 1, -1, -1)):
-        monkeypatch.setattr(fermionic, "_FACTOR_CACHE", {})
+        _factor.cache_clear()
         monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
         monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
         for i in order:
