@@ -12,7 +12,14 @@ One after the other, each in its own interpreter, it runs:
 - COLD_RUNS fresh interpreters that each time, inside themselves,
   `import qburge, qburge.cli, qburge.verify` and the growth of their
   ru_maxrss over it, keeping the medians and the PYTHONDONTWRITEBYTECODE
-  they ran with (when it is set, every run compiles the sources again).
+  they ran with (when it is set, every run compiles the sources again);
+- the scale rows, SCALE: each `qburge verify` argv once, in a fresh
+  interpreter that reports its own wall time, its own peak ru_maxrss
+  (RUSAGE_SELF: RUSAGE_CHILDREN would keep the largest of every earlier
+  child, the perfbench runs among them) and the checks and failed checks
+  of its JSON report. To run them alone:
+
+    python3 -c 'from scripts.bench import scale, src_env; print(scale(src_env()))'
 
 It writes them, with the size of each src/qburge/*.py and of all of them
 (the code-size side of the trajectory), the interpreter, the CPU count and
@@ -52,6 +59,35 @@ t0 = time.perf_counter()
 import qburge, qburge.cli, qburge.verify
 ms = (time.perf_counter() - t0) * 1000
 print(ms, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss)
+"""
+# the scale rows: `qburge verify` argvs at sizes where the algorithms, not
+# the call overhead, set the time
+SCALE = ("--suite thmmain --a-max 8 --lm-max 16",
+         "--suite thmmain --a-max 8 --lm-max 20",
+         "--suite hookp --lm-max 10")
+# run in a fresh interpreter on `verify` and a scale row's argv: the wall
+# time in s and peak ru_maxrss in KB of the whole run, from before the
+# import, and the checks and failed checks of its JSON report
+SCALE_RUN = """\
+import json, os, resource, sys, tempfile, time
+t0 = time.perf_counter()
+from qburge import cli
+fd, out = tempfile.mkstemp(suffix=".json")
+os.close(fd)
+try:
+    try:
+        cli.main([*sys.argv[1:], "--format", "json", "--out", out])
+    except SystemExit:  # 1 on a failed check: the report counts them
+        pass
+    wall = time.perf_counter() - t0
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    with open(out) as fh:
+        reports = json.load(fh)
+finally:
+    os.unlink(out)
+print(json.dumps({"wall_s": round(wall, 2), "maxrss_kb": kb,
+                  "checks": len(reports),
+                  "failed": sum(r["status"] != "pass" for r in reports)}))
 """
 # a bench_mul row: its label, then the time in microseconds
 ROW = re.compile(r"^(.*\S)\s+([0-9.]+) us$")
@@ -114,6 +150,25 @@ def cold_import(env):
             "PYTHONDONTWRITEBYTECODE": env.get("PYTHONDONTWRITEBYTECODE")}
 
 
+def src_env():
+    """The environment with the repository's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def scale(env):
+    """The scale rows, each run once in its own interpreter under env, by
+    argv."""
+    rows = {}
+    for argv in SCALE:
+        out = run(["-c", SCALE_RUN, "verify", *argv.split()], env)
+        rows[argv] = json.loads(out.strip().splitlines()[-1])
+        print("scale", argv, rows[argv], flush=True)
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description="write BENCH_<n>.json")
     ap.add_argument("n", type=int, help="the number of the point")
@@ -121,9 +176,7 @@ def main(argv=None):
                     help="perfbench workload seed")
     args = ap.parse_args(argv)
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env = src_env()
     perfbench = {}
     for workload in WORKLOADS:
         out = run(["perfbench/run.py", "--workload", workload,
@@ -146,6 +199,8 @@ def main(argv=None):
     cold = cold_import(env)
     print("cold import", cold, flush=True)
 
+    rows_scale = scale(env)
+
     src_lines, src_code_lines = src_sizes()
 
     point = {
@@ -158,6 +213,7 @@ def main(argv=None):
         "tier1": tier1,
         "bench_mul_us": rows,
         "cold_import": cold,
+        "scale": rows_scale,
         "src_lines": src_lines,
         "src_code_lines": src_code_lines,
     }

@@ -1,7 +1,9 @@
 """Bosonic alternating sums, the two summation transforms, and the tree
 walker that rebuilds the fermionic polynomials bottom-up: from one root value
 per family it applies the transforms up the continued-fraction reduction of a
-coprime pair, without recursion.
+coprime pair, without recursion. Every root is bosonic: a single binomial, or
+for H the kernel sum of the seed lemma at (2, 1). So the walk shares nothing
+with the lattice sums of `fermionic` that it is checked against.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cf import bar_pair, cf_expand, check_pair
-from .fermionic import eval_H
 from .qpoly import LaurentPoly
 from .qcombinat import b_kernel, over_lcm, qbin, qsum
 
@@ -97,11 +98,12 @@ def _below(a, b):
     return ("B2", (b, a - b)) if a < 2 * b else ("B1", (a - b, b))
 
 
-# family -> (root pair, value there); every coprime pair reaches (2, 1)
+# family -> (root pair, value there); every coprime pair reaches (2, 1).
+# H's root is the sum side of the seed lemma, the shifted kernel sum at (2, 1)
 _ROOTS = {
     "F": ((1, 1), lambda L, M: qbin(L + M, M)),
     "I": ((1, 1), lambda L, M: qbin(L + M, M, base=2)),
-    "H": ((2, 1), lambda L, M: eval_H(2, 1, L, M)),
+    "H": ((2, 1), lambda L, M: bosonic_eval(spec_shifted(2, 1), L, M)),
 }
 
 _WALK_CACHE = {}
@@ -112,7 +114,8 @@ def tree_walk(a, b, family, L, M):
     reduction (a,b) -> (b,a-b) by B2 when a < 2b, else -> (a-b,b) by B1.
 
     The chain ends at the family's root: qbin(L+M, M) (F) or
-    qbin(L+M, M, base=2) (I) at (1,1), eval_H(2,1) (H) at (2,1). The walk
+    qbin(L+M, M, base=2) (I) at (1,1), the seed lemma's kernel sum
+    bosonic_eval(spec_shifted(2,1)) (H) at (2,1). The walk
     goes down once to collect the (l, m) each pair needs, stopping at values
     already in the cache, then climbs back with `transform_step`.
     """

@@ -22,7 +22,8 @@ n_e = m_{e-1} - m_e - m_{e+1} >= 0, so its last step is <= -m_{e+1} <= 0.
 Hence every step is <= 0 and every nonzero term has
 m_0 >= m_1 >= ... >= m_d >= 0. Family H moves nothing: it uses the
 representation with last quotient >= 2, so row d-1 is interior, and its
-n_{d-1} >= -1 is paid for by n_d >= 1 (the last step is then <= -1).
+n_{d-1} >= -1 is paid for by n_d >= 1 (the last step is then <= -1);
+its seed at (2, 1) has the factor [L - 1, m_1], nonzero only at m_1 < L.
 The limits drop the row of position a_0 + 1 (a_0 = 0 for a <= 2b), which
 only frees the step into that position; their first block is written in
 m_j = n_j + m_{j+1} with n_j >= 0, nonincreasing by construction, and
@@ -60,20 +61,23 @@ Sharing. Only positions 0 and 1 read L or M: position 1 holds m_0 = L
 and the head, position 0, the boundary binomial in M. This is the shape
 of the Burge transform, F(L, M) = sum_{m_1} [boundary binomial in M]
 times a sum at m_1 free of L and M. Every sum but the b = 1 large-L
-limit runs the kernel's rules with a per-call prefix in front
-(`_kernel_sum`): the head for F, f, H, I and the large-M limit, whose
-free positions are j >= 2, and the head and Pochhammer links for the
-other limits. For the large-L limit, whose chain telescopes at b = 1 and
-at a_0 <= 1 (see `eval_limit_L`), the free positions are j >= 2 there
-and j >= a_0 + 2 at the other pairs; at b = 1 the head [M, m_1] alone
-reads M, and [2M, M] (q)_M multiplies the total. For the double limit
-they are j >= a_0 + 2. A state there does not depend on the bound hi
+limit and the H seed at (2, 1) runs the kernel's rules with a per-call
+prefix in front (`_kernel_sum`): the head for F, f, H, I and the
+large-M limit, whose free positions are j >= 2, and the head and
+Pochhammer links for the other limits. For the large-L limit, whose
+chain telescopes at b = 1 and at a_0 <= 1 (see `eval_limit_L`), the free
+positions are j >= 2 there and j >= a_0 + 2 at the other pairs; at b = 1
+the head [M, m_1] alone reads M, and [2M, M] (q)_M multiplies the total.
+For the double limit they are j >= a_0 + 2. The H seed is a head in M
+and the rule [m_0 - 1, m_1] (see `eval_H`), so none of its levels is
+free. A state at a free position does not depend on the bound hi
 either, which only limits which states are built, so these levels are
 built once and kept in _LEVEL_CACHE. A rule is a function object built
 once: the cached `_rules` builds the kernel's per quotients and family (the
 pair and its representation enter them only through the quotients, so
-(a, b) and (a, a - b) share them), and the telescoped limits' are module
-functions. The prefix rules read L, M or T, so each call builds its own.
+(a, b) and (a, a - b) share them), and the telescoped limits' and the H
+seed's are module functions. The prefix rules read L, M or T, so each
+call builds its own.
 
 Every sum takes its free levels from the level memo, under one key: the
 rules at the free positions, the word width and the cut (None for an
@@ -97,7 +101,7 @@ from math import isqrt
 
 from .cf import cf_expand, check_pair
 from .qpoly import LaurentPoly, TruncatedSeries, pack, pack_width, unpack
-from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin, qsum
+from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin
 
 # packed factors by word width, then by factor key: see _packed
 _PACKED_CACHE = {}
@@ -316,6 +320,8 @@ _flat = _quadratic(0, 0, 0, 0)
 _square = _quadratic(1, 0, 0, 0)
 # [m_1 + m_2, 2 m_2]: level 2 of the large-L limit at a_0 = 1
 _telescoped = _binomial(1, 1, 0, 0, 2, 0, 1)
+# [m_0 - 1, m_1]: position 1 of the H seed at (2, 1)
+_seed = _binomial(1, 0, 0, -1, 1, 0, 1)
 
 
 @cache
@@ -385,11 +391,13 @@ def eval_f(a, b, L, M):
 
 
 def eval_H(a, b, L, M):
-    """Shifted-kernel family; (2,1) is the explicit seed sum."""
+    """Shifted-kernel family. At (2, 1), the root of the H tree, it is the
+    seed sum sum_m q^(m^2) [2L+M-m-1, 2L-1] [L-1, m] on two rules of its
+    own: the head [2L+M-m_1-1, 2L-1] at exponent 0, then [m_0-1, m_1] at
+    exponent m_1^2, with no free level."""
     if (a, b) == (2, 1):
-        return qsum((1, 0, 0), 1,
-                    ((n, 1, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
-                     for n in range(min(L, M) + 1)), lambda: "eval_H(2, 1)")
+        return _lattice_sum(L, [_binomial(0, 2, -1, M - 1, 2, -1, 1), _seed],
+                            [_flat, _square], 2)
     return _bounded("H", cf_expand(a, b), L, M)  # the shifted kernel is rep-sensitive
 
 

@@ -84,23 +84,20 @@ def _jtp_series(x, z, order):
 
 
 def product_series(x, y, z, order):
-    """(q^x, q^y, q^z; q^z)_inf / (q)_inf with y = z - x, cross-checked."""
+    """(q^x, q^y, q^z; q^z)_inf / (q)_inf with y = z - x, cross-checked: the
+    factor product is checked against the triple-product sum before the one
+    division by (q)_inf, which is one-to-one and keeps the lowest exponent
+    at which two series differ."""
     if y != z - x:
         raise ValueError("product_series expects y = z - x")
-    factors = []
-    for n in range(0, order // z + 1):
-        for e in (x + n * z, y + n * z, z + n * z):
-            if e <= order:
-                factors.append((e, 1))
-    factors.extend((e, -1) for e in range(1, order + 1))
-    via_factors = TruncatedSeries.from_factors(factors, order)
-    via_jtp = _jtp_series(x, z, order)
-    for e in range(1, order + 1):
-        via_jtp = via_jtp.div_one_minus(e)
-    d = first_series_difference(via_factors, via_jtp)
+    s = TruncatedSeries.from_factors([(e, 1) for n in range(order // z + 1)
+                                      for e in (x + n * z, y + n * z, z + n * z)], order)
+    d = first_series_difference(s, _jtp_series(x, z, order))
     if d is not None:
         raise AssertionError(f"product-side self-check failed at q^{d}")
-    return via_factors
+    for e in range(1, order + 1):
+        s = s.div_one_minus(e)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +611,9 @@ def _case_hookp(K, i, N, M, alpha, beta):
 
 
 def _s8_a2(n):
+    # [n + m2, 2 m1] vanishes once m1 > n, as m2 <= m1
     return _total(((n - m1) ** 2 + (m1 - m2) ** 2, qbin(n + m2, 2 * m1) * qbin(m1, m2))
-                  for m1 in range(0, 2 * n + 2) for m2 in range(0, m1 + 1))
+                  for m1 in range(0, n + 1) for m2 in range(0, m1 + 1))
 
 
 def _s8_triple(n, middle_sq):

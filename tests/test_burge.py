@@ -10,6 +10,7 @@ from qburge.qcombinat import NonIntegerExponentError, b_kernel, qbin
 from qburge.fermionic import eval_F, eval_f, eval_H, eval_I
 from qburge.burge import (BosonicSpec, bosonic_eval, spec_main, spec_recip,
                           spec_even, spec_shifted, transform_step, tree_walk)
+from qburge.verify import _sum_bnewp2
 
 
 def lp(d):
@@ -111,6 +112,15 @@ def test_tree_walk_edges():
     for (a, b) in ((4, 2), (2, 3), (1, 1)):
         with pytest.raises(ValueError):
             tree_walk(a, b, "F", 2, 2)
+
+
+def test_H_root_three_routes():
+    # at the root of the H tree, three independent routes: the walk's
+    # bosonic seed-lemma sum, the lattice engine's rules and the display
+    for L in range(13):
+        for M in range(13):
+            walk = tree_walk(2, 1, "H", L, M)
+            assert walk == eval_H(2, 1, L, M) == _sum_bnewp2(L, M), (L, M)
 
 
 def test_tree_walk_deep_chain():

@@ -9,7 +9,7 @@ import pytest
 
 from qburge import fermionic
 from qburge.qpoly import LaurentPoly, TruncatedSeries
-from qburge.qcombinat import g_poly, qbin, q_poch
+from qburge.qcombinat import g_poly, qbin, q_poch, qsum
 from qburge.cf import build_cartan, cf_expand, cf_toggle
 from qburge.fermionic import (_bounded, _factor, _flat, _kernel_sum,
                               _lattice_sum, _qkey, _rules, _square, eval_F,
@@ -67,6 +67,20 @@ def test_f21_against_explicit_sum():
                 t = qbin(2 * L + M - n, 2 * L) * qbin(L, n)
                 expect = expect + t.scale(L * n)
             assert eval_f(2, 1, L, M) == expect
+
+
+def seed_H21(L, M):
+    """The H seed at (2, 1) as a q-sum, sum_n q^(n^2) [2L+M-n-1, 2L-1]
+    [L-1, n]: the reference for its two lattice rules."""
+    return qsum((1, 0, 0), 1,
+                ((n, 1, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
+                 for n in range(min(L, M) + 1)), lambda: "the H seed")
+
+
+def test_H21_seed_against_qsum():
+    for L in range(-1, 16):
+        for M in range(-1, 16):
+            assert eval_H(2, 1, L, M) == seed_H21(L, M), (L, M)
 
 
 def test_representation_independence():
@@ -155,9 +169,8 @@ def all_lattice_values(pairs, top, orders):
             out += [eval_limit_M(fam, a, b, L) for fam in ("F", "f", "I")]
             out += [eval_limit_L("F", a, b, L), eval_limit_L("f", a, b, L)]
             for M in range(top + 1):
-                out += [fn(a, b, L, M) for fn in (eval_F, eval_f, eval_I)]
-                if a > 2:
-                    out.append(eval_H(a, b, L, M))
+                out += [fn(a, b, L, M)
+                        for fn in (eval_F, eval_f, eval_I, eval_H)]
         for T in orders:
             fams = ("F", "f", "I") if b > 1 else ("F", "I")
             out += [eval_limit_both(fam, a, b, T) for fam in fams]
@@ -234,9 +247,8 @@ def grid_calls(pairs, top):
     for L in range(top + 1):
         for M in range(top + 1):
             for a, b in pairs:
-                calls += [(fn, (a, b, L, M)) for fn in (eval_F, eval_f, eval_I)]
-                if a > 2:
-                    calls.append((eval_H, (a, b, L, M)))
+                calls += [(fn, (a, b, L, M))
+                          for fn in (eval_F, eval_f, eval_I, eval_H)]
         for a, b in pairs:
             calls += [(eval_limit_M, (fam, a, b, L)) for fam in ("F", "f", "I")]
             calls += [(eval_limit_L, (fam, a, b, L)) for fam in ("F", "f")]

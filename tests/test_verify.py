@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from qburge.qpoly import DegreeLimitError, LaurentPoly, TruncatedSeries
-from qburge import verify
+from qburge import qcombinat, verify
 from qburge.qcombinat import qbin, d_poly
 from qburge.verify import (CATALOGUE, CampaignBudget, IdentityCase, SUITES,
                            check_identity, partition_oracle, positivity_scan,
@@ -162,6 +162,17 @@ def test_product_series_grid():
         for x in range(1, z):
             for order in range(81):
                 product_series(x, z - x, z, order)
+
+
+def test_section8_inside_the_budget_check(monkeypatch):
+    # the budget check admits n_max when [2n, n] fits under the degree
+    # limit; every closing-display entry then runs without a wider binomial
+    for n in range(11):
+        monkeypatch.setattr(qcombinat, "QBIN_MAX_DEGREE", n * n)
+        for entry, (*_, rhs) in verify._SECTION8.items():
+            if rhs:
+                params = {"entry": entry, "n": n}
+                assert check_identity("section8", params).status == "pass", params
 
 
 def test_altsum_displays_over_their_support(monkeypatch):
