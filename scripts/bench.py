@@ -7,6 +7,11 @@ One after the other, each in its own interpreter, it runs:
 
 - perfbench/run.py on each of its workloads at seed S and its default run
   length, keeping the JSON result line each run prints last;
+- the host-speed probe: the median time of PROBE_RUNS runs of
+  perfbench's own probe kernel (`_probe_kernel` in perfbench/worker.py,
+  imported, not copied), in a fresh interpreter, taken once right before
+  the tier-1 run and once right after the scale rows, so the timings in
+  between can be read against the host's speed when they ran;
 - the tier-1 test suite (see ROADMAP.md), timing its wall clock;
 - scripts/bench_mul.py, keeping its timing rows in microseconds;
 - COLD_RUNS fresh interpreters that each time, inside themselves,
@@ -29,8 +34,9 @@ hold code, not blanks, comments or docstrings. To print the sizes alone:
 
     python3 -c 'from scripts.bench import src_sizes; print(src_sizes())'
 
-It reads and changes nothing under perfbench/; it only runs it. Compare two
-points only when they come from the same host and seed.
+It changes nothing under perfbench/: it runs it and imports its probe
+kernel. Compare two points only when they come from the same host and
+seed.
 """
 
 import argparse
@@ -88,6 +94,21 @@ finally:
 print(json.dumps({"wall_s": round(wall, 2), "maxrss_kb": kb,
                   "checks": len(reports),
                   "failed": sum(r["status"] != "pass" for r in reports)}))
+"""
+PROBE_RUNS = 200
+# run in a fresh interpreter: the median ns of PROBE_RUNS runs of
+# perfbench's probe kernel
+PROBE = f"""\
+import statistics, sys, time
+sys.dont_write_bytecode = True
+sys.path.insert(0, "perfbench")
+from worker import _probe_kernel
+took = []
+for _ in range({PROBE_RUNS}):
+    t0 = time.perf_counter_ns()
+    _probe_kernel()
+    took.append(time.perf_counter_ns() - t0)
+print(statistics.median(took))
 """
 # a bench_mul row: its label, then the time in microseconds
 ROW = re.compile(r"^(.*\S)\s+([0-9.]+) us$")
@@ -169,6 +190,12 @@ def scale(env):
     return rows
 
 
+def probe():
+    """The median ns of PROBE_RUNS runs of perfbench's probe kernel, in a
+    fresh interpreter."""
+    return float(run(["-c", PROBE]))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description="write BENCH_<n>.json")
     ap.add_argument("n", type=int, help="the number of the point")
@@ -183,6 +210,9 @@ def main(argv=None):
                    "--seed", str(args.seed)])
         perfbench[workload] = json.loads(out.strip().splitlines()[-1])
         print(workload, json.dumps(perfbench[workload]["metrics"]), flush=True)
+
+    probe_before = probe()
+    print("probe before tier-1", probe_before, flush=True)
 
     started = time.perf_counter()
     tests = run(TIER1, env)
@@ -201,6 +231,9 @@ def main(argv=None):
 
     rows_scale = scale(env)
 
+    probe_after = probe()
+    print("probe after scale", probe_after, flush=True)
+
     src_lines, src_code_lines = src_sizes()
 
     point = {
@@ -214,6 +247,8 @@ def main(argv=None):
         "bench_mul_us": rows,
         "cold_import": cold,
         "scale": rows_scale,
+        "probe": {"runs": PROBE_RUNS, "before_tier1_ns": probe_before,
+                  "after_scale_ns": probe_after},
         "src_lines": src_lines,
         "src_code_lines": src_code_lines,
     }

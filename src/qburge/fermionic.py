@@ -72,25 +72,33 @@ For the double limit they are j >= a_0 + 2. The H seed is a head in M
 and the rule [m_0 - 1, m_1] (see `eval_H`), so none of its levels is
 free. A state at a free position does not depend on the bound hi
 either, which only limits which states are built, so these levels are
-built once and kept in _LEVEL_CACHE. A rule is a function object built
-once: the cached `_rules` builds the kernel's per quotients and family (the
-pair and its representation enter them only through the quotients, so
-(a, b) and (a, a - b) share them), and the telescoped limits' and the H
-seed's are module functions. The prefix rules read L, M or T, so each
-call builds its own.
+built once and kept in _LEVEL_CACHE. A rule is a function object, and
+equal rules are one object: `_binomial` and `_quadratic` are cached, so
+equal parameters give the same rule whatever asked for it (the cached
+`_rules`, a module constant such as `_square`, or a prefix), and the
+telescoped limits' and the H seed's other rules are module functions.
+The prefix rules read L, M or T, so each call builds its own.
 
-Every sum takes its free levels from the level memo, under one key: the
-rules at the free positions, the word width and the cut (None for an
-uncut sum). A state packed at width w is exact, so each width has its
-own entry, and a cut sum's states are reduced below q^(T+1), so each cut
-has its own. Two sums share levels exactly when they run the same rules
-there at the same width and cut; a sum with no free level gets the start
-states (m_d, m_{d+1} = 0) of its key. A call that needs columns
-m_{first-1} <= hi beyond the entry's extends it, adding only the new
-columns, level by level from d down; then it runs the levels below the
-free ones and the head on the states with m_1 <= hi. Cut entries are kept
-like the others: like the other memos here, the level memo is not
-bounded.
+Every sum takes its free levels from the level memo, one entry per
+level. Level j's key is (phis[j], psis[j], key of level j+1), starting
+from (w, cut) below level d (cut None for an uncut sum), so it names the
+rules from j to d, the word width and the cut: a state packed at width w
+is exact, so each width has its own levels, and a cut sum's states are
+reduced below q^(T+1), so each cut has its own. Two sums share level j
+exactly when they run the same rules from j to d at the same width and
+cut. The kernel's rule at position j reads only the family and whether j
+ends a block, is d - 1 or is d, so sums keep sharing their tails: each
+Burge transform adds one summation at the head, so pairs along the Burge
+tree share the levels of their common tail ((8, 1) holds every free level
+of (7, 1), ..., (3, 1) and of (7, 3)), (a, b) and (a, a - b) have the same
+quotients and so share all of theirs, and the two representations of one
+pair share level d (a block end with tau_d = 1 in both). The b = 1
+large-L limits of F and f, at every depth, read one chain of
+[m_j, m_{j+1}] levels. A call that needs columns m_{j-1} <= hi beyond a
+level's entry extends it, adding only the new columns, level by level
+from d down; then it runs the levels below the free ones and the head on
+the states with m_1 <= hi. Cut entries are kept like the others: like
+the other memos here, the level memo is not bounded.
 """
 
 from __future__ import annotations
@@ -105,8 +113,8 @@ from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin
 
 # packed factors by word width, then by factor key: see _packed
 _PACKED_CACHE = {}
-# level states of the free positions by (their phis, their psis, word
-# width, cut): see _extend and the module docstring
+# the states of one free level by (its phi, its psi, key of the level after
+# it), down to (word width, cut): see _extend and the module docstring
 _LEVEL_CACHE = {}
 _ONE_KEY = (0, 0, 1)  # [n, 0] = 1
 # word width in bits of a lattice sum's first pass
@@ -162,9 +170,11 @@ def _lattice_sum(top, phis, psis, first, cut=None):
     term; position 0 is the head. With `cut`, the sum is truncated above
     q^cut, which is exact when every exponent is >= 0. The rules at
     positions j >= first read neither top nor any other value of the call:
-    those levels come from the level memo, keyed by the rule objects there,
-    the word width and the cut (see the module docstring); first =
-    len(phis) when no level is free.
+    each of those levels comes from the level memo, keyed by the rule
+    objects from it to d, the word width and the cut (see the module
+    docstring and `_extend`); first = len(phis) when no level is free.
+    Every stored level is whole, so a build that fails (an overflow)
+    leaves no partial column.
 
     The first pass uses w = _FIRST_WIDTH; a pass whose factor or total
     bound reaches 2^(w-1) restarts at the narrowest width that holds it
@@ -242,13 +252,8 @@ def _pass(top, phis, psis, first, cut, w):
                     col[c] = t if at is None else _add(at, t, w)
         return out
 
-    d = len(phis) - 1
-    first = min(first, d + 1)  # d + 1: no free level
-    key = tuple(phis[first:]), tuple(psis[first:]), w, cut
-    entry = _LEVEL_CACHE.get(key)
-    if entry is None or entry[0] < hi:
-        entry = _extend(key, d, first, hi, level)
-    below = entry[1][-1]
+    first = min(first, len(phis))  # len(phis) = d + 1: no free level
+    below = _extend(phis, psis, first, hi, w, cut, level)
     for j in range(first - 1, 1, -1):
         below = level(j, below, [], -1)
     # level 1 (m_0 = top), summed over m_2 before the head multiplies it
@@ -271,20 +276,26 @@ def _pass(top, phis, psis, first, cut, w):
     return total or (0, 0, 0)
 
 
-def _extend(key, d, first, hi, level):
-    """The level memo's entry `key` grown to the columns m_{first-1} <= hi:
-    (hi, states), the states of the start (m_d, m_{d+1} = 0) and of levels
-    d..first. Only the new columns are built, level by level from d down,
-    into copies of the entry's lists, which share its old columns (`level`
-    writes only columns m_{j-1} > old); the entry is stored once they are
-    all built, so a build that fails leaves the memo as it was."""
-    old, levels = _LEVEL_CACHE.get(key, (-1, ((),) * (d + 2 - first)))
-    levels = [list(states) for states in levels]
-    levels[0].extend({0: (0, 1, 1)} for _ in range(old, hi))
-    for i, j in enumerate(range(d, first - 1, -1), 1):
-        level(j, levels[i - 1], levels[i], old)
-    entry = _LEVEL_CACHE[key] = hi, levels
-    return entry
+def _extend(phis, psis, first, hi, w, cut, level):
+    """The states of level `first` on the columns m_{first-1} <= hi, from
+    the level memo: level j's key is (phis[j], psis[j], key of level j+1),
+    from (w, cut) below level d, so it names the rules from j to d, and its
+    entry is (hi, states) of that level alone. Walking j from d down, a
+    level with fewer columns than hi gets only its new ones, built from the
+    level below into a copy of its list, which shares its old columns
+    (`level` writes only columns m_{j-1} > old), and is stored once they
+    are all built: every stored level is whole, so a build that fails
+    leaves no partial column. Start states (m_d, m_{d+1} = 0) are built
+    per call; `level` only reads `below`, so they share one dict."""
+    below, key = [{0: (0, 1, 1)}] * (hi + 1), (w, cut)
+    for j in range(len(phis) - 1, first - 1, -1):
+        key = phis[j], psis[j], key
+        old, states = _LEVEL_CACHE.get(key, (-1, ()))
+        if old < hi:
+            states = level(j, below, list(states), old)
+            _LEVEL_CACHE[key] = hi, states
+        below = states
+    return below
 
 
 def _add(x, y, w):
@@ -293,14 +304,17 @@ def _add(x, y, w):
     return xlo, xv + (yv << (w * (ylo - xlo))), xl1 + yl1
 
 
+@cache
 def _binomial(x, y, z, s, t, r, base):
     """The phi rule of [x m_{j-1} + y m_j + z m_{j+1} + s, t m_j + r] in
-    q^base."""
+    q^base; cached, so equal parameters give one rule object."""
     return lambda p, c, n: _qkey(x * p + y * c + z * n + s, t * c + r, base)
 
 
+@cache
 def _quadratic(x2, x1, x0, e):
-    """The psi rule (x2 m_j + x1 m_{j+1} + x0) m_j + e."""
+    """The psi rule (x2 m_j + x1 m_{j+1} + x0) m_j + e; cached, so equal
+    parameters give one rule object."""
     return lambda x, y: (x2 * x + x1 * y + x0) * x + e
 
 

@@ -189,6 +189,8 @@ def partition_oracle(K, i, N, M, alpha, beta):
 
 # ---------------------------------------------------------------------------
 # explicit sum sides used as independent transcription oracles
+# each double sum runs its indices over its binomials' support alone, so none
+# of the terms it builds vanishes
 
 def _total(terms):
     """Sum of q^e p over the (e, p) pairs of terms; a zero p is skipped."""
@@ -206,13 +208,13 @@ def _sum_bnewp(L, M):
 
 def _sum_bnewp2(L, M):
     return _total((n * n, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
-                  for n in range(0, L + 1))
+                  for n in range(0, min(L - 1, M) + 1))
 
 
 def _sum_comp(L, M, shift=0):
     # shift=0: right side of the n(n+1) companion; shift=1: its +1 variant
     return _total((n * (n + 1), qbin(2 * L + M - n + shift, 2 * L + 1) * qbin(L, n))
-                  for n in range(0, L + 1))
+                  for n in range(0, min(L, M + shift - 1) + 1))
 
 
 def _qbin_altsum(L, M, term):
@@ -252,7 +254,7 @@ def _lhs_rr1(L):
 def _rhs_rr1(L):
     return _total((n * n + i * (L + n),
                    qbin(2 * L - 2 * i - n, n) * qbin(L - i - n, i))
-                  for n in range(0, L + 1) for i in range(0, L - n + 1))
+                  for i in range(0, L // 2 + 1) for n in range(0, L - 2 * i + 1))
 
 
 def _lhs_rr2(L):
@@ -262,7 +264,7 @@ def _lhs_rr2(L):
 def _rhs_rr2(L):
     return _total((n * (n + 1) + i * (L + n + 1),
                    qbin(2 * L - 2 * i - n - 1, n) * qbin(L - i - n - 1, i))
-                  for n in range(0, L + 1) for i in range(0, L + 1))
+                  for i in range(0, L // 2 + 1) for n in range(0, L - 2 * i))
 
 
 def _rhs_f31_display(L, M):
@@ -270,14 +272,15 @@ def _rhs_f31_display(L, M):
     return _total((n * n + i * (L + n),
                    qbin(2 * L + M - n - i, 2 * L) * qbin(2 * L - 2 * i - n, n)
                    * qbin(L - i - n, i))
-                  for n in range(0, L + 1) for i in range(0, L - n + 1))
+                  for i in range(0, min(L // 2, M) + 1)
+                  for n in range(0, min(L - 2 * i, M - i) + 1))
 
 
 def _rhs_ab32_display(L, M):
     return _total((i * i + n * n,
                    qbin(2 * L + M - i, 2 * L) * qbin(L + i - n - 1, 2 * i - 1)
                    * qbin(i - 1, n))
-                  for i in range(0, min(L, M) + 1) for n in range(0, i + 1))
+                  for i in range(1, min(L, M) + 1) for n in range(0, min(i - 1, L - i) + 1))
 
 
 def _lhs_ab32(L, M):
@@ -296,7 +299,8 @@ def _rhs_rr2inv_display(L, M):
     return _total(((L - m1) ** 2 + (m1 - m2 - 1) ** 2,
                    qbin(L + M + m1, 2 * L) * qbin(L + m2, 2 * m1 - 1)
                    * qbin(m1 - 1, m2))
-                  for m1 in range(0, L + 1) for m2 in range(0, m1 + 1))
+                  for m1 in range(max(1, L - M), L + 1)
+                  for m2 in range(max(0, 2 * m1 - 1 - L), m1))
 
 
 def _lhs_isolated(L):

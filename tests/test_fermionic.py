@@ -204,10 +204,22 @@ def test_signed_cut_matches_list_reference():
                 assert _lattice_sum(*args) == on_lists(*args), (d, top, T)
 
 
+def level_chains(memo):
+    """The level memo's keys by the (width, cut) their chain starts from:
+    a key is (phi, psi, key of the level below), down to (width, cut)."""
+    chains = {}
+    for key in memo:
+        base = key
+        while len(base) == 3:
+            base = base[2]
+        chains.setdefault(base, set()).add(key)
+    return chains
+
+
 def test_cut_levels_keyed_by_cut(monkeypatch):
-    # the free levels of a cut sum are reduced below q^(cut+1), so one set
-    # of rules at two cuts keeps two entries: either order gives the sums
-    # that each cut gives alone (these levels have exponents past q^2)
+    # the free levels of a cut sum are reduced below q^(cut+1), so one rule
+    # list at two cuts gives two disjoint chains: either order gives the
+    # sums that each cut gives alone (these levels have exponents past q^2)
     phis = [fermionic._multinomial] * 4
     psis = [_flat] + [lambda x, y: 3 * x] * 3
     expect = {T: on_lists(3, phis, psis, 2, T) for T in (2, 30)}
@@ -215,7 +227,10 @@ def test_cut_levels_keyed_by_cut(monkeypatch):
         monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
         for T in order:
             assert _lattice_sum(3, phis, psis, 2, T) == expect[T], (order, T)
-    assert len(fermionic._LEVEL_CACHE) == 2
+        chains = level_chains(fermionic._LEVEL_CACHE)
+        # levels 3 and 2 at each cut, none shared
+        assert {cut for _, cut in chains} == {2, 30}
+        assert [len(keys) for keys in chains.values()] == [2, 2]
 
 
 def test_wide_words():
@@ -326,22 +341,34 @@ def test_shared_levels_in_any_order(monkeypatch):
             assert fn(*args) == expect[i], (fn.__name__, args)
 
 
-def test_shared_levels_built_once(monkeypatch):
-    # largest sizes first, the builder runs once per key and width; in any
-    # order, each of its runs builds only the columns past the last one
-    calls = grid_calls(coprime_pairs(8), 6)
+def counting_extend(monkeypatch, runs, columns):
+    """Make `_extend` count, per level key, the builds of that level and
+    the columns each build adds (its hi minus the entry's old hi)."""
     extend = fermionic._extend
+
+    def counting(phis, psis, first, hi, w, cut, level):
+        def counted(j, below, out, old):
+            key = w, cut
+            for i in range(len(phis) - 1, j - 1, -1):
+                key = phis[i], psis[i], key
+            runs[key] += 1
+            columns[key] += hi - old
+            return level(j, below, out, old)
+        return extend(phis, psis, first, hi, w, cut, counted)
+
+    monkeypatch.setattr(fermionic, "_extend", counting)
+
+
+def test_shared_levels_built_once(monkeypatch):
+    # largest sizes first, each level is built once; in any order, each
+    # build adds only the columns past the level's stored hi, so every
+    # column of the memo is built exactly once
+    calls = grid_calls(coprime_pairs(8), 6)
 
     def builds(order):
         monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
         runs, columns = Counter(), Counter()
-
-        def counting(key, d, first, hi, level):
-            runs[key] += 1
-            columns[key] += hi - fermionic._LEVEL_CACHE.get(key, [-1])[0]
-            return extend(key, d, first, hi, level)
-
-        monkeypatch.setattr(fermionic, "_extend", counting)
+        counting_extend(monkeypatch, runs, columns)
         for fn, args in order:
             fn(*args)
         memo = fermionic._LEVEL_CACHE
@@ -354,28 +381,82 @@ def test_shared_levels_built_once(monkeypatch):
 
 def test_shared_levels_keyed_by_rules(monkeypatch):
     # the level memo is keyed by the rule objects at the free positions:
-    # (7, 2) and (7, 5) have the same quotients, so the same rules and one
-    # entry; an equal tuple built afresh gets the same objects
+    # (7, 2) and (7, 5) have the same quotients, so the same rules and the
+    # same levels; an equal tuple built afresh gets the same objects
     rules = _rules(cf_expand(7, 2).quotients, "F")
     assert _rules(cf_expand(7, 5).quotients, "F") is rules
     fresh = tuple([2] * 2)
     assert fresh == cf_expand(7, 2).quotients and fresh is not cf_expand(7, 2).quotients
     assert _rules(fresh, "F") is rules
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+    memo = fermionic._LEVEL_CACHE
     eval_F(7, 2, 4, 4)
+    entries = {key: hi for key, (hi, _) in memo.items()}
+    assert len(entries) == 3  # levels 2..4
     eval_F(7, 5, 4, 4)
-    assert len(fermionic._LEVEL_CACHE) == 1
-    # a rule rebuilt per call would give each call states of its own: a
-    # second pass over the grid must add no entry and build no column
+    assert {key: hi for key, (hi, _) in memo.items()} == entries
+    # a rule rebuilt per call would give each call levels of its own: a
+    # second pass over the grid must add no entry, grow none and build no
+    # column
     calls = grid_calls(coprime_pairs(8), 6)
     for fn, args in calls:
         fn(*args)
-    memo = fermionic._LEVEL_CACHE
     entries = {key: hi for key, (hi, _) in memo.items()}
-    monkeypatch.setattr(fermionic, "_extend", lambda *args: 1 / 0)
+    runs, columns = Counter(), Counter()
+    counting_extend(monkeypatch, runs, columns)
     for fn, args in calls:
         fn(*args)
     assert {key: hi for key, (hi, _) in memo.items()} == entries
+    assert not runs
+
+
+def test_levels_shared_along_the_burge_tree(monkeypatch):
+    # each Burge transform adds a summation at the head, so pairs along
+    # the tree run the same rules from some position to d: level j of a
+    # sum is keyed by its rules from j to d, and (8, 1) builds every free
+    # level that the smaller pairs below it and the large-M limits need
+    monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+    memo = fermionic._LEVEL_CACHE
+    eval_F(8, 1, 6, 6)
+    entries = {key: hi for key, (hi, _) in memo.items()}
+    assert len(entries) == 6  # levels 2..7 of (8, 1)
+    for a, b in ((7, 1), (6, 1), (5, 1), (4, 1), (3, 1), (8, 7), (5, 4),
+                 (5, 2), (7, 3), (7, 4)):
+        eval_F(a, b, 6, 6)
+        assert {key: hi for key, (hi, _) in memo.items()} == entries, (a, b)
+    for a in range(2, 8):
+        eval_limit_M("F", a, 1, 6)
+        assert {key: hi for key, (hi, _) in memo.items()} == entries, a
+    # every free level of family F at a <= 8 is one entry: 7 of them, where
+    # one entry per quotients held 32 levels
+    for a, b in coprime_pairs(8):
+        eval_F(a, b, 6, 6)
+    assert len(memo) == 7
+
+
+def test_limit_L_b1_levels_one_chain(monkeypatch):
+    # the b = 1 large-L limits of F and f run [m_j, m_{j+1}] at every free
+    # position, so every depth reads one chain of levels: one base, and
+    # each level below exactly one other
+    monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+    for a in range(2, 9):
+        for fam in ("F", "f"):
+            for M in range(7):
+                eval_limit_L(fam, a, 1, M)
+    memo = fermionic._LEVEL_CACHE
+    assert len(level_chains(memo)) == 1
+    tails = [key[2] for key in memo]
+    assert len(set(tails)) == len(memo) == 6  # levels 2..7 of (8, 1)
+    assert all(len(tail) == 2 or tail in memo for tail in tails)
+
+
+def test_rules_interned():
+    # equal rule parameters give one rule object, so the kernel's rules at
+    # the tail of (7, 3) are those of (4, 1), whatever the quotients
+    long, short = _rules((1, 3), "F"), _rules((3,), "F")
+    for rules_long, rules_short in zip(long, short):
+        assert all(x is y for x, y in zip(rules_long[2:5], rules_short[1:4]))
+    assert short[1][3] is fermionic._square
 
 
 def box_terms(a, b, L, family, margin=2):

@@ -198,6 +198,57 @@ def test_altsum_displays_over_their_support(monkeypatch):
         assert fn(*args) == value, (fn.__name__, args)
 
 
+def full_range(terms):
+    """Sum of q^e p over (e, p), zero terms and all."""
+    tot = LaurentPoly.zero()
+    for e, p in terms:
+        tot = tot + p.scale(e)
+    return tot
+
+
+# the explicit double sums written out over the full box, past their
+# binomials' support: each display's own ranges must keep every nonzero term
+FULL_RANGE = [
+    (verify._sum_bnewp2, lambda L, M: full_range(
+        (n * n, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
+        for n in range(0, L + 1))),
+    (verify._sum_comp, lambda L, M: full_range(
+        (n * (n + 1), qbin(2 * L + M - n, 2 * L + 1) * qbin(L, n))
+        for n in range(0, L + 1))),
+    (lambda L, M: verify._sum_comp(L, M, 1), lambda L, M: full_range(
+        (n * (n + 1), qbin(2 * L + M - n + 1, 2 * L + 1) * qbin(L, n))
+        for n in range(0, L + 1))),
+    (lambda L, M: verify._rhs_rr1(L), lambda L, M: full_range(
+        (n * n + i * (L + n), qbin(2 * L - 2 * i - n, n) * qbin(L - i - n, i))
+        for n in range(0, L + 1) for i in range(0, L + 1))),
+    (lambda L, M: verify._rhs_rr2(L), lambda L, M: full_range(
+        (n * (n + 1) + i * (L + n + 1),
+         qbin(2 * L - 2 * i - n - 1, n) * qbin(L - i - n - 1, i))
+        for n in range(0, L + 1) for i in range(0, L + 1))),
+    (verify._rhs_f31_display, lambda L, M: full_range(
+        (n * n + i * (L + n), qbin(2 * L + M - n - i, 2 * L)
+         * qbin(2 * L - 2 * i - n, n) * qbin(L - i - n, i))
+        for n in range(0, L + 1) for i in range(0, L + 1))),
+    (verify._rhs_ab32_display, lambda L, M: full_range(
+        (i * i + n * n, qbin(2 * L + M - i, 2 * L) * qbin(L + i - n - 1, 2 * i - 1)
+         * qbin(i - 1, n))
+        for i in range(0, L + 1) for n in range(0, L + 1))),
+    (verify._rhs_rr2inv_display, lambda L, M: full_range(
+        ((L - m1) ** 2 + (m1 - m2 - 1) ** 2,
+         qbin(L + M + m1, 2 * L) * qbin(L + m2, 2 * m1 - 1) * qbin(m1 - 1, m2))
+        for m1 in range(0, L + 1) for m2 in range(0, L + 1))),
+]
+
+
+def test_double_sum_displays_over_their_support():
+    # each double sum loops over its binomials' support; over the full box
+    # it gives the same polynomial
+    for display, full in FULL_RANGE:
+        for L in range(-1, 13):
+            for M in range(-1, 13):
+                assert display(L, M) == full(L, M), (display, L, M)
+
+
 def test_positivity_scan():
     ok = positivity_scan(lp({0: 1, 1: 2, 2: 1}), "c", {"x": 1})
     assert ok.nonneg and ok.first_negative is None
