@@ -216,6 +216,11 @@ def level_chains(memo):
     return chains
 
 
+def level_his():
+    """The stored hi of each level-memo entry, by key."""
+    return {key: hi for key, (hi, _) in fermionic._LEVEL_CACHE.items()}
+
+
 def test_cut_levels_keyed_by_cut(monkeypatch):
     # the free levels of a cut sum are reduced below q^(cut+1), so one rule
     # list at two cuts gives two disjoint chains: either order gives the
@@ -389,24 +394,23 @@ def test_shared_levels_keyed_by_rules(monkeypatch):
     assert fresh == cf_expand(7, 2).quotients and fresh is not cf_expand(7, 2).quotients
     assert _rules(fresh, "F") is rules
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
-    memo = fermionic._LEVEL_CACHE
     eval_F(7, 2, 4, 4)
-    entries = {key: hi for key, (hi, _) in memo.items()}
+    entries = level_his()
     assert len(entries) == 3  # levels 2..4
     eval_F(7, 5, 4, 4)
-    assert {key: hi for key, (hi, _) in memo.items()} == entries
+    assert level_his() == entries
     # a rule rebuilt per call would give each call levels of its own: a
     # second pass over the grid must add no entry, grow none and build no
     # column
     calls = grid_calls(coprime_pairs(8), 6)
     for fn, args in calls:
         fn(*args)
-    entries = {key: hi for key, (hi, _) in memo.items()}
+    entries = level_his()
     runs, columns = Counter(), Counter()
     counting_extend(monkeypatch, runs, columns)
     for fn, args in calls:
         fn(*args)
-    assert {key: hi for key, (hi, _) in memo.items()} == entries
+    assert level_his() == entries
     assert not runs
 
 
@@ -416,22 +420,21 @@ def test_levels_shared_along_the_burge_tree(monkeypatch):
     # sum is keyed by its rules from j to d, and (8, 1) builds every free
     # level that the smaller pairs below it and the large-M limits need
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
-    memo = fermionic._LEVEL_CACHE
     eval_F(8, 1, 6, 6)
-    entries = {key: hi for key, (hi, _) in memo.items()}
+    entries = level_his()
     assert len(entries) == 6  # levels 2..7 of (8, 1)
     for a, b in ((7, 1), (6, 1), (5, 1), (4, 1), (3, 1), (8, 7), (5, 4),
                  (5, 2), (7, 3), (7, 4)):
         eval_F(a, b, 6, 6)
-        assert {key: hi for key, (hi, _) in memo.items()} == entries, (a, b)
+        assert level_his() == entries, (a, b)
     for a in range(2, 8):
         eval_limit_M("F", a, 1, 6)
-        assert {key: hi for key, (hi, _) in memo.items()} == entries, a
+        assert level_his() == entries, a
     # every free level of family F at a <= 8 is one entry: 7 of them, where
     # one entry per quotients held 32 levels
     for a, b in coprime_pairs(8):
         eval_F(a, b, 6, 6)
-    assert len(memo) == 7
+    assert len(level_his()) == 7
 
 
 def test_limit_L_b1_levels_one_chain(monkeypatch):
