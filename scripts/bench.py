@@ -9,9 +9,10 @@ One after the other, each in its own interpreter, it runs:
   length, keeping the JSON result line each run prints last;
 - the host-speed probe: the median time of PROBE_RUNS runs of
   perfbench's own probe kernel (`_probe_kernel` in perfbench/worker.py,
-  imported, not copied), in a fresh interpreter, taken once right before
-  the tier-1 run and once right after the scale rows, so the timings in
-  between can be read against the host's speed when they ran;
+  imported, not copied), in a fresh interpreter, taken right before the
+  tier-1 run, right before and right after each scale row, and once
+  after the last, so the timings in between can be read against the
+  host's speed when they ran;
 - the tier-1 test suite (see ROADMAP.md), timing its wall clock;
 - scripts/bench_mul.py, keeping its timing rows in microseconds;
 - COLD_RUNS fresh interpreters that each time, inside themselves,
@@ -22,7 +23,11 @@ One after the other, each in its own interpreter, it runs:
   interpreter that reports its own wall time, its own peak ru_maxrss
   (RUSAGE_SELF: RUSAGE_CHILDREN would keep the largest of every earlier
   child, the perfbench runs among them) and the checks and failed checks
-  of its JSON report. To run them alone:
+  of its JSON report. Next to the raw wall time each row gets the probes
+  taken right before and after it and its wall time scaled to perfbench's
+  reference host, wall_s x PROBE_REF_NS / (the mean of the two probes),
+  as perfbench scales its own times; scaled rows of two points compare
+  where raw ones do not. To run them alone:
 
     python3 -c 'from scripts.bench import scale, src_env; print(scale(src_env()))'
 
@@ -70,6 +75,8 @@ print(ms, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss)
 # the call overhead, set the time
 SCALE = ("--suite thmmain --a-max 8 --lm-max 16",
          "--suite thmmain --a-max 8 --lm-max 20",
+         "--suite thmmain2 --a-max 8 --lm-max 20",
+         "--suite even --a-max 8 --lm-max 20",
          "--suite hookp --lm-max 10")
 # run in a fresh interpreter on `verify` and a scale row's argv: the wall
 # time in s and peak ru_maxrss in KB of the whole run, from before the
@@ -97,18 +104,18 @@ print(json.dumps({"wall_s": round(wall, 2), "maxrss_kb": kb,
 """
 PROBE_RUNS = 200
 # run in a fresh interpreter: the median ns of PROBE_RUNS runs of
-# perfbench's probe kernel
+# perfbench's probe kernel, and perfbench's reference probe time
 PROBE = f"""\
 import statistics, sys, time
 sys.dont_write_bytecode = True
 sys.path.insert(0, "perfbench")
-from worker import _probe_kernel
+from worker import PROBE_REF_NS, _probe_kernel
 took = []
 for _ in range({PROBE_RUNS}):
     t0 = time.perf_counter_ns()
     _probe_kernel()
     took.append(time.perf_counter_ns() - t0)
-print(statistics.median(took))
+print(statistics.median(took), PROBE_REF_NS)
 """
 # a bench_mul row: its label, then the time in microseconds
 ROW = re.compile(r"^(.*\S)\s+([0-9.]+) us$")
@@ -181,19 +188,25 @@ def src_env():
 
 def scale(env):
     """The scale rows, each run once in its own interpreter under env, by
-    argv."""
+    argv, each with the probes right before and after it and its wall time
+    scaled by them to perfbench's reference host."""
     rows = {}
     for argv in SCALE:
+        before, ref = probe()
         out = run(["-c", SCALE_RUN, "verify", *argv.split()], env)
-        rows[argv] = json.loads(out.strip().splitlines()[-1])
-        print("scale", argv, rows[argv], flush=True)
+        after, _ = probe()
+        row = rows[argv] = json.loads(out.strip().splitlines()[-1])
+        row["probe_ns"] = [before, after]
+        row["wall_s_scaled"] = round(row["wall_s"] * ref * 2 / (before + after), 2)
+        print("scale", argv, row, flush=True)
     return rows
 
 
 def probe():
-    """The median ns of PROBE_RUNS runs of perfbench's probe kernel, in a
-    fresh interpreter."""
-    return float(run(["-c", PROBE]))
+    """(median ns of PROBE_RUNS runs of perfbench's probe kernel, in a
+    fresh interpreter; perfbench's reference probe time PROBE_REF_NS)."""
+    median, ref = run(["-c", PROBE]).split()
+    return float(median), int(ref)
 
 
 def main(argv=None):
@@ -211,7 +224,7 @@ def main(argv=None):
         perfbench[workload] = json.loads(out.strip().splitlines()[-1])
         print(workload, json.dumps(perfbench[workload]["metrics"]), flush=True)
 
-    probe_before = probe()
+    probe_before, probe_ref = probe()
     print("probe before tier-1", probe_before, flush=True)
 
     started = time.perf_counter()
@@ -231,7 +244,7 @@ def main(argv=None):
 
     rows_scale = scale(env)
 
-    probe_after = probe()
+    probe_after, _ = probe()
     print("probe after scale", probe_after, flush=True)
 
     src_lines, src_code_lines = src_sizes()
@@ -247,8 +260,8 @@ def main(argv=None):
         "bench_mul_us": rows,
         "cold_import": cold,
         "scale": rows_scale,
-        "probe": {"runs": PROBE_RUNS, "before_tier1_ns": probe_before,
-                  "after_scale_ns": probe_after},
+        "probe": {"runs": PROBE_RUNS, "ref_ns": probe_ref,
+                  "before_tier1_ns": probe_before, "after_scale_ns": probe_after},
         "src_lines": src_lines,
         "src_code_lines": src_code_lines,
     }

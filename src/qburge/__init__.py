@@ -7,7 +7,7 @@ from .qpoly import LaurentPoly, TruncatedSeries
 from .qcombinat import qbin, q_poch, b_kernel, g_poly, d_poly, borwein_split
 from .cf import cf_expand, cf_toggle, build_cartan, bar_pair
 from .fermionic import eval_F, eval_f, eval_H, eval_I, eval_limit_M, eval_limit_L, eval_limit_both
-from .burge import bosonic_eval, transform_step, tree_walk
+from .burge import bosonic_eval, tree_walk
 
 __all__ = [
     "LaurentPoly",
@@ -30,6 +30,5 @@ __all__ = [
     "eval_limit_L",
     "eval_limit_both",
     "bosonic_eval",
-    "transform_step",
     "tree_walk",
 ]

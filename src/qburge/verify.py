@@ -189,8 +189,9 @@ def partition_oracle(K, i, N, M, alpha, beta):
 
 # ---------------------------------------------------------------------------
 # explicit sum sides used as independent transcription oracles
-# each double sum runs its indices over its binomials' support alone, so none
-# of the terms it builds vanishes
+# each sum runs its indices over its binomials' support alone (the alternating
+# ones through the j range they pass to _qbin_altsum), so none of the terms it
+# builds vanishes
 
 def _total(terms):
     """Sum of q^e p over the (e, p) pairs of terms; a zero p is skipped."""
@@ -217,38 +218,42 @@ def _sum_comp(L, M, shift=0):
                   for n in range(0, min(L, M + shift - 1) + 1))
 
 
-def _qbin_altsum(L, M, term):
-    """Sum over |j| <= min(L, M) of (-1)^j q^e p, where term(j) = (e, p).
+def _qbin_altsum(lo, hi, term):
+    """Sum over lo <= j <= hi of (-1)^j q^e p, where term(j) = (e, p).
 
-    That is each display's support: every p below holds a binomial that
-    vanishes beyond it (for the two kernel displays, b_kernel(L, M, a, b),
-    which vanishes unless |a| <= L and |b| <= M), and the window is empty,
+    Each display passes its own support: the j at which every binomial of
+    its p can be nonzero ([n, k] needs 0 <= k <= n; the kernel
+    b_kernel(L, M, a, b) needs |a| <= L and |b| <= M). The range is empty,
     as is the sum, when L or M is negative."""
-    return _total((e, -p if j % 2 else p)
-                  for j in range(-min(L, M), min(L, M) + 1) for e, p in [term(j)])
+    return _total((e, -p if j % 2 else p) for j in range(lo, hi + 1) for e, p in [term(j)])
 
 
 def _lhs_comp(L, M):
     # j(5j+3) is even for every j (5j+3 is even when j is odd)
-    return _qbin_altsum(L, M, lambda j: (
+    # -(L+1)/2 <= j <= M-1 and -M <= j <= L/2
+    return _qbin_altsum(max(-M, -((L + 1) // 2)), min(M - 1, L // 2), lambda j: (
         j * (5 * j + 3) // 2,
         qbin(L + M + j, M - j - 1) * qbin(L + M - j, M + j)))
 
 
 def _lhs_comp2(L, M):
-    return _qbin_altsum(L, M, lambda j: (
+    # -(L+1)/2 <= j <= M and -M <= j <= L/2
+    return _qbin_altsum(max(-M, -((L + 1) // 2)), min(M, L // 2), lambda j: (
         j * (5 * j + 3) // 2,
         qbin(L + M + j + 1, M - j) * qbin(L + M - j, M + j)))
 
 
 def _lhs_brep(L, M):
-    return _qbin_altsum(L, M, lambda j: (
+    # -L/2 <= j <= M and -M <= j <= (L-1)/2
+    return _qbin_altsum(max(-M, -(L // 2)), min(M, (L - 1) // 2), lambda j: (
         j * (5 * j + 1) // 2,
         qbin(L + M + j, M - j) * qbin(L + M - j - 1, M + j)))
 
 
 def _lhs_rr1(L):
-    return _qbin_altsum(L, L, lambda j: (j * (5 * j + 1) // 2, qbin(2 * L, L - 3 * j)))
+    # |3j| <= L
+    return _qbin_altsum(-(L // 3), L // 3, lambda j: (
+        j * (5 * j + 1) // 2, qbin(2 * L, L - 3 * j)))
 
 
 def _rhs_rr1(L):
@@ -258,7 +263,9 @@ def _rhs_rr1(L):
 
 
 def _lhs_rr2(L):
-    return _qbin_altsum(L, L, lambda j: (j * (5 * j + 3) // 2, qbin(2 * L, L - 3 * j - 1)))
+    # -(L+1) <= 3j <= L-1
+    return _qbin_altsum(-((L + 1) // 3), (L - 1) // 3, lambda j: (
+        j * (5 * j + 3) // 2, qbin(2 * L, L - 3 * j - 1)))
 
 
 def _rhs_rr2(L):
@@ -284,13 +291,16 @@ def _rhs_ab32_display(L, M):
 
 
 def _lhs_ab32(L, M):
-    return _qbin_altsum(L, M, lambda j: (
+    # |3j+1| <= L and |2j+1| <= M
+    return _qbin_altsum(max(-((L + 1) // 3), -((M + 1) // 2)),
+                        min((L - 1) // 3, (M - 1) // 2), lambda j: (
         j * (13 * j + 9) // 2 + 1,
         b_kernel(L, M, 3 * j + 1, 2 * j + 1)))
 
 
 def _lhs_rr2inv(L, M):
-    return _qbin_altsum(L, M, lambda j: (
+    # |3j+1| <= L and |j| <= M
+    return _qbin_altsum(max(-((L + 1) // 3), -M), min((L - 1) // 3, M), lambda j: (
         j * (7 * j + 1) // 2,
         b_kernel(L, M, 3 * j + 1, j)))
 
@@ -304,7 +314,9 @@ def _rhs_rr2inv_display(L, M):
 
 
 def _lhs_isolated(L):
-    return _qbin_altsum(L, L, lambda j: (j * (5 * j + 3) // 2, qbin(2 * L + 1, L - 2 * j)))
+    # -(L+1) <= 2j <= L
+    return _qbin_altsum(-((L + 1) // 2), L // 2, lambda j: (
+        j * (5 * j + 3) // 2, qbin(2 * L + 1, L - 2 * j)))
 
 
 def _rhs_isolated(L):
@@ -615,9 +627,9 @@ def _case_hookp(K, i, N, M, alpha, beta):
 
 
 def _s8_a2(n):
-    # [n + m2, 2 m1] vanishes once m1 > n, as m2 <= m1
+    # [n + m2, 2 m1] needs 2 m1 <= n + m2, so m2 >= 2 m1 - n and m1 <= n
     return _total(((n - m1) ** 2 + (m1 - m2) ** 2, qbin(n + m2, 2 * m1) * qbin(m1, m2))
-                  for m1 in range(0, n + 1) for m2 in range(0, m1 + 1))
+                  for m1 in range(0, n + 1) for m2 in range(max(0, 2 * m1 - n), m1 + 1))
 
 
 def _s8_triple(n, middle_sq):

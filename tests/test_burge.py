@@ -2,14 +2,16 @@
 
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 
-from qburge.qpoly import LaurentPoly
-from qburge.qcombinat import NonIntegerExponentError, b_kernel, qbin
+from qburge import burge
+from qburge.qpoly import DegreeLimitError, LaurentPoly
+from qburge.qcombinat import NonIntegerExponentError, b_kernel, qbin, qsum
 from qburge.fermionic import eval_F, eval_f, eval_H, eval_I
 from qburge.burge import (BosonicSpec, bosonic_eval, spec_main, spec_recip,
-                          spec_even, spec_shifted, transform_step, tree_walk)
+                          spec_even, spec_shifted, tree_walk)
 from qburge.verify import _sum_bnewp2
 
 
@@ -20,6 +22,62 @@ def lp(d):
 def coprime_pairs(a_max, a_min=2):
     return [(a, b) for a in range(a_min, a_max + 1)
             for b in range(1, a) if gcd(a, b) == 1]
+
+
+def transform_step(direction, inner, L, M):
+    """One summation transform, point by point: the reference for the rows.
+
+    direction "B1": sum_i q^(i^2) [2L+M-i, 2L] inner(L-i, i)
+    direction "B2": sum_i q^(i^2) [2L+M-i, 2L] inner(i, L-i)
+    """
+    vals = (inner(l, m) for l, m in inner_args(direction, L, M))
+    return qsum((1, 0, 0), 1, ((i, 1, qbin(2 * L + M - i, 2 * L) * v)
+                               for i, v in enumerate(vals) if not v.is_zero()),
+                lambda: f"transform_step {direction}")
+
+
+def inner_args(direction, L, M):
+    """The (l, m) at which `transform_step` reads inner, term i at index i."""
+    if direction not in ("B1", "B2"):
+        raise ValueError("direction must be 'B1' or 'B2'")
+    return [(L - i, i) if direction == "B1" else (i, L - i)
+            for i in range(min(L, M) + 1)]
+
+
+# family -> (root pair, value there), as in the row walk
+POINT_ROOTS = {
+    "F": ((1, 1), lambda L, M: qbin(L + M, M)),
+    "I": ((1, 1), lambda L, M: qbin(L + M, M, base=2)),
+    "H": ((2, 1), lambda L, M: bosonic_eval(spec_shifted(2, 1), L, M)),
+}
+
+
+def point_walk(a, b, family, L, M, cache):
+    """`tree_walk` point by point, one `transform_step` per point, with its
+    values in `cache` by (a, b, family, L, M): the reference for the rows."""
+    if L < 0 or M < 0:
+        return LaurentPoly.zero()
+    root, value = POINT_ROOTS[family]
+    chain, pair, need = [], (a, b), {(L, M)}
+    while True:
+        need = {lm for lm in need if (*pair, family, *lm) not in cache}
+        if not need:
+            break
+        chain.append((pair, need))
+        if pair == root:
+            break
+        direction, pair = burge._below(*pair)
+        need = {lm for l, m in need for lm in inner_args(direction, l, m)}
+    for pair, need in reversed(chain):
+        if pair == root:
+            for l, m in need:
+                cache[(*pair, family, l, m)] = value(l, m)
+            continue
+        direction, (x, y) = burge._below(*pair)
+        inner = lambda l, m: cache[(x, y, family, l, m)]
+        for l, m in need:
+            cache[(*pair, family, l, m)] = transform_step(direction, inner, l, m)
+    return cache[(a, b, family, L, M)]
 
 
 def condition_check(L, M, a, b):
@@ -132,3 +190,50 @@ def test_even_root_is_base_two_binomial():
     for L in range(0, 9):
         for M in range(0, 9):
             assert bosonic_eval(spec_even(1, 1), L, M) == qbin(L + M, M, 2)
+
+
+def test_row_walk_matches_point_walk():
+    # F, I and H over coprime a <= 9 at L, M <= 10, from a cold memo in
+    # ascending, descending and shuffled order, so that rows are extended
+    # on demand, from partial columns and across pairs
+    points = [(a, b, family, L, M) for a, b in coprime_pairs(9)
+              for family in ("F", "I", "H") for L in range(11) for M in range(11)]
+    cache = {}
+    want = {p: point_walk(*p, cache) for p in points}
+    shuffled = list(points)
+    Random(24).shuffle(shuffled)
+    ascending = sorted(points, key=lambda p: (p[3], p[4], p[:3]))
+    for order in (ascending, ascending[::-1], shuffled):
+        burge._ROWS.clear()
+        for p in order:
+            assert tree_walk(*p) == want[p], p
+        assert len(burge._ROWS) == 1
+
+
+def test_row_walk_restart_keeps_one_width(monkeypatch):
+    # cold, (13, 1) at (20, 20) outgrows 32 and then 64 bits: the walk drops
+    # its rows each time and rebuilds them at the width the bound needs
+    widths, walk = [], burge._walk
+    monkeypatch.setattr(burge, "_walk", lambda rows, w, *args: (
+        widths.append(w), walk(rows, w, *args))[1])
+    burge._ROWS.clear()
+    assert tree_walk(13, 1, "F", 20, 20) == eval_F(13, 1, 20, 20)
+    assert widths == [32, 64, 128]
+    assert list(burge._ROWS) == [128]
+    assert tree_walk(5, 2, "F", 3, 4) == eval_F(5, 2, 3, 4)
+    assert widths[3:] == [128] and list(burge._ROWS) == [128]
+    burge._ROWS.clear()
+
+
+def test_tree_walk_degree_guard():
+    # the guard of the head binomial [2L+M, 2L], of degree 2LM <= 2,500,
+    # is checked once at entry, before any row is built
+    for family in ("F", "I", "H"):
+        burge._ROWS.clear()
+        for L, M in ((36, 35), (35, 36)):
+            with pytest.raises(DegreeLimitError):
+                tree_walk(3, 1, family, L, M)
+        assert burge._ROWS == {}
+        assert not tree_walk(3, 1, family, 35, 35).is_zero()
+    assert tree_walk(3, 1, "F", 35, 35) == eval_F(3, 1, 35, 35)
+    burge._ROWS.clear()

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qburge.burge import (BosonicSpec, bosonic_eval, spec_even, spec_main,
-                          spec_recip, spec_shifted, transform_step)
+                          spec_recip, spec_shifted)
 from qburge.qcombinat import (NonIntegerExponentError, b_kernel, d_poly,
                               g_poly, qbin, qsum)
 from qburge.qpoly import LaurentPoly
 from qburge.verify import _SECTION8, SUITES, CampaignBudget
+from test_burge import transform_step
 
 
 def _as_fraction(x):

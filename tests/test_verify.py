@@ -8,7 +8,7 @@ import pytest
 
 from qburge.qpoly import DegreeLimitError, LaurentPoly, TruncatedSeries
 from qburge import qcombinat, verify
-from qburge.qcombinat import qbin, d_poly
+from qburge.qcombinat import b_kernel, qbin, d_poly
 from qburge.verify import (CATALOGUE, CampaignBudget, IdentityCase, SUITES,
                            check_identity, partition_oracle, positivity_scan,
                            product_series, run_campaign)
@@ -175,27 +175,40 @@ def test_section8_inside_the_budget_check(monkeypatch):
                 assert check_identity("section8", params).status == "pass", params
 
 
-def test_altsum_displays_over_their_support(monkeypatch):
-    # the eight alternating displays run j over |j| <= min(L, M); written
-    # out over the generic window |j| <= L + M + 2, they give the same sums
-    def wide(L, M, term):
-        tot = LaurentPoly.zero()
-        for j in range(-(L + M) - 2, L + M + 3):
-            e, p = term(j)
-            tot = tot + (-p if j % 2 else p).scale(e)
-        return tot
+# the alternating displays written out over the generic window
+# |j| <= L + M + 2, past their support: each display's own j range must keep
+# every nonzero term
+ALTSUM_TERMS = [
+    (verify._lhs_comp, lambda L, M, j: (
+        j * (5 * j + 3) // 2, qbin(L + M + j, M - j - 1) * qbin(L + M - j, M + j))),
+    (verify._lhs_comp2, lambda L, M, j: (
+        j * (5 * j + 3) // 2, qbin(L + M + j + 1, M - j) * qbin(L + M - j, M + j))),
+    (verify._lhs_brep, lambda L, M, j: (
+        j * (5 * j + 1) // 2, qbin(L + M + j, M - j) * qbin(L + M - j - 1, M + j))),
+    (lambda L, M: verify._lhs_rr1(L), lambda L, M, j: (
+        j * (5 * j + 1) // 2, qbin(2 * L, L - 3 * j))),
+    (lambda L, M: verify._lhs_rr2(L), lambda L, M, j: (
+        j * (5 * j + 3) // 2, qbin(2 * L, L - 3 * j - 1))),
+    (verify._lhs_ab32, lambda L, M, j: (
+        j * (13 * j + 9) // 2 + 1, b_kernel(L, M, 3 * j + 1, 2 * j + 1))),
+    (verify._lhs_rr2inv, lambda L, M, j: (
+        j * (7 * j + 1) // 2, b_kernel(L, M, 3 * j + 1, j))),
+    (lambda L, M: verify._lhs_isolated(L), lambda L, M, j: (
+        j * (5 * j + 3) // 2, qbin(2 * L + 1, L - 2 * j))),
+]
 
-    cases = [(fn, (L, M)) for fn in (verify._lhs_comp, verify._lhs_comp2,
-                                     verify._lhs_brep, verify._lhs_ab32,
-                                     verify._lhs_rr2inv)
-             for L in range(-1, 13) for M in range(-1, 13)]
-    cases += [(fn, (L,)) for fn in (verify._lhs_rr1, verify._lhs_rr2,
-                                    verify._lhs_isolated)
-              for L in range(-1, 30)]
-    got = [fn(*args) for fn, args in cases]
-    monkeypatch.setattr(verify, "_qbin_altsum", wide)
-    for (fn, args), value in zip(cases, got):
-        assert fn(*args) == value, (fn.__name__, args)
+
+def test_altsum_displays_over_their_support():
+    # each alternating display runs j over its own support; over the generic
+    # window it gives the same polynomial
+    for display, term in ALTSUM_TERMS:
+        for L in range(-1, 13):
+            for M in range(-1, 13):
+                full = LaurentPoly.zero()
+                for j in range(-(L + M) - 2, L + M + 3):
+                    e, p = term(L, M, j)
+                    full = full + (-p if j % 2 else p).scale(e)
+                assert display(L, M) == full, (display, L, M)
 
 
 def full_range(terms):
@@ -236,6 +249,9 @@ FULL_RANGE = [
     (verify._rhs_rr2inv_display, lambda L, M: full_range(
         ((L - m1) ** 2 + (m1 - m2 - 1) ** 2,
          qbin(L + M + m1, 2 * L) * qbin(L + m2, 2 * m1 - 1) * qbin(m1 - 1, m2))
+        for m1 in range(0, L + 1) for m2 in range(0, L + 1))),
+    (lambda L, M: verify._s8_a2(L), lambda L, M: full_range(
+        ((L - m1) ** 2 + (m1 - m2) ** 2, qbin(L + m2, 2 * m1) * qbin(m1, m2))
         for m1 in range(0, L + 1) for m2 in range(0, L + 1))),
 ]
 
