@@ -100,7 +100,6 @@ def spec_shifted(a, b):
     )
 
 
-
 def _below(a, b):
     """The transform that builds the pair (a, b) and the pair it reads."""
     return ("B2", (b, a - b)) if a < 2 * b else ("B1", (a - b, b))

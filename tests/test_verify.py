@@ -177,23 +177,25 @@ def test_section8_inside_the_budget_check(monkeypatch):
 
 # the alternating displays written out over the generic window
 # |j| <= L + M + 2, past their support: each display's own j range must keep
-# every nonzero term
+# every nonzero term; the displays in L alone run on a longer line
+BOX = [(L, M) for L in range(-1, 13) for M in range(-1, 13)]
+LINE = [(L, 0) for L in range(-1, 30)]
 ALTSUM_TERMS = [
-    (verify._lhs_comp, lambda L, M, j: (
+    (verify._lhs_comp, BOX, lambda L, M, j: (
         j * (5 * j + 3) // 2, qbin(L + M + j, M - j - 1) * qbin(L + M - j, M + j))),
-    (verify._lhs_comp2, lambda L, M, j: (
+    (verify._lhs_comp2, BOX, lambda L, M, j: (
         j * (5 * j + 3) // 2, qbin(L + M + j + 1, M - j) * qbin(L + M - j, M + j))),
-    (verify._lhs_brep, lambda L, M, j: (
+    (verify._lhs_brep, BOX, lambda L, M, j: (
         j * (5 * j + 1) // 2, qbin(L + M + j, M - j) * qbin(L + M - j - 1, M + j))),
-    (lambda L, M: verify._lhs_rr1(L), lambda L, M, j: (
+    (lambda L, M: verify._lhs_rr1(L), LINE, lambda L, M, j: (
         j * (5 * j + 1) // 2, qbin(2 * L, L - 3 * j))),
-    (lambda L, M: verify._lhs_rr2(L), lambda L, M, j: (
+    (lambda L, M: verify._lhs_rr2(L), LINE, lambda L, M, j: (
         j * (5 * j + 3) // 2, qbin(2 * L, L - 3 * j - 1))),
-    (verify._lhs_ab32, lambda L, M, j: (
+    (verify._lhs_ab32, BOX, lambda L, M, j: (
         j * (13 * j + 9) // 2 + 1, b_kernel(L, M, 3 * j + 1, 2 * j + 1))),
-    (verify._lhs_rr2inv, lambda L, M, j: (
+    (verify._lhs_rr2inv, BOX, lambda L, M, j: (
         j * (7 * j + 1) // 2, b_kernel(L, M, 3 * j + 1, j))),
-    (lambda L, M: verify._lhs_isolated(L), lambda L, M, j: (
+    (lambda L, M: verify._lhs_isolated(L), LINE, lambda L, M, j: (
         j * (5 * j + 3) // 2, qbin(2 * L + 1, L - 2 * j))),
 ]
 
@@ -201,14 +203,13 @@ ALTSUM_TERMS = [
 def test_altsum_displays_over_their_support():
     # each alternating display runs j over its own support; over the generic
     # window it gives the same polynomial
-    for display, term in ALTSUM_TERMS:
-        for L in range(-1, 13):
-            for M in range(-1, 13):
-                full = LaurentPoly.zero()
-                for j in range(-(L + M) - 2, L + M + 3):
-                    e, p = term(L, M, j)
-                    full = full + (-p if j % 2 else p).scale(e)
-                assert display(L, M) == full, (display, L, M)
+    for display, points, term in ALTSUM_TERMS:
+        for L, M in points:
+            full = LaurentPoly.zero()
+            for j in range(-(L + M) - 2, L + M + 3):
+                e, p = term(L, M, j)
+                full = full + (-p if j % 2 else p).scale(e)
+            assert display(L, M) == full, (display, L, M)
 
 
 def full_range(terms):
