@@ -13,7 +13,10 @@ One after the other, each in its own interpreter, it runs:
   tier-1 run, right before and right after each scale row, and once
   after the last, so the timings in between can be read against the
   host's speed when they ran;
-- the tier-1 test suite (see ROADMAP.md), timing its wall clock;
+- the tier-1 test suite (see ROADMAP.md), timing its wall clock, with
+  pytest's --durations=0, keeping the seconds of each acceptance
+  criterion (its setup, call and teardown as pytest reports them, which
+  leaves out phases under 5 ms) by the criterion's number;
 - scripts/bench_mul.py, keeping its timing rows in microseconds;
 - COLD_RUNS fresh interpreters that each time, inside themselves,
   `import qburge, qburge.cli, qburge.verify` and the growth of their
@@ -119,6 +122,8 @@ print(statistics.median(took), PROBE_REF_NS)
 """
 # a bench_mul row: its label, then the time in microseconds
 ROW = re.compile(r"^(.*\S)\s+([0-9.]+) us$")
+# a --durations line of an acceptance criterion: seconds, then its number
+CRITERION = re.compile(r"^([0-9.]+)s \w+ +tests/test_acceptance\.py::test_criterion_(\d+)_")
 # tokens that hold no code
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -228,9 +233,15 @@ def main(argv=None):
     print("probe before tier-1", probe_before, flush=True)
 
     started = time.perf_counter()
-    tests = run(TIER1, env)
+    tests = run([*TIER1, "--durations=0"], env)
+    criteria = {}
+    for line in tests.splitlines():
+        m = CRITERION.match(line)
+        if m:
+            criteria[m.group(2)] = round(criteria.get(m.group(2), 0) + float(m.group(1)), 2)
     tier1 = {"wall_s": round(time.perf_counter() - started, 2),
-             "summary": tests.strip().splitlines()[-1]}
+             "summary": tests.strip().splitlines()[-1],
+             "criteria_s": dict(sorted(criteria.items(), key=lambda kv: int(kv[0])))}
     print("tier-1", tier1, flush=True)
 
     rows = {}

@@ -40,13 +40,17 @@ row of the 25 eval_limit_both calls of the default `series` suite in its
 order (T = 40; four of them repeat an earlier call, and the calls on equal
 kernel rules share their cut levels).
 
-Last, it times the bosonic sums, each a loop of `qcombinat.qsum`, over
-three grids (the L1 bypass sides): g_poly on the G sides of the four
-single-limit identities (coprime a <= 8, v <= 9), bosonic_eval(spec_main)
-over coprime a <= 8 and L, M <= 8, and d_poly over the hookp region of the
+Last, it times the alternating sums, one row pair per caller of
+`qcombinat.qsum` (the packed sum, reading the factor store that the
+lattice sums share), over grids of the L1 bypass sides: g_poly on the G
+sides of the four single-limit identities (coprime a <= 8, v <= 9), and
+again on those of its sums with at most three nonzero terms (most of
+them, and the median single-limit check), bosonic_eval(spec_main) over
+coprime a <= 8 and L, M <= 8, and d_poly over the hookp region of the
 default budget. Each grid gets a cold row (memos cleared before every run,
-so it includes building the q-binomials) and a warm row (the same grid
-again with every q-binomial memoized: the q-sum loops alone).
+so it includes building and packing the q-binomials) and a warm row (the
+same grid again with every q-binomial memoized and packed: the sums
+alone).
 """
 
 import os
@@ -87,9 +91,12 @@ G_GRID = [(v, v, alpha, beta, K) for a, b in PAIRS for v in range(10)
                                  (Fraction(a), Fraction(a * b + 1, b), b),
                                  (Fraction(a * b - 1, a), Fraction(b), a),
                                  (Fraction(a * b - 1, b), Fraction(a), b))]
+# the sums of G_GRID with at most three j, -(M//K) <= j <= N//K
+G_SMALL = [g for g in G_GRID if g[1] // g[4] + g[0] // g[4] < 3]
 HOOKP = [tuple(p[k] for k in ("K", "i", "N", "M", "alpha", "beta"))
          for _, p in SUITES["hookp"](CampaignBudget())]
 BOSONIC = (("g_poly, single-limit G grid", lambda: [g_poly(*g) for g in G_GRID]),
+           ("g_poly, its sums of 1-3 terms", lambda: [g_poly(*g) for g in G_SMALL]),
            ("bosonic_eval(spec_main), a, L, M <= 8",
             lambda: [bosonic_eval(spec_main(a, b), L, M) for a, b in PAIRS
                      for L in range(9) for M in range(9)]),
@@ -98,9 +105,9 @@ BOSONIC = (("g_poly, single-limit G grid", lambda: [g_poly(*g) for g in G_GRID])
 
 def clear_memos():
     for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE,
-                 fermionic._PACKED_CACHE, fermionic._LEVEL_CACHE):
+                 qcombinat._PACKED_CACHE, fermionic._LEVEL_CACHE):
         memo.clear()
-    for cached in (cf.cf_expand, fermionic._factor, fermionic._rules):
+    for cached in (cf.cf_expand, qcombinat._factor, fermionic._rules):
         cached.cache_clear()
 
 

@@ -26,9 +26,12 @@ Next to it the walk carries l1 = p(1), exact, by the same recurrence at
 q = 1. It bounds every coefficient the row stores, as each running sum is
 at most the column it ends in, so each new column's l1 is checked against
 2^(w-1). The row memo holds one width, 32 bits first; when a column
-reaches the bound, every row is dropped and the walk starts again at the
-narrowest width that holds it (`fermionic`'s restart rule, applied to the
-whole memo). A value is decoded once, when it is returned.
+reaches the bound, the walk starts again at the narrowest width that holds
+it (`fermionic`'s restart rule, applied to the whole memo). Every row is
+dropped but H's root rows: their columns, each exact as its l1 was
+checked, are unpacked and packed again at the new width, so a restart
+evaluates no bosonic sum again. A value is decoded once, when it is
+returned.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from operator import lshift
 
 from .cf import bar_pair, cf_expand, check_pair
 from .qpoly import LaurentPoly, pack, pack_width, unpack
-from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, b_kernel, over_lcm, qsum
+from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, _Overflow, over_lcm, qsum
 
 
 # one alternating sum  sum_j (-1)^j q^(c2 j^2 + c1 j + c0) B(L,M,aj+abar,bj+bbar)
@@ -53,13 +56,14 @@ def bosonic_eval(spec, L, M):
     if spec.a <= 0:
         raise ValueError("spec.a must be positive")
     quad, den = over_lcm(spec.c2, spec.c1, spec.c0)
-    # |a j + abar| <= L is necessary for a nonzero kernel
-    return qsum(quad, den,
-                ((j, -1 if j % 2 else 1,
-                  b_kernel(L, M, spec.a * j + spec.abar, spec.b * j + spec.bbar))
-                 for j in range(-((L + spec.abar) // spec.a),
-                                (L - spec.abar) // spec.a + 1)),
-                lambda: f"bosonic spec {spec}")
+    a, b, abar, bbar = spec.a, spec.b, spec.abar, spec.bbar
+
+    def terms():  # the keys of b_kernel(L, M, x, y); |x| <= L for it not to vanish
+        for j in range(-((L + abar) // a), (L - abar) // a + 1):
+            x, y = a * j + abar, b * j + bbar
+            yield j, -1 if j % 2 else 1, ((L + M + x - y, L + x), (L + M - x + y, L - x))
+
+    return qsum(quad, den, terms(), lambda: f"bosonic spec {spec}")
 
 
 def spec_main(a, b):
@@ -116,10 +120,6 @@ _ROOTS = {"F": ((1, 1), 1), "I": ((1, 1), 2), "H": ((2, 1), 0)}
 _ROWS = {}
 
 
-class _Overflow(Exception):
-    """A column's l1 reached 2^(w-1); args[0] is the l1."""
-
-
 def tree_walk(a, b, family, L, M):
     """Fermionic value at (L,M) built bottom-up along the continued-fraction
     reduction (a,b) -> (b,a-b) by B2 when a < 2b, else -> (a-b,b) by B1.
@@ -141,9 +141,13 @@ def tree_walk(a, b, family, L, M):
         w = next(iter(_ROWS), 32)
         try:
             v = _walk(_ROWS.setdefault(w, {}), w, family, (a, b), L, M)
-        except _Overflow as exc:  # drop every row, rebuild at a width that holds it
+        except _Overflow as exc:  # rebuild at a width that holds it
+            wide = pack_width(exc.args[0].bit_length() + 1)
+            roots = {key: [[(pack(unpack(v, v.bit_length() // w + 1, w), wide), l1)
+                            for v, l1 in row[0]], [], []]
+                     for key, row in _ROWS[w].items() if key[:2] == ("H", _ROOTS["H"][0])}
             _ROWS.clear()
-            _ROWS[pack_width(exc.args[0].bit_length() + 1)] = {}
+            _ROWS[wide] = roots
         else:
             return LaurentPoly.dense(0, unpack(v, v.bit_length() // w + 2, w))
 

@@ -34,12 +34,13 @@ window is needed.
 Arithmetic. The pass runs on integers, not on coefficient lists (Kronecker
 substitution, see qpoly): a polynomial p is held as (lo, v) with
 p = q^lo v(X) at X = 2^w. A factor is its coefficient words read as one
-int, packed once per factor key and width; q^e only moves lo; a product is
-one bigint product and a sum one shifted add; the total is decoded once.
-Factors are named by keys (a qbin key (n, m, base), or a tagged key for the
-limits' links), so equal factors share one packed value whatever object
-built them, and a product is reused across the m_{j-1} that give it the
-same factor.
+int, packed once per factor key and width into the factor store of
+`qcombinat` (`_PACKED_CACHE`, which the alternating sums of `qsum` read
+too); q^e only moves lo; a product is one bigint product and a sum one
+shifted add; the total is decoded once. Factors are named by keys (a qbin
+key (n, m, base), or a tagged key for the limits' links), so equal factors
+share one packed value whatever object built them, and a product is
+reused across the m_{j-1} that give it the same factor.
 
 No overflow, by construction. The integer arithmetic is exact at every
 width; only packing a factor, reducing a cut product and decoding the total
@@ -50,10 +51,11 @@ nonnegative (F, f, H, I and the large-M limit). No bound decreases on the
 way to the total, as every factor has l1 >= 1, so it suffices to check each
 factor as it is packed and the total at the end. When either reaches
 2^(w-1), the pass restarts at the narrowest width that holds it: 32 bits
-first, then 64, then multiples of 64. A factor is built once (`_factor` is
-cached), so a restart packs the stored coefficients at its width and builds
-nothing again. The Pochhammer links of `eval_limit_L` are signed, so they
-are packed with biased digits and the total is decoded as balanced ones.
+first, then 64, then multiples of 64. A factor is built once (the store's
+`_factor` is cached), so a restart packs the stored coefficients at its
+width and builds nothing again. The Pochhammer links of `eval_limit_L` are
+signed, so they are packed with biased digits and the total is decoded as
+balanced ones.
 With a cut at q^T (`eval_limit_both`), every product is taken mod
 X^(T+1-lo) and kept as its balanced low digits.
 
@@ -108,58 +110,15 @@ from itertools import accumulate
 from math import isqrt
 
 from .cf import cf_expand, check_pair
-from .qpoly import LaurentPoly, TruncatedSeries, pack, pack_width, unpack
-from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, q_poch, qbin
+from .qpoly import LaurentPoly, TruncatedSeries, pack_width, unpack
+from .qcombinat import (_ONE_KEY, _PACKED_CACHE, QBIN_MAX_DEGREE, DegreeLimitError,
+                        _Overflow, _packed, _qkey, q_poch, qbin)
 
-# packed factors by word width, then by factor key: see _packed
-_PACKED_CACHE = {}
 # the states of one free level by (its phi, its psi, key of the level after
 # it), down to (word width, cut): see _extend and the module docstring
 _LEVEL_CACHE = {}
-_ONE_KEY = (0, 0, 1)  # [n, 0] = 1
 # word width in bits of a lattice sum's first pass
 _FIRST_WIDTH = 32
-
-
-def _qkey(n, m, base=1):
-    """The factor key of qbin(n, m, base), None when it vanishes."""
-    if m < 0 or m > n:
-        return None
-    m = min(m, n - m)
-    return (n, m, base) if m else _ONE_KEY
-
-
-@cache
-def _factor(key):
-    """The polynomial a factor key names: a qbin key (n, m, base);
-    ("mid", n, x) for [n, x] (q)_(n-x); ("inv", base, k, T) for
-    1/(q^base; q^base)_k mod q^(T+1)."""
-    if key[0] == "mid":
-        return qbin(key[1], key[2]) * q_poch(key[1] - key[2])
-    if key[0] == "inv":
-        _, base, k, order = key
-        s = TruncatedSeries.from_factors([(base * i, -1) for i in range(1, k + 1)],
-                                         order)
-        return LaurentPoly.dense(0, s.coeffs)
-    return qbin(*key)
-
-
-class _Overflow(Exception):
-    """A coefficient bound reached 2^(w-1); args[0] is the bound."""
-
-
-def _packed(key, w):
-    """(lo, v, l1) of the factor `key` packed at word width w and stored in
-    _PACKED_CACHE[w]: p = v(2^w) q^lo with l1 = ||p||_1. Raises _Overflow
-    when l1 >= 2^(w-1). The factor is built once by the cached `_factor`
-    (a qbin key gets the qbin memo's own polynomial), so every width packs
-    the same stored coefficients."""
-    p = _factor(key)
-    l1 = sum(map(abs, p.coeffs))
-    if l1 >> (w - 1):
-        raise _Overflow(l1)
-    f = _PACKED_CACHE.setdefault(w, {})[key] = p.lo, pack(p.coeffs, w), l1
-    return f
 
 
 def _lattice_sum(top, phis, psis, first, cut=None):

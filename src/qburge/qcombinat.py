@@ -1,27 +1,51 @@
 """q-binomial coefficients, q-Pochhammer products, the two-binomial kernel,
-the G and D alternating sums, and the Borwein residue split.
+the G and D alternating sums, the Borwein residue split, and the store of
+packed factors that the alternating sums and the lattice sums share.
 
-All results are exact LaurentPoly values. Every alternating sum goes through
-`qsum`, which takes its rational quadratic exponent as integer numerators
-over one integer denominator and checks each contributing term's exponent
-by one divmod, so invalid parameter combinations fail loudly instead of
-silently rounding. The callers put their Fraction parameters over that
-denominator once, at entry.
+Every alternating sum goes through `qsum`, which takes its rational
+quadratic exponent as integer numerators over one integer denominator and
+checks each contributing term's exponent by one divmod, so invalid
+parameter combinations fail loudly instead of silently rounding. The
+callers put their Fraction parameters over that denominator once, at entry.
+
+A term of `qsum` is a sign, an exponent and a product of base-1 q-binomials
+named by their keys, and the sum runs on Kronecker-packed ints (see qpoly):
+each binomial is read packed from the factor store, a product is one
+bigint product, q^e a shift by whole words, and the total is decoded once.
+The word width is fixed before any product is taken. A q-binomial [n, m]
+has nonnegative coefficients summing to comb(n, m), so the sum over the
+terms of the products of their comb(n, m) bounds every coefficient of
+every factor, product, partial sum and of the total; a word of
+`pack_width` of its bit length plus one (the sign) holds them all, and no
+sum overflows or restarts.
+
+The factor store is `_PACKED_CACHE`, {w: {factor key: (lo, v, l1)}}: the
+factor `_factor(key)` packed at word width w, with l1 its coefficients'
+absolute sum. A key is a qbin key (n, m, base) with m <= n - m (see
+`_qkey`) or a tagged key of the lattice limits (see `_factor`). `qsum` and
+the lattice engine of `fermionic` read one store, so a binomial packed at
+one width by either is packed once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import comb, lcm
 
-from .qpoly import DegreeLimitError, LaurentPoly
+from .qpoly import (DegreeLimitError, LaurentPoly, TruncatedSeries, _check_span,
+                    pack, pack_width, unpack)
 
 # memos: qbin keyed (n, m, base) with base >= 1 and m <= n - m, q_poch keyed
 # n; values immutable, concurrent re-insert harmless
 _QBIN_CACHE = {}
 _POCH_CACHE = {}
 _ONE = LaurentPoly.one()  # [n, 0], shared like the memoized values
+# the factor store: packed factors by word width, then by factor key; see
+# the module docstring and _packed
+_PACKED_CACHE = {}
+_ONE_KEY = (0, 0, 1)  # [n, 0] = 1
 
 # Largest degree base*m*(n-m) that qbin builds, and largest series order T
 # of eval_limit_both; larger requests raise DegreeLimitError before any
@@ -35,6 +59,12 @@ QBIN_MAX_DEGREE = 2_500
 
 class NonIntegerExponentError(ValueError):
     """An alternating sum produced a fractional q-exponent at a contributing term."""
+
+
+def _degree_error(n, m, base):
+    """The DegreeLimitError of qbin(n, m, base), m <= n - m."""
+    return DegreeLimitError(f"qbin({n}, {m}, base={base}) has degree "
+                            f"{abs(base) * m * (n - m)} > {QBIN_MAX_DEGREE}")
 
 
 def _times_one_minus(c, e):
@@ -63,8 +93,7 @@ def qbin(n, m, base=1):
         return LaurentPoly.zero()
     m = min(m, n - m)
     if abs(base) * m * (n - m) > QBIN_MAX_DEGREE:
-        raise DegreeLimitError(f"qbin({n}, {m}, base={base}) has degree "
-                               f"{abs(base) * m * (n - m)} > {QBIN_MAX_DEGREE}")
+        raise _degree_error(n, m, base)
     if base <= 0:
         if base == 0:
             return LaurentPoly.monomial(0, comb(n, m))
@@ -124,26 +153,111 @@ def b_kernel(L, M, a, b):
     return qbin(L + M + a - b, L + a) * qbin(L + M - a + b, L - a)
 
 
-def qsum(quad, den, terms, context):
-    """The sum of sign * q^((n2 j^2 + n1 j + n0) / den) * p over the
-    (j, sign, p) in terms, where quad = (n2, n1, n0) and den >= 1 are ints.
+def _qkey(n, m, base=1):
+    """The factor key of qbin(n, m, base), None when it vanishes."""
+    if m < 0 or m > n:
+        return None
+    m = min(m, n - m)
+    return (n, m, base) if m else _ONE_KEY
 
-    Each nonzero p costs one integer evaluation and one divmod by den. A
-    nonzero remainder raises NonIntegerExponentError naming context(), a
-    callable called only then, and j. A zero p is skipped unchecked: a
-    fractional exponent is an error only where it contributes.
+
+@cache
+def _factor(key):
+    """The polynomial a factor key names: a qbin key (n, m, base);
+    ("mid", n, x) for [n, x] (q)_(n-x); ("inv", base, k, T) for
+    1/(q^base; q^base)_k mod q^(T+1)."""
+    if key[0] == "mid":
+        return qbin(key[1], key[2]) * q_poch(key[1] - key[2])
+    if key[0] == "inv":
+        _, base, k, order = key
+        s = TruncatedSeries.from_factors([(base * i, -1) for i in range(1, k + 1)],
+                                         order)
+        return LaurentPoly.dense(0, s.coeffs)
+    return qbin(*key)
+
+
+class _Overflow(Exception):
+    """A coefficient bound reached 2^(w-1); args[0] is the bound."""
+
+
+def _packed(key, w):
+    """(lo, v, l1) of the factor `key` packed at word width w and stored in
+    _PACKED_CACHE[w]: p = v(2^w) q^lo with l1 = ||p||_1. Raises _Overflow
+    when l1 >= 2^(w-1). The factor is built once by the cached `_factor`
+    (a qbin key gets the qbin memo's own polynomial), so every width packs
+    the same stored coefficients."""
+    p = _factor(key)
+    l1 = sum(map(abs, p.coeffs))
+    if l1 >> (w - 1):
+        raise _Overflow(l1)
+    f = _PACKED_CACHE.setdefault(w, {})[key] = p.lo, pack(p.coeffs, w), l1
+    return f
+
+
+def qsum(quad, den, terms, context):
+    """The sum of sign * q^((n2 j^2 + n1 j + n0) / den) * prod [n, m] over
+    the (j, sign, keys) in terms, where quad = (n2, n1, n0) and den >= 1 are
+    ints, sign is 1 or -1 and keys holds the (n, m) of the term's base-1
+    q-binomials.
+
+    Term by term, in order: each key's qbin degree guard (DegreeLimitError,
+    as qbin raises it), then, unless a key vanishes (m < 0 or m > n), which
+    skips the term unchecked, one integer evaluation and one divmod by den:
+    a nonzero remainder raises NonIntegerExponentError naming context(), a
+    callable called only then, and j. Then the span of the terms so far is
+    checked against qpoly.MAX_SPAN, before any shift is taken. The terms
+    are summed packed, at the one width that their l1 bound fixes (see the
+    module docstring), and the total is decoded once; a sum of one term of
+    at most one factor has nothing to add, so it is that factor, scaled.
     """
     n2, n1, n0 = quad
-    total = LaurentPoly.zero()
-    for j, sign, p in terms:
-        if p.is_zero():
+    live, bound, lo, hi = [], 0, None, None
+    for j, sign, keys in terms:
+        factors, l1, top = [], 1, 0
+        for n, m in keys:
+            if m < 0 or m > n:
+                l1 = 0
+            elif m := min(m, n - m):
+                if m * (n - m) > QBIN_MAX_DEGREE:
+                    raise _degree_error(n, m, 1)
+                factors.append((n, m, 1))
+                l1 *= comb(n, m)
+                top += m * (n - m)
+        if not l1:
             continue
         e, r = divmod((n2 * j + n1) * j + n0, den)
         if r:
             raise NonIntegerExponentError(
                 f"non-integer exponent {e + Fraction(r, den)} in {context()} at j={j}")
-        total = total + p.scale(e, sign)
-    return total
+        top += e
+        if lo is None:
+            lo, hi = e, top
+        else:
+            if e < lo:
+                lo = e
+            if top > hi:
+                hi = top
+            _check_span(hi - lo + 1)
+        bound += l1
+        live.append((e, sign, factors))
+    if len(live) < 2:  # no sum to take: at most one term, scaled
+        if not live:
+            return LaurentPoly.zero()
+        e, sign, factors = live[0]
+        if len(factors) < 2:
+            return (_factor(factors[0]) if factors else _ONE).scale(e, sign)
+    w = pack_width(bound.bit_length() + 1)
+    memo = _PACKED_CACHE.setdefault(w, {})
+    total = 0
+    for e, sign, factors in live:
+        v = 1
+        for key in factors:
+            v *= (memo.get(key) or _packed(key, w))[1]
+        if sign < 0:
+            total -= v << (w * (e - lo))
+        else:
+            total += v << (w * (e - lo))
+    return LaurentPoly.dense(lo, unpack(total, hi - lo + 1, w))
 
 
 def over_lcm(*xs):
@@ -165,7 +279,7 @@ def g_poly(N, M, alpha, beta, K):
     (A, B), den = over_lcm(alpha, beta)
     # [M+N, N-Kj] vanishes unless -M <= Kj <= N
     return qsum((K * (A + B), K * (A - B), 0), 2 * den,
-                ((j, -1 if j % 2 else 1, qbin(M + N, N - K * j))
+                ((j, -1 if j % 2 else 1, ((M + N, N - K * j),))
                  for j in range(-(M // K), N // K + 1)),
                 lambda: f"g_poly(N={N},M={M},alpha={alpha},beta={beta},K={K})")
 
@@ -184,10 +298,10 @@ def d_poly(K, i, N, M, alpha, beta):
     context = lambda: f"d_poly(K={K},i={i},N={N},M={M},alpha={alpha},beta={beta})"
     # [M+N, M-u] vanishes unless -N <= u <= M; u = Kj, then u = Kj+i
     return qsum((S * K, K * B - S * i, 0), den,
-                ((j, 1, qbin(M + N, M - K * j))
+                ((j, 1, ((M + N, M - K * j),))
                  for j in range(-(N // K), M // K + 1)), context) - \
         qsum((S * K, S * i + K * B, B * i), den,
-             ((j, 1, qbin(M + N, M - K * j - i))
+             ((j, 1, ((M + N, M - K * j - i),))
               for j in range(-((N + i) // K), (M - i) // K + 1)), context)
 
 

@@ -52,7 +52,9 @@ def _check_span(n):
 def pack_width(bits):
     """The narrowest packing word of at least `bits` bits: 16, 32 or 64,
     then a multiple of 64 (packed byte-wise)."""
-    return next((w for w in (16, 32, 64) if w >= bits), -(-bits // 64) * 64)
+    if bits > 64:
+        return -(-bits // 64) * 64
+    return 16 if bits <= 16 else 32 if bits <= 32 else 64
 
 
 def _bias(n, w):

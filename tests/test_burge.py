@@ -8,7 +8,7 @@ import pytest
 
 from qburge import burge
 from qburge.qpoly import DegreeLimitError, LaurentPoly
-from qburge.qcombinat import NonIntegerExponentError, b_kernel, qbin, qsum
+from qburge.qcombinat import NonIntegerExponentError, b_kernel, qbin
 from qburge.fermionic import eval_F, eval_f, eval_H, eval_I
 from qburge.burge import (BosonicSpec, bosonic_eval, spec_main, spec_recip,
                           spec_even, spec_shifted, tree_walk)
@@ -30,10 +30,10 @@ def transform_step(direction, inner, L, M):
     direction "B1": sum_i q^(i^2) [2L+M-i, 2L] inner(L-i, i)
     direction "B2": sum_i q^(i^2) [2L+M-i, 2L] inner(i, L-i)
     """
-    vals = (inner(l, m) for l, m in inner_args(direction, L, M))
-    return qsum((1, 0, 0), 1, ((i, 1, qbin(2 * L + M - i, 2 * L) * v)
-                               for i, v in enumerate(vals) if not v.is_zero()),
-                lambda: f"transform_step {direction}")
+    total = LaurentPoly.zero()
+    for i, (l, m) in enumerate(inner_args(direction, L, M)):
+        total = total + (qbin(2 * L + M - i, 2 * L) * inner(l, m)).scale(i * i)
+    return total
 
 
 def inner_args(direction, L, M):
@@ -222,6 +222,20 @@ def test_row_walk_restart_keeps_one_width(monkeypatch):
     assert list(burge._ROWS) == [128]
     assert tree_walk(5, 2, "F", 3, 4) == eval_F(5, 2, 3, 4)
     assert widths[3:] == [128] and list(burge._ROWS) == [128]
+    burge._ROWS.clear()
+
+
+def test_restart_keeps_H_root(monkeypatch):
+    # cold, (3, 1) at (35, 35) reads 666 points of H's root, in passes at
+    # 32, 64 and 128 bits: each point is summed once, but the one whose l1
+    # outgrew 32 bits (and was not kept), as a restart repacks the others
+    points, seed = [], burge.bosonic_eval
+    monkeypatch.setattr(burge, "bosonic_eval", lambda spec, L, M: (
+        points.append((L, M)), seed(spec, L, M))[1])
+    burge._ROWS.clear()
+    assert tree_walk(3, 1, "H", 35, 35) == eval_H(3, 1, 35, 35)
+    assert list(burge._ROWS) == [128]
+    assert (len(points), len(set(points))) == (667, 666)
     burge._ROWS.clear()
 
 

@@ -7,14 +7,13 @@ from math import gcd
 
 import pytest
 
-from qburge import fermionic
+from qburge import fermionic, qcombinat
 from qburge.qpoly import LaurentPoly, TruncatedSeries
-from qburge.qcombinat import g_poly, qbin, q_poch, qsum
+from qburge.qcombinat import _factor, _qkey, g_poly, qbin, q_poch, qsum
 from qburge.cf import build_cartan, cf_expand, cf_toggle
-from qburge.fermionic import (_bounded, _factor, _flat, _kernel_sum,
-                              _lattice_sum, _qkey, _rules, _square, eval_F,
-                              eval_f, eval_H, eval_I, eval_limit_M,
-                              eval_limit_L, eval_limit_both)
+from qburge.fermionic import (_bounded, _flat, _kernel_sum, _lattice_sum,
+                              _rules, _square, eval_F, eval_f, eval_H, eval_I,
+                              eval_limit_M, eval_limit_L, eval_limit_both)
 from qburge.verify import _sum_bnewp
 
 from test_cf import quad_form
@@ -73,7 +72,7 @@ def seed_H21(L, M):
     """The H seed at (2, 1) as a q-sum, sum_n q^(n^2) [2L+M-n-1, 2L-1]
     [L-1, n]: the reference for its two lattice rules."""
     return qsum((1, 0, 0), 1,
-                ((n, 1, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
+                ((n, 1, ((2 * L + M - n - 1, 2 * L - 1), (L - 1, n)))
                  for n in range(min(L, M) + 1)), lambda: "the H seed")
 
 
@@ -245,15 +244,25 @@ def test_wide_words():
     assert eval_limit_L("F", 3, 1, 20) == g_poly(20, 20, 3, 4, 1)
 
 
+def cold_memos(monkeypatch):
+    """Clear `_factor`'s cache and put an empty factor store (the one dict
+    that `qcombinat` packs into and `fermionic` reads) and an empty level
+    memo in place for the test; returns the store."""
+    _factor.cache_clear()
+    store = {}
+    monkeypatch.setattr(qcombinat, "_PACKED_CACHE", store)
+    monkeypatch.setattr(fermionic, "_PACKED_CACHE", store)
+    monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+    return store
+
+
 def test_restarts_keep_values(monkeypatch):
     # a first pass of 8-bit words overflows almost everywhere; every
     # restart must give the same values
     pairs = [(2, 1), (3, 1), (5, 2), (7, 3), (8, 5)]
     expect = all_lattice_values(pairs, 6, (0, 12, 40))
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
-    _factor.cache_clear()
-    monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
-    monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+    cold_memos(monkeypatch)
     assert all_lattice_values(pairs, 6, (0, 12, 40)) == expect
 
 
@@ -286,9 +295,7 @@ def test_failed_build_keeps_memo_whole(monkeypatch):
     calls = grid_calls([(5, 2), (7, 3), (8, 5)], 8)[::-1]
     expect = [fn(*args) for fn, args in calls]
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
-    _factor.cache_clear()
-    monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
-    monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+    cold_memos(monkeypatch)
     got = []
     for fn, args in calls:
         got.append(fn(*args))
@@ -303,11 +310,8 @@ def test_restarts_build_each_factor_once(monkeypatch):
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
     for run in (lambda: eval_limit_L("F", 7, 3, 9),
                 lambda: eval_limit_both("F", 7, 5, 60)):
-        _factor.cache_clear()
-        monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
-        monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+        memo = cold_memos(monkeypatch)
         run()
-        memo = fermionic._PACKED_CACHE
         assert len(memo) > 1  # the pass did restart
         # one build per factor packed at any width; a restart's repacking
         # reads the cache
@@ -338,9 +342,7 @@ def test_shared_levels_in_any_order(monkeypatch):
     ascending = list(range(len(calls)))
     shuffled = random.Random(9).sample(ascending, len(calls))
     for order in (ascending, ascending[::-1], shuffled):
-        _factor.cache_clear()
-        monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
-        monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+        cold_memos(monkeypatch)
         for i in order:
             fn, args = calls[i]
             assert fn(*args) == expect[i], (fn.__name__, args)
@@ -622,9 +624,7 @@ def test_limit_L_memo_names(monkeypatch):
         expect = [limit_L_chain(*args) if fn is eval_limit_L else fn(*args)
                   for fn, args in calls]
     for order in (range(len(calls)), range(len(calls) - 1, -1, -1)):
-        _factor.cache_clear()
-        monkeypatch.setattr(fermionic, "_PACKED_CACHE", {})
-        monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+        cold_memos(monkeypatch)
         for i in order:
             fn, args = calls[i]
             assert fn(*args) == expect[i], (fn.__name__, args)

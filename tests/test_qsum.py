@@ -1,21 +1,22 @@
-"""The alternating sums on `qcombinat.qsum` against the Fraction loops they
-replaced, kept here as references: equal values and, for bosonic_eval and
-g_poly, the same NonIntegerExponentError message (text and first offending
-j)."""
+"""The alternating sums on `qcombinat.qsum` against the Fraction loops on
+LaurentPoly values they replaced, kept here as references: equal values
+and, for bosonic_eval and g_poly, the same NonIntegerExponentError message
+(text and first offending j); and the guards of the packed sum."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qburge import qcombinat
 from qburge.burge import (BosonicSpec, bosonic_eval, spec_even, spec_main,
                           spec_recip, spec_shifted)
 from qburge.qcombinat import (NonIntegerExponentError, b_kernel, d_poly,
                               g_poly, qbin, qsum)
-from qburge.qpoly import LaurentPoly
+from qburge.qpoly import DegreeLimitError, LaurentPoly
 from qburge.verify import _SECTION8, SUITES, CampaignBudget
-from test_burge import transform_step
 
 
 def _as_fraction(x):
@@ -88,17 +89,6 @@ def ref_d_poly(K, i, N, M, alpha, beta):
     return total
 
 
-def ref_transform_step(direction, inner, L, M):
-    if direction not in ("B1", "B2"):
-        raise ValueError("direction must be 'B1' or 'B2'")
-    total = LaurentPoly.zero()
-    for i in range(min(L, M) + 1):
-        val = inner(L - i, i) if direction == "B1" else inner(i, L - i)
-        if not val.is_zero():
-            total = total + (qbin(2 * L + M - i, 2 * L) * val).scale(i * i)
-    return total
-
-
 def outcome(fn, *args):
     """fn(*args), or the message of the NonIntegerExponentError it raises."""
     try:
@@ -113,20 +103,82 @@ def coprime_pairs(a_max):
 
 
 def test_qsum_reduces_once_and_checks_each_term():
-    x = LaurentPoly.monomial(0)
+    one = ((1, 0),)  # [1, 0] = 1
     # (j^2 + j) / 2 is an integer at every j
-    terms = [(j, 1, x) for j in range(-3, 4)]
+    terms = [(j, 1, one) for j in range(-3, 4)]
     assert qsum((1, 1, 0), 2, terms, None) == \
         LaurentPoly({0: 2, 1: 2, 3: 2, 6: 1})
-    # a zero term is skipped unchecked; the context is built only to raise
-    assert qsum((0, 0, 1), 2, [(0, 1, LaurentPoly.zero())], None).is_zero()
+    # a term is the signed product of its keys' q-binomials
+    assert qsum((1, 0, 0), 1, [(2, -1, ((2, 1), (4, 3))), (0, 1, ((5, 2),))],
+                None) == qbin(5, 2) - (qbin(2, 1) * qbin(4, 3)).scale(4)
+    # a term with a vanishing key is skipped unchecked; the context is built
+    # only to raise
+    for keys in (((1, 0), (2, 3)), ((2, -1),), ((-1, 0), (1, 1))):
+        assert qsum((0, 0, 1), 2, [(0, 1, keys)], None).is_zero()
+    assert qsum((0, 0, 1), 2, [], None).is_zero()
     with pytest.raises(NonIntegerExponentError,
                        match=r"^non-integer exponent 1/2 in here at j=-2$"):
-        qsum((0, 0, 1), 2, [(-2, -1, x)], lambda: "here")
+        qsum((0, 0, 1), 2, [(-2, -1, one)], lambda: "here")
     # the exponent is named in lowest terms, below zero too
     with pytest.raises(NonIntegerExponentError,
                        match=r"^non-integer exponent -7/3 in here at j=1$"):
-        qsum((0, -14, 0), 6, [(1, 1, x)], lambda: "here")
+        qsum((0, -14, 0), 6, [(1, 1, one)], lambda: "here")
+
+
+def test_qsum_guards_term_by_term():
+    # each term's degree guard, then its exponent check, before the next
+    # term: the first failing term names the error, whichever guard it is
+    deep = ((2600, 1),)  # [2600, 1] has degree 2599 > 2500
+    with pytest.raises(DegreeLimitError,
+                       match=r"^qbin\(2600, 1, base=1\) has degree 2599 > 2500$"):
+        qsum((0, 1, 0), 2, [(0, 1, deep), (1, 1, ((1, 0),))], lambda: "here")
+    with pytest.raises(NonIntegerExponentError, match=r"at j=1$"):
+        qsum((0, 1, 0), 2, [(1, 1, ((1, 0),)), (2, 1, deep)], lambda: "here")
+    # a key beside a vanishing one is still guarded, as b_kernel's second
+    # qbin is, and the guard names the key with m <= n - m
+    with pytest.raises(DegreeLimitError, match=r"^qbin\(2600, 1, "):
+        qsum((0, 1, 0), 2, [(0, 1, ((1, 2), (2600, 2599)))], None)
+    # the span of the terms so far is checked before the next term and
+    # before any shift: exponent 10^9 raises here, not in a shift of
+    # 10^9 words
+    with pytest.raises(DegreeLimitError, match=r"^polynomial span 1000000001 > 1000000$"):
+        qsum((0, 1, 0), 1, [(0, 1, ((2, 1),)), (10 ** 9, 1, ((1, 0),)),
+                            (1, 1, deep)], None)
+
+
+def test_g_poly_huge_exponent_is_refused_small():
+    # `qburge eval G 1 1 1000000000 1 1`: the term j = 1 sits at q^(10^9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegreeLimitError, match=r"^polynomial span 1000000001 "):
+            g_poly(1, 1, 10 ** 9, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    with pytest.raises(DegreeLimitError):
+        ref_g_poly(1, 1, 10 ** 9, 1, 1)
+
+
+def test_qsum_width_holds_its_bound(monkeypatch):
+    # term k is +-q^(j^2) [2, 1]^k = (1+q)^k, of l1 2^k, so terms 0..t-1
+    # bound the sum by 2^t - 1, and one more term [1, 0] = 1 by 2^t: the
+    # word is the narrowest of 32, 64 or 128 bits above that bound and
+    # its sign bit, and every sum decodes exactly
+    for t, extra, width in ((31, 0, 32), (31, 1, 64), (63, 0, 64), (63, 1, 128)):
+        for signs in ((1,), (1, -1)):
+            terms = [(k % 3, signs[k % len(signs)], ((2, 1),) * k) for k in range(t)]
+            terms += [(0, 1, ((1, 0),))] * extra
+            expect = LaurentPoly.zero()
+            for j, sign, keys in terms:
+                p = LaurentPoly.one()
+                for key in keys:
+                    p = p * qbin(*key)
+                expect = expect + p.scale(j * j, sign)
+            store = {}
+            monkeypatch.setattr(qcombinat, "_PACKED_CACHE", store)
+            assert qsum((1, 0, 0), 1, terms, None) == expect, (t, extra, signs)
+            assert list(store) == [width]
 
 
 def test_bosonic_eval_matches_reference():
@@ -190,18 +242,6 @@ def test_bosonic_eval_rational_grid():
         "raised: non-integer exponent 1/2 in bosonic spec BosonicSpec(a=2, " \
         "b=1, abar=0, bbar=0, c2=Fraction(1, 2), c1=Fraction(0, 1), " \
         "c0=Fraction(0, 1)) at j=-1"
-
-
-def test_transform_step_matches_reference():
-    inners = [lambda l, m: b_kernel(l, m, 1, 0), lambda l, m: qbin(l + m, m),
-              lambda l, m: qbin(l, m).scale(l - m) if l > m else
-              LaurentPoly.zero()]
-    for direction in ("B1", "B2"):
-        for inner in inners:
-            for L in range(9):
-                for M in range(9):
-                    assert transform_step(direction, inner, L, M) == \
-                        ref_transform_step(direction, inner, L, M)
 
 
 _RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
