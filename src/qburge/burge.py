@@ -143,6 +143,7 @@ def tree_walk(a, b, family, L, M):
             v = _walk(_ROWS.setdefault(w, {}), w, family, (a, b), L, M)
         except _Overflow as exc:  # rebuild at a width that holds it
             wide = pack_width(exc.args[0].bit_length() + 1)
+            # H's root rows have columns only, no running sums
             roots = {key: [[(pack(unpack(v, v.bit_length() // w + 1, w), wide), l1)
                             for v, l1 in row[0]], [], []]
                      for key, row in _ROWS[w].items() if key[:2] == ("H", _ROOTS["H"][0])}

@@ -213,7 +213,7 @@ def qsum(quad, den, terms, context):
     n2, n1, n0 = quad
     live, bound, lo, hi = [], 0, None, None
     for j, sign, keys in terms:
-        factors, l1, top = [], 1, 0
+        factors, l1, deg = [], 1, 0
         for n, m in keys:
             if m < 0 or m > n:
                 l1 = 0
@@ -222,14 +222,14 @@ def qsum(quad, den, terms, context):
                     raise _degree_error(n, m, 1)
                 factors.append((n, m, 1))
                 l1 *= comb(n, m)
-                top += m * (n - m)
+                deg += m * (n - m)
         if not l1:
             continue
         e, r = divmod((n2 * j + n1) * j + n0, den)
         if r:
             raise NonIntegerExponentError(
                 f"non-integer exponent {e + Fraction(r, den)} in {context()} at j={j}")
-        top += e
+        top = e + deg
         if lo is None:
             lo, hi = e, top
         else:
