@@ -86,7 +86,7 @@ def shifted_bar(a, b):
     family takes its abar branch, i.e. cf(a,b) (last quotient >= 2) has even
     order and a < 2b, or odd order and a > 2b."""
     abar, bbar = bar_pair(a, b)
-    n = cf_expand(a, b).order
+    n = len(cf_expand(a, b).quotients) - 1
     return abar, bbar, (a < 2 * b and n % 2 == 0) or (a > 2 * b and n % 2 == 1)
 
 

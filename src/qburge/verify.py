@@ -12,7 +12,10 @@ display) are independent transcription oracles: each is written out term
 by term in its own function and calls no evaluator it checks. They share
 only their loop: `_total` sums q^e p over (e, p) pairs, and
 `_series_total` sums q^e p / prod_k (1 - q^k) truncated at the order.
-A catalogue case takes its params as keyword arguments.
+A catalogue case takes its params as keyword arguments. Cases that differ
+only in data are registered from tables: the lattice cases by family
+(`_LATTICE`, which the grid suites read too), the double-limit series
+cases (`_SERIES`) and the (7,5) and (7,2) displays (`_DISPLAYS`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd, isqrt
 
 from .qpoly import (DegreeLimitError, LaurentPoly, TruncatedSeries,
@@ -394,53 +397,42 @@ def _pairs(a_max, a_min=2):
             for b in range(1, a) if gcd(a, b) == 1]
 
 
-@_register("main", "polynomial",
-           "alternating kernel sum with j((2ab+1)j+1)/2 equals the F lattice sum",
-           "(a,b) coprime, L,M >= 0")
-def _case_main(a, b, L, M):
-    return bosonic_eval(spec_main(a, b), L, M), eval_F(a, b, L, M)
+# lattice family -> (its lattice sum, the least a of its pairs, its cases,
+# each (case id, left side, description)). A left side is a spec builder,
+# whose spec(a, b) bosonic_eval sums, or tree_walk for the family's walk.
+# _lattice_sides names bosonic_eval and tree_walk, and the lattice sums are
+# lambdas, so each is looked up when a case runs: a wrapper rebound over
+# this module's names (a tracer, a monkeypatch) sees every call
+_LATTICE = {
+    "F": (lambda *p: eval_F(*p), 2, (
+        ("main", spec_main,
+         "alternating kernel sum with j((2ab+1)j+1)/2 equals the F lattice sum"),
+        ("main_tree", tree_walk, "transform-tree recursion reproduces the F lattice sum"))),
+    "f": (lambda *p: eval_f(*p), 2, (
+        ("recip", spec_recip,
+         "alternating kernel sum with j((2ab-1)j+1)/2 equals the f lattice sum"),)),
+    "H": (lambda *p: eval_H(*p), 3, (  # (2, 1), H's seed, is the bnewp2 case
+        ("shifted", spec_shifted, "bar-shifted alternating kernel sum equals the H lattice sum"),
+        ("shifted_tree", tree_walk, "transform-tree recursion reproduces the H lattice sum"))),
+    "I": (lambda *p: eval_I(*p), 2, (
+        ("even", spec_even,
+         "alternating kernel sum with exponent ab j^2 equals the I lattice sum"),
+        ("even_tree", tree_walk, "transform-tree recursion reproduces the I lattice sum"))),
+}
 
 
-@_register("main_tree", "polynomial",
-           "transform-tree recursion reproduces the F lattice sum",
-           "(a,b) coprime, L,M >= 0")
-def _case_main_tree(a, b, L, M):
-    return tree_walk(a, b, "F", L, M), eval_F(a, b, L, M)
+def _lattice_sides(evaluate, family, spec, a, b, L, M):
+    """bosonic_eval of spec(a, b), or the family's tree_walk if spec is
+    None, and the family's lattice sum."""
+    lhs = tree_walk(a, b, family, L, M) if spec is None else bosonic_eval(spec(a, b), L, M)
+    return lhs, evaluate(a, b, L, M)
 
 
-@_register("recip", "polynomial",
-           "alternating kernel sum with j((2ab-1)j+1)/2 equals the f lattice sum",
-           "(a,b) coprime, L,M >= 0")
-def _case_recip(a, b, L, M):
-    return bosonic_eval(spec_recip(a, b), L, M), eval_f(a, b, L, M)
-
-
-@_register("shifted", "polynomial",
-           "bar-shifted alternating kernel sum equals the H lattice sum",
-           "(a,b) coprime, (2,1) excluded, L,M >= 0")
-def _case_shifted(a, b, L, M):
-    return bosonic_eval(spec_shifted(a, b), L, M), eval_H(a, b, L, M)
-
-
-@_register("shifted_tree", "polynomial",
-           "transform-tree recursion reproduces the H lattice sum",
-           "(a,b) coprime, (2,1) excluded, L,M >= 0")
-def _case_shifted_tree(a, b, L, M):
-    return tree_walk(a, b, "H", L, M), eval_H(a, b, L, M)
-
-
-@_register("even", "polynomial",
-           "alternating kernel sum with exponent ab j^2 equals the I lattice sum",
-           "(a,b) coprime, L,M >= 0")
-def _case_even(a, b, L, M):
-    return bosonic_eval(spec_even(a, b), L, M), eval_I(a, b, L, M)
-
-
-@_register("even_tree", "polynomial",
-           "transform-tree recursion reproduces the I lattice sum",
-           "(a,b) coprime, L,M >= 0")
-def _case_even_tree(a, b, L, M):
-    return tree_walk(a, b, "I", L, M), eval_I(a, b, L, M)
+for family, (evaluate, a_min, cases) in _LATTICE.items():
+    for cid, left, description in cases:
+        _register(cid, "polynomial", description,
+                  "(a,b) coprime, " + "(2,1) excluded, " * (a_min == 3) + "L,M >= 0")(
+            partial(_lattice_sides, evaluate, family, None if left is tree_walk else left))
 
 
 @_register("bnew", "polynomial",
@@ -563,28 +555,19 @@ def _case_g_limft(a, b, M):
         eval_limit_L("f", a, b, M)
 
 
-@_register("series_F", "truncated-series",
-           "F-family double limit equals the modulus-(2ab+1) triple product",
-           "(a,b) coprime, order T")
-def _case_series_F(a, b, T):
-    return eval_limit_both("F", a, b, T), \
-        product_series(a * b, a * b + 1, 2 * a * b + 1, T)
+def _series_sides(family, offset, a, b, T):
+    z = 2 * a * b + offset
+    return eval_limit_both(family, a, b, T), product_series(z // 2, z - z // 2, z, T)
 
 
-@_register("series_f", "truncated-series",
-           "f-family double limit equals the modulus-(2ab-1) triple product",
-           "(a,b) coprime, b > 1, order T")
-def _case_series_f(a, b, T):
-    return eval_limit_both("f", a, b, T), \
-        product_series(a * b - 1, a * b, 2 * a * b - 1, T)
-
-
-@_register("series_I", "truncated-series",
-           "I-family double limit equals the modulus-2ab triple product",
-           "(a,b) coprime, order T")
-def _case_series_I(a, b, T):
-    return eval_limit_both("I", a, b, T), \
-        product_series(a * b, a * b, 2 * a * b, T)
+# family -> (modulus offset o, domain clause): the family's double limit
+# equals the modulus-(2ab+o) triple product
+_SERIES = {"F": (1, ""), "f": (-1, "b > 1, "), "I": (0, "")}
+for family, (offset, clause) in _SERIES.items():
+    _register(f"series_{family}", "truncated-series",
+              f"{family}-family double limit equals the modulus-"
+              f"{f'(2ab{offset:+d})' if offset else '2ab'} triple product",
+              f"(a,b) coprime, {clause}order T")(partial(_series_sides, family, offset))
 
 
 @_register("series_agid", "truncated-series",
@@ -594,28 +577,18 @@ def _case_series_agid(k, T):
     return _series_agid(k, T), product_series(k, k + 1, 2 * k + 1, T)
 
 
-@_register("series_display75F", "truncated-series",
-           "explicit (7,5) quadruple-sum display, modulus 71", "order T")
-def _case_series_75F(T):
-    return _series_display75(T, barred=False), product_series(35, 36, 71, T)
+def _display_sides(display, barred, z, T):
+    return display(T, barred), product_series(z // 2, z - z // 2, z, T)
 
 
-@_register("series_display72F", "truncated-series",
-           "explicit (7,2) quadruple-sum display, modulus 29", "order T")
-def _case_series_72F(T):
-    return _series_display72(T, barred=False), product_series(14, 15, 29, T)
-
-
-@_register("series_display75f", "truncated-series",
-           "explicit (7,5) quadruple-sum display, modulus 69", "order T")
-def _case_series_75f(T):
-    return _series_display75(T, barred=True), product_series(34, 35, 69, T)
-
-
-@_register("series_display72f", "truncated-series",
-           "explicit (7,2) quadruple-sum display, modulus 27", "order T")
-def _case_series_72f(T):
-    return _series_display72(T, barred=True), product_series(13, 14, 27, T)
+# the explicit (7,5) and (7,2) quadruple-sum displays, unbarred (F) and
+# barred (f): (case id suffix, display, barred, modulus)
+_DISPLAYS = (("75F", _series_display75, False, 71), ("72F", _series_display72, False, 29),
+             ("75f", _series_display75, True, 69), ("72f", _series_display72, True, 27))
+for key, display, barred, z in _DISPLAYS:
+    _register(f"series_display{key}", "truncated-series",
+              f"explicit ({key[0]},{key[1]}) quadruple-sum display, modulus {z}",
+              "order T")(partial(_display_sides, display, barred, z))
 
 
 @_register("hookp", "polynomial",
@@ -751,15 +724,15 @@ def _grid(case_ids, lm, pairs=None):
             for L in range(lm + 1) for M in range(lm + 1)]
 
 
-def _thmmain2(bud):
-    return _grid(("shifted", "shifted_tree"), bud.lm_max,
-                 _pairs(bud.a_max, a_min=3)) + \
-        _grid(("ab32", "rr2inv"), bud.lm_max)
+def _lattice_grid(family, bud):
+    """The grid of a lattice family's cases, over its pairs with a <= a_max."""
+    _, a_min, cases = _LATTICE[family]
+    return _grid([cid for cid, _, _ in cases], bud.lm_max, _pairs(bud.a_max, a_min))
 
 
 def _corollaries(bud):
     pairs, vs = _pairs(bud.a_max), range(bud.lm_max + 1)
-    return _grid(("recip",), bud.lm_max, pairs) + \
+    return _lattice_grid("f", bud) + \
         [(cid, {"a": a, "b": b, idx: v})
          for cid, idx in (("g_eq_limF", "L"), ("g_eq_limf", "L"),
                           ("g_eq_limFt", "M"), ("g_eq_limft", "M"))
@@ -782,8 +755,7 @@ def _series(bud):
     return [(cid, {"a": a, "b": b, "T": bud.T}) for cid, ps in pairs.items()
             for a, b in ps] + \
         [("series_agid", {"k": k, "T": bud.T}) for k in (2, 3, 4)] + \
-        [(cid, {"T": bud.T}) for cid in ("series_display75F", "series_display72F",
-                                         "series_display75f", "series_display72f")]
+        [(f"series_display{key}", {"T": bud.T}) for key, *_ in _DISPLAYS]
 
 
 def _positivity(bud):
@@ -816,11 +788,9 @@ def _hookp(bud):
 # suite name -> the (case id, params) checks it runs under a CampaignBudget,
 # in the default order of `qburge verify`
 SUITES = {
-    "thmmain": lambda bud: _grid(("main", "main_tree"), bud.lm_max,
-                                 _pairs(bud.a_max)),
-    "thmmain2": _thmmain2,
-    "even": lambda bud: _grid(("even", "even_tree"), bud.lm_max,
-                              _pairs(bud.a_max)),
+    "thmmain": lambda bud: _lattice_grid("F", bud),
+    "thmmain2": lambda bud: _lattice_grid("H", bud) + _grid(("ab32", "rr2inv"), bud.lm_max),
+    "even": lambda bud: _lattice_grid("I", bud),
     "corollaries": _corollaries,
     "series": _series,
     "positivity": _positivity,

@@ -1,12 +1,58 @@
-"""Continued fractions, Cartan data, (m,n)-system, bar pair."""
+"""Continued fractions, their second representation and Cartan data, the
+bar pair, and the Cartan rows the lattice engine reads off the quotients."""
 
 import random
+from collections import namedtuple
+from itertools import accumulate
 from math import gcd
 
 import pytest
 
-from qburge.cf import check_pair, cf_expand, cf_toggle, build_cartan, bar_pair
+from qburge.cf import CFData, check_pair, cf_expand, bar_pair
 from qburge.fermionic import _qkey, _rules
+
+
+def cf_toggle(c):
+    """Switch between the [.., x] (x>=2) and [.., x-1, 1] representations."""
+    if c.quotients == (1,):
+        raise ValueError("the pair (2,1) has a single representation")
+    q = list(c.quotients)
+    if q[-1] >= 2:
+        q[-1] -= 1
+        q.append(1)
+    else:
+        q.pop()
+        q[-1] += 1
+    return CFData(c.a, c.b, tuple(q), c.d)
+
+
+class CartanData(namedtuple("CartanData", "cf incidence cartan tau")):
+    """Incidence matrix (tadpole blocks), Cartan matrix 2*Id - I, and tau."""
+
+    __slots__ = ()
+
+    @property
+    def d(self):
+        return self.cf.d
+
+
+def build_cartan(c):
+    """The full d x d incidence and Cartan matrices of c, and tau. The lattice
+    engine reads each row off the quotients instead (`fermionic._rules`); this
+    is the reference its rules are checked against."""
+    d = c.d
+    ends = set(accumulate(c.quotients))  # block-terminating indices t_1..t_{n+1}
+    inc = [[0] * d for _ in range(d)]
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            if j in ends:
+                v = (j == k + 1) + (j == k) - (j == k - 1)
+            else:
+                v = (j == k + 1) + (j == k - 1)
+            inc[j - 1][k - 1] = v
+    car = [[2 * (j == k) - inc[j][k] for k in range(d)] for j in range(d)]
+    tau = tuple([2] * (d - 1) + [1])
+    return CartanData(c, tuple(map(tuple, inc)), tuple(map(tuple, car)), tau)
 
 
 def coprime_pairs(a_max, a_min=2):
@@ -41,8 +87,8 @@ def n_row(cd, j, prev, cur, nxt):
 
 def quad_form_squares(c, m):
     """m C m as the block sum of squares, an independent cross-check of quad_form."""
-    total = 0
-    for lo, hi in zip(c.t[:-1], c.t[1:]):
+    total, t = 0, list(accumulate(c.quotients, initial=0))
+    for lo, hi in zip(t[:-1], t[1:]):
         total += m[lo] ** 2
         for k in range(lo + 1, hi):
             total += (m[k - 1] - m[k]) ** 2
@@ -129,7 +175,7 @@ def test_rep_toggle_changes_one_block_corner():
         d = len(i1)
         diffs = [(j, k) for j in range(d) for k in range(d)
                  if i1[j][k] != i2[j][k]]
-        cut = c1.t[-2]  # start of the final block in the a_n >= 2 rep
+        cut = sum(c1.quotients[:-1])  # start of the final block in the a_n >= 2 rep
         assert diffs, "toggle must change the matrix"
         assert all(j >= cut - 1 and k >= cut - 1 for j, k in diffs)
 

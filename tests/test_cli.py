@@ -348,6 +348,9 @@ def test_list_identities(capsys):
     assert sorted(line.split()[0] for line in lines
                   if line.split()[1] == "[positivity]") == \
         ["pos_gen", "pos_section8", "pos_shifted", "pos_split"]
+    # every id, description and domain, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8c76e6ee58b5db7974b072d432254fd16d9cbcaa00ce6089969de077401f1522"
 
 
 def test_verify_default_json_digest(tmp_path, capsys):

@@ -10,13 +10,13 @@ import pytest
 from qburge import fermionic, qcombinat
 from qburge.qpoly import LaurentPoly, TruncatedSeries
 from qburge.qcombinat import _factor, _qkey, g_poly, qbin, q_poch, qsum
-from qburge.cf import build_cartan, cf_expand, cf_toggle
+from qburge.cf import cf_expand
 from qburge.fermionic import (_bounded, _flat, _kernel_sum, _lattice_sum,
                               _rules, _square, eval_F, eval_f, eval_H, eval_I,
                               eval_limit_M, eval_limit_L, eval_limit_both)
 from qburge.verify import _sum_bnewp
 
-from test_cf import quad_form
+from test_cf import build_cartan, cf_toggle, quad_form
 from test_qpoly import poch_range, poly_agrees_with_series
 
 

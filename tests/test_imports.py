@@ -1,5 +1,6 @@
-"""Import hygiene: every name a source file imports is used in it, and the
-two sides of an identity import nothing from each other."""
+"""Import hygiene: every name a source file imports is used in it, every
+function and class of `src` is reached from `src`, and the two sides of an
+identity import nothing from each other."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,52 @@ def test_every_import_is_used():
             if unused:
                 found[str(path.relative_to(ROOT))] = unused
     assert not found
+
+
+# (module, name) -> why it stays in src with no reader there
+UNREACHED = {
+    ("verify", "positivity_scan"):
+        "perfbench's campaign worker hooks it; goes with that hook (ROADMAP item 6)",
+}
+
+
+def unreached(texts):
+    """The (module, name) of each module-level function and class in the
+    Python sources `texts` (module -> source) that no other top-level
+    statement of any of them reads, as a name or an attribute, or lists in
+    `__all__`. A def under `@_register(...)` is reached: it is a catalogue
+    case."""
+    defs, reads = [], []
+    for module, text in texts.items():
+        for node in ast.parse(text).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, ast.Assign) and \
+                    any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                names |= {elt.value for elt in node.value.elts}
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = (module, node.name)
+                if not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_register"
+                           for d in node.decorator_list):
+                    defs.append(own)
+            reads.append((own, names))
+    return {(module, name) for module, name in defs
+            if not any(name in names for own, names in reads if own != (module, name))}
+
+
+def test_unreached_is_found():
+    texts = {"a": "def f():\n    return f()\n\n\ndef g():\n    return h\n\n\n"
+                  "class C:\n    pass\n\n\n@_register('x')\ndef _case():\n    pass\n",
+             "b": "from .a import g\n__all__ = ['C']\n\n\ndef h():\n    return g()\n"}
+    assert unreached(texts) == {("a", "f")}
+
+
+def test_every_src_definition_is_reached():
+    # code that only the tests read belongs in the tests
+    texts = {path.stem: path.read_text()
+             for path in sorted((ROOT / "src" / "qburge").glob("*.py"))}
+    assert unreached(texts) == set(UNREACHED)
 
 
 def imports_of(text):

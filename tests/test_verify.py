@@ -9,6 +9,7 @@ import pytest
 from qburge.qpoly import DegreeLimitError, LaurentPoly, TruncatedSeries
 from qburge import qcombinat, verify
 from qburge.qcombinat import b_kernel, qbin, d_poly
+from qburge.burge import spec_even, spec_main, spec_recip, spec_shifted
 from qburge.verify import (CATALOGUE, CampaignBudget, IdentityCase, SUITES,
                            check_identity, partition_oracle, positivity_scan,
                            product_series, run_campaign)
@@ -310,6 +311,34 @@ def test_catalogue_shape():
     assert {cid for cid, case in CATALOGUE.items()
             if case.kind == "positivity"} == \
         {"pos_gen", "pos_shifted", "pos_split", "pos_section8"}
+
+
+def test_lattice_cases_take_their_routes(monkeypatch):
+    # each lattice case built from the family table: a *_tree case walks its
+    # family's tree, the others sum their own kernel spec, and the right side
+    # is the family's lattice sum. Both left sides would pass on either
+    # route, so the campaign's records cannot tell them apart
+    routes = {"main": ("F", spec_main), "main_tree": ("F", None),
+              "recip": ("f", spec_recip),
+              "shifted": ("H", spec_shifted), "shifted_tree": ("H", None),
+              "even": ("I", spec_even), "even_tree": ("I", None)}
+    calls = []
+    for name in ("tree_walk", "bosonic_eval"):
+        monkeypatch.setattr(verify, name,
+                            lambda *args, name=name: calls.append((name, *args)))
+    for family in "FfHI":
+        monkeypatch.setattr(verify, f"eval_{family}",
+                            lambda *args, family=family: (family, *args))
+    bud = CampaignBudget(a_max=5, lm_max=1)
+    suites = ("thmmain", "thmmain2", "even", "corollaries")
+    assert {cid for suite in suites for cid, _ in SUITES[suite](bud)} >= set(routes)
+    for cid, (family, spec) in routes.items():
+        for a, b, L, M in ((5, 3, 2, 3), (7, 2, 3, 1)):
+            calls.clear()
+            _, rhs = CATALOGUE[cid].sides({"a": a, "b": b, "L": L, "M": M})
+            assert calls == [("tree_walk", a, b, family, L, M) if spec is None
+                             else ("bosonic_eval", spec(a, b), L, M)], cid
+            assert rhs == (family, a, b, L, M), cid
 
 
 def test_campaign_small_all_pass_and_deterministic():
