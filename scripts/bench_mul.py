@@ -28,17 +28,20 @@ Then it times qbin on a cleared memo, one call per run, best of REPEAT:
 QBIN_MAX_DEGREE, one wide and one narrow), and [30, 15] in q^2.
 
 Then it times one packed lattice sum per evaluator kind, cold: the qbin,
-q_poch, packed-factor and level memos and the continued-fraction, factor and
-rules caches are cleared before every run, so each row includes building
-and packing its factors and building its rules. The rows are
+q_poch, packed-factor, level and row memos and the continued-fraction,
+factor and rules caches are cleared before every run, so each row includes
+building and packing its factors and building its rules. The rows are
 eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
 (signed Pochhammer links), eval_limit_L("F", 8, 1, 15) (the finitized
 Andrews-Gordon sum of b = 1), eval_limit_both("F", 7, 5, 60) (products
-cut at q^60), one row of all 81 eval_F(8, 5, L, M) at L, M <= 8 in a
-fixed shuffled order, whose calls share their (L, M)-free levels, and one
-row of the 25 eval_limit_both calls of the default `series` suite in its
-order (T = 40; four of them repeat an earlier call, and the calls on equal
-kernel rules share their cut levels).
+cut at q^60), two rows of all 81 eval_F(8, 5, L, M) at L, M <= 8, one in
+a fixed shuffled order, whose calls share their (L, M)-free levels (two
+of them follow the call at (L, M - 1) and so start a row of the row
+memo), and one in scan order (L, then M), whose calls after M = 0 are the
+columns of one row per L, and one row of the 25 eval_limit_both calls of
+the default `series` suite in its order (T = 40; four of them repeat an
+earlier call, and the calls on equal kernel rules share their cut
+levels).
 
 Last, it times the alternating sums, one row pair per caller of
 `qcombinat.qsum` (the packed sum, reading the factor store that the
@@ -69,7 +72,8 @@ from qburge.verify import SUITES, CampaignBudget
 
 REPEAT = 7
 COLD_QBIN = ((50, 25, 1), (100, 50, 1), (2501, 1, 1), (30, 15, 2))
-GRID = random.Random(0).sample([(L, M) for L in range(9) for M in range(9)], 81)
+SCAN = [(L, M) for L in range(9) for M in range(9)]
+GRID = random.Random(0).sample(SCAN, 81)
 # (family, a, b, T) of the series_F, series_f and series_I checks of the
 # default series suite
 SERIES = [(cid[-1], p["a"], p["b"], p["T"])
@@ -82,6 +86,8 @@ COLD_L1 = (("eval_F(8, 3, 8, 8)", lambda: eval_F(8, 3, 8, 8)),
             lambda: eval_limit_both("F", 7, 5, 60)),
            ("eval_F(8, 5, L, M), L, M <= 8",
             lambda: [eval_F(8, 5, L, M) for L, M in GRID]),
+           ("eval_F(8, 5, L, M), scan order",
+            lambda: [eval_F(8, 5, L, M) for L, M in SCAN]),
            ("eval_limit_both, series suite",
             lambda: [eval_limit_both(*args) for args in SERIES]))
 PAIRS = [(a, b) for a in range(2, 9) for b in range(1, a) if gcd(a, b) == 1]
@@ -104,8 +110,8 @@ BOSONIC = (("g_poly, single-limit G grid", lambda: [g_poly(*g) for g in G_GRID])
 
 
 def clear_memos():
-    for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE,
-                 qcombinat._PACKED_CACHE, fermionic._LEVEL_CACHE):
+    for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE, qcombinat._PACKED_CACHE,
+                 fermionic._LEVEL_CACHE, fermionic._ROW_CACHE):
         memo.clear()
     for cached in (cf.cf_expand, qcombinat._factor, fermionic._rules):
         cached.cache_clear()

@@ -38,12 +38,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
-from operator import lshift
 
 from .cf import bar_pair, cf_expand, check_pair
 from .qpoly import LaurentPoly, pack, pack_width, unpack
-from .qcombinat import QBIN_MAX_DEGREE, DegreeLimitError, _Overflow, over_lcm, qsum
+from .qcombinat import (QBIN_MAX_DEGREE, DegreeLimitError, _Overflow, _sweep, over_lcm,
+                        qsum)
 
 
 # one alternating sum  sum_j (-1)^j q^(c2 j^2 + c1 j + c0) B(L,M,aj+abar,bj+bbar)
@@ -181,13 +180,14 @@ def _walk(rows, w, family, top, L, M):
 def _extend(rows, w, family, pair, l, m):
     """Row l of `pair` up to column m, on the columns n it does not hold:
     T(n) = S_(K-1)(n), with S_k(n) = S_(k-1)(n) + q^(step k) S_k(n-1) and
-    S_(-1)(n) the numerator's z^n coefficient. Raises _Overflow when a
+    S_(-1)(n) the numerator's z^n coefficient: one `_sweep` per column,
+    the step that `fermionic`'s rows take too. Raises _Overflow when a
     column's l1 reaches 2^(w-1)."""
     root, step = _ROOTS[family]
     k = (l + 1 if step else 0) if pair == root else 2 * l + 1
     if pair != root:
         step, (direction, below) = 1, _below(*pair)
-    cols, sums, ones = row = rows.setdefault((family, pair, l), [[], [0] * k, [0] * k])
+    cols, sums, ones = rows.setdefault((family, pair, l), [[], [0] * k, [0] * k])
     shifts = [step * w * i for i in range(k)]
     for n in range(len(cols), m + 1):
         v = l1 = 0  # past column l, a transform row's numerator has no term
@@ -197,13 +197,7 @@ def _extend(rows, w, family, pair, l, m):
             x, y = (l - n, n) if direction == "B1" else (n, l - n)
             v, l1 = rows[family, below, x][0][y]
             v <<= w * n * n
-        sums = list(accumulate(map(lshift, sums, shifts), initial=v))
-        ones = list(accumulate(ones, initial=l1))
-        if ones[-1] >> (w - 1):
-            raise _Overflow(ones[-1])
-        cols.append((sums[-1], ones[-1]))
-        del sums[0], ones[0]
-    row[1:] = sums, ones
+        cols.append(_sweep(sums, ones, shifts, v, l1, w))
 
 
 def _seed(l, n, w):

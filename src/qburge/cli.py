@@ -155,9 +155,14 @@ def _check_config(cfg):
     limit = qcombinat.QBIN_MAX_DEGREE  # read at call time: tests patch it
     # g_poly(N, N, ...) reads [2N, N], of degree N^2: pos_gen (given a pair,
     # a_max >= 2) at N <= pos_l_max, pos_section8 and section8 at N <= n_max.
-    # The lattice suites read [3L, 2L], of degree 2 L^2, at L = M = lm_max:
-    # thmmain2 and comp in their explicit sums, thmmain, even and
-    # corollaries in the boundary binomial of the pair (2, 1)
+    # The lattice suites stay at degree 2LM <= 2 lm_max^2 (L = M = lm_max):
+    # thmmain2 and comp build [2L+M, 2L] = [3L, 2L] in their explicit sums;
+    # the tree walks of thmmain, thmmain2 and even refuse a point whose head
+    # [2L+M, 2L] is above the limit, though they never build it; the kernels
+    # [L+M+x-y, L+x] [L+M-x+y, L-x] (|x| <= L, |y| <= M) of their bosonic
+    # sides and of corollaries stay at or below 2LM. The lattice sums of the
+    # grids no longer build [3L, 2L]: their point form runs at M = 0, where
+    # the head is [2L, 2L] = 1, and their rows build no head
     lattice = {"thmmain2", "comp"} | \
         ({"thmmain", "even", "corollaries"} if cfg.a_max >= 2 else set())
     for name, k, used in (

@@ -2,7 +2,8 @@
 F, f, H, I, their one-sided large-bound limits and the double-limit series.
 
 Every value is one call of `_lattice_sum`, a transfer-matrix sum along the
-continued fraction. The kernel reads only its quotients: row j of the
+continued fraction, or a column of a row in M built from one such pass
+(see Rows). The kernel reads only its quotients: row j of the
 Cartan matrix is (-1, 2, -1) inside a tadpole block and (-1, 1, 1) at a
 block's end, and tau_j = 2 except tau_d = 1. The matrix is tridiagonal, so
 the binomial factor at position j depends only on (m_{j-1}, m_j, m_{j+1})
@@ -101,6 +102,41 @@ level's entry extends it, adding only the new columns, level by level
 from d down; then it runs the levels below the free ones and the head on
 the states with m_1 <= hi. Cut entries are kept like the others: like
 the other memos here, the level memo is not bounded.
+
+Rows. F, f, H and I read M only in the boundary binomial of the head,
+[2L+M-m_1, 2L] or, for a > 2b, [L+M+m_1, 2L] = [2L+M-(L-m_1), 2L]. So
+F(L, M) = sum_{m_1} [2L+M-s, 2L] q^(psi_0) Y_L(m_1), with s = m_1 (L - m_1
+for a > 2b) and Y_L(m_1) the sum at m_1 after the head, free of M. By the
+q-binomial theorem, sum_M [2L+M-s, 2L] z^M = z^s / (z;q)_(2L+1) (G. E.
+Andrews, The Theory of Partitions, 1976, Thm 3.3), so
+
+    sum_M F(L, M) z^M = (sum_{m_1} z^s q^(psi_0) Y_L(m_1)) / (z;q)_(2L+1).
+
+A row is that numerator, from one pass with the head left out (`_pass`
+with `row`, every m_1 <= L), divided by (z;q)_(2L+1) as the 2L+1 running
+sums of `qcombinat._sweep`, the step that `burge`'s tree walk divides by;
+each column costs one shifted add per running sum, and the head binomial
+is never built. Rows serve a caller that asks for many M at one L in
+turn, as the grid suites of `verify` do (M innermost); scattered points
+keep the point form `_bounded`. The row memo `_ROW_CACHE` holds at most
+one live entry per family, keyed (family, quotients, a > 2b, L): the flag
+tells (a, b) from (a, a - b), which have the same quotients but not the
+same head. A call at a value the entry holds returns it; a call at the
+column after its last starts a row from a point entry, or grows the row
+by that column; any other call runs the point form and replaces the
+entry. So a row starts only at M + 1 after a point at M, and the memo
+never holds more than four entries. Each column's l1 is exactly
+F(L, M)(1), as every coefficient is nonnegative, and it bounds every
+running sum; a column or factor that reaches 2^(w-1) restarts the row at
+the width that holds it, by `_lattice_sum`'s rule, swept from column 0
+again. The numerator's states carry exact l1s too, so a restart whose old
+width holds them all packs them again at the new one, and only a state
+too wide for it makes the pass run again. H at (2, 1), whose seed has a
+head of its own, and the limits stay point forms.
+
+Memos. This module keeps two: the level memo `_LEVEL_CACHE` and the row
+memo `_ROW_CACHE`. A cold start clears both, with the factor store of
+`qcombinat` and the cached `_rules`, `_binomial` and `_quadratic`.
 """
 
 from __future__ import annotations
@@ -110,15 +146,20 @@ from itertools import accumulate
 from math import isqrt
 
 from .cf import cf_expand, check_pair
-from .qpoly import LaurentPoly, TruncatedSeries, pack_width, unpack
+from .qpoly import LaurentPoly, TruncatedSeries, pack, pack_width, unpack
 from .qcombinat import (_ONE_KEY, _PACKED_CACHE, QBIN_MAX_DEGREE, DegreeLimitError,
-                        _Overflow, _packed, _qkey, q_poch, qbin)
+                        _Overflow, _packed, _qkey, _sweep, q_poch, qbin)
 
 # the states of one free level by (its phi, its psi, key of the level after
 # it), down to (word width, cut): see _extend and the module docstring
 _LEVEL_CACHE = {}
 # word width in bits of a lattice sum's first pass
 _FIRST_WIDTH = 32
+# the row memo, at most one live entry per bounded family F, f, H, I:
+# family -> [key, m0, values, row], key (family, quotients, a > 2b, L), the
+# values at M = m0, m0 + 1, ..., and row None for a point, else the state
+# of `_row` after the last value's column; see _from_rows
+_ROW_CACHE = {}
 
 
 def _lattice_sum(top, phis, psis, first, cut=None):
@@ -151,9 +192,12 @@ def _lattice_sum(top, phis, psis, first, cut=None):
         w = pack_width(max(w + 1, l1.bit_length() + 1))
 
 
-def _pass(top, phis, psis, first, cut, w):
+def _pass(top, phis, psis, first, cut, w, row=False):
     """The lattice sum as (lo, v, l1) on values p(X) at X = 2^w, with
-    p = v(X) q^lo and l1 >= ||p||_1.
+    p = v(X) q^lo and l1 >= ||p||_1. With `row`, the head is left out:
+    every m_1 <= top is summed, and the pass returns the states
+    (m_1, lo, v, l1) of q^(psi_0) times the sum at m_1, one per m_1 that
+    has a term, in place of their sum with the head (see `_row`).
 
     Level j holds the pair states (m_{j-1}, m_j), as level[m_{j-1}][m_j]:
     each is the sum over m_{j+1}, ..., m_d of the factors at positions
@@ -164,10 +208,13 @@ def _pass(top, phis, psis, first, cut, w):
     taken mod X^(cut+1-lo), with its operands reduced first, and kept as
     its balanced digits below q^(cut+1).
     """
-    heads = [phis[0](top, top, c) for c in range(top + 1)]
-    live = [c for c, key in enumerate(heads) if key is not None]
-    if not live:
-        return 0, 0, 0
+    if row:
+        live = range(top + 1)
+    else:
+        heads = [phis[0](top, top, c) for c in range(top + 1)]
+        live = [c for c, key in enumerate(heads) if key is not None]
+        if not live:
+            return 0, 0, 0
     hi = live[-1]
     memo = _PACKED_CACHE.setdefault(w, {})
 
@@ -217,7 +264,7 @@ def _pass(top, phis, psis, first, cut, w):
         below = level(j, below, [], -1)
     # level 1 (m_0 = top), summed over m_2 before the head multiplies it
     phi, psi = phis[1], psis[1]
-    total = None
+    states = []
     for c in live:
         at = None
         for n, (lo, v, l1) in below[c].items():
@@ -228,9 +275,13 @@ def _pass(top, phis, psis, first, cut, w):
             if key is not None:
                 t = times(lo, v, l1, key)
                 at = t if at is None else _add(at, t, w)
-        if at is None:
-            continue
-        t = times(at[0] + psis[0](top, c), at[1], at[2], heads[c])
+        if at is not None:
+            states.append((c, at[0] + psis[0](top, c), at[1], at[2]))
+    if row:
+        return states
+    total = None
+    for c, lo, v, l1 in states:
+        t = times(lo, v, l1, heads[c])
         total = t if total is None else _add(total, t, w)
     return total or (0, 0, 0)
 
@@ -340,27 +391,109 @@ def _kernel_sum(cfd, family, top, phis, psis, first, cut=None):
                         (psis + kpsis[len(psis):])[:cfd.d + 1], first, cut)
 
 
+def _exponent(family, cfd):
+    """The psi rule of the head: q^(L(L-2m_1)) for a > 2b, and for f at
+    d = 1 the barred term's m_0 m_1 = L m_1. It reads neither M nor the
+    representation."""
+    ge = cfd.a > 2 * cfd.b
+    return _quadratic(ge, (family == "f" and cfd.d == 1) - 2 * ge, 0, 0)
+
+
 def _bounded(family, cfd, L, M):
     """The sum at (L, M) with m_0 := L on the continued fraction cfd of
-    (a, b), in either representation. For a > 2b the boundary binomial is
-    [L+M+m_1, 2L] and q^(L(L-2m_1)) joins the exponent, else it is
-    [2L+M-m_1, 2L]; M = None drops it (the large-M limit times (q)_2L).
-    For f at d = 1 the head carries the barred term's m_0 m_1 = L m_1."""
-    ge = cfd.a > 2 * cfd.b
-    head = _unit if M is None else \
-        _binomial(0, 1, 1, M, 2, 0, 1) if ge else _binomial(0, 2, -1, M, 2, 0, 1)
-    exponent = _quadratic(ge, (family == "f" and cfd.d == 1) - 2 * ge, 0, 0)
-    return _kernel_sum(cfd, family, L, [head], [exponent], 2)
+    (a, b), in either representation: the point form. For a > 2b the
+    boundary binomial is [L+M+m_1, 2L], else [2L+M-m_1, 2L]; M = None
+    drops it (the large-M limit times (q)_2L)."""
+    head = _unit if M is None else _binomial(0, 1, 1, M, 2, 0, 1) \
+        if cfd.a > 2 * cfd.b else _binomial(0, 2, -1, M, 2, 0, 1)
+    return _kernel_sum(cfd, family, L, [head], [_exponent(family, cfd)], 2)
+
+
+def _from_rows(family, cfd, L, M):
+    """The sum at (L, M) of `_bounded`, from the family's entry in the row
+    memo (see "Rows" in the module docstring): a value the entry holds is
+    returned, the column after its last is added to its row, which a
+    point entry starts, and any other call runs the point form and
+    replaces the entry with that point."""
+    key = family, cfd.quotients, cfd.a > 2 * cfd.b, L
+    entry = _ROW_CACHE.get(family)
+    if entry is not None and entry[0] == key:
+        _, m0, values, _ = entry
+        if 0 <= M - m0 < len(values):
+            return values[M - m0]
+        if M - m0 == len(values) and m0 >= 0 <= L:
+            return _next_column(entry, family, cfd, L, M)
+    value = _bounded(family, cfd, L, M)
+    _ROW_CACHE[family] = [key, M, [value], None]
+    return value
+
+
+def _next_column(entry, family, cfd, L, M):
+    """Column M of the entry's row, one past its last value, appended to
+    its values; a point entry starts the row at _FIRST_WIDTH. A column whose
+    l1 reaches 2^(w-1), or a factor that the numerator's pass cannot pack,
+    restarts the row at the width that holds it, by `_lattice_sum`'s rule,
+    and it is swept from column 0 again."""
+    row = entry[3]
+    w = _FIRST_WIDTH if row is None else row[0]
+    while True:
+        try:
+            if row is None or row[0] != w:
+                row = _row(family, cfd, L, w, row)
+                for n in range(M):
+                    _column(row, n)
+            v, _ = _column(row, M)
+            break
+        except _Overflow as exc:
+            w = pack_width(max(w + 1, exc.args[0].bit_length() + 1))
+    entry[3] = row
+    value = LaurentPoly.dense(row[1], unpack(v, v.bit_length() // w + 2, w))
+    entry[2].append(value)
+    return value
+
+
+def _row(family, cfd, L, w, old=None):
+    """The row of the bounded sum at L before its column 0, at width w:
+    [w, lo, numerator, shifts, sums, ones]. The numerator's z^s coefficient,
+    s = m_1 (L - m_1 for a > 2b), is the state at m_1 of the head-free
+    pass, shifted to the least lo of them all; the 2L+1 running sums, with
+    their l1s, divide it by (z;q)_(2L+1), shifts[k] being k words. A
+    restart passes the row it replaces as `old`: when every state of its
+    numerator has an l1 below 2^(u-1), u its width, the states decode
+    exactly and are packed again at w, and no pass runs again."""
+    u = old and old[0]
+    if old and not any(l1 >> (u - 1) for _, l1 in old[2]):
+        lo = old[1]
+        numerator = [(pack(unpack(v, v.bit_length() // u + 2, u), w), l1)
+                     for v, l1 in old[2]]
+    else:
+        ge = cfd.a > 2 * cfd.b
+        phis, psis = _rules(cfd.quotients, family)
+        states = _pass(L, phis, [_exponent(family, cfd)] + psis[1:], 2, None, w, True)
+        lo = min((state[1] for state in states), default=0)
+        numerator = [(0, 0)] * (L + 1)
+        for c, at, v, l1 in states:
+            numerator[L - c if ge else c] = v << w * (at - lo), l1
+    k = 2 * L + 1
+    return [w, lo, numerator, [w * i for i in range(k)], [0] * k, [0] * k]
+
+
+def _column(row, n):
+    """(v, l1) of column n of the row, the one after the column its
+    running sums hold (see `qcombinat._sweep`)."""
+    w, _, numerator, shifts, sums, ones = row
+    v, l1 = numerator[n] if n < len(numerator) else (0, 0)
+    return _sweep(sums, ones, shifts, v, l1, w)
 
 
 def eval_F(a, b, L, M):
     """Doubly-bounded fermionic polynomial for the pair (a,b)."""
-    return _bounded("F", cf_expand(a, b), L, M)
+    return _from_rows("F", cf_expand(a, b), L, M)
 
 
 def eval_f(a, b, L, M):
     """Barred-quadratic-form variant: the exponent gains m_d (m_{d-1} - m_d)."""
-    return _bounded("f", cf_expand(a, b), L, M)
+    return _from_rows("f", cf_expand(a, b), L, M)
 
 
 def eval_H(a, b, L, M):
@@ -371,12 +504,12 @@ def eval_H(a, b, L, M):
     if (a, b) == (2, 1):
         return _lattice_sum(L, [_binomial(0, 2, -1, M - 1, 2, -1, 1), _seed],
                             [_flat, _square], 2)
-    return _bounded("H", cf_expand(a, b), L, M)  # the shifted kernel is rep-sensitive
+    return _from_rows("H", cf_expand(a, b), L, M)  # the shifted kernel is rep-sensitive
 
 
 def eval_I(a, b, L, M):
     """Even-modulus family: factor j is a Gaussian binomial in q^(3-tau_j)."""
-    return _bounded("I", cf_expand(a, b), L, M)
+    return _from_rows("I", cf_expand(a, b), L, M)
 
 
 def eval_limit_M(family, a, b, L):

@@ -25,6 +25,11 @@ absolute sum. A key is a qbin key (n, m, base) with m <= n - m (see
 `_qkey`) or a tagged key of the lattice limits (see `_factor`). `qsum` and
 the lattice engine of `fermionic` read one store, so a binomial packed at
 one width by either is packed once.
+
+`_sweep` is the one step of a division of a packed row in z by
+prod_k (1 - z q^(e_k)): by the q-binomial theorem, both the tree walk of
+`burge` and the lattice rows of `fermionic` are numerators divided by
+(z;q)_(2L+1), and the two modules import nothing from each other.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb, lcm
+from operator import lshift
 
 from .qpoly import (DegreeLimitError, LaurentPoly, TruncatedSeries, _check_span,
                     pack, pack_width, unpack)
@@ -192,6 +198,24 @@ def _packed(key, w):
         raise _Overflow(l1)
     f = _PACKED_CACHE.setdefault(w, {})[key] = p.lo, pack(p.coeffs, w), l1
     return f
+
+
+def _sweep(sums, ones, shifts, v, l1, w):
+    """One column of a row N(z) / prod_k (1 - z q^(e_k)) in z, on values
+    packed at width w, all at one lowest exponent: sums[k] and ones[k] hold
+    the running sum S_k(n-1) and its l1, (v, l1) is the numerator's z^n
+    coefficient S_(-1)(n), and shifts[k] is e_k w. Updates them in place
+    to S_k(n) = S_(k-1)(n) + q^(e_k) S_k(n-1) and returns the column
+    S_(K-1)(n) with its l1 (the numerator's coefficient when K = 0).
+    Raises _Overflow when that l1 reaches 2^(w-1); with nonnegative
+    coefficients it then bounds every running sum too."""
+    sums[:] = accumulate(map(lshift, sums, shifts), initial=v)
+    ones[:] = accumulate(ones, initial=l1)
+    if ones[-1] >> (w - 1):
+        raise _Overflow(ones[-1])
+    col = sums[-1], ones[-1]
+    del sums[0], ones[0]
+    return col
 
 
 def qsum(quad, den, terms, context):

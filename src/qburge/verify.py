@@ -718,10 +718,13 @@ def check_identity(case, params):
 
 
 def _grid(case_ids, lm, pairs=None):
-    """Checks of each case over L, M <= lm, and over (a, b) in pairs if given."""
+    """Checks of each case over L, M <= lm, and over (a, b) in pairs if
+    given, point-major: pair, then L, then M, then the case ids. The cases
+    of one point are adjacent and M runs innermost, so the lattice sums
+    that the cases share are read from their row memo (see `fermionic`)."""
     heads = [{}] if pairs is None else [{"a": a, "b": b} for a, b in pairs]
-    return [(cid, {**h, "L": L, "M": M}) for cid in case_ids for h in heads
-            for L in range(lm + 1) for M in range(lm + 1)]
+    return [(cid, {**h, "L": L, "M": M}) for h in heads
+            for L in range(lm + 1) for M in range(lm + 1) for cid in case_ids]
 
 
 def _lattice_grid(family, bud):

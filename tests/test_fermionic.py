@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import sys
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from qburge.cf import cf_expand
 from qburge.fermionic import (_bounded, _flat, _kernel_sum, _lattice_sum,
                               _rules, _square, eval_F, eval_f, eval_H, eval_I,
                               eval_limit_M, eval_limit_L, eval_limit_both)
-from qburge.verify import _sum_bnewp
+from qburge.verify import _sum_bnewp, check_identity, run_campaign
 
 from test_cf import build_cartan, cf_toggle, quad_form
 from test_qpoly import poch_range, poly_agrees_with_series
@@ -176,12 +178,32 @@ def all_lattice_values(pairs, top, orders):
     return out
 
 
+def counting(monkeypatch, name):
+    """Make the module function fermionic.<name> count its calls; returns
+    the counter."""
+    calls, fn = Counter(), getattr(fermionic, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(fermionic, name, counted)
+    return calls
+
+
 def test_engine_matches_list_reference(monkeypatch):
     # the packed pass against the list-based transfer sum on the same
-    # factors, for F/f/H/I and the three limits
+    # factors, for F/f/H/I and the three limits. all_lattice_values runs M
+    # innermost, so on the packed side every F/f/H/I value at M >= 1 but
+    # H's at (2, 1) is a row column; on the list side the row memo is
+    # bypassed, so every value is one list sum
     pairs = coprime_pairs(8)
+    monkeypatch.setattr(fermionic, "_ROW_CACHE", {})
+    columns = counting(monkeypatch, "_next_column")
     packed = all_lattice_values(pairs, 5, (0, 7, 40))
+    assert columns["_next_column"] == (4 * len(pairs) - 1) * 6 * 5
     monkeypatch.setattr(fermionic, "_lattice_sum", on_lists)
+    monkeypatch.setattr(fermionic, "_from_rows", fermionic._bounded)
     assert all_lattice_values(pairs, 5, (0, 7, 40)) == packed
 
 
@@ -246,13 +268,14 @@ def test_wide_words():
 
 def cold_memos(monkeypatch):
     """Clear `_factor`'s cache and put an empty factor store (the one dict
-    that `qcombinat` packs into and `fermionic` reads) and an empty level
-    memo in place for the test; returns the store."""
+    that `qcombinat` packs into and `fermionic` reads), an empty level memo
+    and an empty row memo in place for the test; returns the store."""
     _factor.cache_clear()
     store = {}
     monkeypatch.setattr(qcombinat, "_PACKED_CACHE", store)
     monkeypatch.setattr(fermionic, "_PACKED_CACHE", store)
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(fermionic, "_ROW_CACHE", {})
     return store
 
 
@@ -264,6 +287,100 @@ def test_restarts_keep_values(monkeypatch):
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
     cold_memos(monkeypatch)
     assert all_lattice_values(pairs, 6, (0, 12, 40)) == expect
+
+
+BOUNDED = (("F", eval_F), ("f", eval_f), ("H", eval_H), ("I", eval_I))
+
+
+def scan(pairs, tops, ms):
+    """(family, evaluator, args) of F/f/H/I over the pairs, L in tops and M
+    in ms, in scan order: family, pair, L, then M innermost (H without
+    (2, 1), whose seed stays a point form)."""
+    return [(family, fn, (a, b, L, M)) for family, fn in BOUNDED for a, b in pairs
+            if (family, a, b) != ("H", 2, 1) for L in tops for M in ms]
+
+
+def test_rows_match_point_form(monkeypatch):
+    # every M >= 1 of a scan at L >= 0 is a row column: each equals the
+    # point form, which a cleared row memo gives; negative sizes stay points
+    calls = scan(coprime_pairs(8), range(-1, 9), range(-2, 13))
+    expect = []
+    for _, fn, args in calls:
+        monkeypatch.setattr(fermionic, "_ROW_CACHE", {})
+        expect.append(fn(*args))
+    columns = counting(monkeypatch, "_next_column")
+    assert [fn(*args) for _, fn, args in calls] == expect
+    assert columns["_next_column"] == sum(L >= 0 and M >= 1 for *_, (_, _, L, M) in calls)
+
+
+def test_row_restart_keeps_values(monkeypatch):
+    # with 8-bit words, rows start narrow and restart wider part way: the
+    # columns before and after a restart are exact
+    calls = scan([(2, 1), (3, 1), (5, 2), (7, 3), (8, 5)], (3, 6), range(13))
+    expect = [fn(*args) for _, fn, args in calls]
+    monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
+    cold_memos(monkeypatch)
+    rows, passes, pass_ = counting(monkeypatch, "_row"), Counter(), fermionic._pass
+
+    def counted(*args):  # a row's pass is the one with `row` given
+        passes[len(args) == 7] += 1
+        return pass_(*args)
+
+    monkeypatch.setattr(fermionic, "_pass", counted)
+    widths = {}
+    for (family, fn, args), value in zip(calls, expect):
+        assert fn(*args) == value, (family, args)
+        row = fermionic._ROW_CACHE[family][3]
+        if row is not None:
+            widths.setdefault((family, args[:3]), set()).add(row[0])
+    # some row held a column at 8 bits and then restarted at a wider word
+    assert any(8 in ws and len(ws) > 1 for ws in widths.values())
+    # a restart repacks a numerator that its width holds, and runs the
+    # pass again on one that it does not: both happen here
+    starts = len(widths)
+    assert starts < passes[True] < rows["_row"]
+
+
+def test_bounded_grid_builds_no_row(monkeypatch):
+    # perfbench's bounded-grid issues scattered points: at the reference
+    # seed its part-0 check order starts no row, so it gains and loses
+    # nothing by the row memo
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import bounded_grid
+    finally:
+        sys.path.pop(0)
+    monkeypatch.setattr(fermionic, "_ROW_CACHE", {})
+    rows = counting(monkeypatch, "_row")
+    columns = counting(monkeypatch, "_next_column")
+    for cid, params in bounded_grid(0, 0):
+        assert check_identity(cid, params).status == "pass", (cid, params)
+    assert not rows and not columns
+
+
+def test_row_memo_one_entry_per_family(monkeypatch):
+    # the memo holds at most one live entry per family, whatever the order
+    # of the calls: scan order (rows), M outermost (points) and shuffled
+    calls = scan(coprime_pairs(6), range(5), range(5))
+    for order in (calls, sorted(calls, key=lambda c: c[2][3]),
+                  random.Random(3).sample(calls, len(calls))):
+        cold_memos(monkeypatch)
+        for family, fn, args in order:
+            fn(*args)
+            memo = fermionic._ROW_CACHE
+            assert set(memo) <= {"F", "f", "H", "I"}
+            assert all(entry[0][0] == fam for fam, entry in memo.items())
+            assert memo[family][0][3] == args[2]  # the entry of the last call
+
+
+def test_thmmain_pass_count(monkeypatch):
+    # the default thmmain suite runs one point pass and one row pass per
+    # (pair, L): 9 pairs x 7 L x 2 = 126, where one pass per check took 882
+    cold_memos(monkeypatch)
+    passes = counting(monkeypatch, "_pass")
+    reports = run_campaign("thmmain")
+    assert len(reports) == 882 and all(r.status == "pass" for r in reports)
+    assert passes["_pass"] <= 126
 
 
 def grid_calls(pairs, top):
