@@ -29,19 +29,24 @@ QBIN_MAX_DEGREE, one wide and one narrow), and [30, 15] in q^2.
 
 Then it times one packed lattice sum per evaluator kind, cold: the qbin,
 q_poch, packed-factor, level and row memos and the continued-fraction,
-factor and rules caches are cleared before every run, so each row includes
-building and packing its factors and building its rules. The rows are
-eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
-(signed Pochhammer links), eval_limit_L("F", 8, 1, 15) (the finitized
-Andrews-Gordon sum of b = 1), eval_limit_both("F", 7, 5, 60) (products
-cut at q^60), two rows of all 81 eval_F(8, 5, L, M) at L, M <= 8, one in
-a fixed shuffled order, whose calls share their (L, M)-free levels (two
-of them follow the call at (L, M - 1) and so start a row of the row
-memo), and one in scan order (L, then M), whose calls after M = 0 are the
-columns of one row per L, and one row of the 25 eval_limit_both calls of
-the default `series` suite in its order (T = 40; four of them repeat an
-earlier call, and the calls on equal kernel rules share their cut
-levels).
+factor, rules and bias caches are cleared before every run, so each row
+includes building and packing its factors and building its rules. The rows
+are eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
+(signed Pochhammer links), eval_limit_L("F", 7, 2, 9) (the a_0 = 2 chain,
+whose per-call levels hold one state per m_j; its first pass overflows
+32-bit words and restarts at 64), eval_limit_L("F", 8, 1, 15) (the
+finitized Andrews-Gordon sum of b = 1), eval_limit_both("F", 7, 5, 60)
+(products cut at q^60), the 420 eval_limit_M calls of the single-limit L
+grid (F and f, coprime a <= 8, L <= 9) in a fixed shuffled order, whose
+calls read level 1 from the level memo, so a call at L after one at a
+larger L on the same rules builds no level, two rows of all 81
+eval_F(8, 5, L, M) at L, M <= 8, one in a fixed shuffled order, whose
+calls share their (L, M)-free levels (two of them follow the call at
+(L, M - 1) and so start a row of the row memo), and one in scan order (L,
+then M), whose calls after M = 0 are the columns of one row per L, and one
+row of the 25 eval_limit_both calls of the default `series` suite in its
+order (T = 40; four of them repeat an earlier call, and the calls on equal
+kernel rules share their cut levels).
 
 Last, it times the alternating sums, one row pair per caller of
 `qcombinat.qsum` (the packed sum, reading the factor store that the
@@ -63,9 +68,9 @@ import timeit
 from fractions import Fraction
 from math import gcd
 
-from qburge import cf, fermionic, qcombinat
+from qburge import cf, fermionic, qcombinat, qpoly
 from qburge.burge import bosonic_eval, spec_main
-from qburge.fermionic import eval_F, eval_limit_L, eval_limit_both
+from qburge.fermionic import eval_F, eval_limit_L, eval_limit_M, eval_limit_both
 from qburge.qcombinat import d_poly, g_poly, q_poch, qbin
 from qburge.qpoly import LaurentPoly
 from qburge.verify import SUITES, CampaignBudget
@@ -74,6 +79,10 @@ REPEAT = 7
 COLD_QBIN = ((50, 25, 1), (100, 50, 1), (2501, 1, 1), (30, 15, 2))
 SCAN = [(L, M) for L in range(9) for M in range(9)]
 GRID = random.Random(0).sample(SCAN, 81)
+PAIRS = [(a, b) for a in range(2, 9) for b in range(1, a) if gcd(a, b) == 1]
+# (family, a, b, L) of the g_eq_limF and g_eq_limf checks at L <= 9
+LIMIT_M = [(fam, a, b, L) for fam in ("F", "f") for a, b in PAIRS for L in range(10)]
+LIMIT_M = random.Random(0).sample(LIMIT_M, len(LIMIT_M))
 # (family, a, b, T) of the series_F, series_f and series_I checks of the
 # default series suite
 SERIES = [(cid[-1], p["a"], p["b"], p["T"])
@@ -81,16 +90,18 @@ SERIES = [(cid[-1], p["a"], p["b"], p["T"])
           if cid in ("series_F", "series_f", "series_I")]
 COLD_L1 = (("eval_F(8, 3, 8, 8)", lambda: eval_F(8, 3, 8, 8)),
            ('eval_limit_L("F", 7, 3, 9)', lambda: eval_limit_L("F", 7, 3, 9)),
+           ('eval_limit_L("F", 7, 2, 9)', lambda: eval_limit_L("F", 7, 2, 9)),
            ('eval_limit_L("F", 8, 1, 15)', lambda: eval_limit_L("F", 8, 1, 15)),
            ('eval_limit_both("F", 7, 5, 60)',
             lambda: eval_limit_both("F", 7, 5, 60)),
+           ("eval_limit_M, single-limit grid",
+            lambda: [eval_limit_M(*args) for args in LIMIT_M]),
            ("eval_F(8, 5, L, M), L, M <= 8",
             lambda: [eval_F(8, 5, L, M) for L, M in GRID]),
            ("eval_F(8, 5, L, M), scan order",
             lambda: [eval_F(8, 5, L, M) for L, M in SCAN]),
            ("eval_limit_both, series suite",
             lambda: [eval_limit_both(*args) for args in SERIES]))
-PAIRS = [(a, b) for a in range(2, 9) for b in range(1, a) if gcd(a, b) == 1]
 # (N, M, alpha, beta, K) of the g_eq_limF, limFt, limf and limft cases
 G_GRID = [(v, v, alpha, beta, K) for a, b in PAIRS for v in range(10)
           for alpha, beta, K in ((Fraction(b), Fraction(a * b + 1, a), a),
@@ -113,7 +124,7 @@ def clear_memos():
     for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE, qcombinat._PACKED_CACHE,
                  fermionic._LEVEL_CACHE, fermionic._ROW_CACHE):
         memo.clear()
-    for cached in (cf.cf_expand, qcombinat._factor, fermionic._rules):
+    for cached in (cf.cf_expand, qcombinat._factor, fermionic._rules, qpoly._short_bias):
         cached.cache_clear()
 
 

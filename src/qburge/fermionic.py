@@ -60,27 +60,42 @@ balanced ones.
 With a cut at q^T (`eval_limit_both`), every product is taken mod
 X^(T+1-lo) and kept as its balanced low digits.
 
-Sharing. Only positions 0 and 1 read L or M: position 1 holds m_0 = L
-and the head, position 0, the boundary binomial in M. This is the shape
-of the Burge transform, F(L, M) = sum_{m_1} [boundary binomial in M]
-times a sum at m_1 free of L and M. Every sum but the b = 1 large-L
-limit and the H seed at (2, 1) runs the kernel's rules with a per-call
-prefix in front (`_kernel_sum`): the head for F, f, H, I and the
-large-M limit, whose free positions are j >= 2, and the head and
-Pochhammer links for the other limits. For the large-L limit, whose
-chain telescopes at b = 1 and at a_0 <= 1 (see `eval_limit_L`), the free
-positions are j >= 2 there and j >= a_0 + 2 at the other pairs; at b = 1
-the head [M, m_1] alone reads M, and [2M, M] (q)_M multiplies the total.
-For the double limit they are j >= a_0 + 2. The H seed is a head in M
-and the rule [m_0 - 1, m_1] (see `eval_H`), so none of its levels is
-free. A state at a free position does not depend on the bound hi
-either, which only limits which states are built, so these levels are
-built once and kept in _LEVEL_CACHE. A rule is a function object, and
-equal rules are one object: `_binomial` and `_quadratic` are cached, so
-equal parameters give the same rule whatever asked for it (the cached
-`_rules`, a module constant such as `_square`, or a prefix), and the
-telescoped limits' and the H seed's other rules are module functions.
-The prefix rules read L, M or T, so each call builds its own.
+Sharing. Only positions 0 and 1 read L or M: the head, position 0,
+carries the boundary binomial in M, and position 1 reads L as m_0, the
+way the kernel's rule at every deeper position j reads m_{j-1}. This is
+the shape of the Burge transform, F(L, M) = sum_{m_1} q^(psi_0)
+[2L+M-m_1, 2L] Y_L(m_1), where Y_L(m_1) reads L only as m_0 (W. H. Burge,
+"Restricted partition pairs", JCTA 63, 1993). Every sum but the b = 1
+large-L limit runs the kernel's rules with a per-call prefix in front
+(`_kernel_sum`): the head for F, f, H, I and the large-M limit, whose
+free positions are j >= 1, and the head and Pochhammer links for the
+other limits. A free level 1 is kept with its columns m_0 up to L, so a
+call reads its column m_0 = L and does only its head: L + 1 products.
+For the large-L limit, whose chain telescopes at b = 1 and at a_0 <= 1
+(see `eval_limit_L`), the free positions are j >= 2 there and
+j >= a_0 + 2 at the other pairs; at b = 1 the head [M, m_1] alone reads
+M, and [2M, M] (q)_M multiplies the total. For the double limit they are
+j >= a_0 + 2. The H seed is a head in M and the module rule
+[m_0 - 1, m_1] (see `eval_H`), so its level 1 is free as well. A state at
+a free position does not depend on the bound hi either, which only
+limits which states are built, so these levels are built once and kept
+in _LEVEL_CACHE. A rule is a function object, and equal rules are one
+object: `_binomial` and `_quadratic` are cached, so equal parameters give
+the same rule whatever asked for it (the cached `_rules`, a module
+constant such as `_square`, or a prefix), and the telescoped limits' and
+the H seed's other rules are module functions. The prefix rules read L,
+M or T, so each call builds its own.
+
+The per-call levels in front of the free ones (the links of the limits,
+and level 1 of the b = 1 large-L limit) hold one state per m_j. Their
+contract: a per-call rule below position 1 reads no m_{j-1} (position 1
+reads m_0 = top), so level j's state at m_j serves every m_{j-1} >= m_j,
+and `_pass` hands those rules None for m_{j-1}. States at one m_j whose
+factor keys are equal are summed before their one product: the link
+[M+m, 2m] (q)_(M-m) at a_0 = 0 reads only m, so it costs one product per
+m_1, not one per (m_1, m_2). The b = 1 large-L limit keeps its level 1
+per call: as a free level, `level` would copy its m_0-free
+[m_1, m_2] states to every column m_0 >= m_1, which measured slower.
 
 Every sum takes its free levels from the level memo, one entry per
 level. Level j's key is (phis[j], psis[j], key of level j+1), starting
@@ -93,14 +108,16 @@ cut. The kernel's rule at position j reads only the family and whether j
 ends a block, is d - 1 or is d, so sums keep sharing their tails: each
 Burge transform adds one summation at the head, so pairs along the Burge
 tree share the levels of their common tail ((8, 1) holds every free level
-of (7, 1), ..., (3, 1) and of (7, 3)), (a, b) and (a, a - b) have the same
-quotients and so share all of theirs, and the two representations of one
-pair share level d (a block end with tau_d = 1 in both). The b = 1
+of (7, 1), ..., (3, 1) and levels 2..4 of (7, 3)), (a, b) and (a, a - b)
+have the same quotients and so share all of theirs, and the two
+representations of one pair share level d (a block end with tau_d = 1 in
+both). The b = 1
 large-L limits of F and f, at every depth, read one chain of
 [m_j, m_{j+1}] levels. A call that needs columns m_{j-1} <= hi beyond a
 level's entry extends it, adding only the new columns, level by level
-from d down; then it runs the levels below the free ones and the head on
-the states with m_1 <= hi. Cut entries are kept like the others: like
+from d down; then it runs the per-call levels and the head on the states
+with m_1 <= hi. hi is top where level 1 is free, else the largest m_1
+with a nonzero head factor. Cut entries are kept like the others: like
 the other memos here, the level memo is not bounded.
 
 Rows. F, f, H and I read M only in the boundary binomial of the head,
@@ -113,7 +130,9 @@ Andrews, The Theory of Partitions, 1976, Thm 3.3), so
     sum_M F(L, M) z^M = (sum_{m_1} z^s q^(psi_0) Y_L(m_1)) / (z;q)_(2L+1).
 
 A row is that numerator, from one pass with the head left out (`_pass`
-with `row`, every m_1 <= L), divided by (z;q)_(2L+1) as the 2L+1 running
+with `row`, every m_1 <= L, read from level 1's column m_0 = L in the
+level memo, so a row at L builds no level that a point at L or above
+built), divided by (z;q)_(2L+1) as the 2L+1 running
 sums of `qcombinat._sweep`, the step that `burge`'s tree walk divides by;
 each column costs one shifted add per running sum, and the head binomial
 is never built. Rows serve a caller that asks for many M at one L in
@@ -169,12 +188,13 @@ def _lattice_sum(top, phis, psis, first, cut=None):
     rule gives a factor key, or None for a zero factor, which drops the
     term; position 0 is the head. With `cut`, the sum is truncated above
     q^cut, which is exact when every exponent is >= 0. The rules at
-    positions j >= first read neither top nor any other value of the call:
-    each of those levels comes from the level memo, keyed by the rule
-    objects from it to d, the word width and the cut (see the module
-    docstring and `_extend`); first = len(phis) when no level is free.
-    Every stored level is whole, so a build that fails (an overflow)
-    leaves no partial column.
+    positions j >= first read nothing of the call (at first = 1, the rule
+    at position 1 reads top only as its m_0): each of those levels comes
+    from the level memo, keyed by the rule objects from it to d, the word
+    width and the cut (see the module docstring and `_extend`);
+    first = len(phis) when no level is free. The per-call rules at
+    positions 2 <= j < first read no m_{j-1}. Every stored level is whole,
+    so a build that fails (an overflow) leaves no partial column.
 
     The first pass uses w = _FIRST_WIDTH; a pass whose factor or total
     bound reaches 2^(w-1) restarts at the narrowest width that holds it
@@ -199,10 +219,15 @@ def _pass(top, phis, psis, first, cut, w, row=False):
     (m_1, lo, v, l1) of q^(psi_0) times the sum at m_1, one per m_1 that
     has a term, in place of their sum with the head (see `_row`).
 
-    Level j holds the pair states (m_{j-1}, m_j), as level[m_{j-1}][m_j]:
-    each is the sum over m_{j+1}, ..., m_d of the factors at positions
-    j..d, so the head is multiplied in once per m_1; the largest m_1 with
-    a nonzero head factor bounds every m_j. A state is (lo, v, l1): q^e
+    A free level j holds the pair states (m_{j-1}, m_j), as
+    level[m_{j-1}][m_j]: each is the sum over m_{j+1}, ..., m_d of the
+    factors at positions j..d, on the columns m_{j-1} <= hi, hi being top
+    when level 1 is free (the pass reads its column m_0 = top) and else
+    the largest m_1 with a nonzero head factor. A per-call level j holds
+    one state per m_j, as its rules read no m_{j-1} below position 1, and
+    sums the states that share a factor key before their one product.
+    Either way level 1 ends with one state per m_1, and the head is
+    multiplied in once per m_1. A state is (lo, v, l1): q^e
     moves lo, a product multiplies the v and the l1, a sum shifts the v
     with the higher lo by whole words and adds the l1. With `cut`, every product is
     taken mod X^(cut+1-lo), with its operands reduced first, and kept as
@@ -215,7 +240,10 @@ def _pass(top, phis, psis, first, cut, w, row=False):
         live = [c for c, key in enumerate(heads) if key is not None]
         if not live:
             return 0, 0, 0
-    hi = live[-1]
+    first = min(first, len(phis))  # len(phis) = d + 1: no free level
+    # a free level 1 is read at its column m_0 = top, so the memo's levels
+    # go up to that column
+    hi = top if first == 1 else live[-1]
     memo = _PACKED_CACHE.setdefault(w, {})
 
     def times(lo, v, l1, key):
@@ -258,31 +286,38 @@ def _pass(top, phis, psis, first, cut, w, row=False):
                     col[c] = t if at is None else _add(at, t, w)
         return out
 
-    first = min(first, len(phis))  # len(phis) = d + 1: no free level
     below = _extend(phis, psis, first, hi, w, cut, level)
-    for j in range(first - 1, 1, -1):
-        below = level(j, below, [], -1)
-    # level 1 (m_0 = top), summed over m_2 before the head multiplies it
-    phi, psi = phis[1], psis[1]
-    states = []
-    for c in live:
-        at = None
-        for n, (lo, v, l1) in below[c].items():
-            lo += psi(c, n)
-            if cut is not None and lo > cut:
-                continue
-            key = phi(top, c, n)
-            if key is not None:
-                t = times(lo, v, l1, key)
-                at = t if at is None else _add(at, t, w)
-        if at is not None:
-            states.append((c, at[0] + psis[0](top, c), at[1], at[2]))
+    if first == 1:
+        below = below[top]
+    # the per-call levels first-1..1, one state per m_j (see the docstring)
+    for j in range(first - 1, 0, -1):
+        phi, psi, p = phis[j], psis[j], top if j == 1 else None
+        states = {}
+        for c in live if j == 1 else range(hi + 1):
+            sums = {}
+            for n, (lo, v, l1) in below[c].items() if j == first - 1 else \
+                    ((n, s) for n, s in below.items() if n <= c):
+                lo += psi(c, n)
+                if cut is not None and lo > cut:
+                    continue
+                key = phi(p, c, n)
+                if key is not None:
+                    at = sums.get(key)
+                    sums[key] = (lo, v, l1) if at is None else _add(at, (lo, v, l1), w)
+            for key, s in sums.items():
+                t = times(*s, key)
+                states[c] = t if c not in states else _add(states[c], t, w)
+        below = states
+    # level 1 at m_0 = top, one state per m_1, and the head
     if row:
-        return states
+        return [(c, lo + psis[0](top, c), v, l1)
+                for c, (lo, v, l1) in below.items()]
     total = None
-    for c, lo, v, l1 in states:
-        t = times(lo, v, l1, heads[c])
-        total = t if total is None else _add(total, t, w)
+    for c in live:
+        if c in below:
+            lo, v, l1 = below[c]
+            t = times(lo + psis[0](top, c), v, l1, heads[c])
+            total = t if total is None else _add(total, t, w)
     return total or (0, 0, 0)
 
 
@@ -406,7 +441,7 @@ def _bounded(family, cfd, L, M):
     drops it (the large-M limit times (q)_2L)."""
     head = _unit if M is None else _binomial(0, 1, 1, M, 2, 0, 1) \
         if cfd.a > 2 * cfd.b else _binomial(0, 2, -1, M, 2, 0, 1)
-    return _kernel_sum(cfd, family, L, [head], [_exponent(family, cfd)], 2)
+    return _kernel_sum(cfd, family, L, [head], [_exponent(family, cfd)], 1)
 
 
 def _from_rows(family, cfd, L, M):
@@ -469,7 +504,7 @@ def _row(family, cfd, L, w, old=None):
     else:
         ge = cfd.a > 2 * cfd.b
         phis, psis = _rules(cfd.quotients, family)
-        states = _pass(L, phis, [_exponent(family, cfd)] + psis[1:], 2, None, w, True)
+        states = _pass(L, phis, [_exponent(family, cfd)] + psis[1:], 1, None, w, True)
         lo = min((state[1] for state in states), default=0)
         numerator = [(0, 0)] * (L + 1)
         for c, at, v, l1 in states:
@@ -500,10 +535,10 @@ def eval_H(a, b, L, M):
     """Shifted-kernel family. At (2, 1), the root of the H tree, it is the
     seed sum sum_m q^(m^2) [2L+M-m-1, 2L-1] [L-1, m] on two rules of its
     own: the head [2L+M-m_1-1, 2L-1] at exponent 0, then [m_0-1, m_1] at
-    exponent m_1^2, with no free level."""
+    exponent m_1^2, a free level 1."""
     if (a, b) == (2, 1):
         return _lattice_sum(L, [_binomial(0, 2, -1, M - 1, 2, -1, 1), _seed],
-                            [_flat, _square], 2)
+                            [_flat, _square], 1)
     return _from_rows("H", cf_expand(a, b), L, M)  # the shifted kernel is rep-sensitive
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import lru_cache
 
 # largest span (degree - valuation + 1) that any operation builds; far
 # above the 2,501 that the catalogue, the tests and the benchmark reach
@@ -37,6 +38,11 @@ MAX_SPAN = 1_000_000
 # array typecodes by word width in bits, chosen by itemsize, not by name
 _UNSIGNED = {array(c).itemsize * 8: c for c in "QLIH"}
 _SIGNED = {array(c).itemsize * 8: c for c in "qlih"}
+# `_short_bias`: the longest bias it keeps, in words, and how many it keeps.
+# The default campaign asks for 134 distinct biases of at most 64 words in
+# 95 % of its 12,926 calls of `_bias`.
+_SHORT_BIAS_WORDS = 64
+_SHORT_BIAS_CACHE = 256
 
 
 class DegreeLimitError(ValueError):
@@ -58,7 +64,19 @@ def pack_width(bits):
 
 
 def _bias(n, w):
-    """sum_{i<n} 2^(w-1) 2^(w i): the bias 2^(w-1) in each of n words."""
+    """sum_{i<n} 2^(w-1) 2^(w i): the bias 2^(w-1) in each of n words. A
+    short one, which most decodes ask for over and over, comes from
+    `_short_bias`."""
+    if n <= _SHORT_BIAS_WORDS:
+        return _short_bias(n, w)
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
+
+
+@lru_cache(maxsize=_SHORT_BIAS_CACHE)
+def _short_bias(n, w):
+    """`_bias` of at most _SHORT_BIAS_WORDS words, kept in an LRU cache of
+    at most _SHORT_BIAS_CACHE entries, so it holds at most
+    _SHORT_BIAS_CACHE x _SHORT_BIAS_WORDS words."""
     return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
 
 

@@ -209,20 +209,48 @@ def test_engine_matches_list_reference(monkeypatch):
 
 def test_signed_cut_matches_list_reference():
     # signed factors [n, x] (q)_(n-x), like eval_limit_L's links, cut at
-    # q^T: each product is reduced to its balanced low digits
+    # q^T: each product is reduced to its balanced low digits. A rule that
+    # reads m_{j-1} runs on memo levels (first = 1); the per-call levels
+    # run position 1, which reads m_0 = top, and links free of m_{j-1}
+    # below it, one of them free of m_{j+1} too, so that its states are
+    # summed before one product
     def head(p, c, n):
         return ("mid", 2 * n, n)
 
     def phi(p, c, n):
         return ("mid", p + n, c)
 
+    def mid(p, c, n):
+        return ("mid", 2 * c + 1, c)
+
+    def link(p, c, n):
+        return ("mid", c + n, c)
+
     psis = [lambda x, y: y] + [lambda x, y, j=j: x * (x - y) + j - 1
                                for j in range(1, 4)]
     for d in (1, 2, 3):
         for top in range(6):
             for T in (0, 5, 17, 40):
-                args = (top, [head] + [phi] * d, psis[:d + 1], d + 1, T)
-                assert _lattice_sum(*args) == on_lists(*args), (d, top, T)
+                for rules, first in (([phi] * d, 1), ([phi, mid, link][:d], d + 1)):
+                    args = (top, [head] + rules, psis[:d + 1], first, T)
+                    assert _lattice_sum(*args) == on_lists(*args), (d, top, T, first)
+
+
+def test_limit_L_restarts_match_list_reference(monkeypatch):
+    # the a_0 = 2 chain of (7, 2) at M = 8, 9, whose signed-link bound
+    # overflows 32-bit words: each call restarts at 64 bits, and each value
+    # equals the list sum
+    cases = [(fam, M) for fam in ("F", "f") for M in (8, 9)]
+    cold_memos(monkeypatch)
+    passes = counting(monkeypatch, "_pass")
+    packed = []
+    for fam, M in cases:
+        before = passes["_pass"]
+        packed.append(eval_limit_L(fam, 7, 2, M))
+        passes[fam, M] = passes["_pass"] - before
+    assert [passes[case] for case in cases] == [2] * 4
+    monkeypatch.setattr(fermionic, "_lattice_sum", on_lists)
+    assert [eval_limit_L(fam, 7, 2, M) for fam, M in cases] == packed
 
 
 def level_chains(memo):
@@ -503,6 +531,39 @@ def test_shared_levels_built_once(monkeypatch):
     assert max(builds(calls).values()) > 1  # smallest first: grown in place
 
 
+def test_level_one_memo_serves_smaller_L(monkeypatch):
+    # level 1 reads L only as its column m_0, so a cold call at (L, M)
+    # builds every level that the calls at L' <= L read: they build none,
+    # every pass (the rows' too) takes level 1 from the memo, and each
+    # value equals the point form on memos cleared before it
+    sums = [fn for _, fn in BOUNDED]
+    sums += [lambda a, b, L, M, fam=fam: eval_limit_M(fam, a, b, L) for fam in ("F", "f", "I")]
+    calls = [(L, M) for L in range(6) for M in range(7)]
+    # shuffled, then one L in scan order, which makes a row
+    calls = random.Random(5).sample(calls, len(calls)) + [(3, M) for M in range(7)]
+    for fn in sums:
+        for a, b in ((2, 1), (3, 1), (7, 2), (8, 5), (7, 4)):
+            expect = []
+            for L, M in calls:
+                cold_memos(monkeypatch)
+                expect.append(fn(a, b, L, M))
+            cold_memos(monkeypatch)
+            fn(a, b, 5, 3)
+            runs, columns, firsts = Counter(), Counter(), Counter()
+            with monkeypatch.context() as m:
+                counting_extend(m, runs, columns)
+                extend = fermionic._extend
+
+                def recording(phis, psis, first, *args):
+                    firsts[first] += 1
+                    return extend(phis, psis, first, *args)
+
+                m.setattr(fermionic, "_extend", recording)
+                assert [fn(a, b, L, M) for L, M in calls] == expect, (a, b)
+            assert not runs, (a, b)
+            assert set(firsts) == {1}, (a, b)
+
+
 def test_shared_levels_keyed_by_rules(monkeypatch):
     # the level memo is keyed by the rule objects at the free positions:
     # (7, 2) and (7, 5) have the same quotients, so the same rules and the
@@ -515,7 +576,7 @@ def test_shared_levels_keyed_by_rules(monkeypatch):
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
     eval_F(7, 2, 4, 4)
     entries = level_his()
-    assert len(entries) == 3  # levels 2..4
+    assert len(entries) == 4  # levels 1..4
     eval_F(7, 5, 4, 4)
     assert level_his() == entries
     # a rule rebuilt per call would give each call levels of its own: a
@@ -537,23 +598,32 @@ def test_levels_shared_along_the_burge_tree(monkeypatch):
     # each Burge transform adds a summation at the head, so pairs along
     # the tree run the same rules from some position to d: level j of a
     # sum is keyed by its rules from j to d, and (8, 1) builds every free
-    # level that the smaller pairs below it and the large-M limits need
+    # level that the pairs below it on its chain and the large-M limits
+    # need
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
     eval_F(8, 1, 6, 6)
     entries = level_his()
-    assert len(entries) == 6  # levels 2..7 of (8, 1)
-    for a, b in ((7, 1), (6, 1), (5, 1), (4, 1), (3, 1), (8, 7), (5, 4),
-                 (5, 2), (7, 3), (7, 4)):
+    assert len(entries) == 7  # levels 1..7 of (8, 1)
+    for a, b in ((7, 1), (6, 1), (5, 1), (4, 1), (3, 1), (8, 7), (5, 4)):
         eval_F(a, b, 6, 6)
         assert level_his() == entries, (a, b)
     for a in range(2, 8):
         eval_limit_M("F", a, 1, 6)
         assert level_his() == entries, a
-    # every free level of family F at a <= 8 is one entry: 7 of them, where
-    # one entry per quotients held 32 levels
+    # (5, 2) and (7, 3) head chains of their own: levels 2..d are levels of
+    # (8, 1), and each adds its level 1 on top of them; (7, 4) has the
+    # quotients of (7, 3) and adds nothing
+    for (a, b), new in ((5, 2), 1), ((7, 3), 1), ((7, 4), 0):
+        eval_F(a, b, 6, 6)
+        added = set(level_his()) - set(entries)
+        assert len(added) == new and all(key[2] in entries for key in added), (a, b)
+        entries = level_his()
+    # every free level of family F at a <= 8 is one entry: 11 of them, the
+    # 7 of (8, 1) and one level 1 per other head chain ((5, 2), (7, 3),
+    # (7, 2) and (8, 3)), where one entry per quotients would hold 43
     for a, b in coprime_pairs(8):
         eval_F(a, b, 6, 6)
-    assert len(level_his()) == 7
+    assert len(level_his()) == 11
 
 
 def test_limit_L_b1_levels_one_chain(monkeypatch):

@@ -201,6 +201,21 @@ def test_wide_coefficients_pack_byte_wise():
     assert a * b == schoolbook(a, b)
 
 
+def test_bias_cache_keeps_short_biases():
+    # the bias is 2^(w-1) in each of n words; only those of at most
+    # _SHORT_BIAS_WORDS words enter the bounded cache, and a pack / unpack
+    # round trip reads the same bias cached or not
+    qpoly._short_bias.cache_clear()
+    for w in (16, 32, 64, 128):
+        for n in (0, 1, 30, qpoly._SHORT_BIAS_WORDS, qpoly._SHORT_BIAS_WORDS + 1, 500):
+            assert qpoly._bias(n, w) == sum(1 << (w - 1 + w * i) for i in range(n))
+            coeffs = [(-1) ** i * (i % (1 << (w - 2))) for i in range(n)]
+            assert qpoly.unpack(qpoly.pack(coeffs, w), n, w) == coeffs
+    info = qpoly._short_bias.cache_info()
+    assert info.maxsize == qpoly._SHORT_BIAS_CACHE
+    assert info.currsize == 4 * 4 and info.hits  # n <= 64: 0, 1, 30, 64 per w
+
+
 @pytest.mark.parametrize("n", range(0, 21))
 def test_poch_times_qbin(n):
     # (q)_2n = (q)_n (q)_n [2n, n], so (q)_n [2n, n] = prod_{k=n+1..2n} (1 - q^k);
