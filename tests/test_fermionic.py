@@ -610,9 +610,9 @@ def test_levels_shared_along_the_burge_tree(monkeypatch):
     for a in range(2, 8):
         eval_limit_M("F", a, 1, 6)
         assert level_his() == entries, a
-    # (5, 2) and (7, 3) head chains of their own: levels 2..d are levels of
-    # (8, 1), and each adds its level 1 on top of them; (7, 4) has the
-    # quotients of (7, 3) and adds nothing
+    # (5, 2) and (7, 3) each head a chain of their own: their levels 2..d
+    # are levels of (8, 1), and each adds its level 1 on top; (7, 4) has
+    # the quotients of (7, 3) and adds nothing
     for (a, b), new in ((5, 2), 1), ((7, 3), 1), ((7, 4), 0):
         eval_F(a, b, 6, 6)
         added = set(level_his()) - set(entries)
