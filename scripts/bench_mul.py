@@ -29,8 +29,9 @@ QBIN_MAX_DEGREE, one wide and one narrow), and [30, 15] in q^2.
 
 Then it times one packed lattice sum per evaluator kind, cold: the qbin,
 q_poch, packed-factor, level and row memos and the continued-fraction,
-factor, rules and bias caches are cleared before every run, so each row
-includes building and packing its factors and building its rules. The rows
+factor, rules, rule-object (`_binomial`, `_quadratic`) and bias caches are
+cleared before every run, so each row includes building and packing its
+factors and building its rules. The rows
 are eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
 (signed Pochhammer links), eval_limit_L("F", 7, 2, 9) (the a_0 = 2 chain,
 whose per-call levels hold one state per m_j; its first pass overflows
@@ -124,7 +125,8 @@ def clear_memos():
     for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE, qcombinat._PACKED_CACHE,
                  fermionic._LEVEL_CACHE, fermionic._ROW_CACHE):
         memo.clear()
-    for cached in (cf.cf_expand, qcombinat._factor, fermionic._rules, qpoly._short_bias):
+    for cached in (cf.cf_expand, qcombinat._factor, fermionic._rules, fermionic._binomial,
+                   fermionic._quadratic, qpoly._short_bias):
         cached.cache_clear()
 
 

@@ -70,14 +70,14 @@ large-L limit runs the kernel's rules with a per-call prefix in front
 (`_kernel_sum`): the head for F, f, H, I and the large-M limit, whose
 free positions are j >= 1, and the head and Pochhammer links for the
 other limits. A free level 1 is kept with its columns m_0 up to L, so a
-call reads its column m_0 = L and does only its head: L + 1 products.
+call reads its column m_0 = L and runs only its head, one per-call level.
 For the large-L limit, whose chain telescopes at b = 1 and at a_0 <= 1
 (see `eval_limit_L`), the free positions are j >= 2 there and
 j >= a_0 + 2 at the other pairs; at b = 1 the head [M, m_1] alone reads
 M, and [2M, M] (q)_M multiplies the total. For the double limit they are
 j >= a_0 + 2. The H seed is a head in M and the module rule
 [m_0 - 1, m_1] (see `eval_H`), so its level 1 is free as well. A state at
-a free position does not depend on the bound hi either, which only
+a free position does not depend on the bound top either, which only
 limits which states are built, so these levels are built once and kept
 in _LEVEL_CACHE. A rule is a function object, and equal rules are one
 object: `_binomial` and `_quadratic` are cached, so equal parameters give
@@ -87,15 +87,18 @@ the H seed's other rules are module functions. The prefix rules read L,
 M or T, so each call builds its own.
 
 The per-call levels in front of the free ones (the links of the limits,
-and level 1 of the b = 1 large-L limit) hold one state per m_j. Their
-contract: a per-call rule below position 1 reads no m_{j-1} (position 1
-reads m_0 = top), so level j's state at m_j serves every m_{j-1} >= m_j,
-and `_pass` hands those rules None for m_{j-1}. States at one m_j whose
-factor keys are equal are summed before their one product: the link
-[M+m, 2m] (q)_(M-m) at a_0 = 0 reads only m, so it costs one product per
-m_1, not one per (m_1, m_2). The b = 1 large-L limit keeps its level 1
-per call: as a free level, `level` would copy its m_0-free
-[m_1, m_2] states to every column m_0 >= m_1, which measured slower.
+level 1 of the b = 1 large-L limit, and last the head) hold one state per
+m_j. Their contract: a per-call rule below position 1 reads no m_{j-1}
+(position 1 reads m_0 = top), so level j's state at m_j serves every
+m_{j-1} >= m_j, and `_pass` hands those rules None for m_{j-1}. The head
+is level 0, with the one column m_0 = top and m_{-1} := top, and the sum
+is its state. States at one m_j whose factor keys are equal are summed
+before their one product: the link [M+m, 2m] (q)_(M-m) at a_0 = 0 reads
+only m, so it costs one product per m_1, not one per (m_1, m_2), and the
+head 1 of the double limit costs one product. The b = 1 large-L limit
+keeps its level 1 per call: as a free level, `level` would copy its
+m_0-free [m_1, m_2] states to every column m_0 >= m_1, which measured
+slower.
 
 Every sum takes its free levels from the level memo, one entry per
 level. Level j's key is (phis[j], psis[j], key of level j+1), starting
@@ -113,11 +116,11 @@ have the same quotients and so share all of theirs, and the two
 representations of one pair share level d (a block end with tau_d = 1 in
 both). The b = 1
 large-L limits of F and f, at every depth, read one chain of
-[m_j, m_{j+1}] levels. A call that needs columns m_{j-1} <= hi beyond a
+[m_j, m_{j+1}] levels. A call that needs columns m_{j-1} <= top beyond a
 level's entry extends it, adding only the new columns, level by level
-from d down; then it runs the per-call levels and the head on the states
-with m_1 <= hi. hi is top where level 1 is free, else the largest m_1
-with a nonzero head factor. Cut entries are kept like the others: like
+from d down; then it runs the per-call levels, the head last. Where level
+1 runs per call, the head is nonzero at m_1 = top, so no smaller bound
+would build fewer columns. Cut entries are kept like the others: like
 the other memos here, the level memo is not bounded.
 
 Rows. F, f, H and I read M only in the boundary binomial of the head,
@@ -193,8 +196,9 @@ def _lattice_sum(top, phis, psis, first, cut=None):
     from the level memo, keyed by the rule objects from it to d, the word
     width and the cut (see the module docstring and `_extend`);
     first = len(phis) when no level is free. The per-call rules at
-    positions 2 <= j < first read no m_{j-1}. Every stored level is whole,
-    so a build that fails (an overflow) leaves no partial column.
+    positions 2 <= j < first read no m_{j-1}, and the head is the last
+    per-call level. Every stored level is whole, so a build that fails (an
+    overflow) leaves no partial column. A negative top has no term.
 
     The first pass uses w = _FIRST_WIDTH; a pass whose factor or total
     bound reaches 2^(w-1) restarts at the narrowest width that holds it
@@ -209,7 +213,7 @@ def _lattice_sum(top, phis, psis, first, cut=None):
         else:
             if not l1 >> (w - 1):
                 return LaurentPoly.dense(lo, unpack(v, abs(v).bit_length() // w + 2, w))
-        w = pack_width(max(w + 1, l1.bit_length() + 1))
+        w = pack_width(l1.bit_length() + 1)
 
 
 def _pass(top, phis, psis, first, cut, w, row=False):
@@ -217,33 +221,24 @@ def _pass(top, phis, psis, first, cut, w, row=False):
     p = v(X) q^lo and l1 >= ||p||_1. With `row`, the head is left out:
     every m_1 <= top is summed, and the pass returns the states
     (m_1, lo, v, l1) of q^(psi_0) times the sum at m_1, one per m_1 that
-    has a term, in place of their sum with the head (see `_row`).
+    has a term, in place of their sum with the head (see `_row`); a row
+    pass reads a free level 1 (first = 1).
 
     A free level j holds the pair states (m_{j-1}, m_j), as
     level[m_{j-1}][m_j]: each is the sum over m_{j+1}, ..., m_d of the
-    factors at positions j..d, on the columns m_{j-1} <= hi, hi being top
-    when level 1 is free (the pass reads its column m_0 = top) and else
-    the largest m_1 with a nonzero head factor. A per-call level j holds
-    one state per m_j, as its rules read no m_{j-1} below position 1, and
-    sums the states that share a factor key before their one product.
-    Either way level 1 ends with one state per m_1, and the head is
-    multiplied in once per m_1. A state is (lo, v, l1): q^e
-    moves lo, a product multiplies the v and the l1, a sum shifts the v
-    with the higher lo by whole words and adds the l1. With `cut`, every product is
-    taken mod X^(cut+1-lo), with its operands reduced first, and kept as
-    its balanced digits below q^(cut+1).
+    factors at positions j..d, on the columns m_{j-1} <= top. A per-call
+    level j holds one state per m_j, as its rules read no m_{j-1} below
+    position 1, and sums the states that share a factor key before their
+    one product. The head is the last per-call level, j = 0, with its one
+    column m_0 = top (m_{-1} := top), and the sum is its state. A state is
+    (lo, v, l1): q^e moves lo, a product multiplies the v and the l1, a
+    sum shifts the v with the higher lo by whole words and adds the l1.
+    With `cut`, every product is taken mod X^(cut+1-lo), with its operands
+    reduced first, and kept as its balanced digits below q^(cut+1).
     """
-    if row:
-        live = range(top + 1)
-    else:
-        heads = [phis[0](top, top, c) for c in range(top + 1)]
-        live = [c for c, key in enumerate(heads) if key is not None]
-        if not live:
-            return 0, 0, 0
+    if top < 0:
+        return 0, 0, 0
     first = min(first, len(phis))  # len(phis) = d + 1: no free level
-    # a free level 1 is read at its column m_0 = top, so the memo's levels
-    # go up to that column
-    hi = top if first == 1 else live[-1]
     memo = _PACKED_CACHE.setdefault(w, {})
 
     def times(lo, v, l1, key):
@@ -265,17 +260,17 @@ def _pass(top, phis, psis, first, cut, w, row=False):
         return lo, v, l1
 
     def level(j, below, out, old):
-        """Add to `out`, level j, its columns m_{j-1} = old+1..hi, from
+        """Add to `out`, level j, its columns m_{j-1} = old+1..top, from
         level j+1 in `below`."""
         phi, psi = phis[j], psis[j]
-        out.extend({} for _ in range(old, hi))
-        for c in range(hi + 1):
+        out.extend({} for _ in range(old, top))
+        for c in range(top + 1):
             for n, (lo, v, l1) in below[c].items():
                 lo += psi(c, n)
                 if cut is not None and lo > cut:
                     continue
                 last = None
-                for p in range(max(c, old + 1), hi + 1):
+                for p in range(max(c, old + 1), top + 1):
                     key = phi(p, c, n)
                     if key is None:
                         continue
@@ -286,14 +281,15 @@ def _pass(top, phis, psis, first, cut, w, row=False):
                     col[c] = t if at is None else _add(at, t, w)
         return out
 
-    below = _extend(phis, psis, first, hi, w, cut, level)
-    if first == 1:
-        below = below[top]
-    # the per-call levels first-1..1, one state per m_j (see the docstring)
-    for j in range(first - 1, 0, -1):
-        phi, psi, p = phis[j], psis[j], top if j == 1 else None
+    below = _extend(phis, psis, first, top, w, cut, level)
+    if row:
+        return [(c, lo + psis[0](top, c), v, l1)
+                for c, (lo, v, l1) in below[top].items()]
+    # the per-call levels first-1..0, one state per m_j (see the docstring)
+    for j in range(first - 1, -1, -1):
+        phi, psi, p = phis[j], psis[j], top if j <= 1 else None
         states = {}
-        for c in live if j == 1 else range(hi + 1):
+        for c in range(top + 1) if j else (top,):
             sums = {}
             for n, (lo, v, l1) in below[c].items() if j == first - 1 else \
                     ((n, s) for n, s in below.items() if n <= c):
@@ -304,41 +300,31 @@ def _pass(top, phis, psis, first, cut, w, row=False):
                 if key is not None:
                     at = sums.get(key)
                     sums[key] = (lo, v, l1) if at is None else _add(at, (lo, v, l1), w)
-            for key, s in sums.items():
-                t = times(*s, key)
+            for key, (lo, v, l1) in sums.items():
+                t = times(lo, v, l1, key)
                 states[c] = t if c not in states else _add(states[c], t, w)
         below = states
-    # level 1 at m_0 = top, one state per m_1, and the head
-    if row:
-        return [(c, lo + psis[0](top, c), v, l1)
-                for c, (lo, v, l1) in below.items()]
-    total = None
-    for c in live:
-        if c in below:
-            lo, v, l1 = below[c]
-            t = times(lo + psis[0](top, c), v, l1, heads[c])
-            total = t if total is None else _add(total, t, w)
-    return total or (0, 0, 0)
+    return below.get(top, (0, 0, 0))
 
 
-def _extend(phis, psis, first, hi, w, cut, level):
-    """The states of level `first` on the columns m_{first-1} <= hi, from
+def _extend(phis, psis, first, top, w, cut, level):
+    """The states of level `first` on the columns m_{first-1} <= top, from
     the level memo: level j's key is (phis[j], psis[j], key of level j+1),
     from (w, cut) below level d, so it names the rules from j to d, and its
-    entry is (hi, states) of that level alone. Walking j from d down, a
-    level with fewer columns than hi gets only its new ones, built from the
-    level below into a copy of its list, which shares its old columns
+    entry is (top, states) of that level alone. Walking j from d down, a
+    level with fewer columns than top gets only its new ones, built from
+    the level below into a copy of its list, which shares its old columns
     (`level` writes only columns m_{j-1} > old), and is stored once they
     are all built: every stored level is whole, so a build that fails
     leaves no partial column. Start states (m_d, m_{d+1} = 0) are built
     per call; `level` only reads `below`, so they share one dict."""
-    below, key = [{0: (0, 1, 1)}] * (hi + 1), (w, cut)
+    below, key = [{0: (0, 1, 1)}] * (top + 1), (w, cut)
     for j in range(len(phis) - 1, first - 1, -1):
         key = phis[j], psis[j], key
         old, states = _LEVEL_CACHE.get(key, (-1, ()))
-        if old < hi:
+        if old < top:
             states = level(j, below, list(states), old)
-            _LEVEL_CACHE[key] = hi, states
+            _LEVEL_CACHE[key] = top, states
         below = states
     return below
 
@@ -480,7 +466,7 @@ def _next_column(entry, family, cfd, L, M):
             v, _ = _column(row, M)
             break
         except _Overflow as exc:
-            w = pack_width(max(w + 1, exc.args[0].bit_length() + 1))
+            w = pack_width(exc.args[0].bit_length() + 1)
     entry[3] = row
     value = LaurentPoly.dense(row[1], unpack(v, v.bit_length() // w + 2, w))
     entry[2].append(value)

@@ -1,5 +1,6 @@
 """Fermionic lattice sums: four families, limits, overrides, support."""
 
+import functools
 import itertools
 import random
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qburge import fermionic, qcombinat
+from qburge import cf, fermionic, qcombinat, qpoly
 from qburge.qpoly import LaurentPoly, TruncatedSeries
 from qburge.qcombinat import _factor, _qkey, g_poly, qbin, q_poch, qsum
 from qburge.cf import cf_expand
@@ -384,6 +385,60 @@ def test_bounded_grid_builds_no_row(monkeypatch):
     for cid, params in bounded_grid(0, 0):
         assert check_identity(cid, params).status == "pass", (cid, params)
     assert not rows and not columns
+
+
+def test_bench_mul_clears_every_memo(monkeypatch):
+    # bench_mul's cold rows start from cleared memos: after a few lattice
+    # calls, its clear_memos leaves every functools cache of cf, qpoly,
+    # qcombinat and fermionic empty, and the dict memos it clears. Fresh
+    # caches and memos stand in for the modules' own during the test, so
+    # the rule objects that other tests compare keep their identity
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+    try:
+        import bench_mul
+    finally:
+        sys.path.pop(0)
+    modules = (cf, qpoly, qcombinat, fermionic)
+    fresh = {id(obj): functools.lru_cache(**obj.cache_parameters())(obj.__wrapped__)
+             for module in modules for obj in vars(module).values()
+             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
+    for module in modules:  # each cache under every name they hold it by
+        for name, obj in list(vars(module).items()):
+            if id(obj) in fresh:
+                monkeypatch.setattr(module, name, fresh[id(obj)])
+    cold_memos(monkeypatch)
+    for name in ("_QBIN_CACHE", "_POCH_CACHE"):
+        monkeypatch.setattr(qcombinat, name, {})
+    eval_F(5, 2, 3, 3)
+    eval_limit_L("F", 7, 3, 4)
+    assert fermionic._binomial.cache_info().currsize
+    assert fermionic._quadratic.cache_info().currsize
+    bench_mul.clear_memos()
+    sizes = {f"{cached.__module__}.{cached.__name__}": cached.cache_info().currsize
+             for cached in fresh.values()}
+    assert sizes == dict.fromkeys(sizes, 0)
+    assert not any((qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE, qcombinat._PACKED_CACHE,
+                    fermionic._LEVEL_CACHE, fermionic._ROW_CACHE))
+
+
+def test_negative_top_is_zero(monkeypatch):
+    # a sum whose top m_0 is negative has no term, whatever its head and
+    # per-call levels: its pass returns zero before it reads the level memo
+    monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
+    passes = counting(monkeypatch, "_pass")
+    # a_0 = 0, 1 and 2
+    calls = [(eval_limit_L, (fam, a, b, M)) for fam in ("F", "f")
+             for a, b in ((8, 5), (7, 3), (7, 2)) for M in (-1, -3)]
+    calls += [(eval_limit_M, (fam, a, b, -1)) for fam in ("F", "f", "I")
+              for a, b in ((2, 1), (7, 3), (8, 5))]
+    calls += [(eval_H, (2, 1, -1, M)) for M in (-1, 0, 3)]
+    for fn, args in calls:
+        assert fn(*args) == LaurentPoly.zero(), (fn.__name__, args)
+    assert passes["_pass"] == len(calls)
+    assert not fermionic._LEVEL_CACHE
+    # the H seed's head is zero at M = -1, every m_1 <= L
+    for L in range(-1, 4):
+        assert eval_H(2, 1, L, -1) == LaurentPoly.zero(), L
 
 
 def test_row_memo_one_entry_per_family(monkeypatch):
