@@ -2,17 +2,18 @@
 F, f, H, I, their one-sided large-bound limits and the double-limit series.
 
 Every value is one call of `_lattice_sum`, a transfer-matrix sum along the
-continued fraction, or a column of a row in M built from one such pass
-(see Rows). The kernel reads only its quotients: row j of the
-Cartan matrix is (-1, 2, -1) inside a tadpole block and (-1, 1, 1) at a
-block's end, and tau_j = 2 except tau_d = 1. The matrix is tridiagonal, so
-the binomial factor at position j depends only on (m_{j-1}, m_j, m_{j+1})
-and the quadratic form splits into terms on neighbouring pairs
-(m_j, m_{j+1}); the sum is built right to left over the pair states. A sum
-is two rule lists, one factor rule and one exponent rule per position, with
-the head at position 0: it reads (m_0, m_1) and carries the boundary
-binomial and, for f at d = 1, the term L m_1 = m_0 m_1 of the barred
-correction m_1 (m_0 - m_1), which no pair (m_j, m_{j+1}) with j >= 1 holds.
+continued fraction, or a column of a row in M whose numerator is read from
+the levels such a sum keeps (see Rows). The kernel reads only its
+quotients: row j of the Cartan matrix is (-1, 2, -1) inside a tadpole block
+and (-1, 1, 1) at a block's end, and tau_j = 2 except tau_d = 1. The matrix
+is tridiagonal, so the binomial factor at position j depends only on
+(m_{j-1}, m_j, m_{j+1}) and the quadratic form splits into terms on
+neighbouring pairs (m_j, m_{j+1}); the sum is built right to left over the
+pair states. A sum is two rule lists, one factor rule and one exponent rule
+per position, with the head at position 0: it reads (m_0, m_1) and carries
+the boundary binomial and, for f at d = 1, the term L m_1 = m_0 m_1 of the
+barred correction m_1 (m_0 - m_1), which no pair (m_j, m_{j+1}) with j >= 1
+holds.
 
 Support. Write m_0 := L and m_{d+1} := 0. The kernel factor
 [tau_j m_j + n_j, tau_j m_j] vanishes unless n_j >= 0, where
@@ -96,7 +97,7 @@ is its state. States at one m_j whose factor keys are equal are summed
 before their one product: the link [M+m, 2m] (q)_(M-m) at a_0 = 0 reads
 only m, so it costs one product per m_1, not one per (m_1, m_2), and the
 head 1 of the double limit costs one product. The b = 1 large-L limit
-keeps its level 1 per call: as a free level, `level` would copy its
+keeps its level 1 per call: as a free level, `_extend` would copy its
 m_0-free [m_1, m_2] states to every column m_0 >= m_1, which measured
 slower.
 
@@ -132,32 +133,34 @@ Andrews, The Theory of Partitions, 1976, Thm 3.3), so
 
     sum_M F(L, M) z^M = (sum_{m_1} z^s q^(psi_0) Y_L(m_1)) / (z;q)_(2L+1).
 
-A row is that numerator, from one pass with the head left out (`_pass`
-with `row`, every m_1 <= L, read from level 1's column m_0 = L in the
-level memo, so a row at L builds no level that a point at L or above
-built), divided by (z;q)_(2L+1) as the 2L+1 running
-sums of `qcombinat._sweep`, the step that `burge`'s tree walk divides by;
-each column costs one shifted add per running sum, and the head binomial
-is never built. Rows serve a caller that asks for many M at one L in
-turn, as the grid suites of `verify` do (M innermost); scattered points
-keep the point form `_bounded`. The row memo `_ROW_CACHE` holds at most
-one live entry per family, keyed (family, quotients, a > 2b, L): the flag
-tells (a, b) from (a, a - b), which have the same quotients but not the
-same head. A call at a value the entry holds returns it; a call at the
-column after its last starts a row from a point entry, or grows the row
-by that column; any other call runs the point form and replaces the
-entry. So a row starts only at M + 1 after a point at M, and the memo
-never holds more than four entries. Each column's l1 is exactly
-F(L, M)(1), as every coefficient is nonnegative, and it bounds every
-running sum; a column or factor that reaches 2^(w-1) restarts the row at
-the width that holds it, by `_lattice_sum`'s rule, swept from column 0
-again. The numerator's states carry exact l1s too, so a restart whose old
-width holds them all packs them again at the new one, and only a state
-too wide for it makes the pass run again. H at (2, 1), whose seed has a
-head of its own, and the limits stay point forms.
+A row is that numerator, read straight from the level memo: its z^s
+coefficient is q^(psi_0) times the state at m_1 of level 1's column m_0 =
+L, so a row runs no pass and builds no level that a point at L or above
+built. It is divided by (z;q)_(2L+1) as the 2L+1 running sums of
+`qcombinat._sweep`, the step that `burge`'s tree walk divides by; each
+column costs one shifted add per running sum, and the head binomial is
+never built. Rows serve a caller that asks for many M at one L in turn, as
+the grid suites of `verify` do (M innermost); scattered points keep the
+point form `_bounded`. The row memo `_ROW_CACHE` holds at most one live
+entry per family, keyed (family, quotients, a > 2b, L): the flag tells (a,
+b) from (a, a - b), which have the same quotients but not the same head. An
+entry holds one value, at its M: a call at that M returns it; a call at M +
+1 starts a row from a point entry, or grows the row by that column; any
+other call runs the point form and replaces the entry. So a row starts only
+at M + 1 after a point at M, and the memo never holds more than four
+entries. L < 0 or M < 0 gives zero before either memo is read. Each
+column's l1 is exactly F(L, M)(1), as every coefficient is nonnegative, and
+it bounds every running sum; a column or factor that reaches 2^(w-1)
+restarts the row at the width that holds it, by `_lattice_sum`'s rule,
+swept from column 0 again. The numerator's states carry exact l1s too, so a
+restart whose old width holds them all packs them again at the new one, and
+only a state too wide for it makes the row read level 1 at the new width. H
+at (2, 1), whose seed has a head of its own, and the limits stay point
+forms.
 
-Memos. This module keeps two: the level memo `_LEVEL_CACHE` and the row
-memo `_ROW_CACHE`. A cold start clears both, with the factor store of
+Memos. This module keeps two: the level memo `_LEVEL_CACHE`, which both
+point sums and rows read, and the row memo `_ROW_CACHE`, one value and one
+row state per family. A cold start clears both, with the factor store of
 `qcombinat` and the cached `_rules`, `_binomial` and `_quadratic`.
 """
 
@@ -178,9 +181,9 @@ _LEVEL_CACHE = {}
 # word width in bits of a lattice sum's first pass
 _FIRST_WIDTH = 32
 # the row memo, at most one live entry per bounded family F, f, H, I:
-# family -> [key, m0, values, row], key (family, quotients, a > 2b, L), the
-# values at M = m0, m0 + 1, ..., and row None for a point, else the state
-# of `_row` after the last value's column; see _from_rows
+# family -> [key, M, value, row], key (family, quotients, a > 2b, L), the
+# value at M, and row None for a point, else the state of `_row` after
+# column M; see _from_rows
 _ROW_CACHE = {}
 
 
@@ -216,76 +219,23 @@ def _lattice_sum(top, phis, psis, first, cut=None):
         w = pack_width(l1.bit_length() + 1)
 
 
-def _pass(top, phis, psis, first, cut, w, row=False):
+def _pass(top, phis, psis, first, cut, w):
     """The lattice sum as (lo, v, l1) on values p(X) at X = 2^w, with
-    p = v(X) q^lo and l1 >= ||p||_1. With `row`, the head is left out:
-    every m_1 <= top is summed, and the pass returns the states
-    (m_1, lo, v, l1) of q^(psi_0) times the sum at m_1, one per m_1 that
-    has a term, in place of their sum with the head (see `_row`); a row
-    pass reads a free level 1 (first = 1).
+    p = v(X) q^lo and l1 >= ||p||_1: the free levels from `_extend`, then
+    the per-call levels first-1..0.
 
-    A free level j holds the pair states (m_{j-1}, m_j), as
-    level[m_{j-1}][m_j]: each is the sum over m_{j+1}, ..., m_d of the
-    factors at positions j..d, on the columns m_{j-1} <= top. A per-call
-    level j holds one state per m_j, as its rules read no m_{j-1} below
-    position 1, and sums the states that share a factor key before their
-    one product. The head is the last per-call level, j = 0, with its one
-    column m_0 = top (m_{-1} := top), and the sum is its state. A state is
-    (lo, v, l1): q^e moves lo, a product multiplies the v and the l1, a
-    sum shifts the v with the higher lo by whole words and adds the l1.
-    With `cut`, every product is taken mod X^(cut+1-lo), with its operands
-    reduced first, and kept as its balanced digits below q^(cut+1).
+    A per-call level j holds one state per m_j, as its rules read no
+    m_{j-1} below position 1, and sums the states that share a factor key
+    before their one product. The head is the last per-call level, j = 0,
+    with its one column m_0 = top (m_{-1} := top), and the sum is its
+    state. A state is (lo, v, l1): q^e moves lo, a product multiplies the
+    v and the l1 (`_times`), a sum shifts the v with the higher lo by whole
+    words and adds the l1 (`_add`).
     """
     if top < 0:
         return 0, 0, 0
     first = min(first, len(phis))  # len(phis) = d + 1: no free level
-    memo = _PACKED_CACHE.setdefault(w, {})
-
-    def times(lo, v, l1, key):
-        f = memo.get(key)
-        if f is None:
-            f = _packed(key, w)
-        flo, fv, fl1 = f
-        lo, l1 = lo + flo, l1 * fl1
-        if cut is None:
-            return lo, v * fv, l1
-        keep = w * (cut + 1 - lo)
-        if keep <= 0:
-            return lo, 0, 0
-        # the product mod X^(cut+1-lo), from both operands reduced first
-        mask = (1 << keep) - 1
-        v = (v & mask) * (fv & mask) & mask
-        if v >> (keep - 1):
-            v -= 1 << keep
-        return lo, v, l1
-
-    def level(j, below, out, old):
-        """Add to `out`, level j, its columns m_{j-1} = old+1..top, from
-        level j+1 in `below`."""
-        phi, psi = phis[j], psis[j]
-        out.extend({} for _ in range(old, top))
-        for c in range(top + 1):
-            for n, (lo, v, l1) in below[c].items():
-                lo += psi(c, n)
-                if cut is not None and lo > cut:
-                    continue
-                last = None
-                for p in range(max(c, old + 1), top + 1):
-                    key = phi(p, c, n)
-                    if key is None:
-                        continue
-                    if key != last:
-                        last, t = key, times(lo, v, l1, key)
-                    col = out[p]
-                    at = col.get(c)
-                    col[c] = t if at is None else _add(at, t, w)
-        return out
-
-    below = _extend(phis, psis, first, top, w, cut, level)
-    if row:
-        return [(c, lo + psis[0](top, c), v, l1)
-                for c, (lo, v, l1) in below[top].items()]
-    # the per-call levels first-1..0, one state per m_j (see the docstring)
+    below = _extend(phis, psis, first, top, w, cut)
     for j in range(first - 1, -1, -1):
         phi, psi, p = phis[j], psis[j], top if j <= 1 else None
         states = {}
@@ -301,29 +251,69 @@ def _pass(top, phis, psis, first, cut, w, row=False):
                     at = sums.get(key)
                     sums[key] = (lo, v, l1) if at is None else _add(at, (lo, v, l1), w)
             for key, (lo, v, l1) in sums.items():
-                t = times(lo, v, l1, key)
+                t = _times(lo, v, l1, key, w, cut)
                 states[c] = t if c not in states else _add(states[c], t, w)
         below = states
     return below.get(top, (0, 0, 0))
 
 
-def _extend(phis, psis, first, top, w, cut, level):
+def _times(lo, v, l1, key, w, cut):
+    """The state (lo, v, l1) times the factor `key` packed at width w. With
+    `cut`, the product is taken mod X^(cut+1-lo), with its operands reduced
+    first, and kept as its balanced digits below q^(cut+1)."""
+    try:
+        flo, fv, fl1 = _PACKED_CACHE[w][key]
+    except KeyError:
+        flo, fv, fl1 = _packed(key, w)
+    lo, l1 = lo + flo, l1 * fl1
+    if cut is None:
+        return lo, v * fv, l1
+    keep = w * (cut + 1 - lo)
+    if keep <= 0:
+        return lo, 0, 0
+    mask = (1 << keep) - 1
+    v = (v & mask) * (fv & mask) & mask
+    if v >> (keep - 1):
+        v -= 1 << keep
+    return lo, v, l1
+
+
+def _extend(phis, psis, first, top, w, cut):
     """The states of level `first` on the columns m_{first-1} <= top, from
-    the level memo: level j's key is (phis[j], psis[j], key of level j+1),
-    from (w, cut) below level d, so it names the rules from j to d, and its
-    entry is (top, states) of that level alone. Walking j from d down, a
-    level with fewer columns than top gets only its new ones, built from
-    the level below into a copy of its list, which shares its old columns
-    (`level` writes only columns m_{j-1} > old), and is stored once they
-    are all built: every stored level is whole, so a build that fails
-    leaves no partial column. Start states (m_d, m_{d+1} = 0) are built
-    per call; `level` only reads `below`, so they share one dict."""
+    the level memo. A free level j holds the pair states (m_{j-1}, m_j), as
+    states[m_{j-1}][m_j]: each is the sum over m_{j+1}, ..., m_d of the
+    factors at positions j..d. Level j's key is (phis[j], psis[j], key of
+    level j+1), from (w, cut) below level d, so it names the rules from j
+    to d, and its entry is (top, states) of that level alone. Walking j
+    from d down, a level with fewer columns than top gets only its new
+    columns m_{j-1} = old+1..top, built from the level below into a copy of
+    its list, which shares its old columns, and is stored once they are
+    all built: every stored level is whole, so a build that fails (an
+    overflow) leaves no partial column. Start states (m_d, m_{d+1} = 0) are
+    built per call; a build only reads the level below, so they share one
+    dict."""
     below, key = [{0: (0, 1, 1)}] * (top + 1), (w, cut)
     for j in range(len(phis) - 1, first - 1, -1):
-        key = phis[j], psis[j], key
+        phi, psi, key = phis[j], psis[j], (phis[j], psis[j], key)
         old, states = _LEVEL_CACHE.get(key, (-1, ()))
         if old < top:
-            states = level(j, below, list(states), old)
+            states = list(states)
+            states.extend({} for _ in range(old, top))
+            for c in range(top + 1):
+                for n, (lo, v, l1) in below[c].items():
+                    lo += psi(c, n)
+                    if cut is not None and lo > cut:
+                        continue
+                    last = None
+                    for p in range(max(c, old + 1), top + 1):
+                        f = phi(p, c, n)
+                        if f is None:
+                            continue
+                        if f != last:
+                            last, t = f, _times(lo, v, l1, f, w, cut)
+                        col = states[p]
+                        at = col.get(c)
+                        col[c] = t if at is None else _add(at, t, w)
             _LEVEL_CACHE[key] = top, states
         below = states
     return below
@@ -432,29 +422,30 @@ def _bounded(family, cfd, L, M):
 
 def _from_rows(family, cfd, L, M):
     """The sum at (L, M) of `_bounded`, from the family's entry in the row
-    memo (see "Rows" in the module docstring): a value the entry holds is
-    returned, the column after its last is added to its row, which a
-    point entry starts, and any other call runs the point form and
-    replaces the entry with that point."""
+    memo (see "Rows" in the module docstring): zero for L < 0 or M < 0,
+    the entry's value at its M, the column after it added to the entry's
+    row, which a point entry starts, and at any other call the point form,
+    which replaces the entry with that point."""
+    if L < 0 or M < 0:
+        return LaurentPoly.zero()
     key = family, cfd.quotients, cfd.a > 2 * cfd.b, L
     entry = _ROW_CACHE.get(family)
     if entry is not None and entry[0] == key:
-        _, m0, values, _ = entry
-        if 0 <= M - m0 < len(values):
-            return values[M - m0]
-        if M - m0 == len(values) and m0 >= 0 <= L:
+        if M == entry[1]:
+            return entry[2]
+        if M == entry[1] + 1:
             return _next_column(entry, family, cfd, L, M)
     value = _bounded(family, cfd, L, M)
-    _ROW_CACHE[family] = [key, M, [value], None]
+    _ROW_CACHE[family] = [key, M, value, None]
     return value
 
 
 def _next_column(entry, family, cfd, L, M):
-    """Column M of the entry's row, one past its last value, appended to
-    its values; a point entry starts the row at _FIRST_WIDTH. A column whose
-    l1 reaches 2^(w-1), or a factor that the numerator's pass cannot pack,
-    restarts the row at the width that holds it, by `_lattice_sum`'s rule,
-    and it is swept from column 0 again."""
+    """Column M of the entry's row, one past its M, which becomes the
+    entry's M and value; a point entry starts the row at _FIRST_WIDTH. A
+    column whose l1 reaches 2^(w-1), or a factor that the numerator's
+    levels cannot pack, restarts the row at the width that holds it, by
+    `_lattice_sum`'s rule, and it is swept from column 0 again."""
     row = entry[3]
     w = _FIRST_WIDTH if row is None else row[0]
     while True:
@@ -467,30 +458,31 @@ def _next_column(entry, family, cfd, L, M):
             break
         except _Overflow as exc:
             w = pack_width(exc.args[0].bit_length() + 1)
-    entry[3] = row
     value = LaurentPoly.dense(row[1], unpack(v, v.bit_length() // w + 2, w))
-    entry[2].append(value)
+    entry[1:] = M, value, row
     return value
 
 
 def _row(family, cfd, L, w, old=None):
-    """The row of the bounded sum at L before its column 0, at width w:
-    [w, lo, numerator, shifts, sums, ones]. The numerator's z^s coefficient,
-    s = m_1 (L - m_1 for a > 2b), is the state at m_1 of the head-free
-    pass, shifted to the least lo of them all; the 2L+1 running sums, with
-    their l1s, divide it by (z;q)_(2L+1), shifts[k] being k words. A
-    restart passes the row it replaces as `old`: when every state of its
-    numerator has an l1 below 2^(u-1), u its width, the states decode
-    exactly and are packed again at w, and no pass runs again."""
+    """The row of the bounded sum at L >= 0 before its column 0, at width
+    w: [w, lo, numerator, shifts, sums, ones]. The numerator's z^s
+    coefficient, s = m_1 (L - m_1 for a > 2b), is q^(psi_0(L, m_1)) times
+    the state at m_1 of level 1's column m_0 = L in the level memo, shifted
+    to the least lo of them all; the 2L+1 running sums, with their l1s,
+    divide it by (z;q)_(2L+1), shifts[k] being k words. A restart passes
+    the row it replaces as `old`: when every state of its numerator has an
+    l1 below 2^(u-1), u its width, the states decode exactly and are packed
+    again at w, and no level is read again."""
     u = old and old[0]
     if old and not any(l1 >> (u - 1) for _, l1 in old[2]):
         lo = old[1]
         numerator = [(pack(unpack(v, v.bit_length() // u + 2, u), w), l1)
                      for v, l1 in old[2]]
     else:
-        ge = cfd.a > 2 * cfd.b
+        ge, psi = cfd.a > 2 * cfd.b, _exponent(family, cfd)
         phis, psis = _rules(cfd.quotients, family)
-        states = _pass(L, phis, [_exponent(family, cfd)] + psis[1:], 1, None, w, True)
+        states = [(c, at + psi(L, c), v, l1)
+                  for c, (at, v, l1) in _extend(phis, psis, 1, L, w, None)[L].items()]
         lo = min((state[1] for state in states), default=0)
         numerator = [(0, 0)] * (L + 1)
         for c, at, v, l1 in states:

@@ -349,13 +349,22 @@ def test_row_restart_keeps_values(monkeypatch):
     expect = [fn(*args) for _, fn, args in calls]
     monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
     cold_memos(monkeypatch)
-    rows, passes, pass_ = counting(monkeypatch, "_row"), Counter(), fermionic._pass
+    rows, builds, inside = counting(monkeypatch, "_row"), Counter(), []
+    row_, extend = fermionic._row, fermionic._extend
 
-    def counted(*args):  # a row's pass is the one with `row` given
-        passes[len(args) == 7] += 1
-        return pass_(*args)
+    def in_row(*args):
+        inside.append(True)
+        try:
+            return row_(*args)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(fermionic, "_pass", counted)
+    def counted(*args):  # a numerator build is an `_extend` call inside `_row`
+        builds[bool(inside)] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(fermionic, "_row", in_row)
+    monkeypatch.setattr(fermionic, "_extend", counted)
     widths = {}
     for (family, fn, args), value in zip(calls, expect):
         assert fn(*args) == value, (family, args)
@@ -364,10 +373,10 @@ def test_row_restart_keeps_values(monkeypatch):
             widths.setdefault((family, args[:3]), set()).add(row[0])
     # some row held a column at 8 bits and then restarted at a wider word
     assert any(8 in ws and len(ws) > 1 for ws in widths.values())
-    # a restart repacks a numerator that its width holds, and runs the
-    # pass again on one that it does not: both happen here
+    # a restart repacks a numerator that its width holds, and reads level 1
+    # again for one that it does not: both happen here
     starts = len(widths)
-    assert starts < passes[True] < rows["_row"]
+    assert starts < builds[True] < rows["_row"]
 
 
 def test_bounded_grid_builds_no_row(monkeypatch):
@@ -441,6 +450,35 @@ def test_negative_top_is_zero(monkeypatch):
         assert eval_H(2, 1, L, -1) == LaurentPoly.zero(), L
 
 
+def test_negative_sizes_leave_memos_empty(monkeypatch):
+    # F, f, H and I at L < 0 or M < 0 have no term: each returns zero
+    # before it reads the level memo or the row memo
+    cold_memos(monkeypatch)
+    for args in ((7, 3, 8, -1), (7, 3, -1, 4)):
+        for _, fn in BOUNDED:
+            assert fn(*args) == LaurentPoly.zero(), (fn.__name__, args)
+    assert not fermionic._LEVEL_CACHE
+    assert not fermionic._ROW_CACHE
+
+
+def test_row_entry_holds_last_value(monkeypatch):
+    # an entry holds the value at its M: a repeated call there runs
+    # nothing, and a call below it runs the point form and leaves a point
+    cold_memos(monkeypatch)
+    for M in range(4):
+        eval_F(5, 2, 4, M)
+    assert fermionic._ROW_CACHE["F"][3] is not None  # a row, grown to M = 3
+    passes, columns = counting(monkeypatch, "_pass"), counting(monkeypatch, "_next_column")
+    assert eval_F(5, 2, 4, 3) == fermionic._ROW_CACHE["F"][2]
+    assert not passes and not columns
+    value = eval_F(5, 2, 4, 1)
+    entry = fermionic._ROW_CACHE["F"]
+    assert entry[1:] == [1, value, None]
+    assert passes["_pass"] == 1 and not columns
+    cold_memos(monkeypatch)
+    assert value == eval_F(5, 2, 4, 1)
+
+
 def test_row_memo_one_entry_per_family(monkeypatch):
     # the memo holds at most one live entry per family, whatever the order
     # of the calls: scan order (rows), M outermost (points) and shuffled
@@ -457,8 +495,10 @@ def test_row_memo_one_entry_per_family(monkeypatch):
 
 
 def test_thmmain_pass_count(monkeypatch):
-    # the default thmmain suite runs one point pass and one row pass per
-    # (pair, L): 9 pairs x 7 L x 2 = 126, where one pass per check took 882
+    # the default thmmain suite runs at most one point pass and one row
+    # per (pair, L), and a row reads its numerator from the level memo
+    # with no pass: at most 9 pairs x 7 L x 2 = 126 passes, where one pass
+    # per check took 882
     cold_memos(monkeypatch)
     passes = counting(monkeypatch, "_pass")
     reports = run_campaign("thmmain")
@@ -550,18 +590,23 @@ def test_shared_levels_in_any_order(monkeypatch):
 
 def counting_extend(monkeypatch, runs, columns):
     """Make `_extend` count, per level key, the builds of that level and
-    the columns each build adds (its hi minus the entry's old hi)."""
+    the columns each build adds, read from the level memo's stored hi
+    before and after the call (a level it does not grow is not built)."""
     extend = fermionic._extend
 
-    def counting(phis, psis, first, hi, w, cut, level):
-        def counted(j, below, out, old):
-            key = w, cut
-            for i in range(len(phis) - 1, j - 1, -1):
-                key = phis[i], psis[i], key
-            runs[key] += 1
-            columns[key] += hi - old
-            return level(j, below, out, old)
-        return extend(phis, psis, first, hi, w, cut, counted)
+    def counting(phis, psis, first, *args):
+        keys, key = [], args[1:]  # (w, cut) below level d
+        for j in range(len(phis) - 1, first - 1, -1):
+            key = phis[j], psis[j], key
+            keys.append(key)
+        before = {key: fermionic._LEVEL_CACHE.get(key, (-1,))[0] for key in keys}
+        states = extend(phis, psis, first, *args)
+        for key, old in before.items():
+            hi = fermionic._LEVEL_CACHE.get(key, (-1,))[0]
+            if hi > old:
+                runs[key] += 1
+                columns[key] += hi - old
+        return states
 
     monkeypatch.setattr(fermionic, "_extend", counting)
 
@@ -589,8 +634,8 @@ def test_shared_levels_built_once(monkeypatch):
 def test_level_one_memo_serves_smaller_L(monkeypatch):
     # level 1 reads L only as its column m_0, so a cold call at (L, M)
     # builds every level that the calls at L' <= L read: they build none,
-    # every pass (the rows' too) takes level 1 from the memo, and each
-    # value equals the point form on memos cleared before it
+    # every `_extend` call (a row's numerator too) takes level 1 from the
+    # memo, and each value equals the point form on memos cleared before it
     sums = [fn for _, fn in BOUNDED]
     sums += [lambda a, b, L, M, fam=fam: eval_limit_M(fam, a, b, L) for fam in ("F", "f", "I")]
     calls = [(L, M) for L in range(6) for M in range(7)]
