@@ -51,11 +51,20 @@ bound l1 >= ||p||_1 by ||ab||_1 <= ||a||_1 ||b||_1 and
 ||a + b||_1 <= ||a||_1 + ||b||_1; it is exactly p(1) when every factor is
 nonnegative (F, f, H, I and the large-M limit). No bound decreases on the
 way to the total, as every factor has l1 >= 1, so it suffices to check each
-factor as it is packed and the total at the end. When either reaches
-2^(w-1), the pass restarts at the narrowest width that holds it: 32 bits
-first, then 64, then multiples of 64. A factor is built once (the store's
-`_factor` is cached), so a restart packs the stored coefficients at its
-width and builds nothing again. The Pochhammer links of `eval_limit_L` are
+factor as it is packed and the total at the end. A factor that reaches
+2^(w-1) restarts the pass at the narrowest width that holds it: 32 bits
+first, then 64, then multiples of 64. A total that reaches it widens the
+pass in place (`_widen`), to the width that holds the total's bound: the
+pass keeps the states of its per-call levels, and only after the total's
+check fails does it look for the deepest per-call level with a state whose
+bound reaches 2^(w-1). The states that feed that level fit w, so they
+decode exactly and are packed at the new width with their exact l1s, and
+that level and those after it run again. No new bound exceeds its old one,
+so one widening suffices. A free level's states sit in the level memo at
+their own width; when they feed that level and one of them does not fit,
+the whole pass restarts at the new width. A factor is built once (the
+store's `_factor` is cached), so a restart packs the stored coefficients at
+its width and builds nothing again. The Pochhammer links of `eval_limit_L` are
 signed, so they are packed with biased digits and the total is decoded as
 balanced ones.
 With a cut at q^T (`eval_limit_both`), every product is taken mod
@@ -73,9 +82,15 @@ free positions are j >= 1, and the head and Pochhammer links for the
 other limits. A free level 1 is kept with its columns m_0 up to L, so a
 call reads its column m_0 = L and runs only its head, one per-call level.
 For the large-L limit, whose chain telescopes at b = 1 and at a_0 <= 1
-(see `eval_limit_L`), the free positions are j >= 2 there and
-j >= a_0 + 2 at the other pairs; at b = 1 the head [M, m_1] alone reads
-M, and [2M, M] (q)_M multiplies the total. For the double limit they are
+(see `eval_limit_L`), the free positions are j >= 1 at b = 1, j >= 2 at
+a_0 = 1 and j >= a_0 + 2 at the other pairs. At b = 1 the head [M, m_1]
+alone reads M, and [2M, M] (q)_M multiplies the total; every level j >= 1
+is [m_j, m_{j+1}] at exponent m_j^2, which reads neither M nor m_{j-1}, so
+its state at m_j depends only on d - j:
+L_k(m) = sum_{n<=m} q^(m^2) [m, n] L_{k-1}(n). Those levels hold one state
+per m_j (`_extend_per_m`), grown only by new m, and one chain of them
+serves every a and both F and f: a call runs only its head, at most M + 1
+products. For the double limit they are
 j >= a_0 + 2. The H seed is a head in M and the module rule
 [m_0 - 1, m_1] (see `eval_H`), so its level 1 is free as well. A state at
 a free position does not depend on the bound top either, which only
@@ -88,18 +103,17 @@ the H seed's other rules are module functions. The prefix rules read L,
 M or T, so each call builds its own.
 
 The per-call levels in front of the free ones (the links of the limits,
-level 1 of the b = 1 large-L limit, and last the head) hold one state per
-m_j. Their contract: a per-call rule below position 1 reads no m_{j-1}
+and last the head) hold one state per m_j. Their contract: a per-call rule below position 1 reads no m_{j-1}
 (position 1 reads m_0 = top), so level j's state at m_j serves every
 m_{j-1} >= m_j, and `_pass` hands those rules None for m_{j-1}. The head
 is level 0, with the one column m_0 = top and m_{-1} := top, and the sum
 is its state. States at one m_j whose factor keys are equal are summed
 before their one product: the link [M+m, 2m] (q)_(M-m) at a_0 = 0 reads
 only m, so it costs one product per m_1, not one per (m_1, m_2), and the
-head 1 of the double limit costs one product. The b = 1 large-L limit
-keeps its level 1 per call: as a free level, `_extend` would copy its
-m_0-free [m_1, m_2] states to every column m_0 >= m_1, which measured
-slower.
+head 1 of the double limit costs one product. The free levels of the
+b = 1 large-L limit hold one state per m_j as well: their rules read no
+m_{j-1}, and `_extend`'s pair states would copy each state to every
+column m_{j-1} >= m_j.
 
 Every sum takes its free levels from the level memo, one entry per
 level. Level j's key is (phis[j], psis[j], key of level j+1), starting
@@ -118,8 +132,9 @@ representations of one pair share level d (a block end with tau_d = 1 in
 both). The b = 1
 large-L limits of F and f, at every depth, read one chain of
 [m_j, m_{j+1}] levels. A call that needs columns m_{j-1} <= top beyond a
-level's entry extends it, adding only the new columns, level by level
-from d down; then it runs the per-call levels, the head last. Where level
+level's entry (states m_j <= top, at b = 1) extends it, adding only the
+new ones, level by level from d down; then it runs the per-call levels,
+the head last. Where level
 1 runs per call, the head is nonzero at m_1 = top, so no smaller bound
 would build fewer columns. Cut entries are kept like the others: like
 the other memos here, the level memo is not bounded.
@@ -159,8 +174,9 @@ at (2, 1), whose seed has a head of its own, and the limits stay point
 forms.
 
 Memos. This module keeps two: the level memo `_LEVEL_CACHE`, which both
-point sums and rows read, and the row memo `_ROW_CACHE`, one value and one
-row state per family. A cold start clears both, with the factor store of
+point sums and rows read, its levels holding pair states by column or, on
+the b = 1 large-L chain, one state per m_j, and the row memo `_ROW_CACHE`,
+one value and one row state per family. A cold start clears both, with the factor store of
 `qcombinat` and the cached `_rules`, `_binomial` and `_quadratic`.
 """
 
@@ -176,7 +192,8 @@ from .qcombinat import (_ONE_KEY, _PACKED_CACHE, QBIN_MAX_DEGREE, DegreeLimitErr
                         _Overflow, _packed, _qkey, _sweep, q_poch, qbin)
 
 # the states of one free level by (its phi, its psi, key of the level after
-# it), down to (word width, cut): see _extend and the module docstring
+# it), down to (word width, cut): see _extend, _extend_per_m and the module
+# docstring
 _LEVEL_CACHE = {}
 # word width in bits of a lattice sum's first pass
 _FIRST_WIDTH = 32
@@ -187,7 +204,7 @@ _FIRST_WIDTH = 32
 _ROW_CACHE = {}
 
 
-def _lattice_sum(top, phis, psis, first, cut=None):
+def _lattice_sum(top, phis, psis, first, cut=None, per_m=False):
     """Sum of prod_j phis[j](m_{j-1}, m_j, m_{j+1}) q^(psis[j](m_j, m_{j+1}))
     over j = 0..d and top >= m_1 >= ... >= m_d >= 0, with d = len(phis) - 1,
     m_{-1} := m_0 := top and m_{d+1} := 0 (the support proved above). A phi
@@ -198,63 +215,115 @@ def _lattice_sum(top, phis, psis, first, cut=None):
     at position 1 reads top only as its m_0): each of those levels comes
     from the level memo, keyed by the rule objects from it to d, the word
     width and the cut (see the module docstring and `_extend`);
-    first = len(phis) when no level is free. The per-call rules at
-    positions 2 <= j < first read no m_{j-1}, and the head is the last
-    per-call level. Every stored level is whole, so a build that fails (an
-    overflow) leaves no partial column. A negative top has no term.
+    first = len(phis) when no level is free. With `per_m`, the free rules
+    read no m_{j-1} either, and each free level holds one state per m_j
+    (`_extend_per_m`). The per-call rules at positions 2 <= j < first read
+    no m_{j-1}, and the head is the last per-call level. Every stored level
+    is whole, so a build that fails (an overflow) leaves no partial column.
+    A negative top has no term.
 
-    The first pass uses w = _FIRST_WIDTH; a pass whose factor or total
-    bound reaches 2^(w-1) restarts at the narrowest width that holds it
-    (see the module docstring).
+    The first pass uses w = _FIRST_WIDTH. A pass whose total bound reaches
+    2^(w-1) is widened in place (`_widen`) to the narrowest width that holds
+    it; a factor too wide for its word, or a free-level state too wide for
+    the widening to decode, restarts the pass at the narrowest width that
+    holds it (see the module docstring).
     """
-    w = _FIRST_WIDTH
+    first = min(first, len(phis))  # len(phis) = d + 1: no free level
+    w, levels = _FIRST_WIDTH, None
     while True:
         try:
-            lo, v, l1 = _pass(top, phis, psis, first, cut, w)
-        except _Overflow as exc:
-            l1 = exc.args[0]
-        else:
+            if levels is None:
+                levels = _pass(top, phis, psis, first, cut, w, per_m)
+            lo, v, l1 = levels[-1].get(top, (0, 0, 0))
             if not l1 >> (w - 1):
                 return LaurentPoly.dense(lo, unpack(v, abs(v).bit_length() // w + 2, w))
-        w = pack_width(l1.bit_length() + 1)
+            u, w = w, pack_width(l1.bit_length() + 1)
+            levels = _widen(levels, top, phis, psis, first, cut, u, w, per_m)
+        except _Overflow as exc:
+            w, levels = pack_width(exc.args[0].bit_length() + 1), None
 
 
-def _pass(top, phis, psis, first, cut, w):
-    """The lattice sum as (lo, v, l1) on values p(X) at X = 2^w, with
-    p = v(X) q^lo and l1 >= ||p||_1: the free levels from `_extend`, then
-    the per-call levels first-1..0.
-
-    A per-call level j holds one state per m_j, as its rules read no
-    m_{j-1} below position 1, and sums the states that share a factor key
-    before their one product. The head is the last per-call level, j = 0,
-    with its one column m_0 = top (m_{-1} := top), and the sum is its
-    state. A state is (lo, v, l1): q^e moves lo, a product multiplies the
-    v and the l1 (`_times`), a sum shifts the v with the higher lo by whole
-    words and adds the l1 (`_add`).
-    """
+def _pass(top, phis, psis, first, cut, w, per_m):
+    """The levels of the lattice sum on values p(X) at X = 2^w, with
+    p = v(X) q^lo: the states of level `first` from the level memo
+    (`_extend`, or `_extend_per_m`), then those of the per-call levels
+    first-1..0 (`_run`). The last is the head's, {top: (lo, v, l1)} with
+    l1 >= ||p||_1, or empty when the sum is zero. A state is (lo, v, l1):
+    q^e moves lo, a product multiplies the v and the l1 (`_times`), a sum
+    shifts the v with the higher lo by whole words and adds the l1
+    (`_add`)."""
     if top < 0:
-        return 0, 0, 0
-    first = min(first, len(phis))  # len(phis) = d + 1: no free level
-    below = _extend(phis, psis, first, top, w, cut)
-    for j in range(first - 1, -1, -1):
-        phi, psi, p = phis[j], psis[j], top if j <= 1 else None
-        states = {}
-        for c in range(top + 1) if j else (top,):
-            sums = {}
-            for n, (lo, v, l1) in below[c].items() if j == first - 1 else \
-                    ((n, s) for n, s in below.items() if n <= c):
-                lo += psi(c, n)
-                if cut is not None and lo > cut:
-                    continue
-                key = phi(p, c, n)
-                if key is not None:
-                    at = sums.get(key)
-                    sums[key] = (lo, v, l1) if at is None else _add(at, (lo, v, l1), w)
-            for key, (lo, v, l1) in sums.items():
-                t = _times(lo, v, l1, key, w, cut)
-                states[c] = t if c not in states else _add(states[c], t, w)
-        below = states
-    return below.get(top, (0, 0, 0))
+        return [{}]
+    levels = [(_extend_per_m if per_m else _extend)(phis, psis, first, top, w, cut)]
+    return _run(levels, top, phis, psis, first, cut, w, per_m)
+
+
+def _run(levels, top, phis, psis, first, cut, w, per_m):
+    """`levels` with the per-call levels after its last one appended, down
+    to the head: level first - len(levels), ..., 0. A per-call level holds
+    one state per m_j, as its rule reads no m_{j-1} below position 1
+    (`_level`). The head is level 0, with its one column m_0 = top
+    (m_{-1} := top), and the sum is its state."""
+    for j in range(first - len(levels), -1, -1):
+        levels.append(_level(phis[j], psis[j], top if j <= 1 else None,
+                             range(top + 1) if j else (top,), levels[-1], w, cut,
+                             j == first - 1 and not per_m))
+    return levels
+
+
+def _level(phi, psi, p, columns, below, w, cut, pairs=False):
+    """The states at m_j = c of a level that holds one state per m_j, for c
+    in `columns`: the sum over m_{j+1} = n <= c of q^psi(c, n) phi(p, c, n)
+    times below's state at n, with p its m_{j-1} (None where the rule reads
+    none). `below` holds one state per m_{j+1}, or with `pairs` a free
+    level's pair states, read at its column c (see `_extend`). The states
+    at one c whose factor keys are equal are summed before their one
+    product."""
+    states = {}
+    for c in columns:
+        sums = {}
+        for n, (lo, v, l1) in below[c].items() if pairs else \
+                ((n, s) for n, s in below.items() if n <= c):
+            lo += psi(c, n)
+            if cut is not None and lo > cut:
+                continue
+            key = phi(p, c, n)
+            if key is not None:
+                at = sums.get(key)
+                sums[key] = (lo, v, l1) if at is None else _add(at, (lo, v, l1), w)
+        for key, (lo, v, l1) in sums.items():
+            t = _times(lo, v, l1, key, w, cut)
+            states[c] = t if c not in states else _add(states[c], t, w)
+    return states
+
+
+def _widen(levels, top, phis, psis, first, cut, u, w, per_m):
+    """The levels of a pass at width u whose total bound reached 2^(u-1),
+    now at the width w that holds that bound. The deepest per-call level
+    with a state whose bound reaches 2^(u-1) runs again, with every level
+    after it, from the states that feed it: those fit u, so they are
+    decoded and packed at w with their exact l1s. No bound decreases on the
+    way to the total and no new bound exceeds its old one, so the new total
+    fits w. When the feeding states are a free level's and one of them does
+    not fit u, raises _Overflow with the total's bound, and the whole pass
+    restarts at w."""
+    i = next(i for i in range(1, len(levels))
+             if any(s[2] >> (u - 1) for s in levels[i].values()))
+    pairs = i == 1 and not per_m  # the free level's pair states, by column
+    cols = levels[0][:top + 1] if pairs else [levels[i - 1]]
+    if any(s[2] >> (u - 1) for col in cols for s in col.values()):
+        raise _Overflow(levels[-1][top][2])
+    cols = [{n: _repacked(s, u, w) for n, s in col.items() if n <= top} for col in cols]
+    return _run(levels[:i - 1] + [cols if pairs else cols[0]],
+                top, phis, psis, first, cut, w, per_m)
+
+
+def _repacked(state, u, w):
+    """The state (lo, v, l1) at width u, whose coefficients fit u, packed
+    at width w with its exact l1."""
+    lo, v, _ = state
+    c = unpack(v, abs(v).bit_length() // u + 2, u)
+    return lo, pack(c, w), sum(map(abs, c))
 
 
 def _times(lo, v, l1, key, w, cut):
@@ -314,6 +383,24 @@ def _extend(phis, psis, first, top, w, cut):
                         col = states[p]
                         at = col.get(c)
                         col[c] = t if at is None else _add(at, t, w)
+            _LEVEL_CACHE[key] = top, states
+        below = states
+    return below
+
+
+def _extend_per_m(phis, psis, first, top, w, cut):
+    """`_extend` for free levels whose rules read no m_{j-1}: level j holds
+    one state per m_j, states[m_j], the sum over m_{j+1}, ..., m_d of the
+    factors at positions j..d (`_level`), keyed as `_extend` keys it. A
+    level short of top gets only its new states m_j = old+1..top, added to
+    a copy that is stored once they are all built."""
+    below, key = {0: (0, 1, 1)}, (w, cut)
+    for j in range(len(phis) - 1, first - 1, -1):
+        key = phis[j], psis[j], key
+        old, states = _LEVEL_CACHE.get(key, (-1, {}))
+        if old < top:
+            states = states | _level(phis[j], psis[j], None, range(old + 1, top + 1),
+                                     below, w, cut)
             _LEVEL_CACHE[key] = top, states
         below = states
     return below
@@ -513,8 +600,11 @@ def eval_H(a, b, L, M):
     """Shifted-kernel family. At (2, 1), the root of the H tree, it is the
     seed sum sum_m q^(m^2) [2L+M-m-1, 2L-1] [L-1, m] on two rules of its
     own: the head [2L+M-m_1-1, 2L-1] at exponent 0, then [m_0-1, m_1] at
-    exponent m_1^2, a free level 1."""
+    exponent m_1^2, a free level 1. The head is zero at M < 0, so L < 0 or
+    M < 0 gives zero before the level memo is read."""
     if (a, b) == (2, 1):
+        if L < 0 or M < 0:
+            return LaurentPoly.zero()
         return _lattice_sum(L, [_binomial(0, 2, -1, M - 1, 2, -1, 1), _seed],
                             [_flat, _square], 1)
     return _from_rows("H", cf_expand(a, b), L, M)  # the shifted kernel is rep-sensitive
@@ -573,7 +663,8 @@ def eval_limit_L(family, a, b, M):
         d = a - 1 - (family == "f")
         total = qbin(2 * M, M) * q_poch(M)
         if d:
-            total *= _lattice_sum(M, [_multinomial] * (d + 1), [_flat] + [_square] * d, 2)
+            total *= _lattice_sum(M, [_multinomial] * (d + 1), [_flat] + [_square] * d, 1,
+                              per_m=True)
         return total
     cfd = cf_expand(a, b)
     a0 = cfd.quotients[0] if a > 2 * b else 0

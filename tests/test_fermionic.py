@@ -149,9 +149,11 @@ def list_lattice_sum(d, top, head, phi, psi, cut=None):
     return total
 
 
-def on_lists(top, phis, psis, first, cut=None):
+def on_lists(top, phis, psis, first, cut=None, per_m=False):
     """The engine's arguments (per-position rules giving factor keys, the
-    head at position 0) turned into polynomials for list_lattice_sum."""
+    head at position 0) turned into polynomials for list_lattice_sum, which
+    sums every term however the engine stores its levels (`first` and
+    `per_m` are ignored)."""
     def poly(key):
         return LaurentPoly.zero() if key is None else _factor(key)
 
@@ -237,21 +239,86 @@ def test_signed_cut_matches_list_reference():
                     assert _lattice_sum(*args) == on_lists(*args), (d, top, T, first)
 
 
-def test_limit_L_restarts_match_list_reference(monkeypatch):
+def test_limit_L_widening_matches_list_reference(monkeypatch):
     # the a_0 = 2 chain of (7, 2) at M = 8, 9, whose signed-link bound
-    # overflows 32-bit words: each call restarts at 64 bits, and each value
+    # overflows 32-bit words: each call runs one pass, widened once to 64
+    # bits from its deepest overflowing per-call level, and each value
     # equals the list sum
     cases = [(fam, M) for fam in ("F", "f") for M in (8, 9)]
     cold_memos(monkeypatch)
     passes = counting(monkeypatch, "_pass")
+    widenings = counting(monkeypatch, "_widen")
     packed = []
     for fam, M in cases:
-        before = passes["_pass"]
+        before = passes["_pass"], widenings["_widen"]
         packed.append(eval_limit_L(fam, 7, 2, M))
-        passes[fam, M] = passes["_pass"] - before
-    assert [passes[case] for case in cases] == [2] * 4
+        passes[fam, M] = (passes["_pass"] - before[0], widenings["_widen"] - before[1])
+    assert [passes[case] for case in cases] == [(1, 1)] * 4
     monkeypatch.setattr(fermionic, "_lattice_sum", on_lists)
     assert [eval_limit_L(fam, 7, 2, M) for fam, M in cases] == packed
+
+
+def test_widened_states_bound_their_l1(monkeypatch):
+    # the levels that a widening runs again, and the states it repacks to
+    # feed them, carry bounds: each state's l1 is at least the l1 of the
+    # coefficients it decodes to, and the total fits the new width. With
+    # 8-bit words most of these sums widen
+    calls = [(eval_limit_L, (fam, a, b, M)) for a, b in ((3, 1), (5, 2), (7, 2), (7, 3))
+             for M in range(10) for fam in ("F", "f")]
+    calls += [(eval_F, (a, b, L, 6)) for a, b in ((7, 3), (8, 5)) for L in range(7)]
+    with monkeypatch.context() as m:
+        m.setattr(fermionic, "_lattice_sum", on_lists)
+        m.setattr(fermionic, "_from_rows", fermionic._bounded)
+        expect = [fn(*args) for fn, args in calls]
+    monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
+    cold_memos(monkeypatch)
+    widen, widened = fermionic._widen, []
+
+    def recording(levels, *args):
+        out = widen(levels, *args)
+        # the levels it made: the repacked feed and the levels after it
+        widened.append((args[-2], [new for new, old in zip(out, levels) if new is not old]))
+        return out
+
+    monkeypatch.setattr(fermionic, "_widen", recording)
+    monkeypatch.setattr(fermionic, "_from_rows", fermionic._bounded)
+    assert [fn(*args) for fn, args in calls] == expect
+    assert len(widened) > 20
+    for w, levels in widened:
+        assert levels
+        for level in levels:
+            for states in level if isinstance(level, list) else [level]:
+                for lo, v, l1 in states.values():
+                    coeffs = qpoly.unpack(v, abs(v).bit_length() // w + 2, w)
+                    assert l1 >= sum(map(abs, coeffs)), w
+        assert not max(s[2] for s in levels[-1].values()) >> (w - 1)
+
+
+def test_free_level_overflow_restarts(monkeypatch):
+    # under 8-bit words these sums' free-level states outgrow the word (the
+    # pair states of eval_limit_M, the states per m_j of the b = 1 large-L
+    # chain): a widening cannot decode them, so the pass restarts whole at
+    # the width of the total's bound, and the values stay equal
+    calls = [(eval_limit_M, ("F", 13, 1, 6)), (eval_limit_L, ("F", 8, 1, 9))]
+    expect = [fn(*args) for fn, args in calls]
+    monkeypatch.setattr(fermionic, "_FIRST_WIDTH", 8)
+    widen, restarts = fermionic._widen, Counter()
+
+    def recording(*args):
+        try:
+            return widen(*args)
+        except qcombinat._Overflow:
+            restarts["_widen"] += 1
+            raise
+
+    monkeypatch.setattr(fermionic, "_widen", recording)
+    for (fn, args), value in zip(calls, expect):
+        cold_memos(monkeypatch)
+        restarts.clear()
+        with monkeypatch.context() as m:
+            passes = counting(m, "_pass")
+            assert fn(*args) == value, (fn.__name__, args)
+        assert restarts["_widen"] == 1 and passes["_pass"] == 2, (fn.__name__, args)
 
 
 def level_chains(memo):
@@ -440,25 +507,26 @@ def test_negative_top_is_zero(monkeypatch):
              for a, b in ((8, 5), (7, 3), (7, 2)) for M in (-1, -3)]
     calls += [(eval_limit_M, (fam, a, b, -1)) for fam in ("F", "f", "I")
               for a, b in ((2, 1), (7, 3), (8, 5))]
-    calls += [(eval_H, (2, 1, -1, M)) for M in (-1, 0, 3)]
     for fn, args in calls:
         assert fn(*args) == LaurentPoly.zero(), (fn.__name__, args)
     assert passes["_pass"] == len(calls)
     assert not fermionic._LEVEL_CACHE
-    # the H seed's head is zero at M = -1, every m_1 <= L
-    for L in range(-1, 4):
-        assert eval_H(2, 1, L, -1) == LaurentPoly.zero(), L
 
 
 def test_negative_sizes_leave_memos_empty(monkeypatch):
     # F, f, H and I at L < 0 or M < 0 have no term: each returns zero
-    # before it reads the level memo or the row memo
+    # before it reads the level memo or the row memo, and so does the H
+    # seed at (2, 1), whose head is zero at M < 0 for every m_1 <= L
     cold_memos(monkeypatch)
+    passes = counting(monkeypatch, "_pass")
     for args in ((7, 3, 8, -1), (7, 3, -1, 4)):
         for _, fn in BOUNDED:
             assert fn(*args) == LaurentPoly.zero(), (fn.__name__, args)
+    for L, M in ((4, -1), (0, -1), (8, -3), (-1, -1), (-1, 0), (-1, 3)):
+        assert eval_H(2, 1, L, M) == LaurentPoly.zero(), (L, M)
     assert not fermionic._LEVEL_CACHE
     assert not fermionic._ROW_CACHE
+    assert not passes
 
 
 def test_row_entry_holds_last_value(monkeypatch):
@@ -589,26 +657,28 @@ def test_shared_levels_in_any_order(monkeypatch):
 
 
 def counting_extend(monkeypatch, runs, columns):
-    """Make `_extend` count, per level key, the builds of that level and
-    the columns each build adds, read from the level memo's stored hi
-    before and after the call (a level it does not grow is not built)."""
-    extend = fermionic._extend
+    """Make `_extend` and `_extend_per_m` count, per level key, the builds
+    of that level and the columns (or states per m_j) each build adds, read
+    from the level memo's stored hi before and after the call (a level it
+    does not grow is not built)."""
+    for name in ("_extend", "_extend_per_m"):
+        extend = getattr(fermionic, name)
 
-    def counting(phis, psis, first, *args):
-        keys, key = [], args[1:]  # (w, cut) below level d
-        for j in range(len(phis) - 1, first - 1, -1):
-            key = phis[j], psis[j], key
-            keys.append(key)
-        before = {key: fermionic._LEVEL_CACHE.get(key, (-1,))[0] for key in keys}
-        states = extend(phis, psis, first, *args)
-        for key, old in before.items():
-            hi = fermionic._LEVEL_CACHE.get(key, (-1,))[0]
-            if hi > old:
-                runs[key] += 1
-                columns[key] += hi - old
-        return states
+        def counting(phis, psis, first, *args, extend=extend):
+            keys, key = [], args[1:]  # (w, cut) below level d
+            for j in range(len(phis) - 1, first - 1, -1):
+                key = phis[j], psis[j], key
+                keys.append(key)
+            before = {key: fermionic._LEVEL_CACHE.get(key, (-1,))[0] for key in keys}
+            states = extend(phis, psis, first, *args)
+            for key, old in before.items():
+                hi = fermionic._LEVEL_CACHE.get(key, (-1,))[0]
+                if hi > old:
+                    runs[key] += 1
+                    columns[key] += hi - old
+            return states
 
-    monkeypatch.setattr(fermionic, "_extend", counting)
+        monkeypatch.setattr(fermionic, name, counting)
 
 
 def test_shared_levels_built_once(monkeypatch):
@@ -727,9 +797,10 @@ def test_levels_shared_along_the_burge_tree(monkeypatch):
 
 
 def test_limit_L_b1_levels_one_chain(monkeypatch):
-    # the b = 1 large-L limits of F and f run [m_j, m_{j+1}] at every free
-    # position, so every depth reads one chain of levels: one base, and
-    # each level below exactly one other
+    # the b = 1 large-L limits of F and f run [m_j, m_{j+1}] at every
+    # position after the head, level 1 included, so every depth reads one
+    # chain of levels: one base, each level below exactly one other, and
+    # one state per m_j up to the largest M asked for
     monkeypatch.setattr(fermionic, "_LEVEL_CACHE", {})
     for a in range(2, 9):
         for fam in ("F", "f"):
@@ -738,8 +809,15 @@ def test_limit_L_b1_levels_one_chain(monkeypatch):
     memo = fermionic._LEVEL_CACHE
     assert len(level_chains(memo)) == 1
     tails = [key[2] for key in memo]
-    assert len(set(tails)) == len(memo) == 6  # levels 2..7 of (8, 1)
+    assert len(set(tails)) == len(memo) == 7  # levels 1..7 of (8, 1)
     assert all(len(tail) == 2 or tail in memo for tail in tails)
+    assert all(hi == 6 and list(states) == list(range(7)) for hi, states in memo.values())
+    # a call runs only its head on the kept chain: at most M + 1 products,
+    # 4 at M = 6, as [6, m] and [6, 6 - m] have one key and their states
+    # are summed before one product
+    products = counting(monkeypatch, "_times")
+    eval_limit_L("F", 8, 1, 6)
+    assert products["_times"] == 4
 
 
 def test_rules_interned():
