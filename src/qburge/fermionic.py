@@ -63,10 +63,10 @@ that level and those after it run again. No new bound exceeds its old one,
 so one widening suffices. A free level's states sit in the level memo at
 their own width; when they feed that level and one of them does not fit,
 the whole pass restarts at the new width. A factor is built once (the
-store's `_factor` is cached), so a restart packs the stored coefficients at
-its width and builds nothing again. The Pochhammer links of `eval_limit_L` are
-signed, so they are packed with biased digits and the total is decoded as
-balanced ones.
+store's `_factor` is cached), so a restart packs the stored coefficients
+at its width and builds nothing again. The Pochhammer links of
+`eval_limit_L` are signed, so they are packed with biased digits and the
+total is decoded as balanced ones.
 With a cut at q^T (`eval_limit_both`), every product is taken mod
 X^(T+1-lo) and kept as its balanced low digits.
 
@@ -103,9 +103,10 @@ the H seed's other rules are module functions. The prefix rules read L,
 M or T, so each call builds its own.
 
 The per-call levels in front of the free ones (the links of the limits,
-and last the head) hold one state per m_j. Their contract: a per-call rule below position 1 reads no m_{j-1}
-(position 1 reads m_0 = top), so level j's state at m_j serves every
-m_{j-1} >= m_j, and `_pass` hands those rules None for m_{j-1}. The head
+and last the head) hold one state per m_j. Their contract: a per-call
+rule below position 1 reads no m_{j-1} (position 1 reads m_0 = top), so
+level j's state at m_j serves every m_{j-1} >= m_j, and `_run` hands
+those rules None for m_{j-1}. The head
 is level 0, with the one column m_0 = top and m_{-1} := top, and the sum
 is its state. States at one m_j whose factor keys are equal are summed
 before their one product: the link [M+m, 2m] (q)_(M-m) at a_0 = 0 reads
@@ -134,10 +135,10 @@ large-L limits of F and f, at every depth, read one chain of
 [m_j, m_{j+1}] levels. A call that needs columns m_{j-1} <= top beyond a
 level's entry (states m_j <= top, at b = 1) extends it, adding only the
 new ones, level by level from d down; then it runs the per-call levels,
-the head last. Where level
-1 runs per call, the head is nonzero at m_1 = top, so no smaller bound
-would build fewer columns. Cut entries are kept like the others: like
-the other memos here, the level memo is not bounded.
+the head last. Where level 1 runs per call, the head is nonzero at
+m_1 = top, so no smaller bound would build fewer columns. Cut entries are
+kept like the others: like the other memos here, the level memo is not
+bounded.
 
 Rows. F, f, H and I read M only in the boundary binomial of the head,
 [2L+M-m_1, 2L] or, for a > 2b, [L+M+m_1, 2L] = [2L+M-(L-m_1), 2L]. So
@@ -176,8 +177,9 @@ forms.
 Memos. This module keeps two: the level memo `_LEVEL_CACHE`, which both
 point sums and rows read, its levels holding pair states by column or, on
 the b = 1 large-L chain, one state per m_j, and the row memo `_ROW_CACHE`,
-one value and one row state per family. A cold start clears both, with the factor store of
-`qcombinat` and the cached `_rules`, `_binomial` and `_quadratic`.
+one value and one row state per family. A cold start clears both, with
+the factor store of `qcombinat` and the cached `_rules`, `_binomial` and
+`_quadratic`.
 """
 
 from __future__ import annotations
@@ -302,28 +304,33 @@ def _widen(levels, top, phis, psis, first, cut, u, w, per_m):
     now at the width w that holds that bound. The deepest per-call level
     with a state whose bound reaches 2^(u-1) runs again, with every level
     after it, from the states that feed it: those fit u, so they are
-    decoded and packed at w with their exact l1s. No bound decreases on the
-    way to the total and no new bound exceeds its old one, so the new total
-    fits w. When the feeding states are a free level's and one of them does
-    not fit u, raises _Overflow with the total's bound, and the whole pass
-    restarts at w."""
+    decoded and packed at w with their exact l1s (of a free level's pair
+    states, only the columns that the level reads). No bound decreases on
+    the way to the total and no new bound exceeds its old one, so the new
+    total fits w. When the feeding states are a free level's and one of
+    them does not fit u, raises _Overflow with the total's bound, and the
+    whole pass restarts at w."""
     i = next(i for i in range(1, len(levels))
              if any(s[2] >> (u - 1) for s in levels[i].values()))
-    pairs = i == 1 and not per_m  # the free level's pair states, by column
-    cols = levels[0][:top + 1] if pairs else [levels[i - 1]]
-    if any(s[2] >> (u - 1) for col in cols for s in col.values()):
-        raise _Overflow(levels[-1][top][2])
-    cols = [{n: _repacked(s, u, w) for n, s in col.items() if n <= top} for col in cols]
-    return _run(levels[:i - 1] + [cols if pairs else cols[0]],
-                top, phis, psis, first, cut, w, per_m)
+    feed, cols = levels[i - 1], range(top + 1) if first > 1 else (top,)
+    pairs = i == 1 and not per_m
+    for states in (feed[c] for c in cols) if pairs else (feed,):
+        if any(s[2] >> (u - 1) for s in states.values()):
+            raise _Overflow(levels[-1][top][2])
+    feed = {c: _repacked(feed[c], top, u, w) for c in cols} if pairs else \
+        _repacked(feed, top, u, w)
+    return _run(levels[:i - 1] + [feed], top, phis, psis, first, cut, w, per_m)
 
 
-def _repacked(state, u, w):
-    """The state (lo, v, l1) at width u, whose coefficients fit u, packed
-    at width w with its exact l1."""
-    lo, v, _ = state
-    c = unpack(v, abs(v).bit_length() // u + 2, u)
-    return lo, pack(c, w), sum(map(abs, c))
+def _repacked(states, top, u, w):
+    """The states {m: (lo, v, l1)} at m <= top, whose coefficients fit
+    width u, packed at width w with their exact l1s."""
+    out = {}
+    for n, (lo, v, _) in states.items():
+        if n <= top:
+            c = unpack(v, abs(v).bit_length() // u + 2, u)
+            out[n] = lo, pack(c, w), sum(map(abs, c))
+    return out
 
 
 def _times(lo, v, l1, key, w, cut):
@@ -663,8 +670,8 @@ def eval_limit_L(family, a, b, M):
         d = a - 1 - (family == "f")
         total = qbin(2 * M, M) * q_poch(M)
         if d:
-            total *= _lattice_sum(M, [_multinomial] * (d + 1), [_flat] + [_square] * d, 1,
-                              per_m=True)
+            total *= _lattice_sum(M, [_multinomial] * (d + 1), [_flat] + [_square] * d,
+                                  1, per_m=True)
         return total
     cfd = cf_expand(a, b)
     a0 = cfd.quotients[0] if a > 2 * b else 0

@@ -277,7 +277,8 @@ def test_widened_states_bound_their_l1(monkeypatch):
     def recording(levels, *args):
         out = widen(levels, *args)
         # the levels it made: the repacked feed and the levels after it
-        widened.append((args[-2], [new for new, old in zip(out, levels) if new is not old]))
+        made = [new for new, old in zip(out, levels) if new is not old]
+        widened.append((args[-2], made))
         return out
 
     monkeypatch.setattr(fermionic, "_widen", recording)
@@ -286,12 +287,15 @@ def test_widened_states_bound_their_l1(monkeypatch):
     assert len(widened) > 20
     for w, levels in widened:
         assert levels
-        for level in levels:
-            for states in level if isinstance(level, list) else [level]:
-                for lo, v, l1 in states.values():
+        for level in levels:  # one state per m_j, or pair states by column
+            for at in level.values():
+                for lo, v, l1 in at.values() if isinstance(at, dict) else [at]:
                     coeffs = qpoly.unpack(v, abs(v).bit_length() // w + 2, w)
                     assert l1 >= sum(map(abs, coeffs)), w
         assert not max(s[2] for s in levels[-1].values()) >> (w - 1)
+    # some widening repacked a free level's pair states
+    assert any(isinstance(at, dict)
+               for _, levels in widened for at in levels[0].values())
 
 
 def test_free_level_overflow_restarts(monkeypatch):
@@ -522,7 +526,7 @@ def test_negative_sizes_leave_memos_empty(monkeypatch):
     for args in ((7, 3, 8, -1), (7, 3, -1, 4)):
         for _, fn in BOUNDED:
             assert fn(*args) == LaurentPoly.zero(), (fn.__name__, args)
-    for L, M in ((4, -1), (0, -1), (8, -3), (-1, -1), (-1, 0), (-1, 3)):
+    for L, M in [(L, -1) for L in range(-1, 5)] + [(8, -3), (-1, 0), (-1, 3)]:
         assert eval_H(2, 1, L, M) == LaurentPoly.zero(), (L, M)
     assert not fermionic._LEVEL_CACHE
     assert not fermionic._ROW_CACHE
@@ -811,7 +815,8 @@ def test_limit_L_b1_levels_one_chain(monkeypatch):
     tails = [key[2] for key in memo]
     assert len(set(tails)) == len(memo) == 7  # levels 1..7 of (8, 1)
     assert all(len(tail) == 2 or tail in memo for tail in tails)
-    assert all(hi == 6 and list(states) == list(range(7)) for hi, states in memo.values())
+    assert all(hi == 6 and list(states) == list(range(7))
+               for hi, states in memo.values())
     # a call runs only its head on the kept chain: at most M + 1 products,
     # 4 at M = 6, as [6, m] and [6, 6 - m] have one key and their states
     # are summed before one product
