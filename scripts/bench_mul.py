@@ -41,9 +41,9 @@ whose per-call levels hold one state per m_j; its first pass overflows
 single-limit L grid (F and f, coprime a <= 8, L <= 9) in a fixed shuffled
 order, whose calls read level 1 from the level memo, so a call at L after
 one at a larger L on the same rules builds no level, the 420
-eval_limit_L calls of the single-limit M grid (F and f, coprime a <= 8,
-M <= 9) in a fixed shuffled order, whose b = 1 calls read one kept chain
-of levels and run only their heads, two rows of all 81
+eval_limit_L calls of the single-limit M grid (the same pairs and sizes
+in the same order), whose b = 1 calls read one kept chain of levels and
+run only their heads, two rows of all 81
 eval_F(8, 5, L, M) at L, M <= 8, one in a fixed shuffled order, whose
 calls share their (L, M)-free levels (two of them follow the call at
 (L, M - 1) and so start a row of the row memo), and one in scan order (L,
@@ -84,12 +84,10 @@ COLD_QBIN = ((50, 25, 1), (100, 50, 1), (2501, 1, 1), (30, 15, 2))
 SCAN = [(L, M) for L in range(9) for M in range(9)]
 GRID = random.Random(0).sample(SCAN, 81)
 PAIRS = [(a, b) for a in range(2, 9) for b in range(1, a) if gcd(a, b) == 1]
-# (family, a, b, L) of the g_eq_limF and g_eq_limf checks at L <= 9
-LIMIT_M = [(fam, a, b, L) for fam in ("F", "f") for a, b in PAIRS for L in range(10)]
-LIMIT_M = random.Random(0).sample(LIMIT_M, len(LIMIT_M))
-# (family, a, b, M) of the g_eq_limFt and g_eq_limft checks at M <= 9
-LIMIT_L = [(fam, a, b, M) for fam in ("F", "f") for a, b in PAIRS for M in range(10)]
-LIMIT_L = random.Random(0).sample(LIMIT_L, len(LIMIT_L))
+# (family, a, b, v) of the single-limit checks at v <= 9: L of g_eq_limF
+# and g_eq_limf, M of g_eq_limFt and g_eq_limft
+LIMITS = [(fam, a, b, v) for fam in ("F", "f") for a, b in PAIRS for v in range(10)]
+LIMITS = random.Random(0).sample(LIMITS, len(LIMITS))
 # (family, a, b, T) of the series_F, series_f and series_I checks of the
 # default series suite
 SERIES = [(cid[-1], p["a"], p["b"], p["T"])
@@ -102,9 +100,9 @@ COLD_L1 = (("eval_F(8, 3, 8, 8)", lambda: eval_F(8, 3, 8, 8)),
            ('eval_limit_both("F", 7, 5, 60)',
             lambda: eval_limit_both("F", 7, 5, 60)),
            ("eval_limit_M, single-limit grid",
-            lambda: [eval_limit_M(*args) for args in LIMIT_M]),
+            lambda: [eval_limit_M(*args) for args in LIMITS]),
            ("eval_limit_L, single-limit grid",
-            lambda: [eval_limit_L(*args) for args in LIMIT_L]),
+            lambda: [eval_limit_L(*args) for args in LIMITS]),
            ("eval_F(8, 5, L, M), L, M <= 8",
             lambda: [eval_F(8, 5, L, M) for L, M in GRID]),
            ("eval_F(8, 5, L, M), scan order",
