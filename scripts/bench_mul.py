@@ -63,6 +63,19 @@ default budget. Each grid gets a cold row (memos cleared before every run,
 so it includes building and packing the q-binomials) and a warm row (the
 same grid again with every q-binomial memoized and packed: the sums
 alone).
+
+Then the same cold and warm rows for the explicit displays of `verify`,
+the packed sums `_total` and `_series_total` (which pack their own
+factors once per call, outside the factor store): every display that the
+default `comp` and `thmmain2` suites check, at L, M <= 6 (the alternating
+and double sums of bnewp, bnewp2, brep, comp, comp2, comp_sum and
+f31_display, rr1 and rr2 at L <= 6, and both sides of ab32 and rr2inv),
+and the four (7,5) and (7,2) series displays at T = 40.
+
+Last, a pack and an unpack of 1,000 words at 128 bits: signed
+coefficients near +-2^100 (written byte by byte), nonnegative ones below
+2^64 by `pack_nonneg` (the low word of each, the displays' path), and
+the decode, which reads 64-bit array views.
 """
 
 import os
@@ -72,7 +85,7 @@ import timeit
 from fractions import Fraction
 from math import gcd
 
-from qburge import cf, fermionic, qcombinat, qpoly
+from qburge import cf, fermionic, qcombinat, qpoly, verify
 from qburge.burge import bosonic_eval, spec_main
 from qburge.fermionic import eval_F, eval_limit_L, eval_limit_M, eval_limit_both
 from qburge.qcombinat import d_poly, g_poly, q_poch, qbin
@@ -126,6 +139,22 @@ BOSONIC = (("g_poly, single-limit G grid", lambda: [g_poly(*g) for g in G_GRID])
                      for L in range(9) for M in range(9)]),
            ("d_poly, hookp region", lambda: [d_poly(*h) for h in HOOKP]))
 
+LM6 = [(L, M) for L in range(7) for M in range(7)]
+DISPLAYS = (("displays, comp and thmmain2 grids",
+             lambda: [(verify._sum_bnewp(L, M), verify._sum_bnewp2(L, M), verify._lhs_brep(L, M),
+                       verify._lhs_comp(L, M), verify._sum_comp(L, M, 0),
+                       verify._lhs_comp2(L, M), verify._sum_comp(L, M, 1),
+                       verify._rhs_f31_display(L, M), verify._lhs_ab32(L, M),
+                       verify._rhs_ab32_display(L, M), verify._lhs_rr2inv(L, M),
+                       verify._rhs_rr2inv_display(L, M)) for L, M in LM6]
+             + [(verify._lhs_rr1(L), verify._rhs_rr1(L), verify._lhs_rr2(L), verify._rhs_rr2(L))
+                for L in range(7)]),
+            ("series displays (7,5) and (7,2), T = 40",
+             lambda: [display(40, barred) for _, display, barred, _ in verify._DISPLAYS]))
+WIDE = [(-1) ** i * (2 ** 100 + 7919 * i) for i in range(1000)]
+WIDE_NONNEG = [2 ** 63 + 7919 * i for i in range(1000)]
+WIDE_V = qpoly.pack(WIDE, 128)
+
 
 def clear_memos():
     for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE, qcombinat._PACKED_CACHE,
@@ -176,6 +205,19 @@ def main():
         warm = min(timeit.Timer(run).repeat(REPEAT, 1))
         print(f"{name:37s} cold {cold * 1e6:10.1f} us")
         print(f"{name:37s} warm {warm * 1e6:10.1f} us")
+    for name, run in DISPLAYS:
+        cold = min(timeit.Timer(run, setup=clear_memos).repeat(REPEAT, 1))
+        run()
+        warm = min(timeit.Timer(run).repeat(REPEAT, 1))
+        print(f"{name:39s} cold {cold * 1e6:10.1f} us")
+        print(f"{name:39s} warm {warm * 1e6:10.1f} us")
+    for name, run in (("pack, 1,000 signed words", lambda: qpoly.pack(WIDE, 128)),
+                      ("pack_nonneg, 1,000 words", lambda: qpoly.pack_nonneg(WIDE_NONNEG, 128)),
+                      ("unpack, 1,000 words", lambda: qpoly.unpack(WIDE_V, 1000, 128))):
+        timer = timeit.Timer(run)
+        number, _ = timer.autorange()
+        best = min(timer.repeat(REPEAT, number)) / number
+        print(f"{name:30s} 128-bit {best * 1e6:10.1f} us")
 
 
 if __name__ == "__main__":

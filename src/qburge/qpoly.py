@@ -17,13 +17,16 @@ product replaces the term-pair loop. A product with a one-term operand is
 a `scale`; every other product is packed, at any coefficient width.
 
 The packing helpers are shared with the lattice sums of `fermionic`, which
-run whole transfer passes on packed values. `pack(coeffs, w)` is the
-integer sum_i c_i 2^(w i), `unpack(v, n, w)` reads n balanced digits back,
-and `pack_width(bits)` picks the word: 16, 32 or 64 bits as machine arrays,
-then multiples of 64 packed byte-wise. Signed coefficients, such as those
-of the Pochhammer products (q)_n, are written as nonnegative digits
-c + 2^(w-1), and the bias is subtracted once from the whole integer, so no
-digit borrows; every coefficient must lie in [-2^(w-1), 2^(w-1)).
+run whole transfer passes on packed values, and with the explicit
+displays of `verify`. `pack(coeffs, w)` is the integer sum_i c_i 2^(w i),
+`pack_nonneg` the same for nonnegative coefficients, `unpack(v, n, w)`
+reads n balanced digits back, and `pack_width(bits)` picks the word: 16,
+32 or 64 bits as machine arrays, then multiples of 64, read back as
+64-bit arrays. Signed coefficients, such as those of the Pochhammer
+products (q)_n, are written as nonnegative digits c + 2^(w-1), and the
+bias is subtracted once from the whole integer, so no digit borrows;
+every coefficient must lie in [-2^(w-1), 2^(w-1)). Nonnegative ones are
+their own digits and need no bias.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from functools import lru_cache
 # largest span (degree - valuation + 1) that any operation builds; far
 # above the 2,501 that the catalogue, the tests and the benchmark reach
 MAX_SPAN = 1_000_000
-# array typecodes by word width in bits, chosen by itemsize, not by name
-_UNSIGNED = {array(c).itemsize * 8: c for c in "QLIH"}
-_SIGNED = {array(c).itemsize * 8: c for c in "qlih"}
+# array typecodes by word width in bits, chosen by itemsize, not by name;
+# 8 bits is no width of `pack_width`, but tests start passes there
+_UNSIGNED = {array(c).itemsize * 8: c for c in "QLIHB"}
+_SIGNED = {array(c).itemsize * 8: c for c in "qlihb"}
 # `_short_bias`: the longest bias it keeps, in words, and how many it keeps.
 # The default campaign asks for 134 distinct biases of at most 64 words in
 # 95 % of its 12,926 calls of `_bias`.
@@ -57,7 +61,7 @@ def _check_span(n):
 
 def pack_width(bits):
     """The narrowest packing word of at least `bits` bits: 16, 32 or 64,
-    then a multiple of 64 (packed byte-wise)."""
+    then a multiple of 64."""
     if bits > 64:
         return -(-bits // 64) * 64
     return 16 if bits <= 16 else 32 if bits <= 32 else 64
@@ -97,19 +101,51 @@ def pack(coeffs, w):
     return int.from_bytes(raw, "little") - _bias(len(coeffs), w)
 
 
+def pack_nonneg(coeffs, w):
+    """`pack` of nonnegative coefficients below 2^(w-1), such as a
+    q-binomial's: each coefficient is its own word, so there is no bias.
+    At a machine width the words are one array; a wider word is w/64
+    words of a 64-bit array, the coefficient the lowest of them, as long
+    as every coefficient is below 2^64 (else `pack` writes them). A
+    negative coefficient raises ValueError."""
+    code = _UNSIGNED.get(w)
+    try:
+        if code is None:
+            raw = array(_UNSIGNED[64], bytes(len(coeffs) * w // 8))
+            raw[::w // 64] = array(_UNSIGNED[64], coeffs)
+        else:
+            raw = array(code, coeffs)
+    except OverflowError:
+        if min(coeffs) < 0:
+            raise ValueError(f"pack_nonneg: negative coefficient {min(coeffs)}") from None
+        return pack(coeffs, w)
+    if sys.byteorder == "big":
+        raw.byteswap()
+    return int.from_bytes(raw, "little")
+
+
 def unpack(v, n, w):
     """The n balanced base-2^w digits of v, lowest first: the inverse of
     `pack` when every digit lies in [-2^(w-1), 2^(w-1)) and v has at most
     n of them. Adding the bias makes every word d + 2^(w-1) in [0, 2^w),
     so no digit borrows from the next; flipping each word's top bit leaves
-    d in two's complement, read back as signed words."""
+    d in two's complement, read back as signed words. A word wider than 64
+    bits is read as w/64 strided views of one 64-bit array, the top word
+    signed and the lower ones unsigned, joined per digit."""
     bias = _bias(n, w)
     raw = ((v + bias) ^ bias).to_bytes(n * w // 8, "little")
     code = _SIGNED.get(w)
     if code is None:
-        k = w // 8
-        return [int.from_bytes(raw[i:i + k], "little", signed=True)
-                for i in range(0, len(raw), k)]
+        k = w // 64
+        lows = array(_UNSIGNED[64], raw)
+        digits = array(_SIGNED[64], raw)
+        if sys.byteorder == "big":
+            lows.byteswap()
+            digits.byteswap()
+        digits = digits[k - 1::k].tolist()
+        for j in range(k - 2, -1, -1):
+            digits = [d << 64 | low for d, low in zip(digits, lows[j::k])]
+        return digits
     words = array(code, raw)
     if sys.byteorder == "big":
         words.byteswap()

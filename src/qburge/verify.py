@@ -9,9 +9,14 @@ Product sides of series cases are themselves computed two independent ways
 The explicit displays (the (n, i) double sums, the (7,5) and (7,2)
 quadruple sums, the Andrews-Gordon multisum, the closing Section 8
 display) are independent transcription oracles: each is written out term
-by term in its own function and calls no evaluator it checks. They share
-only their loop: `_total` sums q^e p over (e, p) pairs, and
-`_series_total` sums q^e p / prod_k (1 - q^k) truncated at the order.
+by term in its own function and calls no evaluator it checks. A term is
+an exponent, a sign and the tuple of its q-binomials, not their product.
+The displays share only their loop: `_total` sums sign q^e prod(factors)
+on Kronecker-packed ints (see qpoly), each distinct factor packed once per
+call and the total decoded once, and `_series_total` sums
+q^e prod(factors) / prod_k (1 - q^k) truncated at the order, one
+`_total` and one chain of divisions per denominator. Neither calls
+`qcombinat`, `burge` or `fermionic`.
 A catalogue case takes its params as keyword arguments. Cases that differ
 only in data are registered from tables: the lattice cases by family
 (`_LATTICE`, which the grid suites read too), the double-limit series
@@ -24,11 +29,12 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 
-from .qpoly import (DegreeLimitError, LaurentPoly, TruncatedSeries,
-                    first_poly_difference, first_series_difference)
-from .qcombinat import qbin, b_kernel, g_poly, d_poly, borwein_split
+from .qpoly import (DegreeLimitError, LaurentPoly, TruncatedSeries, _check_span,
+                    first_poly_difference, first_series_difference,
+                    pack_nonneg, pack_width, unpack)
+from .qcombinat import qbin, g_poly, d_poly, borwein_split
 from .fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_M,
                         eval_limit_L, eval_limit_both)
 from .burge import (bosonic_eval, spec_main, spec_recip, spec_even,
@@ -197,38 +203,92 @@ def partition_oracle(K, i, N, M, alpha, beta):
 # builds vanishes
 
 def _total(terms):
-    """Sum of q^e p over the (e, p) pairs of terms; a zero p is skipped."""
-    tot = LaurentPoly.zero()
-    for e, p in terms:
-        if not p.is_zero():
-            tot = tot + p.scale(e)
-    return tot
+    """Sum of sign * q^e * prod(factors) over the (e, sign, factors) triples
+    of terms, sign 1 or -1 and factors a tuple of LaurentPolys with
+    nonnegative coefficients (the term's q-binomials, not their product); a
+    term with a zero factor is skipped, and a factor with a negative
+    coefficient raises ValueError.
+
+    The sum runs on Kronecker-packed ints (see qpoly). A first pass reads
+    each term's span and its l1 bound prod p(1) over its factors (p(1) is
+    ||p||_1 for nonnegative coefficients) and checks the total span against
+    MAX_SPAN, so DegreeLimitError comes before anything is packed. The sum
+    of the terms' bounds bounds every coefficient of every product and of
+    the total, so one word of `pack_width` of its bit length plus one (the
+    sign) holds them all. Each distinct factor is packed once, by
+    `pack_nonneg`: `qbin` returns memoized objects, so a factor is known by
+    its id, and the dict that keys it holds the factor, so no id is reused
+    during the call. Each term is one product of ints, added shifted by
+    whole words, and the total is decoded once; a sum of one term of one
+    factor is that factor, scaled."""
+    seen = {}  # id(factor) -> (factor, l1, lowest exponent, highest)
+    live, bound, lo, hi = [], 0, None, None
+    for e, sign, factors in terms:
+        l1, top = 1, e
+        for f in factors:
+            got = seen.get(id(f))
+            if got is None:
+                c = f.coeffs
+                got = seen[id(f)] = f, sum(c), f.lo, f.lo + len(c) - 1
+                if c and got[1] <= 0:
+                    raise ValueError(f"_total: a factor with a negative coefficient, {f}")
+            l1 *= got[1]
+            e += got[2]
+            top += got[3]
+        if l1:
+            bound += l1
+            if lo is None:
+                lo, hi = e, top
+            else:
+                if e < lo:
+                    lo = e
+                if top > hi:
+                    hi = top
+            live.append((e, sign, factors))
+    if lo is None:
+        return LaurentPoly.zero()
+    if len(live) == 1 and len(live[0][2]) == 1:  # nothing to multiply or add
+        e, sign, (f,) = live[0]
+        return f.scale(e - f.lo, sign)
+    _check_span(hi - lo + 1)
+    w = pack_width(bound.bit_length() + 1)
+    packed = {k: pack_nonneg(f.coeffs, w) for k, (f, l1, _, _) in seen.items() if l1}
+    total = 0
+    for e, sign, factors in live:
+        v = prod(map(packed.__getitem__, map(id, factors))) << (w * (e - lo))
+        if sign < 0:
+            total -= v
+        else:
+            total += v
+    return LaurentPoly.dense(lo, unpack(total, hi - lo + 1, w))
 
 
 def _sum_bnewp(L, M):
-    return _total((n * n, qbin(2 * L + M - n, 2 * L) * qbin(L, n))
+    return _total((n * n, 1, (qbin(2 * L + M - n, 2 * L), qbin(L, n)))
                   for n in range(0, min(L, M) + 1))
 
 
 def _sum_bnewp2(L, M):
-    return _total((n * n, qbin(2 * L + M - n - 1, 2 * L - 1) * qbin(L - 1, n))
+    return _total((n * n, 1, (qbin(2 * L + M - n - 1, 2 * L - 1), qbin(L - 1, n)))
                   for n in range(0, min(L - 1, M) + 1))
 
 
 def _sum_comp(L, M, shift=0):
     # shift=0: right side of the n(n+1) companion; shift=1: its +1 variant
-    return _total((n * (n + 1), qbin(2 * L + M - n + shift, 2 * L + 1) * qbin(L, n))
+    return _total((n * (n + 1), 1, (qbin(2 * L + M - n + shift, 2 * L + 1), qbin(L, n)))
                   for n in range(0, min(L, M + shift - 1) + 1))
 
 
 def _qbin_altsum(lo, hi, term):
-    """Sum over lo <= j <= hi of (-1)^j q^e p, where term(j) = (e, p).
+    """Sum over lo <= j <= hi of (-1)^j q^e prod(factors), where term(j) =
+    (e, factors), summed by `_total` with the sign of j.
 
     Each display passes its own support: the j at which every binomial of
-    its p can be nonzero ([n, k] needs 0 <= k <= n; the kernel
-    b_kernel(L, M, a, b) needs |a| <= L and |b| <= M). The range is empty,
-    as is the sum, when L or M is negative."""
-    return _total((e, -p if j % 2 else p) for j in range(lo, hi + 1) for e, p in [term(j)])
+    its factors can be nonzero ([n, k] needs 0 <= k <= n; the kernel pair
+    [L+M+a-b, L+a] [L+M-a+b, L-a] needs |a| <= L and |b| <= M). The range
+    is empty, as is the sum, when L or M is negative."""
+    return _total((e, -1 if j % 2 else 1, factors)
+                  for j in range(lo, hi + 1) for e, factors in [term(j)])
 
 
 def _lhs_comp(L, M):
@@ -236,82 +296,81 @@ def _lhs_comp(L, M):
     # -(L+1)/2 <= j <= M-1 and -M <= j <= L/2
     return _qbin_altsum(max(-M, -((L + 1) // 2)), min(M - 1, L // 2), lambda j: (
         j * (5 * j + 3) // 2,
-        qbin(L + M + j, M - j - 1) * qbin(L + M - j, M + j)))
+        (qbin(L + M + j, M - j - 1), qbin(L + M - j, M + j))))
 
 
 def _lhs_comp2(L, M):
     # -(L+1)/2 <= j <= M and -M <= j <= L/2
     return _qbin_altsum(max(-M, -((L + 1) // 2)), min(M, L // 2), lambda j: (
         j * (5 * j + 3) // 2,
-        qbin(L + M + j + 1, M - j) * qbin(L + M - j, M + j)))
+        (qbin(L + M + j + 1, M - j), qbin(L + M - j, M + j))))
 
 
 def _lhs_brep(L, M):
     # -L/2 <= j <= M and -M <= j <= (L-1)/2
     return _qbin_altsum(max(-M, -(L // 2)), min(M, (L - 1) // 2), lambda j: (
         j * (5 * j + 1) // 2,
-        qbin(L + M + j, M - j) * qbin(L + M - j - 1, M + j)))
+        (qbin(L + M + j, M - j), qbin(L + M - j - 1, M + j))))
 
 
 def _lhs_rr1(L):
     # |3j| <= L
     return _qbin_altsum(-(L // 3), L // 3, lambda j: (
-        j * (5 * j + 1) // 2, qbin(2 * L, L - 3 * j)))
+        j * (5 * j + 1) // 2, (qbin(2 * L, L - 3 * j),)))
 
 
 def _rhs_rr1(L):
-    return _total((n * n + i * (L + n),
-                   qbin(2 * L - 2 * i - n, n) * qbin(L - i - n, i))
+    return _total((n * n + i * (L + n), 1,
+                   (qbin(2 * L - 2 * i - n, n), qbin(L - i - n, i)))
                   for i in range(0, L // 2 + 1) for n in range(0, L - 2 * i + 1))
 
 
 def _lhs_rr2(L):
     # -(L+1) <= 3j <= L-1
     return _qbin_altsum(-((L + 1) // 3), (L - 1) // 3, lambda j: (
-        j * (5 * j + 3) // 2, qbin(2 * L, L - 3 * j - 1)))
+        j * (5 * j + 3) // 2, (qbin(2 * L, L - 3 * j - 1),)))
 
 
 def _rhs_rr2(L):
-    return _total((n * (n + 1) + i * (L + n + 1),
-                   qbin(2 * L - 2 * i - n - 1, n) * qbin(L - i - n - 1, i))
+    return _total((n * (n + 1) + i * (L + n + 1), 1,
+                   (qbin(2 * L - 2 * i - n - 1, n), qbin(L - i - n - 1, i)))
                   for i in range(0, L // 2 + 1) for n in range(0, L - 2 * i))
 
 
 def _rhs_f31_display(L, M):
     # (3,1) double sum: second doubly-bounded first-Rogers-Ramanujan analogue
-    return _total((n * n + i * (L + n),
-                   qbin(2 * L + M - n - i, 2 * L) * qbin(2 * L - 2 * i - n, n)
-                   * qbin(L - i - n, i))
+    return _total((n * n + i * (L + n), 1,
+                   (qbin(2 * L + M - n - i, 2 * L), qbin(2 * L - 2 * i - n, n),
+                    qbin(L - i - n, i)))
                   for i in range(0, min(L // 2, M) + 1)
                   for n in range(0, min(L - 2 * i, M - i) + 1))
 
 
 def _rhs_ab32_display(L, M):
-    return _total((i * i + n * n,
-                   qbin(2 * L + M - i, 2 * L) * qbin(L + i - n - 1, 2 * i - 1)
-                   * qbin(i - 1, n))
+    return _total((i * i + n * n, 1,
+                   (qbin(2 * L + M - i, 2 * L), qbin(L + i - n - 1, 2 * i - 1),
+                    qbin(i - 1, n)))
                   for i in range(1, min(L, M) + 1) for n in range(0, min(i - 1, L - i) + 1))
 
 
 def _lhs_ab32(L, M):
-    # |3j+1| <= L and |2j+1| <= M
+    # the kernel at (a, b) = (3j+1, 2j+1); |3j+1| <= L and |2j+1| <= M
     return _qbin_altsum(max(-((L + 1) // 3), -((M + 1) // 2)),
                         min((L - 1) // 3, (M - 1) // 2), lambda j: (
         j * (13 * j + 9) // 2 + 1,
-        b_kernel(L, M, 3 * j + 1, 2 * j + 1)))
+        (qbin(L + M + j, L + 3 * j + 1), qbin(L + M - j, L - 3 * j - 1))))
 
 
 def _lhs_rr2inv(L, M):
-    # |3j+1| <= L and |j| <= M
+    # the kernel at (a, b) = (3j+1, j); |3j+1| <= L and |j| <= M
     return _qbin_altsum(max(-((L + 1) // 3), -M), min((L - 1) // 3, M), lambda j: (
         j * (7 * j + 1) // 2,
-        b_kernel(L, M, 3 * j + 1, j)))
+        (qbin(L + M + 2 * j + 1, L + 3 * j + 1), qbin(L + M - 2 * j - 1, L - 3 * j - 1))))
 
 
 def _rhs_rr2inv_display(L, M):
-    return _total(((L - m1) ** 2 + (m1 - m2 - 1) ** 2,
-                   qbin(L + M + m1, 2 * L) * qbin(L + m2, 2 * m1 - 1)
-                   * qbin(m1 - 1, m2))
+    return _total(((L - m1) ** 2 + (m1 - m2 - 1) ** 2, 1,
+                   (qbin(L + M + m1, 2 * L), qbin(L + m2, 2 * m1 - 1), qbin(m1 - 1, m2)))
                   for m1 in range(max(1, L - M), L + 1)
                   for m2 in range(max(0, 2 * m1 - 1 - L), m1))
 
@@ -319,23 +378,34 @@ def _rhs_rr2inv_display(L, M):
 def _lhs_isolated(L):
     # -(L+1) <= 2j <= L
     return _qbin_altsum(-((L + 1) // 2), L // 2, lambda j: (
-        j * (5 * j + 3) // 2, qbin(2 * L + 1, L - 2 * j)))
+        j * (5 * j + 3) // 2, (qbin(2 * L + 1, L - 2 * j),)))
 
 
 def _rhs_isolated(L):
-    return _total((n * (n + 1), qbin(L, n)) for n in range(0, L + 1))
+    return _total((n * (n + 1), 1, (qbin(L, n),)) for n in range(0, L + 1))
 
 
 # explicit quadruple-sum transcriptions of the two on-going-example displays
 
 def _series_total(T, terms):
-    """Sum of q^e p / prod_{k in ks} (1 - q^k) over the (e, p, ks) triples
-    of terms, truncated at order T; a zero p is skipped."""
+    """Sum of q^e prod(factors) / prod_{k in ks} (1 - q^k) over the
+    (e, factors, ks) triples of terms, truncated at order T; factors are
+    as in `_total`, and a numerator with a negative exponent raises
+    ValueError.
+
+    Division by (1 - q^k) is linear, so the terms that share a denominator
+    multiset ks are summed first, by `_total`, and their numerator, cut at
+    q^T, goes through that denominator's one chain of divisions (a k > T
+    divides nothing below q^(T+1))."""
+    groups = {}
+    for e, factors, ks in terms:
+        groups.setdefault(tuple(sorted(ks)), []).append((e, 1, factors))
     tot = TruncatedSeries(T)
-    for e, p, ks in terms:
+    for ks, group in groups.items():
+        p = _total(group)
         if p.is_zero():
             continue
-        s = TruncatedSeries.from_poly(p.scale(e), T)
+        s = TruncatedSeries.from_poly(p, T)
         for k in ks:
             if k <= T:
                 s = s.div_one_minus(k)
@@ -346,7 +416,7 @@ def _series_total(T, terms):
 def _series_display75(T, barred):
     r = isqrt(T) + 1
     return _series_total(T, (
-        (e, qbin(m1 + m2 - m3, 2 * m2) * qbin(m2 + m3 - m4, 2 * m3) * qbin(m3, m4),
+        (e, (qbin(m1 + m2 - m3, 2 * m2), qbin(m2 + m3 - m4, 2 * m3), qbin(m3, m4)),
          range(1, 2 * m1 + 1))
         for m1 in range(0, r + 1) for m2 in range(0, m1 + r + 1)
         for m3 in range(0, r + 1) for m4 in range(0, m3 + 1)
@@ -357,7 +427,7 @@ def _series_display75(T, barred):
 def _series_display72(T, barred):
     r = isqrt(T) + 1
     return _series_total(T, (
-        (e, qbin(m3, m4),
+        (e, (qbin(m3, m4),),
          (*range(1, n1 + 1), *range(1, n2 + 1), *range(1, 2 * m3 + 1)))
         for n1 in range(0, r + 1) for n2 in range(0, r + 1)
         for m3 in range(0, r + 1) for m4 in range(0, m3 + 1)
@@ -373,7 +443,7 @@ def _series_agid(k, T):
     for _ in range(k - 1):
         nss = [ns + (n,) for ns in nss for n in range(r + 1 - sum(ns))]
     return _series_total(T, (
-        (e, LaurentPoly.one(), [kk for n in ns for kk in range(1, n + 1)])
+        (e, (), [kk for n in ns for kk in range(1, n + 1)])
         for ns in nss
         if (e := sum(sum(ns[j:]) ** 2 for j in range(len(ns)))) <= T))
 
@@ -601,19 +671,19 @@ def _case_hookp(K, i, N, M, alpha, beta):
 
 def _s8_a2(n):
     # [n + m2, 2 m1] needs 2 m1 <= n + m2, so m2 >= 2 m1 - n and m1 <= n
-    return _total(((n - m1) ** 2 + (m1 - m2) ** 2, qbin(n + m2, 2 * m1) * qbin(m1, m2))
+    return _total(((n - m1) ** 2 + (m1 - m2) ** 2, 1, (qbin(n + m2, 2 * m1), qbin(m1, m2)))
                   for m1 in range(0, n + 1) for m2 in range(max(0, 2 * m1 - n), m1 + 1))
 
 
 def _s8_triple(n, middle_sq):
-    return _total((n * (n - m1) + (m2 * m2 + m3 * m3 if middle_sq else m2 * (m2 + m3)),
-                   qbin(n, m1) * qbin(m1, 2 * m2) * qbin(m2, m3))
+    return _total((n * (n - m1) + (m2 * m2 + m3 * m3 if middle_sq else m2 * (m2 + m3)), 1,
+                   (qbin(n, m1), qbin(m1, 2 * m2), qbin(m2, m3)))
                   for m1 in range(0, n + 1) for m2 in range(0, m1 // 2 + 1)
                   for m3 in range(0, m2 + 1))
 
 
 def _s8_single(n, quad):
-    return _total((quad(m), qbin(n, m)) for m in range(n + 1))
+    return _total((quad(m), 1, (qbin(n, m),)) for m in range(n + 1))
 
 
 # entry -> (alpha, beta, K, sum side of G(n, n; alpha, beta, K)); b2 is the

@@ -201,6 +201,35 @@ def test_wide_coefficients_pack_byte_wise():
     assert a * b == schoolbook(a, b)
 
 
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128, 192])
+def test_pack_round_trips_at_every_width(w):
+    # signed digits at both ends of [-2^(w-1), 2^(w-1)), small ones, and
+    # ones that fill each 64-bit part of a wide word; the nonnegative ones
+    # pack the same without a bias, also where a coefficient of 64 bits or
+    # more sends a wide word back to `pack`
+    half = 2 ** (w - 1)
+    edges = [-half, half - 1, -1, 0, 1, half // 3, -(half // 3) - 1]
+    parts = [s * (2 ** b - 1) for b in range(8, w, 8) for s in (1, -1)]
+    for coeffs in (edges, parts, edges[::-1] + parts, [], [0], [-half]):
+        v = qpoly.pack(coeffs, w)
+        assert v == sum(c << (w * i) for i, c in enumerate(coeffs))
+        assert qpoly.unpack(v, len(coeffs), w) == coeffs
+        nonneg = [abs(c) % half for c in coeffs]
+        small = [c % 2 ** 63 for c in nonneg]
+        for cs in (nonneg, small):
+            assert qpoly.pack_nonneg(cs, w) == qpoly.pack(cs, w)
+            assert qpoly.unpack(qpoly.pack_nonneg(cs, w), len(cs), w) == cs
+        # a value with fewer digits reads as zeros above them
+        assert qpoly.unpack(v, len(coeffs) + 2, w) == coeffs + [0, 0]
+
+
+@pytest.mark.parametrize("w", [16, 64, 128])
+def test_pack_nonneg_rejects_a_negative_coefficient(w):
+    for coeffs in ([-1], [3, 0, -2, 5], [2 ** 70 % 2 ** (w - 1), -1]):
+        with pytest.raises(ValueError):
+            qpoly.pack_nonneg(coeffs, w)
+
+
 def test_bias_cache_keeps_short_biases():
     # the bias is 2^(w-1) in each of n words; only those of at most
     # _SHORT_BIAS_WORDS words enter the bounded cache, and a pack / unpack

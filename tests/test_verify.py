@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from qburge.qpoly import DegreeLimitError, LaurentPoly, TruncatedSeries
-from qburge import qcombinat, verify
+from qburge import qcombinat, qpoly, verify
 from qburge.qcombinat import b_kernel, qbin, d_poly
 from qburge.burge import spec_even, spec_main, spec_recip, spec_shifted
 from qburge.verify import (CATALOGUE, CampaignBudget, IdentityCase, SUITES,
@@ -265,6 +265,150 @@ def test_double_sum_displays_over_their_support():
         for L in range(-1, 13):
             for M in range(-1, 13):
                 assert display(L, M) == full(L, M), (display, L, M)
+
+
+def reference_total(terms):
+    """Sum of sign q^e prod(factors), one LaurentPoly product and sum per
+    term."""
+    tot = LaurentPoly.zero()
+    for e, sign, factors in terms:
+        p = LaurentPoly.one()
+        for f in factors:
+            p = p * f
+        tot = tot + p.scale(e, sign)
+    return tot
+
+
+def summed_at_width(monkeypatch, terms):
+    """_total(terms) and the word widths it picked, in order."""
+    widths = []
+
+    def recording(bits):
+        widths.append(qpoly.pack_width(bits))
+        return widths[-1]
+    monkeypatch.setattr(verify, "pack_width", recording)
+    return verify._total(terms), widths
+
+
+def test_total_matches_term_by_term_sum(monkeypatch):
+    # signed terms, a zero factor (its term is skipped), one factor object
+    # in several terms, one-factor terms, factors with negative lowest
+    # exponents, and terms that cancel
+    shared, zero = qbin(7, 3), qbin(2, 3)
+    low = LaurentPoly({-3: 2, -1: 1})
+    terms = [(0, 1, (shared, qbin(4, 2))), (2, -1, (shared,)), (5, 1, (zero, shared)),
+             (-4, -1, (qbin(5, 1), shared, low)), (1, 1, (shared,)), (1, -1, (shared,)),
+             (3, 1, ()), (0, -1, (LaurentPoly.monomial(2, 3),))]
+    total, widths = summed_at_width(monkeypatch, terms)
+    assert total == reference_total(terms) and widths == [16]
+    for k in range(len(terms) + 1):
+        assert verify._total(terms[:k]) == reference_total(terms[:k]), k
+    # a term with a zero factor contributes nothing, not even its span
+    assert verify._total([(0, 1, (zero,)), (10 ** 9, 1, (zero, shared))]).is_zero()
+    # terms that cancel leave no zero ends
+    assert verify._total([(0, 1, (shared,)), (0, -1, (shared,)),
+                          (2, 1, (qbin(3, 1),))]) == LaurentPoly({2: 1, 3: 1, 4: 1})
+
+
+@pytest.mark.parametrize("width, terms", [
+    # the bound is the sum over terms of prod p(1) = prod comb(n, m)
+    (16, [(0, 1, (qbin(6, 3), qbin(4, 2))), (3, -1, (qbin(8, 4),))]),  # 190
+    (32, [(0, 1, (qbin(20, 10),)), (5, 1, (qbin(9, 4), qbin(8, 4)))]),  # 2^17.5
+    (64, [(0, 1, (qbin(30, 15), qbin(30, 15))), (1, -1, (qbin(12, 6),))]),  # 2^54.4
+    (128, [(0, 1, (qbin(30, 15),) * 3), (7, -1, (qbin(30, 15), qbin(12, 5)))]),  # 2^81.6
+])
+def test_total_word_widths(monkeypatch, width, terms):
+    total, widths = summed_at_width(monkeypatch, terms)
+    assert widths == [width]
+    assert total == reference_total(terms)
+
+
+@pytest.mark.parametrize("width", [16, 32, 64, 128])
+def test_total_fills_its_word(monkeypatch, width):
+    # two terms at one exponent whose bounds add up to 2^(w-1) - 1, the most
+    # a word of w bits holds: added, and subtracted, they decode exactly
+    half = 2 ** (width - 1)
+    a, b = LaurentPoly({0: half // 3, 1: 1}), LaurentPoly({0: half - 2 - half // 3})
+    for sign in (1, -1):
+        terms = [(0, sign, (a,)), (0, sign, (b,))]
+        total, widths = summed_at_width(monkeypatch, terms)
+        assert widths == [width]
+        assert total == LaurentPoly({0: sign * (half - 2), 1: sign})
+    # one more and the bound needs the next width
+    terms = [(0, 1, (a,)), (0, 1, (b + LaurentPoly.one(),))]
+    assert summed_at_width(monkeypatch, terms)[1] == [qpoly.pack_width(width + 1)]
+
+
+def test_total_span_limit(monkeypatch):
+    # the span is checked before any factor is packed
+    monkeypatch.setattr(qpoly, "MAX_SPAN", 10)
+
+    def packing(coeffs, w):
+        raise AssertionError("packed past the span limit")
+    terms = [(0, 1, (qbin(4, 2),)), (5, -1, (qbin(3, 1), qbin(3, 1)))]
+    assert verify._total(terms) == reference_total(terms)  # span 10
+    monkeypatch.setattr(verify, "pack_nonneg", packing)
+    with pytest.raises(DegreeLimitError, match=r"^polynomial span 11 > 10$"):
+        verify._total(terms + [(10, 1, (LaurentPoly.one(),))])
+    with pytest.raises(DegreeLimitError, match=r"^polynomial span 13 > 10$"):
+        verify._total([(-2, 1, (qbin(3, 1),)), (3, 1, (qbin(7, 1), qbin(2, 1)))])
+
+
+def test_total_rejects_a_negative_coefficient():
+    # the bound p(1) holds for nonnegative factors only: a factor with
+    # p(1) <= 0 raises when it is first read, any other when it is packed
+    for bad in ({0: 2, 1: -1}, {0: 1, 1: -1}, {3: -2}, {0: 1, 1: -3, 2: 1}):
+        with pytest.raises(ValueError):
+            verify._total([(0, 1, (qbin(3, 1),)), (1, 1, (LaurentPoly(bad),))])
+
+
+def reference_series_total(T, terms):
+    """Sum of q^e prod(factors) / prod_{k in ks} (1 - q^k) cut at q^T, one
+    division chain per term."""
+    tot = TruncatedSeries(T)
+    for e, factors, ks in terms:
+        p = reference_total([(e, 1, factors)])
+        if p.is_zero():
+            continue
+        s = TruncatedSeries.from_poly(p, T)
+        for k in ks:
+            if k <= T:
+                s = s.div_one_minus(k)
+        tot = tot + s
+    return tot
+
+
+def test_series_total_matches_term_by_term_sum():
+    # shared and distinct denominators (a multiset in any order), k > T,
+    # e > T, a zero factor and a term of no factor
+    T = 12
+    terms = [(0, (qbin(5, 2),), (1, 2)), (3, (qbin(4, 1), qbin(3, 1)), (2, 1)),
+             (1, (), (1, 1, 3)), (2, (qbin(6, 3),), (3, 1, 1)), (4, (qbin(3, 1),), (20,)),
+             (T + 1, (qbin(4, 2),), (1,)), (0, (qbin(2, 5),), (1, 2)), (5, (), ())]
+    for k in range(len(terms) + 1):
+        assert verify._series_total(T, terms[:k]) == reference_series_total(T, terms[:k]), k
+    for T in (0, 1, 3):
+        assert verify._series_total(T, terms) == reference_series_total(T, terms), T
+    with pytest.raises(ValueError):
+        verify._series_total(T, [(0, (qbin(3, 1),), (1,)), (-1, (qbin(2, 1),), (1,))])
+    with pytest.raises(ValueError):
+        verify._series_total(T, [(0, (LaurentPoly({-2: 1}),), ())])
+
+
+def test_double_sum_display_at_128_bits(monkeypatch):
+    # at L = M = 20 the bound of the (i, n) double sum of ab32 takes 69 bits,
+    # so the sum runs on 128-bit words; it equals its terms multiplied and
+    # added one by one, and the other side of the identity
+    L = M = 20
+    terms = [(i * i + n * n, 1, (qbin(2 * L + M - i, 2 * L), qbin(L + i - n - 1, 2 * i - 1),
+                                 qbin(i - 1, n)))
+             for i in range(1, min(L, M) + 1) for n in range(0, min(i - 1, L - i) + 1)]
+    widths = []
+    width = verify.pack_width
+    monkeypatch.setattr(verify, "pack_width", lambda bits: widths.append(width(bits)) or widths[-1])
+    rhs = verify._rhs_ab32_display(L, M)
+    assert widths == [128]
+    assert rhs == reference_total(terms) == verify._lhs_ab32(L, M)
 
 
 def test_positivity_scan():
