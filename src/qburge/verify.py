@@ -231,7 +231,7 @@ def _total(terms):
                 c = f.coeffs
                 got = seen[id(f)] = f, sum(c), f.lo, f.lo + len(c) - 1
                 if c and got[1] <= 0:
-                    raise ValueError(f"_total: a factor with a negative coefficient, {f}")
+                    raise ValueError("_total: a factor with a negative coefficient")
             l1 *= got[1]
             e += got[2]
             top += got[3]
