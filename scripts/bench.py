@@ -22,15 +22,19 @@ One after the other, each in its own interpreter, it runs:
   `import qburge, qburge.cli, qburge.verify` and the growth of their
   ru_maxrss over it, keeping the medians and the PYTHONDONTWRITEBYTECODE
   they ran with (when it is set, every run compiles the sources again);
-- the scale rows, SCALE: each `qburge verify` argv once, in a fresh
+- the scale rows, SCALE: each `qburge verify` argv SCALE_RUNS times, the
+  rows taken in turn (all rows once, then again), each run in a fresh
   interpreter that reports its own wall time, its own peak ru_maxrss
   (RUSAGE_SELF: RUSAGE_CHILDREN would keep the largest of every earlier
   child, the perfbench runs among them) and the checks and failed checks
-  of its JSON report. Next to the raw wall time each row gets the probes
+  of its JSON report. Next to its raw wall time each run gets the probes
   taken right before and after it and its wall time scaled to perfbench's
   reference host, wall_s x PROBE_REF_NS / (the mean of the two probes),
   as perfbench scales its own times; scaled rows of two points compare
-  where raw ones do not. To run them alone:
+  where raw ones do not. The host's speed can move during a run, which
+  the two probes do not see, so a row reports the median of its runs'
+  scaled times and their min-max spread, with every run kept. To run
+  them alone:
 
     python3 -c 'from scripts.bench import scale, src_env; print(scale(src_env()))'
 
@@ -65,6 +69,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bounded-grid", "single-limit", "campaign")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 COLD_RUNS = 7
+SCALE_RUNS = 3
 # run in a fresh interpreter: the import's time in ms and ru_maxrss growth in KB
 COLD_IMPORT = """\
 import resource, time
@@ -192,18 +197,32 @@ def src_env():
 
 
 def scale(env):
-    """The scale rows, each run once in its own interpreter under env, by
-    argv, each with the probes right before and after it and its wall time
-    scaled by them to perfbench's reference host."""
+    """The scale rows by argv, each run SCALE_RUNS times in turn with the
+    other rows, every run in its own interpreter under env with the probes
+    right before and after it and its wall time scaled by them to
+    perfbench's reference host. A row holds its runs, the median of their
+    scaled times and its spread [min, max], the largest ru_maxrss and the
+    most failed checks of its runs, and their number of checks."""
+    runs = {argv: [] for argv in SCALE}
+    for _ in range(SCALE_RUNS):
+        for argv in SCALE:
+            before, ref = probe()
+            out = run(["-c", SCALE_RUN, "verify", *argv.split()], env)
+            after, _ = probe()
+            row = json.loads(out.strip().splitlines()[-1])
+            row["probe_ns"] = [before, after]
+            row["wall_s_scaled"] = round(row["wall_s"] * ref * 2 / (before + after), 2)
+            runs[argv].append(row)
+            print("scale", argv, row, flush=True)
     rows = {}
-    for argv in SCALE:
-        before, ref = probe()
-        out = run(["-c", SCALE_RUN, "verify", *argv.split()], env)
-        after, _ = probe()
-        row = rows[argv] = json.loads(out.strip().splitlines()[-1])
-        row["probe_ns"] = [before, after]
-        row["wall_s_scaled"] = round(row["wall_s"] * ref * 2 / (before + after), 2)
-        print("scale", argv, row, flush=True)
+    for argv, done in runs.items():
+        scaled = [row["wall_s_scaled"] for row in done]
+        rows[argv] = {"wall_s_scaled": statistics.median(scaled),
+                      "wall_s_scaled_spread": [min(scaled), max(scaled)],
+                      "maxrss_kb": max(row["maxrss_kb"] for row in done),
+                      "checks": done[0]["checks"],
+                      "failed": max(row["failed"] for row in done),
+                      "runs": done}
     return rows
 
 

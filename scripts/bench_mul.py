@@ -29,10 +29,10 @@ QBIN_MAX_DEGREE, one wide and one narrow), and [30, 15] in q^2.
 
 Then it times one packed lattice sum per evaluator kind, cold: the qbin,
 q_poch, packed-factor, level and row memos and the continued-fraction,
-factor, rules, rule-object (`_binomial`, `_quadratic`) and bias caches are
-cleared before every run, so each row includes building and packing its
-factors and building its rules. The rows
-are eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
+factor, rules, rule-object (`_binomial`, `_quadratic`), bias, parameter
+(`_over_den`) and spec-builder caches are cleared before every run, so
+each row includes building and packing its factors and building its
+rules. The rows are eval_F(8, 3, 8, 8) (a doubly-bounded sum), eval_limit_L("F", 7, 3, 9)
 (signed Pochhammer links), eval_limit_L("F", 7, 2, 9) (the a_0 = 2 chain,
 whose per-call levels hold one state per m_j; its first pass overflows
 32-bit words and is widened in place to 64), eval_limit_L("F", 8, 1, 15)
@@ -85,7 +85,7 @@ import timeit
 from fractions import Fraction
 from math import gcd
 
-from qburge import cf, fermionic, qcombinat, qpoly, verify
+from qburge import burge, cf, fermionic, qcombinat, qpoly, verify
 from qburge.burge import bosonic_eval, spec_main
 from qburge.fermionic import eval_F, eval_limit_L, eval_limit_M, eval_limit_both
 from qburge.qcombinat import d_poly, g_poly, q_poch, qbin
@@ -160,8 +160,9 @@ def clear_memos():
     for memo in (qcombinat._QBIN_CACHE, qcombinat._POCH_CACHE, qcombinat._PACKED_CACHE,
                  fermionic._LEVEL_CACHE, fermionic._ROW_CACHE):
         memo.clear()
-    for cached in (cf.cf_expand, qcombinat._factor, fermionic._rules, fermionic._binomial,
-                   fermionic._quadratic, qpoly._short_bias):
+    for cached in (cf.cf_expand, qcombinat._factor, qcombinat._over_den, fermionic._rules,
+                   fermionic._binomial, fermionic._quadratic, qpoly._short_bias,
+                   burge.spec_main, burge.spec_recip, burge.spec_even, burge.spec_shifted):
         cached.cache_clear()
 
 

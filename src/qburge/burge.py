@@ -38,11 +38,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from .cf import bar_pair, cf_expand, check_pair
 from .qpoly import LaurentPoly, pack, pack_width, unpack
-from .qcombinat import (QBIN_MAX_DEGREE, DegreeLimitError, _Overflow, _sweep, over_lcm,
-                        qsum)
+from .qcombinat import (QBIN_MAX_DEGREE, DegreeLimitError, _Overflow, _sweep, qsum)
 
 
 # one alternating sum  sum_j (-1)^j q^(c2 j^2 + c1 j + c0) B(L,M,aj+abar,bj+bbar)
@@ -51,30 +52,48 @@ BosonicSpec = namedtuple("BosonicSpec", "a b abar bbar c2 c1 c0",
 
 
 def bosonic_eval(spec, L, M):
-    """Evaluate the alternating kernel sum; j runs over the kernel support."""
+    """Evaluate the alternating kernel sum; j runs over the kernel support.
+
+    At abar = bbar = 0 the terms j and -j have the same two binomials,
+    swapped, and the same sign, so each such pair is one product."""
     if spec.a <= 0:
         raise ValueError("spec.a must be positive")
-    quad, den = over_lcm(spec.c2, spec.c1, spec.c0)
-    a, b, abar, bbar = spec.a, spec.b, spec.abar, spec.bbar
+    a, b, abar, bbar, *c = spec
+    # the exponent's numerators over their least common denominator, read
+    # off the spec's Fractions: no Fraction is built
+    den = lcm(*[f.denominator for f in c])
+    n2, n1, n0 = [f.numerator * (den // f.denominator) for f in c]
+    # the keys of b_kernel(L, M, x, y); |x| <= L for it not to vanish
+    if abar or bbar:
+        terms = [(-1 if j % 2 else 1,
+                  ((L + M + x - y, L + x), (L + M - x + y, L - x)),
+                  ((j, (n2 * j + n1) * j + n0),))
+                 for j in range(-((L + abar) // a), (L - abar) // a + 1)
+                 for x, y in ((a * j + abar, b * j + bbar),)]
+    else:  # j and -j from the outside in, the keys of -j first
+        terms = [(-1 if j % 2 else 1,
+                  ((L + M - t, L - a * j), (L + M + t, L + a * j)),
+                  ((-j, (n2 * j - n1) * j + n0), (j, (n2 * j + n1) * j + n0)))
+                 for j in range(L // a, 0, -1) for t in ((a - b) * j,)] + \
+            [(1, ((L + M, L), (L + M, L)), ((0, n0),))]
+    return qsum(den, terms, lambda: f"bosonic spec {spec}")
 
-    def terms():  # the keys of b_kernel(L, M, x, y); |x| <= L for it not to vanish
-        for j in range(-((L + abar) // a), (L - abar) // a + 1):
-            x, y = a * j + abar, b * j + bbar
-            yield j, -1 if j % 2 else 1, ((L + M + x - y, L + x), (L + M - x + y, L - x))
 
-    return qsum(quad, den, terms(), lambda: f"bosonic spec {spec}")
-
-
+# the catalogue's spec builders are cached: a repeated (a, b) builds no
+# Fraction
+@cache
 def spec_main(a, b):
     """Kernel B(L,M,aj,bj) with exponent j((2ab+1)j+1)/2."""
     return BosonicSpec(a, b, c2=Fraction(2 * a * b + 1, 2), c1=Fraction(1, 2))
 
 
+@cache
 def spec_recip(a, b):
     """Kernel B(L,M,aj,bj) with exponent j((2ab-1)j+1)/2 (the 1/q companion)."""
     return BosonicSpec(a, b, c2=Fraction(2 * a * b - 1, 2), c1=Fraction(1, 2))
 
 
+@cache
 def spec_even(a, b):
     """Kernel B(L,M,aj,bj) with exponent a*b*j^2 (even-modulus seed)."""
     return BosonicSpec(a, b, c2=Fraction(a * b))
@@ -89,6 +108,7 @@ def shifted_bar(a, b):
     return abar, bbar, (a < 2 * b and n % 2 == 0) or (a > 2 * b and n % 2 == 1)
 
 
+@cache
 def spec_shifted(a, b):
     """Kernel B(L,M,aj+abar,bj+bbar) with the parity-dependent linear term:
     (4*abar*b+1)/2 on the abar branch of `shifted_bar`, else (4*a*bbar+1)/2.

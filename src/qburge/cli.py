@@ -85,15 +85,26 @@ def _cmd_eval(args):
     return 0
 
 
-def _report_record(r):
-    rec = {"case": r.case, "params": dict(sorted(r.params.items())),
-           "status": r.status}
-    if r.status == "fail":
-        rec["first_diff_exponent"] = r.first_diff_exponent
-        rec["lhs_coeff"] = r.lhs_coeff
-        rec["rhs_coeff"] = r.rhs_coeff
-    rec["elapsed_ms"] = round(r.elapsed_ms, 3)
-    return rec
+def _json_records(reports):
+    """The text of each report's JSON object, as json.dumps with separators
+    (",", ":") writes {"case", "params" (sorted by name), "status", on a
+    fail "first_diff_exponent", "lhs_coeff" and "rhs_coeff", "elapsed_ms"},
+    written directly: an int as it is, the measured (finite) elapsed_ms by
+    float's repr, as json writes a finite float, and every other value by
+    one encoder; the text of each case, status and param name once."""
+    enc = json.JSONEncoder(separators=(",", ":")).encode
+    names = {}
+    for r in reports:
+        params = ",".join([f"{names.get(k) or names.setdefault(k, enc(k))}:"
+                           f"{v if type(v) is int else enc(v)}"
+                           for k, v in sorted(r.params.items())])
+        fail = "".join([f',"{k}":{v if type(v) is int else enc(v)}' for k, v in (
+            ("first_diff_exponent", r.first_diff_exponent), ("lhs_coeff", r.lhs_coeff),
+            ("rhs_coeff", r.rhs_coeff))]) if r.status == "fail" else ""
+        case = names.get(r.case) or names.setdefault(r.case, enc(r.case))
+        status = names.get(r.status) or names.setdefault(r.status, enc(r.status))
+        yield (f'{{"case":{case},"params":{{{params}}},"status":{status}{fail},'
+               f'"elapsed_ms":{round(r.elapsed_ms, 3)!r}}}')
 
 
 def _summary(reports):
@@ -104,8 +115,7 @@ def _summary(reports):
 
 def _render(reports, fmt):
     if fmt == "json":
-        return json.dumps([_report_record(r) for r in reports],
-                          sort_keys=False, indent=None, separators=(",", ":")) + "\n"
+        return f"[{','.join(_json_records(reports))}]\n"
     if fmt == "csv":
         import csv  # only this format needs it
         buf = io.StringIO()

@@ -191,7 +191,7 @@ from math import isqrt
 from .cf import cf_expand, check_pair
 from .qpoly import LaurentPoly, TruncatedSeries, pack, pack_width, unpack
 from .qcombinat import (_ONE_KEY, _PACKED_CACHE, QBIN_MAX_DEGREE, DegreeLimitError,
-                        _Overflow, _packed, _qkey, _sweep, q_poch, qbin)
+                        _Overflow, _factor, _packed, _qkey, _sweep)
 
 # the states of one free level by (its phi, its psi, key of the level after
 # it), down to (word width, cut): see _extend, _extend_per_m and the module
@@ -649,9 +649,10 @@ def eval_limit_L(family, a, b, M):
                        sum q^(sum_j m_j^2) prod_{j=1..d} [m_{j-1}, m_j],
       the finitized Andrews-Gordon multisum (Burge 1993; Foda, Lee and
       Welsh 1998) times one factor free of m_1. The head is [M, m_1], the
-      levels are the M-free [m_j, m_{j+1}], and [2M, M] (q)_M multiplies
-      the total once. As ftilde_(a,1) = Ftilde_(a-1,1), f is the same sum
-      at d = a - 2, empty at (2, 1): ftilde_(2,1) = (q)_2M/(q)_M;
+      levels are the M-free [m_j, m_{j+1}], and [2M, M] (q)_M, the stored
+      factor ("mid", 2M, M), multiplies the total once. As ftilde_(a,1) =
+      Ftilde_(a-1,1), f is the same sum at d = a - 2, empty at (2, 1):
+      ftilde_(2,1) = (q)_2M/(q)_M;
     - a_0 = 1 (tau = tau_2, m = m_2):
       [M+m_1, m_1-m_2] [M+m_2, tau m_2] (q)_{M-(tau-1)m_2}
         = [M+m_1, m_1+(tau-1)m_2] (q)_{M-(tau-1)m_2}
@@ -668,7 +669,7 @@ def eval_limit_L(family, a, b, M):
         if M < 0:
             return LaurentPoly.zero()
         d = a - 1 - (family == "f")
-        total = qbin(2 * M, M) * q_poch(M)
+        total = _factor(("mid", 2 * M, M))
         if d:
             total *= _lattice_sum(M, [_multinomial] * (d + 1), [_flat] + [_square] * d,
                                   1, per_m=True)

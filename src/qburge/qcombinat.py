@@ -3,21 +3,30 @@ the G and D alternating sums, the Borwein residue split, and the store of
 packed factors that the alternating sums and the lattice sums share.
 
 Every alternating sum goes through `qsum`, which takes its rational
-quadratic exponent as integer numerators over one integer denominator and
-checks each contributing term's exponent by one divmod, so invalid
-parameter combinations fail loudly instead of silently rounding. The
-callers put their Fraction parameters over that denominator once, at entry.
+exponents as integer numerators over one integer denominator and checks
+each contributing term's exponent by one divmod, so invalid parameter
+combinations fail loudly instead of silently rounding. `g_poly` and
+`d_poly` read their parameters over that denominator from the cached
+`_over_den`, and `burge.bosonic_eval` reads them off its spec, so a
+repeated call builds no Fraction.
 
-A term of `qsum` is a sign, an exponent and a product of base-1 q-binomials
-named by their keys, and the sum runs on Kronecker-packed ints (see qpoly):
-each binomial is read packed from the factor store, a product is one
-bigint product, q^e a shift by whole words, and the total is decoded once.
-The word width is fixed before any product is taken. A q-binomial [n, m]
-has nonnegative coefficients summing to comb(n, m), so the sum over the
-terms of the products of their comb(n, m) bounds every coefficient of
-every factor, product, partial sum and of the total; a word of
-`pack_width` of its bit length plus one (the sign) holds them all, and no
-sum overflows or restarts.
+A term of `qsum` is (sign, keys, exps): a sign 1 or -1, the keys (n, m)
+of its base-1 q-binomials, and a tuple of (j, x) pairs, each the exponent
+x / den of one copy of the product, j naming it in an error. A sum whose
+terms j and -j have one product passes them as one term of two
+exponents: `bosonic_eval` at abar = bbar = 0, whose kernel's two binomials
+swap, and `g_poly` at N = M, where [2N, N-Kj] = [2N, N+Kj]. `d_poly`
+passes both of its parts, with their signs, to one call (on a
+DegreeLimitError it sums them apart, so the error is the two-part
+sum's). The sum runs on Kronecker-packed ints (see qpoly): each binomial
+is read packed from the factor store, a term's product is one bigint
+product, q^e a shift by whole words, and the total is decoded once. The
+word width is fixed before any product is taken. A q-binomial [n, m] has nonnegative
+coefficients summing to comb(n, m), so the sum over the exponents of the
+products of their comb(n, m) bounds every coefficient of every factor,
+product, partial sum and of the total; a word of `pack_width` of its bit
+length plus one (the sign) holds them all, and no sum overflows or
+restarts.
 
 The factor store is `_PACKED_CACHE`, {w: {factor key: (lo, v, l1)}}: the
 factor `_factor(key)` packed at word width w, with l1 its coefficients'
@@ -218,115 +227,145 @@ def _sweep(sums, ones, shifts, v, l1, w):
     return col
 
 
-def qsum(quad, den, terms, context):
-    """The sum of sign * q^((n2 j^2 + n1 j + n0) / den) * prod [n, m] over
-    the (j, sign, keys) in terms, where quad = (n2, n1, n0) and den >= 1 are
-    ints, sign is 1 or -1 and keys holds the (n, m) of the term's base-1
-    q-binomials.
+def qsum(den, terms, context):
+    """The sum of sign * q^(x / den) * prod [n, m] over the terms
+    (sign, keys, exps) of the list `terms` and the (j, x) in each exps: den
+    >= 1 and each numerator x are ints, sign is 1 or -1 and keys holds the
+    (n, m) of the term's base-1 q-binomials (see the module docstring).
 
     Term by term, in order: each key's qbin degree guard (DegreeLimitError,
     as qbin raises it), then, unless a key vanishes (m < 0 or m > n), which
-    skips the term unchecked, one integer evaluation and one divmod by den:
-    a nonzero remainder raises NonIntegerExponentError naming context(), a
-    callable called only then, and j. Then the span of the terms so far is
-    checked against qpoly.MAX_SPAN, before any shift is taken. The terms
-    are summed packed, at the one width that their l1 bound fixes (see the
-    module docstring), and the total is decoded once; a sum of one term of
-    at most one factor has nothing to add, so it is that factor, scaled.
+    skips the term unchecked, one divmod by den per exponent: a nonzero
+    remainder raises NonIntegerExponentError naming context(), a callable
+    called only then, and j. With each exponent the span of the terms so
+    far is checked against qpoly.MAX_SPAN, before any shift is taken. When
+    a check fails and some term has several exponents, the checks run
+    again with each exponent a term of its own, in ascending j, so that the
+    error is the one the unpaired sum in ascending j raises, whatever order
+    the pairs come in. The terms are summed packed, at the one width that
+    their l1 bound fixes, one product per term, and the total is decoded
+    once; one exponent of at most one factor has nothing to add, so it is
+    that factor, scaled.
     """
-    n2, n1, n0 = quad
     live, bound, lo, hi = [], 0, None, None
-    for j, sign, keys in terms:
-        factors, l1, deg = [], 1, 0
-        for n, m in keys:
-            if m < 0 or m > n:
-                l1 = 0
-            elif m := min(m, n - m):
-                if m * (n - m) > QBIN_MAX_DEGREE:
-                    raise _degree_error(n, m, 1)
-                factors.append((n, m, 1))
-                l1 *= comb(n, m)
-                deg += m * (n - m)
-        if not l1:
-            continue
-        e, r = divmod((n2 * j + n1) * j + n0, den)
-        if r:
-            raise NonIntegerExponentError(
-                f"non-integer exponent {e + Fraction(r, den)} in {context()} at j={j}")
-        top = e + deg
-        if lo is None:
-            lo, hi = e, top
-        else:
-            if e < lo:
-                lo = e
-            if top > hi:
-                hi = top
-            _check_span(hi - lo + 1)
-        bound += l1
-        live.append((e, sign, factors))
-    if len(live) < 2:  # no sum to take: at most one term, scaled
-        if not live:
-            return LaurentPoly.zero()
-        e, sign, factors = live[0]
-        if len(factors) < 2:
-            return (_factor(factors[0]) if factors else _ONE).scale(e, sign)
+    try:
+        for sign, keys, exps in terms:
+            factors, l1, deg = [], 1, 0
+            for n, m in keys:
+                if m < 0 or m > n:
+                    l1 = 0
+                elif m := min(m, n - m):
+                    if m * (n - m) > QBIN_MAX_DEGREE:
+                        raise _degree_error(n, m, 1)
+                    factors.append((n, m, 1))
+                    l1 *= comb(n, m)
+                    deg += m * (n - m)
+            if not l1:
+                continue
+            es = []
+            for j, x in exps:
+                e, r = divmod(x, den)
+                if r:
+                    raise NonIntegerExponentError(
+                        f"non-integer exponent {e + Fraction(r, den)} in {context()} at j={j}")
+                if lo is None:
+                    lo, hi = e, e + deg
+                else:
+                    if e < lo:
+                        lo = e
+                    if e + deg > hi:
+                        hi = e + deg
+                    _check_span(hi - lo + 1)
+                es.append(e)
+            bound += l1 * len(es)
+            live.append((es, sign, factors))
+    except (DegreeLimitError, NonIntegerExponentError):
+        if any(len(exps) > 1 for _, _, exps in terms):
+            qsum(den, sorted(((sign, keys, (jx,)) for sign, keys, exps in terms for jx in exps),
+                             key=lambda term: term[2][0][0]), context)
+        raise
+    if len(live) == 1 and len(live[0][0]) == 1 and len(live[0][2]) < 2:
+        (e,), sign, factors = live[0]  # no sum to take: one term, scaled
+        return (_factor(factors[0]) if factors else _ONE).scale(e, sign)
+    if not live:
+        return LaurentPoly.zero()
     w = pack_width(bound.bit_length() + 1)
     memo = _PACKED_CACHE.setdefault(w, {})
     total = 0
-    for e, sign, factors in live:
+    for es, sign, factors in live:
         v = 1
         for key in factors:
             v *= (memo.get(key) or _packed(key, w))[1]
         if sign < 0:
-            total -= v << (w * (e - lo))
-        else:
+            v = -v
+        for e in es:
             total += v << (w * (e - lo))
     return LaurentPoly.dense(lo, unpack(total, hi - lo + 1, w))
 
 
-def over_lcm(*xs):
-    """(numerators, den): the ints or Fractions xs as integer numerators
-    over den, the least common denominator of all of them."""
-    den = lcm(*(x.denominator for x in xs))
-    return tuple(x.numerator * (den // x.denominator) for x in xs), den
+@cache
+def _over_den(*xs):
+    """(numerators, den): xs, each an int, a Fraction or what Fraction
+    takes, as integer numerators over den, their least common denominator.
+    Cached, so a repeated call builds no Fraction."""
+    fs = [Fraction(x) for x in xs]
+    den = lcm(*(f.denominator for f in fs))
+    return tuple(f.numerator * (den // f.denominator) for f in fs), den
 
 
 def g_poly(N, M, alpha, beta, K):
     """Alternating sum sum_j (-1)^j q^(K j ((a+b)j + a-b)/2) [M+N, N-Kj].
 
     alpha, beta may be Fractions as long as every contributing exponent is
-    an integer; otherwise NonIntegerExponentError is raised.
+    an integer; otherwise NonIntegerExponentError is raised. At N = M the
+    terms j and -j share their binomial [2N, N-Kj] = [2N, N+Kj], so each
+    such pair is one product.
     """
     if K <= 0:
         raise ValueError("K must be a positive integer")
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    (A, B), den = over_lcm(alpha, beta)
+    (A, B), den = _over_den(alpha, beta)
+    S, D = K * (A + B), K * (A - B)
+    n = M + N
     # [M+N, N-Kj] vanishes unless -M <= Kj <= N
-    return qsum((K * (A + B), K * (A - B), 0), 2 * den,
-                ((j, -1 if j % 2 else 1, ((M + N, N - K * j),))
-                 for j in range(-(M // K), N // K + 1)),
-                lambda: f"g_poly(N={N},M={M},alpha={alpha},beta={beta},K={K})")
+    if N == M:  # j and -j from the outside in
+        terms = [(-1 if j % 2 else 1, ((n, N + K * j),),
+                  ((-j, (S * j - D) * j), (j, (S * j + D) * j)))
+                 for j in range(N // K, 0, -1)] + [(1, ((n, N),), ((0, 0),))]
+    else:
+        terms = [(-1 if j % 2 else 1, ((n, N - K * j),), ((j, (S * j + D) * j),))
+                 for j in range(-(M // K), N // K + 1)]
+    return qsum(2 * den, terms, lambda: f"g_poly(N={N},M={M},alpha={Fraction(alpha)},"
+                                        f"beta={Fraction(beta)},K={K})")
 
 
 def d_poly(K, i, N, M, alpha, beta):
     """Two-part alternating sum for the hook-difference generating function.
 
     sum_j q^(j((a+b)Kj + Kb - (a+b)i)) [M+N, M-Kj]
-         - q^(((a+b)j+b)(Kj+i)) [M+N, M-Kj-i].
+         - q^(((a+b)j+b)(Kj+i)) [M+N, M-Kj-i],
+    one packed sum: the first part's terms in ascending j, then the
+    second's, so a NonIntegerExponentError names the first offending term
+    of the first part that has one.
     """
     if K <= 0:
         raise ValueError("K must be a positive integer")
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    (A, B), den = over_lcm(alpha, beta)
-    S = A + B
-    context = lambda: f"d_poly(K={K},i={i},N={N},M={M},alpha={alpha},beta={beta})"
+    (A, B), den = _over_den(alpha, beta)
+    S, n = A + B, M + N
+    context = lambda: (f"d_poly(K={K},i={i},N={N},M={M},"
+                       f"alpha={Fraction(alpha)},beta={Fraction(beta)})")
     # [M+N, M-u] vanishes unless -N <= u <= M; u = Kj, then u = Kj+i
-    return qsum((S * K, K * B - S * i, 0), den,
-                ((j, 1, ((M + N, M - K * j),))
-                 for j in range(-(N // K), M // K + 1)), context) - \
-        qsum((S * K, S * i + K * B, B * i), den,
-             ((j, 1, ((M + N, M - K * j - i),))
-              for j in range(-((N + i) // K), (M - i) // K + 1)), context)
+    first = [(1, ((n, M - K * j),), ((j, (S * K * j + K * B - S * i) * j),))
+             for j in range(-(N // K), M // K + 1)]
+    second = [(-1, ((n, M - K * j - i),), ((j, (S * j + B) * (K * j + i)),))
+              for j in range(-((N + i) // K), (M - i) // K + 1)]
+    try:
+        return qsum(den, first + second, context)
+    except DegreeLimitError:
+        # the one sum checks the span of both parts together term by term,
+        # where each part's sum checks its own and their difference the
+        # two: evaluated apart, the parts raise the error (or, when their
+        # ends cancel, return the value) of the two-part sum
+        return qsum(den, first, context) - qsum(den, second, context)
 
 
 def _residue_split(c):

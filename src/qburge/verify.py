@@ -414,12 +414,14 @@ def _series_total(T, terms):
 
 
 def _series_display75(T, barred):
+    # the binomials' support: [m1+m2-m3, 2 m2] needs m2 + m3 <= m1,
+    # [m2+m3-m4, 2 m3] needs m3 + m4 <= m2, and [m3, m4] m4 <= m3
     r = isqrt(T) + 1
     return _series_total(T, (
         (e, (qbin(m1 + m2 - m3, 2 * m2), qbin(m2 + m3 - m4, 2 * m3), qbin(m3, m4)),
          range(1, 2 * m1 + 1))
-        for m1 in range(0, r + 1) for m2 in range(0, m1 + r + 1)
-        for m3 in range(0, r + 1) for m4 in range(0, m3 + 1)
+        for m1 in range(0, r + 1) for m2 in range(0, m1 + 1)
+        for m3 in range(0, min(r, m1 - m2) + 1) for m4 in range(0, min(m3, m2 - m3) + 1)
         if (e := m1 * m1 + (m1 - m2) ** 2 + m3 * m3
             + (m3 * m4 if barred else m4 * m4)) <= T))
 
@@ -505,12 +507,16 @@ for family, (evaluate, a_min, cases) in _LATTICE.items():
             partial(_lattice_sides, evaluate, family, None if left is tree_walk else left))
 
 
+# the kernel sums of bnew and bnewp2, built once
+_BNEW = BosonicSpec(1, 1, c2=Fraction(3, 2), c1=Fraction(1, 2))
+_BNEWP2 = BosonicSpec(2, 1, abar=1, bbar=0, c2=Fraction(5, 2), c1=Fraction(1, 2))
+
+
 @_register("bnew", "polynomial",
            "seed lemma: kernel sum with j(3j+1)/2 equals a single binomial",
            "L,M >= 0")
 def _case_bnew(L, M):
-    return bosonic_eval(BosonicSpec(1, 1, c2=Fraction(3, 2), c1=Fraction(1, 2)), L, M), \
-        qbin(L + M, M)
+    return bosonic_eval(_BNEW, L, M), qbin(L + M, M)
 
 
 @_register("bnewp", "polynomial",
@@ -523,9 +529,7 @@ def _case_bnewp(L, M):
            "shifted-kernel doubly-bounded first Rogers-Ramanujan analogue",
            "L,M >= 0")
 def _case_bnewp2(L, M):
-    lhs = bosonic_eval(BosonicSpec(2, 1, abar=1, bbar=0,
-                                   c2=Fraction(5, 2), c1=Fraction(1, 2)), L, M)
-    return lhs, _sum_bnewp2(L, M)
+    return bosonic_eval(_BNEWP2, L, M), _sum_bnewp2(L, M)
 
 
 @_register("brep", "polynomial",

@@ -112,6 +112,29 @@ def test_verify_json_schema_and_determinism(capsys):
     assert strip(json.loads(out1)) == strip(json.loads(out2))
 
 
+def test_json_render_matches_json_dumps():
+    # the records are written directly, byte for byte as json.dumps writes
+    # their dicts: params sorted by name, the fail fields only on a fail
+    reports = [VerifyReport("main", {"b": 1, "a": 12, "L": -3, "M": 0}, "pass", elapsed_ms=0.12345),
+               VerifyReport("series_F", {"family": "F", "T": 40, "entry": None}, "pass",
+                            elapsed_ms=2.0),
+               VerifyReport("caf\u00e9 \"x\"", {"part": "A\n\tB", "n": 10 ** 30}, "fail",
+                            7, -(10 ** 25), 3, 1e-07),
+               VerifyReport("hookp", {}, "fail", None, None, None, 123456.78949),
+               VerifyReport("main", {"a": 2, "b": 1}, "pass")]
+
+    def record(r):
+        rec = {"case": r.case, "params": dict(sorted(r.params.items())), "status": r.status}
+        if r.status == "fail":
+            rec.update(first_diff_exponent=r.first_diff_exponent, lhs_coeff=r.lhs_coeff,
+                       rhs_coeff=r.rhs_coeff)
+        rec["elapsed_ms"] = round(r.elapsed_ms, 3)
+        return rec
+    for k in range(len(reports) + 1):
+        assert cli._render(reports[:k], "json") == \
+            json.dumps([record(r) for r in reports[:k]], separators=(",", ":")) + "\n"
+
+
 def test_verify_csv(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "section8",
                                 "--n-max", "1", "--format", "csv"])

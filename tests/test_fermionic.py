@@ -5,12 +5,13 @@ import itertools
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
 
-from qburge import cf, fermionic, qcombinat, qpoly
+from qburge import burge, cf, fermionic, qcombinat, qpoly
 from qburge.qpoly import LaurentPoly, TruncatedSeries
 from qburge.qcombinat import _factor, _qkey, g_poly, qbin, q_poch, qsum
 from qburge.cf import cf_expand
@@ -74,9 +75,8 @@ def test_f21_against_explicit_sum():
 def seed_H21(L, M):
     """The H seed at (2, 1) as a q-sum, sum_n q^(n^2) [2L+M-n-1, 2L-1]
     [L-1, n]: the reference for its two lattice rules."""
-    return qsum((1, 0, 0), 1,
-                ((n, 1, ((2 * L + M - n - 1, 2 * L - 1), (L - 1, n)))
-                 for n in range(min(L, M) + 1)), lambda: "the H seed")
+    return qsum(1, [(1, ((2 * L + M - n - 1, 2 * L - 1), (L - 1, n)), ((n, n * n),))
+                    for n in range(min(L, M) + 1)], lambda: "the H seed")
 
 
 def test_H21_seed_against_qsum():
@@ -469,16 +469,17 @@ def test_bounded_grid_builds_no_row(monkeypatch):
 
 def test_bench_mul_clears_every_memo(monkeypatch):
     # bench_mul's cold rows start from cleared memos: after a few lattice
-    # calls, its clear_memos leaves every functools cache of cf, qpoly,
-    # qcombinat and fermionic empty, and the dict memos it clears. Fresh
-    # caches and memos stand in for the modules' own during the test, so
-    # the rule objects that other tests compare keep their identity
+    # and bosonic calls, its clear_memos leaves every functools cache of cf,
+    # qpoly, qcombinat, fermionic and burge empty, and the dict memos it
+    # clears. Fresh caches and memos stand in for the modules' own during
+    # the test, so the rule objects that other tests compare keep their
+    # identity
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
     try:
         import bench_mul
     finally:
         sys.path.pop(0)
-    modules = (cf, qpoly, qcombinat, fermionic)
+    modules = (cf, qpoly, qcombinat, fermionic, burge)
     fresh = {id(obj): functools.lru_cache(**obj.cache_parameters())(obj.__wrapped__)
              for module in modules for obj in vars(module).values()
              if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
@@ -491,8 +492,12 @@ def test_bench_mul_clears_every_memo(monkeypatch):
         monkeypatch.setattr(qcombinat, name, {})
     eval_F(5, 2, 3, 3)
     eval_limit_L("F", 7, 3, 4)
+    burge.bosonic_eval(burge.spec_main(5, 2), 3, 3)
+    g_poly(3, 3, 1, Fraction(3, 2), 2)
     assert fermionic._binomial.cache_info().currsize
     assert fermionic._quadratic.cache_info().currsize
+    assert burge.spec_main.cache_info().currsize
+    assert qcombinat._over_den.cache_info().currsize
     bench_mul.clear_memos()
     sizes = {f"{cached.__module__}.{cached.__name__}": cached.cache_info().currsize
              for cached in fresh.values()}
@@ -823,6 +828,15 @@ def test_limit_L_b1_levels_one_chain(monkeypatch):
     products = counting(monkeypatch, "_times")
     eval_limit_L("F", 8, 1, 6)
     assert products["_times"] == 4
+    # and the factor [2M, M] (q)_M of the total is the stored ("mid", 2M,
+    # M): a warm call takes one LaurentPoly product, the total by it, and
+    # none at (2, 1) for f, whose sum is that factor alone
+    polys, real = Counter(), LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda p, q: (polys.update("*"), real(p, q))[1])
+    for fam, a, expect in (("F", 8, 1), ("f", 5, 1), ("f", 2, 0)):
+        polys.clear()
+        eval_limit_L(fam, a, 1, 6)
+        assert polys["*"] == expect, (fam, a)
 
 
 def test_rules_interned():

@@ -1,11 +1,13 @@
 """The alternating sums on `qcombinat.qsum` against the Fraction loops on
 LaurentPoly values they replaced, kept here as references: equal values
 and, for bosonic_eval and g_poly, the same NonIntegerExponentError message
-(text and first offending j); and the guards of the packed sum."""
+(text and first offending j); the guards of the packed sum; and the terms
+of two exponents, the +-j pairs of bosonic_eval and g_poly, against their
+unpaired terms, and d_poly's one sum against its two parts."""
 
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,27 +104,34 @@ def coprime_pairs(a_max):
             if gcd(a, b) == 1]
 
 
+def at(quad, terms):
+    """qsum's terms of one exponent each, from (j, sign, keys) triples and
+    the numerators (n2, n1, n0) of the exponent n2 j^2 + n1 j + n0."""
+    n2, n1, n0 = quad
+    return [(sign, keys, ((j, (n2 * j + n1) * j + n0),)) for j, sign, keys in terms]
+
+
 def test_qsum_reduces_once_and_checks_each_term():
     one = ((1, 0),)  # [1, 0] = 1
     # (j^2 + j) / 2 is an integer at every j
     terms = [(j, 1, one) for j in range(-3, 4)]
-    assert qsum((1, 1, 0), 2, terms, None) == \
+    assert qsum(2, at((1, 1, 0), terms), None) == \
         LaurentPoly({0: 2, 1: 2, 3: 2, 6: 1})
     # a term is the signed product of its keys' q-binomials
-    assert qsum((1, 0, 0), 1, [(2, -1, ((2, 1), (4, 3))), (0, 1, ((5, 2),))],
+    assert qsum(1, at((1, 0, 0), [(2, -1, ((2, 1), (4, 3))), (0, 1, ((5, 2),))]),
                 None) == qbin(5, 2) - (qbin(2, 1) * qbin(4, 3)).scale(4)
     # a term with a vanishing key is skipped unchecked; the context is built
     # only to raise
     for keys in (((1, 0), (2, 3)), ((2, -1),), ((-1, 0), (1, 1))):
-        assert qsum((0, 0, 1), 2, [(0, 1, keys)], None).is_zero()
-    assert qsum((0, 0, 1), 2, [], None).is_zero()
+        assert qsum(2, at((0, 0, 1), [(0, 1, keys)]), None).is_zero()
+    assert qsum(2, [], None).is_zero()
     with pytest.raises(NonIntegerExponentError,
                        match=r"^non-integer exponent 1/2 in here at j=-2$"):
-        qsum((0, 0, 1), 2, [(-2, -1, one)], lambda: "here")
+        qsum(2, at((0, 0, 1), [(-2, -1, one)]), lambda: "here")
     # the exponent is named in lowest terms, below zero too
     with pytest.raises(NonIntegerExponentError,
                        match=r"^non-integer exponent -7/3 in here at j=1$"):
-        qsum((0, -14, 0), 6, [(1, 1, one)], lambda: "here")
+        qsum(6, at((0, -14, 0), [(1, 1, one)]), lambda: "here")
 
 
 def test_qsum_guards_term_by_term():
@@ -131,19 +140,19 @@ def test_qsum_guards_term_by_term():
     deep = ((2600, 1),)  # [2600, 1] has degree 2599 > 2500
     with pytest.raises(DegreeLimitError,
                        match=r"^qbin\(2600, 1, base=1\) has degree 2599 > 2500$"):
-        qsum((0, 1, 0), 2, [(0, 1, deep), (1, 1, ((1, 0),))], lambda: "here")
+        qsum(2, at((0, 1, 0), [(0, 1, deep), (1, 1, ((1, 0),))]), lambda: "here")
     with pytest.raises(NonIntegerExponentError, match=r"at j=1$"):
-        qsum((0, 1, 0), 2, [(1, 1, ((1, 0),)), (2, 1, deep)], lambda: "here")
+        qsum(2, at((0, 1, 0), [(1, 1, ((1, 0),)), (2, 1, deep)]), lambda: "here")
     # a key beside a vanishing one is still guarded, as b_kernel's second
     # qbin is, and the guard names the key with m <= n - m
     with pytest.raises(DegreeLimitError, match=r"^qbin\(2600, 1, "):
-        qsum((0, 1, 0), 2, [(0, 1, ((1, 2), (2600, 2599)))], None)
+        qsum(2, at((0, 1, 0), [(0, 1, ((1, 2), (2600, 2599)))]), None)
     # the span of the terms so far is checked before the next term and
     # before any shift: exponent 10^9 raises here, not in a shift of
     # 10^9 words
     with pytest.raises(DegreeLimitError, match=r"^polynomial span 1000000001 > 1000000$"):
-        qsum((0, 1, 0), 1, [(0, 1, ((2, 1),)), (10 ** 9, 1, ((1, 0),)),
-                            (1, 1, deep)], None)
+        qsum(1, at((0, 1, 0), [(0, 1, ((2, 1),)), (10 ** 9, 1, ((1, 0),)),
+                               (1, 1, deep)]), None)
 
 
 def test_g_poly_huge_exponent_is_refused_small():
@@ -177,7 +186,7 @@ def test_qsum_width_holds_its_bound(monkeypatch):
                 expect = expect + p.scale(j * j, sign)
             store = {}
             monkeypatch.setattr(qcombinat, "_PACKED_CACHE", store)
-            assert qsum((1, 0, 0), 1, terms, None) == expect, (t, extra, signs)
+            assert qsum(1, at((1, 0, 0), terms), None) == expect, (t, extra, signs)
             assert list(store) == [width]
 
 
@@ -279,3 +288,146 @@ def test_d_poly_rational_parameters(K, i, N, M, alpha, beta):
         assert isinstance(new, str) and context in new
     else:
         assert new == ref
+
+
+def captured(monkeypatch, module, fn, *args):
+    """fn(*args) and the (den, terms) of the qsum call it makes through
+    `module`."""
+    calls, real = [], module.qsum
+    monkeypatch.setattr(module, "qsum", lambda den, terms, context: (
+        calls.append((den, terms)), real(den, terms, context))[1])
+    value = fn(*args)
+    monkeypatch.setattr(module, "qsum", real)
+    (call,) = calls
+    return value, call
+
+
+def flat(terms):
+    """One (j, sign, product, x) per exponent, the product as the sorted
+    keys (n, min(m, n - m)) of its binomials, or None when one vanishes."""
+    def product(keys):
+        if any(m < 0 or m > n for n, m in keys):
+            return None
+        return tuple(sorted((n, min(m, n - m)) for n, m in keys))
+    return sorted((j, sign, product(keys), x) for sign, keys, exps in terms for j, x in exps)
+
+
+def unpaired(den, rows):
+    """qsum's terms of one exponent each, in ascending j, from (j, sign,
+    keys, rational exponent) rows: the exponent as its numerator over den."""
+    terms = []
+    for j, sign, keys, e in sorted(rows):
+        x = Fraction(e * den)
+        assert x.denominator == 1, (j, e, den)
+        terms.append((sign, keys, ((j, x.numerator),)))
+    return terms
+
+
+def symmetric_specs():
+    """The catalogue's kernel sums with abar = bbar = 0, at a <= 8 as in the
+    scale rows."""
+    return [spec(a, b) for a, b in coprime_pairs(8)
+            for spec in (spec_main, spec_recip, spec_even)] + \
+        [BosonicSpec(1, 1, c2=Fraction(3, 2), c1=Fraction(1, 2))]  # bnew
+
+
+def test_bosonic_pairs_agree_with_unpaired_terms(monkeypatch):
+    # at abar = bbar = 0, term -j is term j with its two binomials swapped:
+    # the paired call's exponents are the unpaired sum's, term by term,
+    # each with the same sign and product, and the two sums are equal
+    from qburge import burge
+    for spec in symmetric_specs():
+        a, b = spec.a, spec.b
+        for L in range(11):
+            for M in range(11):
+                value, (den, terms) = captured(monkeypatch, burge, bosonic_eval, spec, L, M)
+                assert any(len(exps) == 2 for _, _, exps in terms) == (L >= a)
+                rows = [(j, -1 if j % 2 else 1,
+                         ((L + M + (a - b) * j, L + a * j), (L + M - (a - b) * j, L - a * j)),
+                         spec.c2 * j * j + spec.c1 * j + spec.c0)
+                        for j in range(-(L // a), L // a + 1)]
+                single = unpaired(den, rows)
+                assert flat(terms) == flat(single), (spec, L, M)
+                assert value == qsum(den, single, None), (spec, L, M)
+
+
+def test_g_pairs_agree_with_unpaired_terms(monkeypatch):
+    # at N = M, [2N, N-Kj] = [2N, N+Kj]: the same, for the G sums of the
+    # single-limit identities and of the closing display
+    params = [(alpha, beta, K) for a, b in coprime_pairs(8)
+              for alpha, beta, K in ((b, Fraction(a * b + 1, a), a),
+                                     (a, Fraction(a * b + 1, b), b),
+                                     (Fraction(a * b - 1, a), b, a),
+                                     (Fraction(a * b - 1, b), a, b))] + \
+        [(alpha, beta, K) for alpha, beta, K, _ in _SECTION8.values()]
+    for alpha, beta, K in params:
+        for N in range(11):
+            value, (den, terms) = captured(monkeypatch, qcombinat, g_poly, N, N, alpha, beta, K)
+            assert any(len(exps) == 2 for _, _, exps in terms) == (N >= K)
+            rows = [(j, -1 if j % 2 else 1, ((2 * N, N - K * j),),
+                     Fraction(K * j, 2) * ((alpha + beta) * j + alpha - beta))
+                    for j in range(-(N // K), N // K + 1)]
+            single = unpaired(den, rows)
+            assert flat(terms) == flat(single), (alpha, beta, K, N)
+            assert value == qsum(den, single, None), (alpha, beta, K, N)
+
+
+def test_pairs_raise_the_ascending_error():
+    # pairs listed from the outside in still name the first offending j in
+    # ascending order: here j = 3 offends first in the listed order, -1
+    # first in ascending j; and a term's degree guard precedes its exponent
+    one = ((1, 0),)
+    terms = [(1, one, ((-3, 6), (3, 7))), (1, one, ((-1, 5), (1, 4))), (1, one, ((0, 2),))]
+    with pytest.raises(NonIntegerExponentError,
+                       match=r"^non-integer exponent 5/2 in here at j=-1$"):
+        qsum(2, terms, lambda: "here")
+    deep = ((2600, 1),)
+    terms = [(1, one, ((-2, 2), (2, 1))), (1, deep, ((-1, 2), (1, 2)))]
+    with pytest.raises(DegreeLimitError, match=r"^qbin\(2600, 1, base=1\) has degree "):
+        qsum(2, terms, lambda: "here")
+    # the span is checked as the ascending sum grows: [2, 1] at 0, then
+    # 10^9 at j = 1 (the pair's -1 sits at 1, inside the span so far)
+    terms = [(1, one, ((-1, 1), (1, 10 ** 9))), (1, ((2, 1),), ((0, 0),))]
+    with pytest.raises(DegreeLimitError, match=r"^polynomial span 1000000001 > 1000000$"):
+        qsum(1, terms, None)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([(p["K"], p["i"], p["N"], p["M"])
+                        for _, p in SUITES["hookp"](CampaignBudget(lm_max=8))]),
+       _RATIONAL, _RATIONAL)
+def test_d_poly_one_sum_is_the_two_part_formula(hook, alpha, beta):
+    # the one packed sum equals its two parts summed apart and subtracted,
+    # over the hookp region with rational alpha, beta: the same value, or
+    # the same first offending term, the first part's before the second's
+    K, i, N, M = hook
+    S = alpha + beta
+    first = [(j, 1, ((M + N, M - K * j),), j * (S * K * j + K * beta - S * i))
+             for j in range(-(N // K), M // K + 1)]
+    second = [(j, 1, ((M + N, M - K * j - i),), (S * j + beta) * (K * j + i))
+              for j in range(-((N + i) // K), (M - i) // K + 1)]
+    den = lcm(alpha.denominator, beta.denominator)
+    context = lambda: f"d_poly(K={K},i={i},N={N},M={M},alpha={alpha},beta={beta})"
+    two = lambda: qsum(den, unpaired(den, first), context) - \
+        qsum(den, unpaired(den, second), context)
+    assert outcome(d_poly, K, i, N, M, alpha, beta) == outcome(two)
+
+
+def test_d_poly_span_error_is_the_two_part_error():
+    # at large alpha, beta the span of the two parts together passes
+    # MAX_SPAN: the error is the one the two parts summed apart and
+    # subtracted raise, naming the span where they do, not the span of the
+    # one sum's terms so far
+    def two(K, i, N, M, alpha, beta):
+        S = alpha + beta
+        first = [(j, 1, ((M + N, M - K * j),), j * (S * K * j + K * beta - S * i))
+                 for j in range(-(N // K), M // K + 1)]
+        second = [(j, 1, ((M + N, M - K * j - i),), (S * j + beta) * (K * j + i))
+                  for j in range(-((N + i) // K), (M - i) // K + 1)]
+        return qsum(1, unpaired(1, first), None) - qsum(1, unpaired(1, second), None)
+    for hook in ((3, 1, 1, 4, 188626, 46788), (2, -1, 1, 3, 192383, -263275),
+                 (2, 1, 3, 0, -243729, -135000)):
+        with pytest.raises(DegreeLimitError) as ref:
+            two(*hook)
+        with pytest.raises(DegreeLimitError, match=f"^{ref.value}$"):
+            d_poly(*hook)

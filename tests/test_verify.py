@@ -2,7 +2,7 @@
 
 from functools import cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -393,6 +393,23 @@ def test_series_total_matches_term_by_term_sum():
         verify._series_total(T, [(0, (qbin(3, 1),), (1,)), (-1, (qbin(2, 1),), (1,))])
     with pytest.raises(ValueError):
         verify._series_total(T, [(0, (LaurentPoly({-2: 1}),), ())])
+
+
+def test_series_display75_over_its_support():
+    # the (7,5) display runs m2, m3, m4 over its binomials' support; over
+    # the whole box isqrt(T) + 1 the extra terms all vanish, barred or not
+    def box(T, barred):
+        r = isqrt(T) + 1
+        return reference_series_total(T, [
+            (e, (qbin(m1 + m2 - m3, 2 * m2), qbin(m2 + m3 - m4, 2 * m3), qbin(m3, m4)),
+             range(1, 2 * m1 + 1))
+            for m1 in range(0, r + 1) for m2 in range(0, m1 + r + 1)
+            for m3 in range(0, r + 1) for m4 in range(0, m3 + 1)
+            if (e := m1 * m1 + (m1 - m2) ** 2 + m3 * m3
+                + (m3 * m4 if barred else m4 * m4)) <= T])
+    for T in range(41):
+        for barred in (False, True):
+            assert verify._series_display75(T, barred) == box(T, barred), (T, barred)
 
 
 def test_double_sum_display_at_128_bits(monkeypatch):
