@@ -72,10 +72,11 @@ and double sums of bnewp, bnewp2, brep, comp, comp2, comp_sum and
 f31_display, rr1 and rr2 at L <= 6, and both sides of ab32 and rr2inv),
 and the four (7,5) and (7,2) series displays at T = 40.
 
-Last, a pack and an unpack of 1,000 words at 128 bits: signed
-coefficients near +-2^100 (written byte by byte), nonnegative ones below
-2^64 by `pack_nonneg` (the low word of each, the displays' path), and
-the decode, which reads 64-bit array views.
+Last, the three calls of the packed format (see qpoly) on 1,000 words at
+128 bits: `pack` of signed coefficients near +-2^100 (biased, written
+byte by byte), `pack` of nonnegative ones below 2^64 (their own words,
+the low one of each: the path of every q-binomial), and `unpack`, which
+reads the digit count off the value and 64-bit array views.
 """
 
 import os
@@ -213,8 +214,8 @@ def main():
         print(f"{name:39s} cold {cold * 1e6:10.1f} us")
         print(f"{name:39s} warm {warm * 1e6:10.1f} us")
     for name, run in (("pack, 1,000 signed words", lambda: qpoly.pack(WIDE, 128)),
-                      ("pack_nonneg, 1,000 words", lambda: qpoly.pack_nonneg(WIDE_NONNEG, 128)),
-                      ("unpack, 1,000 words", lambda: qpoly.unpack(WIDE_V, 1000, 128))):
+                      ("pack, 1,000 nonnegative words", lambda: qpoly.pack(WIDE_NONNEG, 128)),
+                      ("unpack, 1,000 words", lambda: qpoly.unpack(WIDE_V, 128))):
         timer = timeit.Timer(run)
         number, _ = timer.autorange()
         best = min(timer.repeat(REPEAT, number)) / number

@@ -161,15 +161,14 @@ def tree_walk(a, b, family, L, M):
         try:
             v = _walk(_ROWS.setdefault(w, {}), w, family, (a, b), L, M)
         except _Overflow as exc:  # rebuild at a width that holds it
-            wide = pack_width(exc.args[0].bit_length() + 1)
+            wide = pack_width(exc.args[0])
             # H's root rows have columns only, no running sums
-            roots = {key: [[(pack(unpack(v, v.bit_length() // w + 1, w), wide), l1)
-                            for v, l1 in row[0]], [], []]
+            roots = {key: [[(pack(unpack(v, w), wide), l1) for v, l1 in row[0]], [], []]
                      for key, row in _ROWS[w].items() if key[:2] == ("H", _ROOTS["H"][0])}
             _ROWS.clear()
             _ROWS[wide] = roots
         else:
-            return LaurentPoly.dense(0, unpack(v, v.bit_length() // w + 2, w))
+            return LaurentPoly.dense(0, unpack(v, w))
 
 
 def _walk(rows, w, family, top, L, M):

@@ -238,11 +238,11 @@ def _lattice_sum(top, phis, psis, first, cut=None, per_m=False):
                 levels = _pass(top, phis, psis, first, cut, w, per_m)
             lo, v, l1 = levels[-1].get(top, (0, 0, 0))
             if not l1 >> (w - 1):
-                return LaurentPoly.dense(lo, unpack(v, abs(v).bit_length() // w + 2, w))
-            u, w = w, pack_width(l1.bit_length() + 1)
+                return LaurentPoly.dense(lo, unpack(v, w))
+            u, w = w, pack_width(l1)
             levels = _widen(levels, top, phis, psis, first, cut, u, w, per_m)
         except _Overflow as exc:
-            w, levels = pack_width(exc.args[0].bit_length() + 1), None
+            w, levels = pack_width(exc.args[0]), None
 
 
 def _pass(top, phis, psis, first, cut, w, per_m):
@@ -325,12 +325,8 @@ def _widen(levels, top, phis, psis, first, cut, u, w, per_m):
 def _repacked(states, top, u, w):
     """The states {m: (lo, v, l1)} at m <= top, whose coefficients fit
     width u, packed at width w with their exact l1s."""
-    out = {}
-    for n, (lo, v, _) in states.items():
-        if n <= top:
-            c = unpack(v, abs(v).bit_length() // u + 2, u)
-            out[n] = lo, pack(c, w), sum(map(abs, c))
-    return out
+    return {n: (lo, pack(c, w), sum(map(abs, c)))
+            for n, (lo, v, _) in states.items() if n <= top for c in (unpack(v, u),)}
 
 
 def _times(lo, v, l1, key, w, cut):
@@ -551,8 +547,8 @@ def _next_column(entry, family, cfd, L, M):
             v, _ = _column(row, M)
             break
         except _Overflow as exc:
-            w = pack_width(exc.args[0].bit_length() + 1)
-    value = LaurentPoly.dense(row[1], unpack(v, v.bit_length() // w + 2, w))
+            w = pack_width(exc.args[0])
+    value = LaurentPoly.dense(row[1], unpack(v, w))
     entry[1:] = M, value, row
     return value
 
@@ -570,8 +566,7 @@ def _row(family, cfd, L, w, old=None):
     u = old and old[0]
     if old and not any(l1 >> (u - 1) for _, l1 in old[2]):
         lo = old[1]
-        numerator = [(pack(unpack(v, v.bit_length() // u + 2, u), w), l1)
-                     for v, l1 in old[2]]
+        numerator = [(pack(unpack(v, u), w), l1) for v, l1 in old[2]]
     else:
         ge, psi = cfd.a > 2 * cfd.b, _exponent(family, cfd)
         phis, psis = _rules(cfd.quotients, family)

@@ -21,11 +21,11 @@ DegreeLimitError it sums them apart, so the error is the two-part
 sum's). The sum runs on Kronecker-packed ints (see qpoly): each binomial
 is read packed from the factor store, a term's product is one bigint
 product, q^e a shift by whole words, and the total is decoded once. The
-word width is fixed before any product is taken. A q-binomial [n, m] has nonnegative
-coefficients summing to comb(n, m), so the sum over the exponents of the
-products of their comb(n, m) bounds every coefficient of every factor,
-product, partial sum and of the total; a word of `pack_width` of its bit
-length plus one (the sign) holds them all, and no sum overflows or
+word width is fixed before any product is taken. A q-binomial [n, m] has
+nonnegative coefficients summing to comb(n, m), so the sum over the
+exponents of the products of their comb(n, m) bounds every coefficient of
+every factor, product, partial sum and of the total; a word of
+`pack_width` of that bound holds them all, and no sum overflows or
 restarts.
 
 The factor store is `_PACKED_CACHE`, {w: {factor key: (lo, v, l1)}}: the
@@ -289,7 +289,7 @@ def qsum(den, terms, context):
         return (_factor(factors[0]) if factors else _ONE).scale(e, sign)
     if not live:
         return LaurentPoly.zero()
-    w = pack_width(bound.bit_length() + 1)
+    w = pack_width(bound)
     memo = _PACKED_CACHE.setdefault(w, {})
     total = 0
     for es, sign, factors in live:
@@ -300,7 +300,7 @@ def qsum(den, terms, context):
             v = -v
         for e in es:
             total += v << (w * (e - lo))
-    return LaurentPoly.dense(lo, unpack(total, hi - lo + 1, w))
+    return LaurentPoly.dense(lo, unpack(total, w))
 
 
 @cache

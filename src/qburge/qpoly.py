@@ -16,17 +16,19 @@ base 2^w with w wide enough for every product coefficient, and one bigint
 product replaces the term-pair loop. A product with a one-term operand is
 a `scale`; every other product is packed, at any coefficient width.
 
-The packing helpers are shared with the lattice sums of `fermionic`, which
-run whole transfer passes on packed values, and with the explicit
-displays of `verify`. `pack(coeffs, w)` is the integer sum_i c_i 2^(w i),
-`pack_nonneg` the same for nonnegative coefficients, `unpack(v, n, w)`
-reads n balanced digits back, and `pack_width(bits)` picks the word: 16,
-32 or 64 bits as machine arrays, then multiples of 64, read back as
-64-bit arrays. Signed coefficients, such as those of the Pochhammer
-products (q)_n, are written as nonnegative digits c + 2^(w-1), and the
-bias is subtracted once from the whole integer, so no digit borrows;
-every coefficient must lie in [-2^(w-1), 2^(w-1)). Nonnegative ones are
-their own digits and need no bias.
+The packed format lives here, behind three calls that the lattice sums of
+`fermionic`, the bosonic sums of `qcombinat`, the tree walk of `burge`
+and the explicit displays of `verify` share. `pack(coeffs, w)` is the
+integer sum_i c_i 2^(w i). `unpack(v, w)` reads v's balanced base-2^w
+digits back, as many as v has: the canonical list, with no zero at the
+top. `pack_width(bound)` is the narrowest word whose digits hold every
+coefficient of magnitude at most `bound`, the sign bit included: 16, 32
+or 64 bits as machine arrays, then multiples of 64, read back as 64-bit
+arrays. Every coefficient must lie in (-2^(w-1), 2^(w-1)). Nonnegative
+coefficients below 2^64, such as a q-binomial's, are their own words.
+Any other list, such as the coefficients of the Pochhammer products
+(q)_n, is written as nonnegative words c + 2^(w-1), and the bias is
+subtracted once from the whole integer, so no digit borrows.
 """
 
 from __future__ import annotations
@@ -59,9 +61,11 @@ def _check_span(n):
         raise DegreeLimitError(f"polynomial span {n} > {MAX_SPAN}")
 
 
-def pack_width(bits):
-    """The narrowest packing word of at least `bits` bits: 16, 32 or 64,
-    then a multiple of 64."""
+def pack_width(bound):
+    """The narrowest packing word whose balanced digits hold every
+    coefficient of magnitude at most `bound`: bound.bit_length() bits and
+    the sign, rounded up to 16, 32 or 64, then to a multiple of 64."""
+    bits = bound.bit_length() + 1
     if bits > 64:
         return -(-bits // 64) * 64
     return 16 if bits <= 16 else 32 if bits <= 32 else 64
@@ -86,8 +90,27 @@ def _short_bias(n, w):
 
 def pack(coeffs, w):
     """The integer sum_i coeffs[i] 2^(w i), for coefficients with
-    |c| < 2^(w-1). Each coefficient is written as the w-bit word
-    c + 2^(w-1), so no digit is negative, the words are read as one
+    |c| < 2^(w-1). Nonnegative coefficients below 2^64 are their own words:
+    at a machine width one array, a wider word w/64 words of a 64-bit
+    array, the coefficient the lowest of them. Any other list is written
+    by `_pack_biased`."""
+    code = _UNSIGNED.get(w)
+    try:
+        if code is None:
+            raw = array(_UNSIGNED[64], bytes(len(coeffs) * w // 8))
+            raw[::w // 64] = array(_UNSIGNED[64], coeffs)
+        else:
+            raw = array(code, coeffs)
+    except OverflowError:  # a negative coefficient, or a wide one
+        return _pack_biased(coeffs, w)
+    if sys.byteorder == "big":
+        raw.byteswap()
+    return int.from_bytes(raw, "little")
+
+
+def _pack_biased(coeffs, w):
+    """`pack` of any coefficients with |c| < 2^(w-1): each is written as
+    the word c + 2^(w-1), so no word is negative, the words are read as one
     little-endian integer and the bias is subtracted."""
     half = 1 << (w - 1)
     code = _UNSIGNED.get(w)
@@ -101,37 +124,19 @@ def pack(coeffs, w):
     return int.from_bytes(raw, "little") - _bias(len(coeffs), w)
 
 
-def pack_nonneg(coeffs, w):
-    """`pack` of nonnegative coefficients below 2^(w-1), such as a
-    q-binomial's: each coefficient is its own word, so there is no bias.
-    At a machine width the words are one array; a wider word is w/64
-    words of a 64-bit array, the coefficient the lowest of them, as long
-    as every coefficient is below 2^64 (else `pack` writes them). A
-    negative coefficient raises ValueError."""
-    code = _UNSIGNED.get(w)
-    try:
-        if code is None:
-            raw = array(_UNSIGNED[64], bytes(len(coeffs) * w // 8))
-            raw[::w // 64] = array(_UNSIGNED[64], coeffs)
-        else:
-            raw = array(code, coeffs)
-    except OverflowError:
-        if min(coeffs) < 0:
-            raise ValueError(f"pack_nonneg: negative coefficient {min(coeffs)}") from None
-        return pack(coeffs, w)
-    if sys.byteorder == "big":
-        raw.byteswap()
-    return int.from_bytes(raw, "little")
-
-
-def unpack(v, n, w):
-    """The n balanced base-2^w digits of v, lowest first: the inverse of
-    `pack` when every digit lies in [-2^(w-1), 2^(w-1)) and v has at most
-    n of them. Adding the bias makes every word d + 2^(w-1) in [0, 2^w),
-    so no digit borrows from the next; flipping each word's top bit leaves
-    d in two's complement, read back as signed words. A word wider than 64
-    bits is read as w/64 strided views of one 64-bit array, the top word
-    signed and the lower ones unsigned, joined per digit."""
+def unpack(v, w):
+    """The balanced base-2^w digits of v, lowest first, with no zero at the
+    top ([] for v = 0): the inverse of `pack` when every digit lies in
+    (-2^(w-1), 2^(w-1)). Such a v with n digits has
+    2^(w(n-1)-1) < |v| < 2^(wn-1), so n = v.bit_length() // w + 1.
+    Adding the bias makes every word d + 2^(w-1) in [0, 2^w), so no digit
+    borrows from the next; flipping each word's top bit leaves d in two's
+    complement, read back as signed words. A word wider than 64 bits is
+    read as w/64 strided views of one 64-bit array, the top word signed and
+    the lower ones unsigned, joined per digit."""
+    if not v:
+        return []
+    n = v.bit_length() // w + 1
     bias = _bias(n, w)
     raw = ((v + bias) ^ bias).to_bytes(n * w // 8, "little")
     code = _SIGNED.get(w)
@@ -242,15 +247,11 @@ class LaurentPoly:
         if len(a.coeffs) <= 1:
             return b.scale(a.lo, a.coeffs[0]) if a.coeffs else a
         ca, cb = a.coeffs, b.coeffs
-        n = len(ca) + len(cb) - 1
-        _check_span(n)
-        # every product coefficient is a sum of at most len(ca) terms, so its
-        # magnitude is below 2^(k-1) and a word of w >= k bits holds it
-        k = (max(max(ca), -min(ca)).bit_length()
-             + max(max(cb), -min(cb)).bit_length() + len(ca).bit_length() + 1)
-        w = pack_width(k)
+        _check_span(len(ca) + len(cb) - 1)
+        # every product coefficient is a sum of at most len(ca) terms
+        w = pack_width(max(max(ca), -min(ca)) * max(max(cb), -min(cb)) * len(ca))
         # the end coefficients are products of nonzero ends: nothing to strip
-        return _poly(a.lo + b.lo, unpack(pack(ca, w) * pack(cb, w), n, w))
+        return _poly(a.lo + b.lo, unpack(pack(ca, w) * pack(cb, w), w))
 
     __rmul__ = __mul__
 

@@ -31,9 +31,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, gcd, isqrt, prod
 
-from .qpoly import (DegreeLimitError, LaurentPoly, TruncatedSeries, _check_span,
+from .qpoly import (DegreeLimitError, LaurentPoly, TruncatedSeries, _bias, _check_span,
                     first_poly_difference, first_series_difference,
-                    pack_nonneg, pack_width, unpack)
+                    pack, pack_width, unpack)
 from .qcombinat import qbin, g_poly, d_poly, borwein_split
 from .fermionic import (eval_F, eval_f, eval_H, eval_I, eval_limit_M,
                         eval_limit_L, eval_limit_both)
@@ -214,13 +214,14 @@ def _total(terms):
     ||p||_1 for nonnegative coefficients) and checks the total span against
     MAX_SPAN, so DegreeLimitError comes before anything is packed. The sum
     of the terms' bounds bounds every coefficient of every product and of
-    the total, so one word of `pack_width` of its bit length plus one (the
-    sign) holds them all. Each distinct factor is packed once, by
-    `pack_nonneg`: `qbin` returns memoized objects, so a factor is known by
-    its id, and the dict that keys it holds the factor, so no id is reused
-    during the call. Each term is one product of ints, added shifted by
-    whole words, and the total is decoded once; a sum of one term of one
-    factor is that factor, scaled."""
+    the total, so one word of `pack_width` of that bound holds them all.
+    Each distinct factor is packed once, by `pack`: `qbin` returns memoized
+    objects, so a factor is known by its id, and the dict that keys it
+    holds the factor, so no id is reused during the call. A factor with a
+    negative coefficient is caught by the top bits of its packed words,
+    with no scan of its list. Each term is one product of ints, added
+    shifted by whole words, and the total is decoded once; a sum of one
+    term of one factor is that factor, scaled."""
     seen = {}  # id(factor) -> (factor, l1, lowest exponent, highest)
     live, bound, lo, hi = [], 0, None, None
     for e, sign, factors in terms:
@@ -251,8 +252,19 @@ def _total(terms):
         e, sign, (f,) = live[0]
         return f.scale(e - f.lo, sign)
     _check_span(hi - lo + 1)
-    w = pack_width(bound.bit_length() + 1)
-    packed = {k: pack_nonneg(f.coeffs, w) for k, (f, l1, _, _) in seen.items() if l1}
+    w = pack_width(bound)
+    # a factor of a live term has p(1) <= bound; one with more is in no live
+    # term and is not packed. A nonnegative factor's coefficients are at most
+    # its p(1) < 2^(w-1), so none of its words has its top bit (`tops`, one
+    # per word of the span) set; a negative coefficient sets the top bit of
+    # its word, or leaves the factor too wide to pack (OverflowError)
+    tops, packed = _bias(hi - lo + 1, w), {}
+    try:
+        for k, (f, l1, _, _) in seen.items():
+            if 0 < l1 <= bound and (packed.setdefault(k, pack(f.coeffs, w)) & tops):
+                raise OverflowError
+    except OverflowError:
+        raise ValueError("_total: a factor with a negative coefficient") from None
     total = 0
     for e, sign, factors in live:
         v = prod(map(packed.__getitem__, map(id, factors))) << (w * (e - lo))
@@ -260,7 +272,7 @@ def _total(terms):
             total -= v
         else:
             total += v
-    return LaurentPoly.dense(lo, unpack(total, hi - lo + 1, w))
+    return LaurentPoly.dense(lo, unpack(total, w))
 
 
 def _sum_bnewp(L, M):
@@ -601,7 +613,7 @@ def _case_rr2inv(L, M):
            "G(L,L;b,b+1/a,a) equals the large-M limit polynomial of F",
            "(a,b) coprime, L >= 0")
 def _case_g_limF(a, b, L):
-    return g_poly(L, L, Fraction(b), Fraction(a * b + 1, a), a), \
+    return g_poly(L, L, b, Fraction(a * b + 1, a), a), \
         eval_limit_M("F", a, b, L)
 
 
@@ -609,7 +621,7 @@ def _case_g_limF(a, b, L):
            "G(M,M;a,a+1/b,b) equals the large-L limit polynomial of F",
            "(a,b) coprime, M >= 0")
 def _case_g_limFt(a, b, M):
-    return g_poly(M, M, Fraction(a), Fraction(a * b + 1, b), b), \
+    return g_poly(M, M, a, Fraction(a * b + 1, b), b), \
         eval_limit_L("F", a, b, M)
 
 
@@ -617,7 +629,7 @@ def _case_g_limFt(a, b, M):
            "G(L,L;b-1/a,b,a) equals the large-M limit polynomial of f",
            "(a,b) coprime, L >= 0")
 def _case_g_limf(a, b, L):
-    return g_poly(L, L, Fraction(a * b - 1, a), Fraction(b), a), \
+    return g_poly(L, L, Fraction(a * b - 1, a), b, a), \
         eval_limit_M("f", a, b, L)
 
 
@@ -625,7 +637,7 @@ def _case_g_limf(a, b, L):
            "G(M,M;a-1/b,a,b) equals the large-L limit polynomial of f",
            "(a,b) coprime, M >= 0")
 def _case_g_limft(a, b, M):
-    return g_poly(M, M, Fraction(a * b - 1, b), Fraction(a), b), \
+    return g_poly(M, M, Fraction(a * b - 1, b), a, b), \
         eval_limit_L("f", a, b, M)
 
 
@@ -669,7 +681,7 @@ for key, display, barred, z in _DISPLAYS:
            "two-part alternating sum equals the hook-difference partition count",
            "K >= 1, integer alpha,beta >= 1, beta-i <= N-M <= K-alpha-i")
 def _case_hookp(K, i, N, M, alpha, beta):
-    return d_poly(K, i, N, M, Fraction(alpha), Fraction(beta)), \
+    return d_poly(K, i, N, M, alpha, beta), \
         partition_oracle(K, i, N, M, alpha, beta)
 
 
@@ -716,7 +728,7 @@ def _case_section8(entry, n):
            "G(L,L;b,b+1/a,a) has nonnegative coefficients",
            "(a,b) coprime, L >= 0")
 def _case_pos_gen(a, b, L):
-    return g_poly(L, L, Fraction(b), Fraction(a * b + 1, a), a)
+    return g_poly(L, L, b, Fraction(a * b + 1, a), a)
 
 
 @_register("pos_shifted", "positivity",
@@ -724,12 +736,12 @@ def _case_pos_gen(a, b, L):
            "nonnegative coefficients", "(a,b) coprime, a >= 3, L >= abar")
 def _case_pos_shifted(a, b, L):
     abar, bbar, one = shifted_bar(a, b)
-    if one:
-        alpha = Fraction(b) - Fraction(2 * abar * b, a)
-        beta = Fraction(b) + Fraction(1, a) + Fraction(2 * abar * b, a)
-    else:
-        alpha = Fraction(b - 2 * bbar)
-        beta = Fraction(b) + Fraction(1, a) + Fraction(2 * bbar)
+    if one:  # b - 2 abar b / a and b + 2 abar b / a + 1/a
+        alpha = Fraction(a * b - 2 * abar * b, a)
+        beta = Fraction(a * b + 2 * abar * b + 1, a)
+    else:  # b - 2 bbar and b + 2 bbar + 1/a
+        alpha = b - 2 * bbar
+        beta = Fraction(a * (b + 2 * bbar) + 1, a)
     return g_poly(L + abar, L - abar, alpha, beta, a)
 
 

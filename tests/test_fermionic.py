@@ -290,7 +290,7 @@ def test_widened_states_bound_their_l1(monkeypatch):
         for level in levels:  # one state per m_j, or pair states by column
             for at in level.values():
                 for lo, v, l1 in at.values() if isinstance(at, dict) else [at]:
-                    coeffs = qpoly.unpack(v, abs(v).bit_length() // w + 2, w)
+                    coeffs = qpoly.unpack(v, w)
                     assert l1 >= sum(map(abs, coeffs)), w
         assert not max(s[2] for s in levels[-1].values()) >> (w - 1)
     # some widening repacked a free level's pair states
@@ -1093,3 +1093,28 @@ def test_nonnegative_coefficients():
                 for fn in (eval_F, eval_f, eval_I, eval_H):
                     val = fn(a, b, L, M)
                     assert val.min_negative() is None, (a, b, L, M, fn)
+
+
+def test_decodes_end_in_a_nonzero_coefficient(monkeypatch):
+    # a lattice pass, a row column, the large-L limit and the tree walk
+    # each decode their total to its canonical digits, so every list they
+    # pass `LaurentPoly.dense` ends in a nonzero coefficient (there is no
+    # zero word for it to strip)
+    cold_memos(monkeypatch)
+    monkeypatch.setattr(burge, "_ROWS", {})
+    lists, dense = [], LaurentPoly.dense.__func__
+
+    def recording(cls, lo, coeffs):
+        lists.append(coeffs)
+        return dense(cls, lo, coeffs)
+    monkeypatch.setattr(LaurentPoly, "dense", classmethod(recording))
+    for a, b in [(3, 1), (5, 2), (7, 3)]:
+        for L, M in [(3, 2), (4, 0), (2, 4)]:  # points
+            eval_F(a, b, L, M)
+        for M in range(5):  # columns of one row
+            eval_F(a, b, 3, M)
+            eval_limit_L("F", a, b, M)
+        for family in ("F", "H", "I"):
+            burge.tree_walk(a, b, family, 3, 4)
+    assert len(lists) > 40
+    assert all(coeffs[-1] for coeffs in lists if coeffs)

@@ -1,6 +1,6 @@
 """Import hygiene: every name a source file imports is used in it, every
-function and class of `src` is reached from `src`, and the two sides of an
-identity import nothing from each other."""
+function, class and method of `src` is reached from `src` or `perfbench`,
+and the two sides of an identity import nothing from each other."""
 
 import ast
 from pathlib import Path
@@ -45,50 +45,73 @@ def test_every_import_is_used():
     assert not found
 
 
-# (module, name) -> why it stays in src with no reader there
-UNREACHED = {
-    ("verify", "positivity_scan"):
-        "perfbench's campaign worker hooks it; goes with that hook (ROADMAP item 6)",
-}
+def _reads(node):
+    """The names that the AST `node` reads, as a name or an attribute, or
+    lists in `__all__`."""
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    if isinstance(node, ast.Assign) and \
+            any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        names |= {elt.value for elt in node.value.elts}
+    return names
 
 
-def unreached(texts):
+def unreached(texts, readers=()):
     """The (module, name) of each module-level function and class in the
-    Python sources `texts` (module -> source) that no other top-level
-    statement of any of them reads, as a name or an attribute, or lists in
-    `__all__`. A def under `@_register(...)` is reached: it is a catalogue
-    case."""
-    defs, reads = [], []
+    Python sources `texts` (module -> source), and the (module,
+    "Class.method") of each method of those classes but the dunders, that
+    no other top-level statement or method of them (a class's own methods
+    do not reach it), nor any part of the sources `readers`, reads as a
+    name or an attribute, or lists in `__all__`. A def under
+    `@_register(...)` is reached: it is a catalogue case."""
+    defs, reads = [], [((), _reads(ast.parse(text))) for text in readers]
     for module, text in texts.items():
         for node in ast.parse(text).body:
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            if isinstance(node, ast.Assign) and \
-                    any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                names |= {elt.value for elt in node.value.elts}
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = (module, node.name)
-                if not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_register"
-                           for d in node.decorator_list):
-                    defs.append(own)
-            reads.append((own, names))
-    return {(module, name) for module, name in defs
-            if not any(name in names for own, names in reads if own != (module, name))}
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                reads.append(((), _reads(node)))
+                continue
+            own, parts = (module, node.name), [node]
+            if not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_register"
+                       for d in node.decorator_list):
+                defs.append((own, node.name))
+            if isinstance(node, ast.ClassDef):  # each method reads on its own
+                parts = node.bases + node.keywords + node.decorator_list
+                for sub in node.body:
+                    if not isinstance(sub, ast.FunctionDef):
+                        parts.append(sub)
+                        continue
+                    method = (module, f"{node.name}.{sub.name}")
+                    if not (sub.name.startswith("__") and sub.name.endswith("__")):
+                        defs.append((method, sub.name))
+                    reads.append(((method, own), _reads(sub)))
+            reads.append(((own,), set().union(*map(_reads, parts))))
+    return {own for own, name in defs
+            if not any(name in names for tags, names in reads if own not in tags)}
 
 
 def test_unreached_is_found():
     texts = {"a": "def f():\n    return f()\n\n\ndef g():\n    return h\n\n\n"
-                  "class C:\n    pass\n\n\n@_register('x')\ndef _case():\n    pass\n",
+                  "class C:\n    def m(self):\n        return self.m()\n\n"
+                  "    def n(self):\n        return self.k()\n\n"
+                  "    def k(self):\n        return 1\n\n"
+                  "    def __eq__(self, other):\n        return True\n\n"
+                  "    def p(self):\n        return 2\n\n\n"
+                  "class D:\n    def __repr__(self):\n        return D.__name__\n\n\n"
+                  "@_register('x')\ndef _case():\n    pass\n",
              "b": "from .a import g\n__all__ = ['C']\n\n\ndef h():\n    return g()\n"}
-    assert unreached(texts) == {("a", "f")}
+    # a method reaches another of its class, but no method reaches its class
+    assert unreached(texts) == {("a", "f"), ("a", "C.m"), ("a", "C.n"), ("a", "C.p"),
+                                ("a", "D")}
+    assert unreached(texts, ["x.p()\nx.n()\nD\n"]) == {("a", "f"), ("a", "C.m")}
 
 
 def test_every_src_definition_is_reached():
-    # code that only the tests read belongs in the tests
+    # code that only the tests read belongs in the tests; perfbench reads
+    # the program too
     texts = {path.stem: path.read_text()
              for path in sorted((ROOT / "src" / "qburge").glob("*.py"))}
-    assert unreached(texts) == set(UNREACHED)
+    readers = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert not unreached(texts, readers)
 
 
 def imports_of(text):

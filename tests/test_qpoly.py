@@ -203,31 +203,28 @@ def test_wide_coefficients_pack_byte_wise():
 
 @pytest.mark.parametrize("w", [8, 16, 32, 64, 128, 192])
 def test_pack_round_trips_at_every_width(w):
-    # signed digits at both ends of [-2^(w-1), 2^(w-1)), small ones, and
-    # ones that fill each 64-bit part of a wide word; the nonnegative ones
-    # pack the same without a bias, also where a coefficient of 64 bits or
-    # more sends a wide word back to `pack`
-    half = 2 ** (w - 1)
-    edges = [-half, half - 1, -1, 0, 1, half // 3, -(half // 3) - 1]
+    # signed digits at +-(2^(w-1) - 1), small ones and ones that fill each
+    # 64-bit part of a wide word, the same made nonnegative (their own
+    # words), a coefficient of 2^64 (a wide word packs it biased), zeros at
+    # either end, the empty list and v = 0: `pack` is sum_i c_i 2^(w i), and
+    # `unpack` reads back the canonical digits, with no zero at the top
+    top = 2 ** (w - 1) - 1
+    edges = [-top, top, -1, 0, 1, top // 3, -(top // 3) - 1]
     parts = [s * (2 ** b - 1) for b in range(8, w, 8) for s in (1, -1)]
-    for coeffs in (edges, parts, edges[::-1] + parts, [], [0], [-half]):
+    signed = [edges, parts, edges[::-1] + parts, [-1], [0, 0, -top], [-top, 0, 0]]
+    lists = signed + [[abs(c) for c in cs] for cs in signed] + [[], [0], [0, 0]]
+    if w > 64:
+        lists += [[2 ** 64], [1, 2 ** 64, 0, 5], [-(2 ** 64), 3]]
+    for coeffs in lists:
         v = qpoly.pack(coeffs, w)
-        assert v == sum(c << (w * i) for i, c in enumerate(coeffs))
-        assert qpoly.unpack(v, len(coeffs), w) == coeffs
-        nonneg = [abs(c) % half for c in coeffs]
-        small = [c % 2 ** 63 for c in nonneg]
-        for cs in (nonneg, small):
-            assert qpoly.pack_nonneg(cs, w) == qpoly.pack(cs, w)
-            assert qpoly.unpack(qpoly.pack_nonneg(cs, w), len(cs), w) == cs
-        # a value with fewer digits reads as zeros above them
-        assert qpoly.unpack(v, len(coeffs) + 2, w) == coeffs + [0, 0]
-
-
-@pytest.mark.parametrize("w", [16, 64, 128])
-def test_pack_nonneg_rejects_a_negative_coefficient(w):
-    for coeffs in ([-1], [3, 0, -2, 5], [2 ** 70 % 2 ** (w - 1), -1]):
-        with pytest.raises(ValueError):
-            qpoly.pack_nonneg(coeffs, w)
+        assert v == sum(c << (w * i) for i, c in enumerate(coeffs)), coeffs
+        digits = qpoly.unpack(v, w)
+        assert digits == coeffs[:max((i + 1 for i, c in enumerate(coeffs) if c), default=0)]
+        assert not digits or digits[-1]
+    assert qpoly.unpack(0, w) == [] and qpoly.pack([], w) == 0
+    # the width holds its bound, and one more takes the next width
+    if w > 8:
+        assert qpoly.pack_width(top) == w < qpoly.pack_width(top + 1)
 
 
 def test_bias_cache_keeps_short_biases():
@@ -238,8 +235,8 @@ def test_bias_cache_keeps_short_biases():
     for w in (16, 32, 64, 128):
         for n in (0, 1, 30, qpoly._SHORT_BIAS_WORDS, qpoly._SHORT_BIAS_WORDS + 1, 500):
             assert qpoly._bias(n, w) == sum(1 << (w - 1 + w * i) for i in range(n))
-            coeffs = [(-1) ** i * (i % (1 << (w - 2))) for i in range(n)]
-            assert qpoly.unpack(qpoly.pack(coeffs, w), n, w) == coeffs
+            coeffs = [(-1) ** i * (i % (1 << (w - 2)) + 1) for i in range(n)]
+            assert qpoly.unpack(qpoly.pack(coeffs, w), w) == coeffs
     info = qpoly._short_bias.cache_info()
     assert info.maxsize == qpoly._SHORT_BIAS_CACHE
     assert info.currsize == 4 * 4 and info.hits  # n <= 64: 0, 1, 30, 64 per w

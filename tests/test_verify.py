@@ -283,8 +283,8 @@ def summed_at_width(monkeypatch, terms):
     """_total(terms) and the word widths it picked, in order."""
     widths = []
 
-    def recording(bits):
-        widths.append(qpoly.pack_width(bits))
+    def recording(bound):
+        widths.append(qpoly.pack_width(bound))
         return widths[-1]
     monkeypatch.setattr(verify, "pack_width", recording)
     return verify._total(terms), widths
@@ -303,8 +303,11 @@ def test_total_matches_term_by_term_sum(monkeypatch):
     assert total == reference_total(terms) and widths == [16]
     for k in range(len(terms) + 1):
         assert verify._total(terms[:k]) == reference_total(terms[:k]), k
-    # a term with a zero factor contributes nothing, not even its span
+    # a term with a zero factor contributes nothing, not even its span, nor
+    # the width its other factors would need
     assert verify._total([(0, 1, (zero,)), (10 ** 9, 1, (zero, shared))]).is_zero()
+    terms = [(0, 1, (shared, qbin(3, 1))), (0, 1, (zero, qbin(40, 20)))]
+    assert verify._total(terms) == shared * qbin(3, 1)
     # terms that cancel leave no zero ends
     assert verify._total([(0, 1, (shared,)), (0, -1, (shared,)),
                           (2, 1, (qbin(3, 1),))]) == LaurentPoly({2: 1, 3: 1, 4: 1})
@@ -336,7 +339,7 @@ def test_total_fills_its_word(monkeypatch, width):
         assert total == LaurentPoly({0: sign * (half - 2), 1: sign})
     # one more and the bound needs the next width
     terms = [(0, 1, (a,)), (0, 1, (b + LaurentPoly.one(),))]
-    assert summed_at_width(monkeypatch, terms)[1] == [qpoly.pack_width(width + 1)]
+    assert summed_at_width(monkeypatch, terms)[1] == [qpoly.pack_width(half)]
 
 
 def test_total_span_limit(monkeypatch):
@@ -347,7 +350,7 @@ def test_total_span_limit(monkeypatch):
         raise AssertionError("packed past the span limit")
     terms = [(0, 1, (qbin(4, 2),)), (5, -1, (qbin(3, 1), qbin(3, 1)))]
     assert verify._total(terms) == reference_total(terms)  # span 10
-    monkeypatch.setattr(verify, "pack_nonneg", packing)
+    monkeypatch.setattr(verify, "pack", packing)
     with pytest.raises(DegreeLimitError, match=r"^polynomial span 11 > 10$"):
         verify._total(terms + [(10, 1, (LaurentPoly.one(),))])
     with pytest.raises(DegreeLimitError, match=r"^polynomial span 13 > 10$"):
@@ -422,7 +425,8 @@ def test_double_sum_display_at_128_bits(monkeypatch):
              for i in range(1, min(L, M) + 1) for n in range(0, min(i - 1, L - i) + 1)]
     widths = []
     width = verify.pack_width
-    monkeypatch.setattr(verify, "pack_width", lambda bits: widths.append(width(bits)) or widths[-1])
+    monkeypatch.setattr(verify, "pack_width",
+                        lambda bound: widths.append(width(bound)) or widths[-1])
     rhs = verify._rhs_ab32_display(L, M)
     assert widths == [128]
     assert rhs == reference_total(terms) == verify._lhs_ab32(L, M)
